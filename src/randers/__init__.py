@@ -16,7 +16,7 @@ from .errors import (ConfigError, ConnectivityError, ConvexityError,
                      RandersError, RecoveryError, SpecMismatchError,
                      TrappedGeodesicError, TriplicationError)
 from .fields import (ComponentForm, ConformalMetric, ConstantField,
-                     ConstantForm, ConstantMetric, Domain, EuclideanMetric,
+                     ConstantForm, Domain, EuclideanMetric,
                      ExactForm, ExprField, PotentialBump, RadialProfile,
                      RotationalForm, ScaledForm, SumForm, ZeroForm,
                      circle_directions, disk_grid)

@@ -25,7 +25,7 @@ __all__ = [
     "ScalarField", "ConstantField", "ExprField", "RadialProfile", "PotentialBump",
     "VectorValuedField", "ZeroForm", "ConstantForm", "ExactForm", "RotationalForm",
     "ComponentForm", "ScaledForm", "SumForm",
-    "MetricField", "EuclideanMetric", "ConstantMetric", "ConformalMetric",
+    "MetricField", "EuclideanMetric", "ConformalMetric",
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -56,7 +56,7 @@ def _safe_radial(x):
 
 @dataclass(frozen=True)
 class Domain:
-    """Closed ball of given radius; the planar pipeline uses dimension 2."""
+    """Closed disk of given radius; ``dimension`` is always 2 (the pipeline is planar)."""
 
     radius: float
     dimension: int = 2
@@ -64,8 +64,8 @@ class Domain:
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError("domain radius must be positive")
-        if self.dimension < 2:
-            raise ValueError("domain dimension must be >= 2")
+        if self.dimension != 2:
+            raise ValueError("domain dimension must be 2; only planar disks are supported")
 
     def boundary_defect(self, x):
         """Signed boundary function |x|^2 - R^2 (negative inside)."""
@@ -96,21 +96,11 @@ class Domain:
 
 
 def disk_grid(domain, count=1000):
-    """Deterministic quasi-uniform interior grid (sunflower layout in 2D)."""
-    if domain.dimension == 2:
-        k = np.arange(count, dtype=float)
-        r = domain.radius * np.sqrt((k + 0.5) / count)
-        th = k * _GOLDEN_ANGLE
-        return np.column_stack([r * np.cos(th), r * np.sin(th)])
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=domain.dimension, scramble=False)
-    pts = []
-    while sum(len(p) for p in pts) < count:
-        block = (2.0 * sampler.random(4 * count) - 1.0) * domain.radius
-        keep = np.linalg.norm(block, axis=1) < domain.radius
-        pts.append(block[keep])
-    return np.concatenate(pts)[:count]
+    """Deterministic quasi-uniform interior grid (sunflower layout)."""
+    k = np.arange(count, dtype=float)
+    r = domain.radius * np.sqrt((k + 0.5) / count)
+    th = k * _GOLDEN_ANGLE
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
 def circle_directions(count=16):
@@ -333,6 +323,10 @@ class VectorValuedField:
     def jacobian(self, x):
         raise NotImplementedError
 
+    def value_and_jacobian(self, x):
+        """(value, jacobian); overridden where one pass is cheaper."""
+        return self.value(x), self.jacobian(x)
+
     def describe(self):
         raise NotImplementedError
 
@@ -506,6 +500,10 @@ class MetricField:
     def partials(self, x):
         raise NotImplementedError
 
+    def value_and_partials(self, x):
+        """(value, partials); overridden where one pass is cheaper."""
+        return self.value(x), self.partials(x)
+
     def describe(self):
         raise NotImplementedError
 
@@ -529,72 +527,50 @@ class EuclideanMetric(MetricField):
         return f"euclidean(dim={self.dim})"
 
 
-class ConstantMetric(MetricField):
-    flavor = "general"
-
-    def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if not np.allclose(a, a.T):
-            raise ValueError("metric matrix must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0.0:
-            raise ValueError("metric matrix must be positive definite")
-        self.matrix = 0.5 * (a + a.T)
-        self.dim = a.shape[0]
-
-    def value(self, x):
-        x, single = _pts(x)
-        m = x.shape[0]
-        return _unbatch(np.broadcast_to(self.matrix, (m,) + self.matrix.shape).copy(), single)
-
-    def partials(self, x):
-        x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.zeros((m, n, n, n)), single)
-
-    def describe(self):
-        return f"constmetric({self.matrix.tolist()!r})"
-
-
 class ConformalMetric(MetricField):
     """g = c^-2 * euclidean for a sound-speed field c.
 
-    Value and partials are often requested back-to-back on the same batch
-    (geodesic right-hand sides), so the speed evaluation is memoized on the
-    identity of the last batch; recomputation on a miss is always safe.
+    Every call evaluates the speed and its gradient in one pass; geodesic
+    right-hand sides take value and partials together through
+    ``value_and_partials``.
     """
 
     def __init__(self, speed, dim=2):
         self.speed = speed
         self.dim = dim
         self.flavor = "conformal-radial" if isinstance(speed, (RadialProfile, ConstantField)) else "conformal"
-        self._last = None
-
-    def _speed_pair(self, x):
-        last = self._last
-        if last is not None and last[0] is x:
-            return last[1]
-        pair = self.speed.value_and_gradient(x)
-        self._last = (x, pair)
-        return pair
 
     def value(self, x):
         x, single = _pts(x)
-        c, _ = self._speed_pair(x)
-        m, n = x.shape
-        g = np.zeros((m, n, n))
-        idx = np.arange(n)
-        g[:, idx, idx] = (c ** -2)[:, None]
-        return _unbatch(g, single)
+        c, _ = self.speed.value_and_gradient(x)
+        return _unbatch(_conformal_value(c, x.shape[1]), single)
 
     def partials(self, x):
         x, single = _pts(x)
-        c, dc = self._speed_pair(x)
-        m, n = x.shape
-        dfac = -2.0 * c ** -3  # d(c^-2)/dc
-        p = np.zeros((m, n, n, n))
-        idx = np.arange(n)
-        p[:, :, idx, idx] = (dfac[:, None] * dc)[:, :, None]
-        return _unbatch(p, single)
+        c, dc = self.speed.value_and_gradient(x)
+        return _unbatch(_conformal_partials(c, dc), single)
+
+    def value_and_partials(self, x):
+        x, single = _pts(x)
+        c, dc = self.speed.value_and_gradient(x)
+        return (_unbatch(_conformal_value(c, x.shape[1]), single),
+                _unbatch(_conformal_partials(c, dc), single))
 
     def describe(self):
         return f"conformal({self.speed.describe()})"
+
+
+def _conformal_value(c, n):
+    g = np.zeros((c.shape[0], n, n))
+    idx = np.arange(n)
+    g[:, idx, idx] = (c ** -2)[:, None]
+    return g
+
+
+def _conformal_partials(c, dc):
+    m, n = dc.shape
+    dfac = -2.0 * c ** -3  # d(c^-2)/dc
+    p = np.zeros((m, n, n, n))
+    idx = np.arange(n)
+    p[:, :, idx, idx] = (dfac[:, None] * dc)[:, :, None]
+    return p

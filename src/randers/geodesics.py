@@ -20,7 +20,6 @@ from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      TrappedGeodesicError)
 from .fields import ConformalMetric, _pts, _unbatch, circle_directions, disk_grid
-from .norms import _analytic_fundamental
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShot",
            "spray", "integrate_geodesic", "solve_bvp", "shoot_pairs",
@@ -58,17 +57,11 @@ def _wrap(angle):
 
 def _time_scale(spec):
     """Upper bound for the time an F-unit-speed curve needs to cross the ball."""
-    cached = getattr(spec, "_time_scale_cache", None)
-    if cached is not None:
-        return cached
     pts = disk_grid(spec.domain, 64)
     dirs = circle_directions(8)
     X = np.repeat(pts, len(dirs), axis=0)
     Y = np.tile(dirs, (len(pts), 1))
-    fmax = float(spec._raw_norm(X, Y).max())
-    scale = 2.0 * spec.domain.radius * fmax
-    spec._time_scale_cache = scale
-    return scale
+    return 2.0 * spec.domain.radius * float(spec._raw_norm(X, Y).max())
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +69,12 @@ def _time_scale(spec):
 
 
 def _spray_and_norm(spec, X, Y, check=False):
-    """Batched spray G^i(x, y) and norm F(x, y); no domain checks (hot path).
+    """Batched planar spray G^i(x, y) and norm F(x, y); no domain checks (hot path).
 
-    Planar batches use explicit component arithmetic (einsum dispatch
-    overhead dominates at these sizes); other dimensions fall back to the
-    generic contraction path.
+    Explicit component arithmetic on one ``spec.jet`` per batch (einsum
+    dispatch overhead dominates at these sizes).
     """
-    if X.shape[1] != 2:
-        return _spray_and_norm_nd(spec, X, Y, check)
-    a = spec.alpha.value(X)
-    P = spec.alpha.partials(X)
+    a, P, b, Jb = spec.jet(X)
     y0, y1 = Y[:, 0], Y[:, 1]
     a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
     ay0 = a00 * y0 + a01 * y1
@@ -111,8 +100,6 @@ def _spray_and_norm(spec, X, Y, check=False):
         rhs0 = yA_kl0 - A_0
         rhs1 = yA_kl1 - A_1
     else:
-        b = spec.beta.value(X)
-        Jb = spec.beta.jacobian(X)
         b0, b1 = b[:, 0], b[:, 1]
         B = b0 * y0 + b1 * y1
         F = al + B
@@ -149,48 +136,6 @@ def _spray_and_norm(spec, X, Y, check=False):
     return out, F
 
 
-def _spray_and_norm_nd(spec, X, Y, check=False):
-    """Generic-dimension contraction path (same formulas as the 2D path)."""
-    a = spec.alpha.value(X)
-    P = spec.alpha.partials(X)
-    ay = np.einsum("mij,mj->mi", a, Y)
-    A = np.einsum("mi,mi->m", ay, Y)
-    al = np.sqrt(A)
-    A_k = np.einsum("mkij,mi,mj->mk", P, Y, Y)
-    yA_kl = 2.0 * np.einsum("mk,mklj,mj->ml", Y, P, Y)
-    yA_k = np.einsum("mk,mk->m", Y, A_k)
-
-    if spec.beta.is_zero:
-        F = al
-        rhs = yA_kl - A_k
-        g = a
-    else:
-        b = spec.beta.value(X)
-        Jb = spec.beta.jacobian(X)
-        B = np.einsum("mi,mi->m", b, Y)
-        F = al + B
-        B_k = np.einsum("mik,mi->mk", Jb, Y)
-        yB_k = np.einsum("mk,mk->m", Y, B_k)
-        yB_kl = np.einsum("mk,mlk->ml", Y, Jb)
-        one_plus = 1.0 + B / al
-        dF2_dx = A_k * one_plus[:, None] + 2.0 * F[:, None] * B_k
-        M = (one_plus[:, None] * yA_kl
-             + 2.0 * F[:, None] * yB_kl
-             + ay * (2.0 * yB_k / al - B * yA_k / al ** 3)[:, None]
-             + b * (yA_k / al + 2.0 * yB_k)[:, None])
-        rhs = M - dF2_dx
-        g = _analytic_fundamental(a, b, Y)
-
-    if check:
-        det = np.linalg.det(g)
-        if not np.all(np.isfinite(det)) or np.any(det <= 0.0):
-            raise ConvexityError("fundamental tensor is singular or indefinite; "
-                                 "the spec should have been rejected by validate_norm")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = 0.25 * np.linalg.solve(g, rhs[:, :, None])[:, :, 0]
-    return G, F
-
-
 def spray(spec, x, y):
     """Spray coefficients G^i(x, y) of the geodesic equation x'' + 2G = 0.
 
@@ -199,6 +144,8 @@ def spray(spec, x, y):
     spec.require_valid()
     X, single = _pts(x)
     Y, _ = _pts(y)
+    if X.shape[1] != 2 or Y.shape[1] != 2:
+        raise ValueError("spray takes planar points and directions")
     Y = np.broadcast_to(Y, X.shape).copy() if Y.shape[0] == 1 and X.shape[0] > 1 else Y
     if np.any(np.linalg.norm(Y, axis=1) == 0.0):
         raise DegenerateInputError("spray is undefined at y = 0")

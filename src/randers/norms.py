@@ -87,13 +87,16 @@ class RandersSpec:
         Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
         return _unbatch(self._raw_norm(X, np.ascontiguousarray(Y)), single)
 
-    def unitize(self, x, direction):
-        """Scale a direction to unit F-speed at x."""
-        d = np.asarray(direction, dtype=float)
-        f = self.norm(x, d)
-        if np.any(np.atleast_1d(f) <= 0.0):
-            raise DegenerateInputError("cannot unitize a direction with F <= 0")
-        return d / (f[..., None] if d.ndim > 1 else f)
+    def jet(self, X):
+        """(a, P, b, Jb) on a batch: alpha's value and partials, beta's value and jacobian.
+
+        The geodesic spray's only field call per batch.  Specs whose alpha
+        and beta share intermediate quantities override it to compute them
+        once; the result always equals the four public field calls.
+        """
+        a, P = self.alpha.value_and_partials(X)
+        b, Jb = self.beta.value_and_jacobian(X)
+        return a, P, b, Jb
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""
@@ -301,13 +304,10 @@ def validate_norm(spec, probes=None):
         hom = max(hom, float(rel.max()))
 
     g = _fd_fundamental_batch(spec, X, Y)
-    tr = g[:, 0, 0] + g[:, 1, 1] if spec.domain.dimension == 2 else np.trace(g, axis1=1, axis2=2)
-    if spec.domain.dimension == 2:
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        disc = np.sqrt(np.maximum(tr ** 2 - 4.0 * det, 0.0))
-        eigmin = 0.5 * (tr - disc)
-    else:
-        eigmin = np.linalg.eigvalsh(g)[:, 0]
+    tr = g[:, 0, 0] + g[:, 1, 1]
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    disc = np.sqrt(np.maximum(tr ** 2 - 4.0 * det, 0.0))
+    eigmin = 0.5 * (tr - disc)
     convexity_min = float(eigmin.min())
 
     flagged = []

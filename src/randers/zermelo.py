@@ -62,158 +62,104 @@ class MediumModel:
                 f"wind={self.wind.describe()})")
 
 
-class _ZermeloParts:
-    """Shared evaluation of the navigation algebra, memoized on the last batch."""
+# ---------------------------------------------------------------------------
+# navigation algebra: stateless, evaluated once per batch by the spec's jet
+
+
+class _ZermeloAlgebra:
+    """alpha_ij = g_ij / lam + (W_i / lam)(W_j / lam), beta_i = -W_i / lam.
+
+    Here W_i = g_ij W^j and lam = 1 - |W|_g^2.  ``parts`` evaluates the
+    metric and the wind once; the four formulas read only those parts.
+    """
+
+    name = "zermelo"
 
     def __init__(self, metric, wind):
         self.metric = metric
         self.wind = wind
-        self._last = None
 
-    def __call__(self, X):
-        last = self._last  # snapshot: concurrent workers may swap the memo
-        if last is not None and last[0] is X:
-            return last[1]
-        g = self.metric.value(X)
-        P = self.metric.partials(X)
-        W = self.wind.value(X)
-        J = self.wind.jacobian(X)
+    def args(self):
+        return f"g={self.metric.describe()},W={self.wind.describe()}"
+
+    def parts(self, X):
+        g, P = self.metric.value_and_partials(X)
+        W, J = self.wind.value_and_jacobian(X)
         Wi = np.einsum("mij,mj->mi", g, W)
         s = np.einsum("mi,mi->m", Wi, W)
         lam = 1.0 - s
         dWi = np.einsum("mkij,mj->mki", P, W) + np.einsum("mij,mjk->mki", g, J)
         ds = np.einsum("mkij,mi,mj->mk", P, W, W) + 2.0 * np.einsum("mj,mjk->mk", Wi, J)
-        parts = {"g": g, "P": P, "Wi": Wi, "lam": lam, "dWi": dWi, "dlam": -ds}
-        self._last = (X, parts)
-        return parts
+        return {"g": g, "P": P, "Wi": Wi, "lam": lam, "dWi": dWi, "dlam": -ds}
 
-
-class ZermeloMetric(MetricField):
-    """alpha_ij = g_ij / lam + (W_i / lam)(W_j / lam), lam = 1 - |W|_g^2."""
-
-    flavor = "general"
-
-    def __init__(self, parts, dim=2):
-        self._parts = parts
-        self.dim = dim
-
-    def value(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
+    @staticmethod
+    def alpha(p):
         lam = p["lam"]
         Wi = p["Wi"]
-        a = p["g"] / lam[:, None, None] + (Wi[:, :, None] * Wi[:, None, :]) / (lam ** 2)[:, None, None]
-        return _unbatch(a, single)
+        return p["g"] / lam[:, None, None] + (Wi[:, :, None] * Wi[:, None, :]) / (lam ** 2)[:, None, None]
 
-    def partials(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
+    @staticmethod
+    def alpha_partials(p):
         g, P, Wi, lam, dWi, dlam = p["g"], p["P"], p["Wi"], p["lam"], p["dWi"], p["dlam"]
         l1 = lam[:, None, None, None]
         outer = Wi[:, None, :, None] * Wi[:, None, None, :]
         douter = dWi[:, :, :, None] * Wi[:, None, None, :] + Wi[:, None, :, None] * dWi[:, :, None, :]
-        da = (P / l1
-              - g[:, None] * dlam[:, :, None, None] / l1 ** 2
-              + douter / l1 ** 2
-              - 2.0 * outer * dlam[:, :, None, None] / l1 ** 3)
-        return _unbatch(da, single)
+        return (P / l1
+                - g[:, None] * dlam[:, :, None, None] / l1 ** 2
+                + douter / l1 ** 2
+                - 2.0 * outer * dlam[:, :, None, None] / l1 ** 3)
 
-    def describe(self):
-        return (f"zermelo_alpha(g={self._parts.metric.describe()},"
-                f"W={self._parts.wind.describe()})")
+    @staticmethod
+    def beta(p):
+        return -p["Wi"] / p["lam"][:, None]
 
-
-class ZermeloOneForm(VectorValuedField):
-    """beta_i = -W_i / lam with W_i = g_ij W^j."""
-
-    def __init__(self, parts, dim=2):
-        self._parts = parts
-        self.dim = dim
-
-    def value(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
-        return _unbatch(-p["Wi"] / p["lam"][:, None], single)
-
-    def jacobian(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
+    @staticmethod
+    def beta_jacobian(p):
         Wi, lam, dWi, dlam = p["Wi"], p["lam"], p["dWi"], p["dlam"]
         # d beta_i / dx^k = -dWi[k, i] / lam + W_i dlam_k / lam^2
-        j = (-np.swapaxes(dWi, 1, 2) / lam[:, None, None]
-             + Wi[:, :, None] * dlam[:, None, :] / (lam ** 2)[:, None, None])
-        return _unbatch(j, single)
-
-    def describe(self):
-        return (f"zermelo_beta(g={self._parts.metric.describe()},"
-                f"W={self._parts.wind.describe()})")
+        return (-np.swapaxes(dWi, 1, 2) / lam[:, None, None]
+                + Wi[:, :, None] * dlam[:, None, :] / (lam ** 2)[:, None, None])
 
 
-def zermelo_construct(medium):
-    """Randers spec whose geodesics are the least-time paths of the medium."""
-    parts = _ZermeloParts(medium.metric, medium.wind)
-    n = medium.domain.dimension
-    if medium.wind.is_zero:
-        spec = RandersSpec(medium.domain, medium.metric)
-    else:
-        spec = RandersSpec(medium.domain, ZermeloMetric(parts, n), ZermeloOneForm(parts, n))
-    return spec
+class _ConformalAlgebra:
+    """g = c^-2 e: alpha_ij = c^-2 d_ij / D + c^-4 W^i W^j / D^2, beta_i = -c^-2 W^i / D.
 
+    Here D = 1 - c^-2 |W|_e^2; an arithmetic path independent of
+    :class:`_ZermeloAlgebra` that gives the same result.
+    """
 
-# ---------------------------------------------------------------------------
-# conformal specialization (independent arithmetic path, same result)
+    name = "conformal_zermelo"
 
-
-class _ConformalParts:
     def __init__(self, speed, wind):
         self.speed = speed
         self.wind = wind
-        self._last = None
 
-    def __call__(self, X):
-        last = self._last  # snapshot: concurrent workers may swap the memo
-        if last is not None and last[0] is X:
-            return last[1]
-        c = self.speed.value(X)
-        dc = self.speed.gradient(X)
-        W = self.wind.value(X)
-        J = self.wind.jacobian(X)
+    def args(self):
+        return f"c={self.speed.describe()},W={self.wind.describe()}"
+
+    def parts(self, X):
+        c, dc = self.speed.value_and_gradient(X)
+        W, J = self.wind.value_and_jacobian(X)
         c2 = c ** -2
         dc2 = (-2.0 * c ** -3)[:, None] * dc                    # (m,k)
         w2 = np.einsum("mi,mi->m", W, W)
         dw2 = 2.0 * np.einsum("mi,mik->mk", W, J)
         D = 1.0 - c2 * w2
         dD = -(dc2 * w2[:, None] + c2[:, None] * dw2)
-        parts = {"c": c, "dc": dc, "W": W, "J": J, "c2": c2, "dc2": dc2,
-                 "D": D, "dD": dD}
-        self._last = (X, parts)
-        return parts
+        return {"c": c, "dc": dc, "W": W, "J": J, "c2": c2, "dc2": dc2, "D": D, "dD": dD}
 
-
-class ConformalZermeloMetric(MetricField):
-    """alpha_ij = c^-2 d_ij / D + c^-4 W^i W^j / D^2, D = 1 - c^-2 |W|_e^2."""
-
-    flavor = "general"
-
-    def __init__(self, parts, dim=2):
-        self._parts = parts
-        self.dim = dim
-
-    def value(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
+    @staticmethod
+    def alpha(p):
         c2, D, W = p["c2"], p["D"], p["W"]
-        eye = np.eye(X.shape[1])[None]
-        a = (c2 / D)[:, None, None] * eye + ((c2 ** 2) / D ** 2)[:, None, None] * (
+        eye = np.eye(W.shape[1])[None]
+        return (c2 / D)[:, None, None] * eye + ((c2 ** 2) / D ** 2)[:, None, None] * (
             W[:, :, None] * W[:, None, :])
-        return _unbatch(a, single)
 
-    def partials(self, x):
-        X, single = _pts(x)
-        p = self._parts(X)
+    @staticmethod
+    def alpha_partials(p):
         c, dc, W, J, c2, dc2, D, dD = (p["c"], p["dc"], p["W"], p["J"],
                                        p["c2"], p["dc2"], p["D"], p["dD"])
-        eye = np.eye(X.shape[1])[None, None]
+        eye = np.eye(W.shape[1])[None, None]
         c4 = c2 ** 2
         dc4 = (-4.0 * c ** -5)[:, None] * dc
         outer = W[:, None, :, None] * W[:, None, None, :]
@@ -222,37 +168,79 @@ class ConformalZermeloMetric(MetricField):
         term1 = (dc2 / D[:, None] - c2[:, None] * dD / D[:, None] ** 2)[:, :, None, None] * eye
         term2 = (dc4 / D[:, None] ** 2 - 2.0 * c4[:, None] * dD / D[:, None] ** 3)[:, :, None, None] * outer
         term3 = (c4 / D ** 2)[:, None, None, None] * douter
-        return _unbatch(term1 + term2 + term3, single)
+        return term1 + term2 + term3
 
-    def describe(self):
-        return (f"conformal_zermelo_alpha(c={self._parts.speed.describe()},"
-                f"W={self._parts.wind.describe()})")
+    @staticmethod
+    def beta(p):
+        return -(p["c2"] / p["D"])[:, None] * p["W"]
+
+    @staticmethod
+    def beta_jacobian(p):
+        W, J, c2, dc2, D, dD = p["W"], p["J"], p["c2"], p["dc2"], p["D"], p["dD"]
+        return (-(dc2 / D[:, None])[:, None, :] * W[:, :, None]
+                - (c2 / D)[:, None, None] * J
+                + (c2 / D ** 2)[:, None, None] * W[:, :, None] * dD[:, None, :])
 
 
-class ConformalZermeloOneForm(VectorValuedField):
-    """beta_i = -c^-2 W^i / D."""
+class NavigationMetric(MetricField):
+    """The Riemannian part alpha of a navigation algebra."""
 
-    def __init__(self, parts, dim=2):
-        self._parts = parts
+    flavor = "general"
+
+    def __init__(self, algebra, dim=2):
+        self.algebra = algebra
         self.dim = dim
 
     def value(self, x):
         X, single = _pts(x)
-        p = self._parts(X)
-        return _unbatch(-(p["c2"] / p["D"])[:, None] * p["W"], single)
+        return _unbatch(self.algebra.alpha(self.algebra.parts(X)), single)
+
+    def partials(self, x):
+        X, single = _pts(x)
+        return _unbatch(self.algebra.alpha_partials(self.algebra.parts(X)), single)
+
+    def describe(self):
+        return f"{self.algebra.name}_alpha({self.algebra.args()})"
+
+
+class NavigationOneForm(VectorValuedField):
+    """The 1-form part beta of a navigation algebra."""
+
+    def __init__(self, algebra, dim=2):
+        self.algebra = algebra
+        self.dim = dim
+
+    def value(self, x):
+        X, single = _pts(x)
+        return _unbatch(self.algebra.beta(self.algebra.parts(X)), single)
 
     def jacobian(self, x):
         X, single = _pts(x)
-        p = self._parts(X)
-        W, J, c2, dc2, D, dD = p["W"], p["J"], p["c2"], p["dc2"], p["D"], p["dD"]
-        j = (-(dc2 / D[:, None])[:, None, :] * W[:, :, None]
-             - (c2 / D)[:, None, None] * J
-             + (c2 / D ** 2)[:, None, None] * W[:, :, None] * dD[:, None, :])
-        return _unbatch(j, single)
+        return _unbatch(self.algebra.beta_jacobian(self.algebra.parts(X)), single)
 
     def describe(self):
-        return (f"conformal_zermelo_beta(c={self._parts.speed.describe()},"
-                f"W={self._parts.wind.describe()})")
+        return f"{self.algebra.name}_beta({self.algebra.args()})"
+
+
+class _NavigationSpec(RandersSpec):
+    """Randers spec of a medium with wind; its jet runs the algebra once per batch."""
+
+    def __init__(self, domain, algebra):
+        n = domain.dimension
+        super().__init__(domain, NavigationMetric(algebra, n), NavigationOneForm(algebra, n))
+        self.algebra = algebra
+
+    def jet(self, X):
+        alg = self.algebra
+        p = alg.parts(X)
+        return alg.alpha(p), alg.alpha_partials(p), alg.beta(p), alg.beta_jacobian(p)
+
+
+def zermelo_construct(medium):
+    """Randers spec whose geodesics are the least-time paths of the medium."""
+    if medium.wind.is_zero:
+        return RandersSpec(medium.domain, medium.metric)
+    return _NavigationSpec(medium.domain, _ZermeloAlgebra(medium.metric, medium.wind))
 
 
 def conformal_specialize(speed, wind, domain):
@@ -268,10 +256,7 @@ def conformal_specialize(speed, wind, domain):
         raise InvalidMediumError("drift speed reaches |W|_e >= c on the probe grid")
     if wind.is_zero:
         return RandersSpec(domain, ConformalMetric(speed, dim=domain.dimension))
-    parts = _ConformalParts(speed, wind)
-    n = domain.dimension
-    return RandersSpec(domain, ConformalZermeloMetric(parts, n),
-                       ConformalZermeloOneForm(parts, n))
+    return _NavigationSpec(domain, _ConformalAlgebra(speed, wind))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ class TestDomain:
             Domain(radius=-1.0)
         with pytest.raises(ValueError):
             Domain(radius=1.0, dimension=1)
+        with pytest.raises(ValueError):
+            Domain(radius=1.0, dimension=3)
 
     def test_boundary_defect_sign(self, dom):
         assert dom.boundary_defect([0.0, 0.0]) < 0
