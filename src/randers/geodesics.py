@@ -11,6 +11,7 @@ iteration; whole fans and whole bracket batches integrate simultaneously.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,10 +167,11 @@ def _geodesic_rhs(spec):
 
 
 def _boundary_stop(spec):
+    """Disk stop g = |x|^2 - R^2 with its exact rate 2<x, y> (x' = y)."""
     r2 = spec.domain.radius ** 2
 
     def stop(u):
-        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2
+        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
     return stop
 
 
@@ -510,12 +512,13 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
             bth0.append(angles[i]); bth1.append(angles[j]); bpair.append((i, j))
 
     if blo:
+        branches = Counter(bpair)
         p, tt, mm, good = _false_position(
             spec, np.array(bth0), np.array(bth1), np.array(blo), np.array(bhi),
             np.array(bmlo), np.array(bmhi), opts)
         for q, (i, j) in enumerate(bpair):
             prev = shots.get((i, j))
-            nb = prev.branch_count if prev else sum(1 for pp in bpair if pp == (i, j))
+            nb = prev.branch_count if prev else branches[(i, j)]
             if prev is None or not prev.converged:
                 if good[q]:
                     shots[(i, j)] = PairShot(i, j, float(tt[q]),
@@ -600,12 +603,9 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
         jac = np.column_stack([u[:, 6], -Kfn(r) * u[:, 5]])
         return np.concatenate([core, jac], axis=1)
 
-    def stop(u):
-        return u[:, 0] ** 2 + u[:, 1] ** 2 - radius ** 2
-
     x0 = _fan_states(spec, np.zeros_like(angles), angles)
     u0 = np.concatenate([x0, np.zeros((len(angles), 1)), np.ones((len(angles), 1))], axis=1)
-    res = ivp.integrate_batch(rhs, u0, stop,
+    res = ivp.integrate_batch(rhs, u0, _boundary_stop(spec),
                               opts.controls(opts.trap_time_factor * _time_scale(spec), record=True),
                               record=True)
 

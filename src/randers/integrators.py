@@ -4,9 +4,11 @@ A single Dormand-Prince 5(4) driver advances a whole batch of rays at once
 (per-ray step sizes, accept/reject masks), which is what makes shooting fans
 of 10^4 geodesics tractable in pure numpy.  When a ray's accepted step
 crosses the stop surface (sign change of a scalar stop function from <= 0 to
-> 0), the crossing time is pinned afterwards by bisection on single fixed
-steps taken from the last interior state, so the refined exit inherits the
-integrator's local accuracy.  Detection is end-of-step only, which is exact
+> 0), the crossing time is pinned afterwards by a bracketed Newton iteration
+on the step length, each iterate one fixed step from the last interior
+state, so the refined exit inherits the integrator's local accuracy; the
+stop function supplies its own time derivative, so Newton costs no extra
+right-hand-side evaluation.  Detection is end-of-step only, which is exact
 for domains whose boundary is strictly convex for the flow being integrated.
 """
 
@@ -36,6 +38,11 @@ _E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
 
 _SAFETY, _MIN_FAC, _MAX_FAC = 0.9, 0.2, 5.0
 
+# exit refinement stops once the Newton correction is at most this fraction
+# of the step: far below the integrator's local error, and above the rounding
+# noise of the stop value except at grazing exits (bracket width ends those)
+_EXIT_RTOL = 2.0 ** -45
+
 
 @dataclass
 class Controls:
@@ -44,7 +51,6 @@ class Controls:
     max_steps: int = 100_000
     t_max: float = np.inf
     h_max: float = np.inf
-    exit_bisections: int = 42
 
 
 @dataclass
@@ -97,40 +103,53 @@ def _initial_step(rhs, u0, f0, ctl):
     return np.minimum(np.minimum(100.0 * h0, h1), ctl.h_max)
 
 
-def _refine_exits(rhs, stop, u0, f0, h, nbisect):
-    """Pin first crossings inside steps known to end with stop > 0.
+def _refine_exits(rhs, stop, u0, f0, h, g1):
+    """Pin the crossing inside steps that go from stop <= 0 at u0 to g1 > 0.
 
-    Scans 8 interior fractions to bracket the first sign change, then
-    bisects; evaluation points are single fixed DP45 steps from u0, the last
-    of which reproduces the accepted step bitwise.
+    Every iterate is a single fixed DP45 step of length tau from u0, so the
+    stop value g is a smooth function of tau.  The first iterate is the root
+    of the quadratic through g(0), g'(0) and g(h) = g1, which is exact for
+    straight rays; each later one is a Newton step with the stop rate as
+    slope.  An iterate outside the bracket g(lo) <= 0 < g(hi), which starts
+    as (0, h], is replaced by the bracket midpoint.  A ray stops when its
+    Newton correction is at most _EXIT_RTOL * h, when g = 0, or when its
+    bracket is that narrow, and its last iterate (tau, state) is returned as
+    it stands.
     """
-    fracs = np.linspace(1.0 / 8.0, 1.0, 8)
-    gvals = np.empty((8, len(h)))
-    for j, fr in enumerate(fracs):
-        u_fr, _ = _rk_step(rhs, u0, fr * h, f0)
-        gvals[j] = stop(u_fr)
-    pos = gvals > 0.0
-    first = np.where(pos.any(axis=0), pos.argmax(axis=0), 7)
-
-    lo = np.where(first == 0, 0.0, fracs[np.maximum(first - 1, 0)]) * h
-    hi = fracs[first] * h
-    for _ in range(nbisect):
-        mid = 0.5 * (lo + hi)
-        u_mid, _ = _rk_step(rhs, u0, mid, f0)
-        up = stop(u_mid) > 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    tau = hi
-    u_exit, _ = _rk_step(rhs, u0, tau, f0)
+    tau, u_exit = np.zeros_like(h), np.empty_like(u0)
+    lo, hi = np.zeros_like(h), h.copy()
+    tol = _EXIT_RTOL * h
+    g, dg = stop(u0)
+    curv = (g1 - g - dg * h) / (h * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_new = -2.0 * g / (dg + np.sqrt(np.maximum(dg * dg - 4.0 * curv * g, 0.0)))
+    rays = np.arange(len(h))
+    while rays.size:
+        lo_r, hi_r = lo[rays], hi[rays]
+        t_new = np.where((t_new > lo_r) & (t_new < hi_r), t_new, 0.5 * (lo_r + hi_r))
+        u_new, _ = _rk_step(rhs, u0[rays], t_new, f0[rays])
+        g, dg = stop(u_new)
+        out = g > 0.0
+        hi_r, lo_r = np.where(out, t_new, hi_r), np.where(out, lo_r, t_new)
+        hi[rays], lo[rays] = hi_r, lo_r
+        tau[rays], u_exit[rays] = t_new, u_new
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dg
+        tol_r = tol[rays]
+        going = ~((np.abs(step) <= tol_r) | (g == 0.0) | (hi_r - lo_r <= tol_r))
+        rays, t_new = rays[going], (t_new - step)[going]
     return tau, u_exit
 
 
 def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     """Integrate du/dt = rhs(u) for a batch until each ray crosses stop > 0.
 
-    ``rhs`` maps (k, d) -> (k, d) and must be pure; ``stop`` maps
-    (k, d) -> (k,).  Rays start with stop <= 0 and finish when the stop
-    function first turns positive at the end of an accepted step.
+    ``rhs`` maps (k, d) -> (k, d) and must be pure.  ``stop`` maps (k, d) to
+    a pair (g, dg) of (k,) arrays: the stop value and its rate dg/dt along
+    the flow, which exit refinement uses as a Newton slope (for the disk
+    stop g = |x|^2 - R^2 with x' = y, dg = 2<x, y>).  Rays start with
+    g <= 0 and finish when g first turns positive at the end of an
+    accepted step; the exit is then refined inside that step.
     """
     if ctl is None:
         ctl = Controls()
@@ -149,7 +168,8 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     h = _initial_step(rhs, u, f, ctl)
     active = np.arange(m)
 
-    pend_ray, pend_t, pend_u, pend_f, pend_h = [], [], [], [], []
+    # exits waiting for refinement, as copied row blocks: (rays, t, u, f, h, g(u5))
+    pending = []
 
     for _ in range(ctl.max_steps * 4):
         if active.size == 0:
@@ -173,15 +193,12 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
         exited_l = np.zeros(na, dtype=bool)
         acc_l = np.nonzero(accept)[0]
         if acc_l.size:
-            crossed = stop(u5[acc_l]) > 0.0
+            g_acc = stop(u5[acc_l])[0]
+            crossed = g_acc > 0.0
             cr_l = acc_l[crossed]
             if cr_l.size:
-                for lidx in cr_l:
-                    pend_ray.append(int(active[lidx]))
-                    pend_t.append(t[active[lidx]])
-                    pend_u.append(ua[lidx])
-                    pend_f.append(fa[lidx])
-                    pend_h.append(ha[lidx])
+                pending.append((active[cr_l], ta[cr_l], ua[cr_l], fa[cr_l], ha[cr_l],
+                                g_acc[crossed]))
                 nsteps[active[cr_l]] += 1
                 exited_l[cr_l] = True
 
@@ -224,12 +241,11 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     if active.size:  # iteration cap: leave as MAXSTEPS with final snapshots
         t_end[active], u_end[active] = t[active], u[active]
 
-    if pend_ray:
-        rays = np.asarray(pend_ray)
-        tau, u_exit = _refine_exits(rhs, stop, np.vstack(pend_u), np.vstack(pend_f),
-                                    np.asarray(pend_h), ctl.exit_bisections)
+    if pending:
+        rays, t0, u0p, f0p, h0p, g1p = (np.concatenate(col) for col in zip(*pending))
+        tau, u_exit = _refine_exits(rhs, stop, u0p, f0p, h0p, g1p)
         status[rays] = EXITED
-        t_end[rays] = np.asarray(pend_t) + tau
+        t_end[rays] = t0 + tau
         u_end[rays] = u_exit
         if record:
             for k, rr in enumerate(rays):

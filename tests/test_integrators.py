@@ -1,0 +1,103 @@
+"""Boundary-exit refinement of the batched DP45 integrator.
+
+On a straight-line flow the exit time is the root of a quadratic, so the
+refined exits can be checked to rounding level.  A grazing exit is
+conditioned by 1 / g'(t*): rounding |x|^2 by an ulp moves it by about
+eps / g'(t*), which the tolerance allows for.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from randers import integrators as ivp
+from randers.geodesics import _boundary_stop, _fan_states, _geodesic_rhs, _sweep_angles
+
+EPS = np.finfo(float).eps
+
+
+def _line_rhs(u):
+    return np.concatenate([u[:, 2:4], np.zeros((len(u), 2))], axis=1)
+
+
+def _line_exit(u0):
+    """Exit time of x + t y from the unit disk and the stop rate there."""
+    x, y = u0[:, 0:2], u0[:, 2:4]
+    a, b, c = (y * y).sum(1), (x * y).sum(1), (x * x).sum(1) - 1.0
+    root = np.sqrt(b * b - a * c)
+    # the form without cancellation for either sign of b
+    t = np.where(b < 0.0, (root - b) / a, -c / (b + root))
+    return t, 2.0 * root
+
+
+def test_straight_line_exits_match_closed_form(euclid_spec):
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 6)
+    grazing = math.pi / 2 - np.array([1e-6, 1e-7, 1e-8])
+    psi = np.concatenate([np.linspace(-1.5, 1.5, 31), grazing, -grazing])
+    u_fan = _fan_states(euclid_spec, np.repeat(theta, len(psi)), np.tile(psi, len(theta)))[:, :4]
+    r = 0.99 * np.sqrt(rng.uniform(size=200))
+    phi, ang = rng.uniform(0.0, 2.0 * math.pi, (2, 200))
+    u_in = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.cos(ang), np.sin(ang)])
+    u0 = np.vstack([u_fan, u_in])
+
+    res = ivp.integrate_batch(_line_rhs, u0, _boundary_stop(euclid_spec))
+    assert (res.status == ivp.EXITED).all()
+    t_star, rate = _line_exit(u0)
+    assert np.all(np.abs(res.t_end - t_star) <= 1e-14 + 4.0 * EPS / rate)
+    assert rate.min() < 1e-5          # the grazing rays are in the batch
+
+
+def test_overshooting_step_refines_to_root(euclid_spec):
+    # one accepted step of h = 4 that ends with g = 20.4 on the unit disk
+    stop = _boundary_stop(euclid_spec)
+    u0 = np.array([[0.5, 0.4, 0.6, 0.8]])
+    h = np.array([4.0])
+    g1 = stop(u0 + h[:, None] * _line_rhs(u0))[0]
+    assert g1[0] > 20.0
+    tau, u_exit = ivp._refine_exits(_line_rhs, stop, u0, _line_rhs(u0), h, g1)
+    assert tau[0] == pytest.approx(_line_exit(u0)[0][0], abs=1e-14)
+    assert u_exit[0, :2] @ u_exit[0, :2] == pytest.approx(1.0, abs=1e-14)
+
+
+def _refine_rows(monkeypatch, spec, u0):
+    """Integrate a batch; return (result, RHS rows spent inside exit refinement)."""
+    rows = {"step": 0, "refine": 0}
+    phase = ["step"]
+    rhs = _geodesic_rhs(spec)
+
+    def counted(u):
+        rows[phase[0]] += len(u)
+        return rhs(u)
+
+    refine = ivp._refine_exits
+
+    def refine_phase(*args):
+        phase[0] = "refine"
+        try:
+            return refine(*args)
+        finally:
+            phase[0] = "step"
+
+    monkeypatch.setattr(ivp, "_refine_exits", refine_phase)
+    return ivp.integrate_batch(counted, u0, _boundary_stop(spec)), rows["refine"]
+
+
+def test_refinement_row_budget(monkeypatch, euclid_spec):
+    psi = _sweep_angles(720)
+    u0 = _fan_states(euclid_spec, np.full(720, 0.4), psi)
+    res, rows = _refine_rows(monkeypatch, euclid_spec, u0)
+    exited = int((res.status == ivp.EXITED).sum())
+    assert exited == 720
+    assert rows <= 75 * exited
+
+
+def test_curved_exits_land_on_boundary(monkeypatch, smooth_bump_spec):
+    psi = _sweep_angles(90)
+    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), psi)
+    res, rows = _refine_rows(monkeypatch, smooth_bump_spec, u0)
+    assert (res.status == ivp.EXITED).all()
+    x = res.u_end[:, 0:2]
+    assert np.abs((x * x).sum(1) - 1.0).max() <= 1e-13
+    assert rows <= 75 * 90
