@@ -93,17 +93,11 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     angles = samples.angles
     n = len(angles)
 
-    excluded = np.zeros((n, n), dtype=bool)
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            sep = abs((angles[i] - angles[j] + math.pi) % (2.0 * math.pi) - math.pi)
-            if sep < opts.exclude_separation:
-                excluded[i, j] = True
-            else:
-                pairs.append((i, j))
+    sep = np.abs((angles[:, None] - angles[None, :] + math.pi) % (2.0 * math.pi) - math.pi)
+    off = ~np.eye(n, dtype=bool)
+    excluded = off & (sep < opts.exclude_separation)
+    keep = off & ~excluded
+    pairs = [tuple(p) for p in np.argwhere(keep).tolist()]   # i-major
 
     if threads <= 1:
         shots = shoot_pairs(spec, angles, pairs, opts)
@@ -139,8 +133,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
         miss[shot.i, shot.j] = shot.miss
         branches[shot.i, shot.j] = shot.branch_count
 
-    off = ~np.eye(n, dtype=bool) & ~excluded
-    if not (D[off] > 0.0).all():
+    if not (D[keep] > 0.0).all():
         raise RandersError("non-positive distance computed; solver failure")
     diag = DistanceDiagnostics(branch_counts=branches, miss=miss,
                                excluded=excluded, angle_samples=opts.angle_samples)

@@ -2,16 +2,18 @@
 
 Geodesics are integrated in F-unit-speed parametrization with an extra
 quadrature state accumulating the F-length, so the exit parameter and the
-length agree to solver precision.  Two-point problems are solved by sweeping
-the inward shooting angle, bracketing sign changes of the angular endpoint
-miss, and driving each bracket to convergence with a guarded false-position
-iteration; whole fans and whole bracket batches integrate simultaneously.
+length agree to solver precision.  Two-point problems have one solver,
+``shoot_pairs``: it sweeps the inward shooting angle once per start, marks
+the sweep rays that already hit a target and the sign changes of the angular
+endpoint miss with boolean masks over the sweep axis, and drives the
+brackets of all pairs to convergence in one guarded false-position batch.
+A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
+one-pair case.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,21 +314,21 @@ def _sweep_angles(n):
     return -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
 
 
-def _bracket_roots(psi, miss, ok, angle_tol):
-    """Find root brackets of the angular miss along a sweep.
+def _bracket_roots(miss, ok, angle_tol):
+    """Root masks of the angular miss along the last (sweep) axis.
 
-    Returns (brackets, node_roots): brackets are (lo, hi, m_lo, m_hi) rows,
-    node roots are sweep indices whose miss is already below tolerance.
-    Sign changes across a wrap jump (|dm| >= 0.9 pi) are discarded.
+    Returns (node, bracket): ``node`` (..., K) marks valid sweep rays whose
+    miss is already within tolerance; ``bracket`` (..., K-1) marks intervals
+    (k, k+1) with valid ends, a sign change and both misses above tolerance.
+    Sign changes across a wrap jump (|dm| >= 0.9 pi) are discarded.  ``ok``
+    broadcasts against ``miss``.
     """
-    node_roots = [k for k in np.nonzero(ok & (np.abs(miss) <= angle_tol))[0]]
-    val = ok[:-1] & ok[1:]
-    s0, s1 = np.sign(miss[:-1]), np.sign(miss[1:])
-    flip = val & (s0 * s1 < 0.0) & (np.abs(miss[1:] - miss[:-1]) < 0.9 * math.pi)
-    ks = np.nonzero(flip)[0]
-    brackets = [(psi[k], psi[k + 1], miss[k], miss[k + 1]) for k in ks
-                if abs(miss[k]) > angle_tol and abs(miss[k + 1]) > angle_tol]
-    return brackets, node_roots
+    small = np.abs(miss) <= angle_tol
+    node = ok & small
+    m0, m1 = miss[..., :-1], miss[..., 1:]
+    bracket = (ok[..., :-1] & ok[..., 1:] & (np.sign(m0) * np.sign(m1) < 0.0)
+               & (np.abs(m1 - m0) < 0.9 * math.pi) & ~small[..., :-1] & ~small[..., 1:])
+    return node, bracket
 
 
 def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
@@ -403,9 +405,9 @@ def _on_boundary_angle(spec, x):
 def solve_bvp(spec, x_from, x_to, opts=None):
     """Unique boundary-to-boundary geodesic by angle-sweep shooting.
 
-    Raises ConnectivityError when no branch is found and NonAdmissibleError
-    when the sweep finds more than one, per the uniqueness the distance
-    data requires.
+    The one-pair case of ``shoot_pairs``.  Raises ConnectivityError when no
+    branch converges and NonAdmissibleError when the sweep finds more than
+    one, per the uniqueness the distance data requires.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
@@ -414,42 +416,19 @@ def solve_bvp(spec, x_from, x_to, opts=None):
     if abs(_wrap(th0 - th1)) < 1e-12:
         raise DomainError("boundary points must be distinct")
 
-    psi = _sweep_angles(opts.angle_samples)
-    exit_th, exit_t, ok, _ = _exit_fan(spec, np.full_like(psi, th0), psi, opts)
-    miss = _wrap(exit_th - th1)
-    brackets, node_roots = _bracket_roots(psi, miss, ok, opts.miss_rtol)
-
-    roots = [(float(psi[k]), float(exit_t[k]), float(miss[k])) for k in node_roots]
-    if brackets:
-        arr = np.array(brackets)
-        th0v = np.full(len(brackets), th0)
-        th1v = np.full(len(brackets), th1)
-        p, tt, mm, good = _false_position(spec, th0v, th1v, arr[:, 0], arr[:, 1],
-                                          arr[:, 2], arr[:, 3], opts)
-        for j in range(len(brackets)):
-            if good[j]:
-                roots.append((float(p[j]), float(tt[j]), float(mm[j])))
-
-    # dedupe roots closer than the sweep spacing
-    spacing = math.pi / opts.angle_samples
-    roots.sort()
-    uniq = []
-    for r in roots:
-        if not uniq or r[0] - uniq[-1][0] > 0.5 * spacing:
-            uniq.append(r)
-    if not uniq:
+    shot, = shoot_pairs(spec, [th0, th1], [(0, 1)], opts)
+    if not shot.converged:
         raise ConnectivityError(
             f"no geodesic branch connects boundary angles {th0:.4f} -> {th1:.4f}")
-    if len(uniq) > 1:
+    if shot.branch_count > 1:
         raise NonAdmissibleError(
-            f"{len(uniq)} geodesic branches connect boundary angles "
+            f"{shot.branch_count} geodesic branches connect boundary angles "
             f"{th0:.4f} -> {th1:.4f}; the norm is not admissible for this pair")
 
-    psi_star, t_star, m_star = uniq[0]
-    _, _, _, res = _exit_fan(spec, np.array([th0]), np.array([psi_star]), opts, record=True)
+    _, _, _, res = _exit_fan(spec, np.array([th0]), np.array([shot.angle]), opts, record=True)
     path = _path_from(res, 0, spec, opts)
-    return ShootingResult(path=path, initial_angle=psi_star,
-                          miss=m_star * spec.domain.radius, branch_count=len(uniq))
+    return ShootingResult(path=path, initial_angle=shot.angle, miss=shot.miss,
+                          branch_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,61 +452,61 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
 
     ``angles`` is the boundary angle table, ``pairs`` an iterable of ordered
     index pairs (i, j).  One sweep fan is integrated per distinct start and
-    shared across its targets; all brackets then refine in a single batch.
-    Results are deterministic and independent of pair grouping.  With
-    ``record_paths`` the converged rays are re-integrated once as a recorded
-    batch and each shot carries its GeodesicPath.
+    shared across its targets.  A pair counts one branch per sweep ray within
+    tolerance of its target and per bracket; a pair with such a ray takes the
+    first one, every other pair its first converged bracket in sweep order,
+    with all brackets refined in a single batch.  Results are deterministic
+    and independent of pair order and grouping.  With ``record_paths`` the
+    converged single-branch rays are re-integrated once as a recorded batch
+    and each shot carries its GeodesicPath.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
     angles = np.asarray(angles, dtype=float)
-    pairs = list(pairs)
-    if not pairs:
+    pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
+    if not len(pairs):
         return []
-    starts = sorted({i for i, _ in pairs})
+    starts = np.unique(pairs[:, 0])
 
     psi = _sweep_angles(opts.angle_samples)
     K = len(psi)
-    theta0_all = np.repeat(angles[starts], K)
-    psi_all = np.tile(psi, len(starts))
-    exit_th, exit_t, ok, _ = _exit_fan(spec, theta0_all, psi_all, opts)
-    fan_of = {s: slice(k * K, (k + 1) * K) for k, s in enumerate(starts)}
+    exit_th, exit_t, ok, _ = _exit_fan(spec, np.repeat(angles[starts], K),
+                                       np.tile(psi, len(starts)), opts)
+    exit_th, exit_t, ok = (a.reshape(len(starts), K) for a in (exit_th, exit_t, ok))
 
-    shots = {}
-    blo, bhi, bmlo, bmhi, bth0, bth1, bpair = [], [], [], [], [], [], []
-    for (i, j) in pairs:
-        sl = fan_of[i]
-        miss = _wrap(exit_th[sl] - angles[j])
-        brackets, node_roots = _bracket_roots(psi, miss, ok[sl], opts.miss_rtol)
-        nb = len(brackets) + len(node_roots)
-        if node_roots:
-            k = node_roots[0]
-            shots[(i, j)] = PairShot(i, j, float(exit_t[sl][k]),
-                                     float(miss[k]) * spec.domain.radius, nb, True,
-                                     angle=float(psi[k]))
-        elif not brackets:
-            shots[(i, j)] = PairShot(i, j, math.nan, math.nan, 0, False)
-        for (lo, hi, mlo, mhi) in brackets:
-            blo.append(lo); bhi.append(hi); bmlo.append(mlo); bmhi.append(mhi)
-            bth0.append(angles[i]); bth1.append(angles[j]); bpair.append((i, j))
+    P = len(pairs)
+    time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
+    count = np.zeros(P, dtype=int)
+    converged = np.zeros(P, dtype=bool)
+    fp = []   # per start: (pair rows, sweep index, miss at k and k+1) of brackets
+    for si, i in enumerate(starts):
+        rows = np.flatnonzero(pairs[:, 0] == i)
+        m = _wrap(exit_th[si] - angles[pairs[rows, 1], None])
+        node, bracket = _bracket_roots(m, ok[si], opts.miss_rtol)
+        count[rows] = node.sum(axis=1) + bracket.sum(axis=1)
+        hit = node.any(axis=1)
+        k = node.argmax(axis=1)[hit]
+        r = rows[hit]
+        time[r], miss[r], angle[r] = exit_t[si, k], m[hit, k], psi[k]
+        converged[r] = True
+        q, kb = np.nonzero(bracket & ~hit[:, None])
+        fp.append((rows[q], kb, m[q, kb], m[q, kb + 1]))
 
-    if blo:
-        branches = Counter(bpair)
+    owner, kb, m_lo, m_hi = (np.concatenate(c) for c in zip(*fp))
+    if len(owner):
         p, tt, mm, good = _false_position(
-            spec, np.array(bth0), np.array(bth1), np.array(blo), np.array(bhi),
-            np.array(bmlo), np.array(bmhi), opts)
-        for q, (i, j) in enumerate(bpair):
-            prev = shots.get((i, j))
-            nb = prev.branch_count if prev else branches[(i, j)]
-            if prev is None or not prev.converged:
-                if good[q]:
-                    shots[(i, j)] = PairShot(i, j, float(tt[q]),
-                                             float(mm[q]) * spec.domain.radius,
-                                             max(nb, 1), True, angle=float(p[q]))
-                elif prev is None:
-                    shots[(i, j)] = PairShot(i, j, math.nan, math.nan, nb, False)
+            spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], psi[kb], psi[kb + 1],
+            m_lo, m_hi, opts)
+        # rows of one pair are contiguous and in sweep order
+        won, first = np.unique(owner[good], return_index=True)
+        sel = np.flatnonzero(good)[first]
+        time[won], miss[won], angle[won] = tt[sel], mm[sel], p[sel]
+        converged[won] = True
 
-    out = [shots[p] for p in pairs]
+    miss *= spec.domain.radius
+    out = [PairShot(int(i), int(j), float(time[q]), float(miss[q]), int(count[q]),
+                    bool(converged[q]), angle=float(angle[q]))
+           for q, (i, j) in enumerate(pairs)]
     if record_paths:
         rec = [s for s in out if s.converged and s.branch_count == 1]
         if rec:

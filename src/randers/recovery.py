@@ -63,10 +63,12 @@ class PotentialRecovery:
 def recover_boundary_potential(data1, data2):
     """Boundary values of the potential linking two data sets' 1-forms.
 
-    Solves the overdetermined system phi(x_j) - phi(x_i) = anti2 - anti1 by
-    least squares; the minimum-norm solution has mean zero, which fixes the
-    additive constant.  When the data sets agree the result is identically
-    zero; the max system residual is reported as the constancy deviation.
+    Solves the overdetermined system phi(x_j) - phi(x_i) = Delta[i, j] over
+    all ordered pairs i != j by least squares, with Delta = anti2 - anti1.
+    Delta is antisymmetric with a zero diagonal, so the normal equations give
+    phi_k = mean_i Delta[i, k] up to a constant; the mean-zero solution fixes
+    it.  When the data sets agree the result is identically zero; the max
+    system residual is reported as the constancy deviation.
     """
     if data1.n != data2.n or not np.array_equal(data1.angles, data2.angles):
         raise RecoveryError("data sets must share the same boundary samples")
@@ -75,23 +77,13 @@ def recover_boundary_potential(data1, data2):
     _require_complete(data1)
     _require_complete(data2)
 
-    n = data1.n
     delta = recover_beta_integrals(data2) - recover_beta_integrals(data1)
-    rows = n * (n - 1)
-    A = np.zeros((rows, n))
-    rhs = np.empty(rows)
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            A[r, j] = 1.0
-            A[r, i] = -1.0
-            rhs[r] = delta[i, j]
-            r += 1
-    phi, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = float(np.abs(A @ phi - rhs).max())
-    return PotentialRecovery(values=phi, constancy_deviation=resid, constant=0.0)
+    phi = delta.mean(axis=0)
+    phi -= phi.mean()
+    resid = phi[None, :] - phi[:, None] - delta
+    off = ~np.eye(data1.n, dtype=bool)
+    return PotentialRecovery(values=phi, constancy_deviation=float(np.abs(resid[off]).max()),
+                             constant=0.0)
 
 
 # ---------------------------------------------------------------------------

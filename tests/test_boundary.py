@@ -210,3 +210,24 @@ class TestExclusion:
         assert data.diagnostics.excluded[0, 1] and data.diagnostics.excluded[1, 0]
         assert np.isnan(data.matrix[0, 1])
         assert not np.isnan(data.matrix[0, 2])
+
+
+@pytest.fixture(scope="module", params=["wind_spec", "smooth_bump_spec"])
+def forward_and_reversed(request):
+    spec = request.getfixturevalue(request.param)
+    return distance_matrix(spec, 6).matrix, distance_matrix(spec.reverse(), 6).matrix
+
+
+class TestMetamorphic:
+    def test_reversed_norm_transposes(self, forward_and_reversed):
+        D, D_rev = forward_and_reversed
+        assert np.abs(D_rev - D.T).max() <= 2e-8
+
+    def test_triangle_inequality(self, forward_and_reversed):
+        # a non-minimising branch would break D[i,k] <= D[i,j] + D[j,k]
+        D, _ = forward_and_reversed
+        n = len(D)
+        slack = D[:, :, None] + D[None, :, :] - D[:, None, :]   # [i, j, k]
+        i, j, k = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
+        distinct = (i != j) & (j != k) & (i != k)
+        assert slack[distinct].min() >= -1e-9

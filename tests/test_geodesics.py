@@ -189,39 +189,46 @@ class TestBoundaryValue:
 
 class TestBracketLogic:
     def test_single_root(self):
-        psi = _sweep_angles(16)
         miss = np.linspace(-1.0, 1.0, 16)
         ok = np.ones(16, dtype=bool)
-        brackets, nodes = _bracket_roots(psi, miss, ok, 1e-8)
-        assert len(brackets) == 1 and not nodes
+        node, bracket = _bracket_roots(miss, ok, 1e-8)
+        assert bracket.shape == (15,) and node.shape == (16,)
+        assert bracket.sum() == 1 and not node.any()
 
     def test_wrap_jump_discarded(self):
-        psi = _sweep_angles(8)
         miss = np.array([2.0, 2.8, -2.9, -2.0, -1.0, -0.5, -0.2, -0.1])
         ok = np.ones(8, dtype=bool)
-        brackets, nodes = _bracket_roots(psi, miss, ok, 1e-8)
-        assert not brackets and not nodes
+        node, bracket = _bracket_roots(miss, ok, 1e-8)
+        assert not bracket.any() and not node.any()
 
     def test_node_root_detected(self):
-        psi = _sweep_angles(8)
         miss = np.array([1.0, 0.5, 0.0, -0.5, -1.0, -1.5, -2.0, -2.5])
         ok = np.ones(8, dtype=bool)
-        brackets, nodes = _bracket_roots(psi, miss, ok, 1e-8)
-        assert nodes == [2] and not brackets
+        node, bracket = _bracket_roots(miss, ok, 1e-8)
+        assert np.flatnonzero(node).tolist() == [2] and not bracket.any()
 
     def test_invalid_rays_break_brackets(self):
-        psi = _sweep_angles(6)
         miss = np.array([1.0, 0.5, -0.5, -1.0, -1.5, -2.0])
         ok = np.array([True, True, False, True, True, True])
-        brackets, _ = _bracket_roots(psi, miss, ok, 1e-8)
-        assert not brackets
+        _, bracket = _bracket_roots(miss, ok, 1e-8)
+        assert not bracket.any()
 
     def test_multiple_roots_counted(self):
-        psi = _sweep_angles(12)
         miss = np.array([1.0, 0.5, -0.5, -1.0, -0.4, 0.3, 0.8, 0.4, -0.3, -0.8, -1.2, -1.6])
         ok = np.ones(12, dtype=bool)
-        brackets, _ = _bracket_roots(psi, miss, ok, 1e-8)
-        assert len(brackets) == 3
+        _, bracket = _bracket_roots(miss, ok, 1e-8)
+        assert bracket.sum() == 3
+
+    def test_rows_match_single_sweeps(self):
+        # one (targets x K) call marks the same roots as one call per row
+        miss = np.array([[1.0, 0.5, 0.0, -0.5, -1.0, -1.5],
+                         [2.0, 2.8, -2.9, -2.0, -1.0, 0.5],
+                         [1.0, -0.5, -1.0, -0.4, 0.3, 0.8]])
+        ok = np.array([True, True, True, True, False, True])
+        node, bracket = _bracket_roots(miss, ok, 1e-8)
+        for row, m in enumerate(miss):
+            n1, b1 = _bracket_roots(m, ok, 1e-8)
+            assert np.array_equal(node[row], n1) and np.array_equal(bracket[row], b1)
 
 
 class TestShootPairs:
@@ -234,6 +241,30 @@ class TestShootPairs:
                             dom.boundary_point(angles[shot.j]))
             assert shot.converged and shot.branch_count == 1
             assert shot.time == pytest.approx(ref.path.exit_time, abs=1e-9)
+
+    def test_independent_of_pair_order(self, wind_spec, rng):
+        # straight wind rays from a 32-point sampling hit odd separations
+        # exactly at a sweep node (720 k / 32 is a half-integer for odd k)
+        n, starts = 32, range(4)
+        angles = 2.0 * math.pi * np.arange(n) / n
+        pairs = [(i, j) for i in starts for j in range(n) if i != j]
+        shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+        per_start = [s for i in starts
+                     for s in shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])]
+        runs = [shoot_pairs(wind_spec, angles, pairs),
+                shoot_pairs(wind_spec, angles, shuffled), per_start]
+
+        def table(shots, field):
+            by_pair = {(s.i, s.j): getattr(s, field) for s in shots}
+            return np.array([by_pair[p] for p in pairs])
+
+        # both result paths are compared: sweep nodes and false position
+        at_node = np.isin(table(runs[0], "angle"), _sweep_angles(720))
+        assert at_node.any() and not at_node.all()
+        for field in ("time", "miss", "angle", "branch_count"):
+            ref = table(runs[0], field)
+            for other in runs[1:]:
+                assert np.array_equal(table(other, field), ref)
 
     def test_recorded_paths(self, dom, smooth_bump_spec):
         angles = np.array([0.0, 2.0])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from randers import (BoundaryDistanceData, ConstantField, ConformalMetric,
                      Domain, ExactForm, ExprField, PotentialBump, RandersSpec,
@@ -63,6 +66,26 @@ class TestSymmetricData:
         assert np.abs(sym2 - bump_pair[0].matrix).max() <= 2e-8
 
 
+@st.composite
+def _travel_time_tables(draw):
+    n = draw(st.integers(2, 40))
+    D = draw(arrays(np.float64, (n, n), elements=st.floats(-10.0, 10.0)))
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _lstsq_potential(delta):
+    """Reference: mean-zero least squares on the explicit n(n-1) x n system."""
+    n = len(delta)
+    rows = [(i, j) for i in range(n) for j in range(n) if i != j]
+    A = np.zeros((len(rows), n))
+    for r, (i, j) in enumerate(rows):
+        A[r, j], A[r, i] = 1.0, -1.0
+    rhs = np.array([delta[i, j] for i, j in rows])
+    phi = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    return phi, float(np.abs(A @ phi - rhs).max())
+
+
 class TestPotentialRecovery:
     def test_identical_data_gives_zero(self, bump_pair):
         pot = recover_boundary_potential(bump_pair[0], bump_pair[0])
@@ -85,6 +108,20 @@ class TestPotentialRecovery:
         diffs = pot.values[None, :] - pot.values[:, None]
         expect = 0.1 * (pts[None, :, 0] - pts[:, None, 0])
         assert np.abs(diffs - expect).max() <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(_travel_time_tables())
+    def test_matches_least_squares(self, D):
+        # random tables are inconsistent for n > 2: the residual is nonzero
+        n = len(D)
+        ang = 2 * math.pi * np.arange(n) / n
+        zero = BoundaryDistanceData(angles=ang, radius=1.0, matrix=np.zeros((n, n)),
+                                    spec_hash="0" * 12)
+        data = BoundaryDistanceData(angles=ang, radius=1.0, matrix=D, spec_hash="1" * 12)
+        pot = recover_boundary_potential(zero, data)
+        phi, resid = _lstsq_potential(recover_beta_integrals(data))
+        assert np.abs(pot.values - phi).max() <= 1e-12
+        assert abs(pot.constancy_deviation - resid) <= 1e-12
 
     def test_mismatched_samples_rejected(self, bump_pair, euclid_spec):
         other = distance_matrix(euclid_spec, 6)
