@@ -7,6 +7,14 @@ a short textual description.  All fields evaluate on batches of points:
 ``x`` may be a single point of shape (n,) or a stack of shape (m, n), and
 derivative rules are analytic or dual-number based, never finite
 differences.
+
+Besides these batch-first tensors, every field has a planar component jet,
+``jet(x0, x1)`` on the coordinate arrays of m points, which returns one
+(m,) array per component (tuples nest as described on each base class).
+The geodesic spray reads only jets.  The base classes derive a jet from the
+tensor calls; the hot families compute their components in closed form and
+assemble their public tensors from those same arrays, so a jet and the
+tensor calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +51,17 @@ def _pts(x):
 
 def _unbatch(arr, single):
     return arr[0] if single else arr
+
+
+def _mat(rows):
+    """(m, 2, 2) tensor from planar component rows ((t00, t01), (t10, t11))."""
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def _sym(a):
+    """(m, 2, 2) symmetric tensor from planar components (a00, a01, a11)."""
+    a00, a01, a11 = a
+    return _mat(((a00, a01), (a01, a11)))
 
 
 def _safe_radial(x):
@@ -128,6 +147,12 @@ class ScalarField:
         """Single-pass (value, gradient); overridden where one pass is cheaper."""
         return self.value(x), self.gradient(x)
 
+    def jet(self, x0, x1):
+        """Planar jet (c, (d0 c, d1 c)) at the points (x0, x1)."""
+        c, dc = self.value_and_gradient(np.column_stack([x0, x1]))
+        d0, d1 = dc.T.copy()
+        return c, (d0, d1)
+
     def describe(self):
         raise NotImplementedError
 
@@ -135,6 +160,10 @@ class ScalarField:
 @dataclass(frozen=True)
 class ConstantField(ScalarField):
     c: float
+
+    def jet(self, x0, x1):
+        zero = np.zeros(np.shape(x0))
+        return np.full(np.shape(x0), self.c), (zero, zero)
 
     def value(self, x):
         x, single = _pts(x)
@@ -257,15 +286,18 @@ class RadialProfile(ScalarField):
         return _unbatch(self.profile(np.linalg.norm(x, axis=1)), single)
 
     def gradient(self, x):
-        x, single = _pts(x)
-        r, unit = _safe_radial(x)
-        return _unbatch(self.profile_d1(r)[:, None] * unit, single)
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x):
         x, single = _pts(x)
-        r, unit = _safe_radial(x)
+        c, dc = self.jet(x[:, 0], x[:, 1])
+        return _unbatch(c, single), _unbatch(np.stack(dc, axis=-1), single)
+
+    def jet(self, x0, x1):
+        r = np.sqrt(x0 * x0 + x1 * x1)
         c, d1 = self.profile_pair(r)
-        return _unbatch(c, single), _unbatch(d1[:, None] * unit, single)
+        safe = np.where(r > 0.0, r, np.inf)  # zero unit vector at the origin
+        return c, (d1 * (x0 / safe), d1 * (x1 / safe))
 
     def hessian(self, x):
         x, single = _pts(x)
@@ -313,7 +345,11 @@ class PotentialBump(ScalarField):
 
 
 class VectorValuedField:
-    """Smooth covector/vector field: value (m, n), jacobian[m, i, j] = d_j comp_i."""
+    """Smooth covector/vector field: value (m, n), jacobian[m, i, j] = d_j comp_i.
+
+    Its planar jet is ``((b0, b1), ((d0 b0, d1 b0), (d0 b1, d1 b1)))``: the
+    components, then one row of the jacobian per component.
+    """
 
     dim = 2
 
@@ -323,9 +359,12 @@ class VectorValuedField:
     def jacobian(self, x):
         raise NotImplementedError
 
-    def value_and_jacobian(self, x):
-        """(value, jacobian); overridden where one pass is cheaper."""
-        return self.value(x), self.jacobian(x)
+    def jet(self, x0, x1):
+        """Planar component jet at the points (x0, x1), from the tensor calls."""
+        X = np.column_stack([x0, x1])
+        b0, b1 = self.value(X).T.copy()
+        J00, J01, J10, J11 = self.jacobian(X).reshape(-1, 4).T.copy()
+        return (b0, b1), ((J00, J01), (J10, J11))
 
     def describe(self):
         raise NotImplementedError
@@ -335,18 +374,25 @@ class VectorValuedField:
         return False
 
 
-@dataclass(frozen=True)
-class ZeroForm(VectorValuedField):
-    dim: int = 2
+class _JetForm(VectorValuedField):
+    """A planar form that computes its jet; value and jacobian are assembled from it."""
 
     def value(self, x):
         x, single = _pts(x)
-        return _unbatch(np.zeros_like(x), single)
+        return _unbatch(np.stack(self.jet(x[:, 0], x[:, 1])[0], axis=-1), single)
 
     def jacobian(self, x):
         x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.zeros((m, n, n)), single)
+        return _unbatch(_mat(self.jet(x[:, 0], x[:, 1])[1]), single)
+
+
+@dataclass(frozen=True)
+class ZeroForm(_JetForm):
+    dim: int = 2
+
+    def jet(self, x0, x1):
+        zero = np.zeros(np.shape(x0))
+        return (zero, zero), ((zero, zero), (zero, zero))
 
     @property
     def is_zero(self):
@@ -356,19 +402,16 @@ class ZeroForm(VectorValuedField):
         return "zero"
 
 
-class ConstantForm(VectorValuedField):
+class ConstantForm(_JetForm):
     def __init__(self, components):
         self.components = np.asarray(components, dtype=float)
         self.dim = len(self.components)
 
-    def value(self, x):
-        x, single = _pts(x)
-        return _unbatch(np.broadcast_to(self.components, x.shape).copy(), single)
-
-    def jacobian(self, x):
-        x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.zeros((m, n, n)), single)
+    def jet(self, x0, x1):
+        m = np.shape(x0)
+        zero = np.zeros(m)
+        b0, b1 = self.components
+        return (np.full(m, b0), np.full(m, b1)), ((zero, zero), (zero, zero))
 
     @property
     def is_zero(self):
@@ -489,6 +532,8 @@ class MetricField:
     """Symmetric positive-definite metric with analytic spatial partials.
 
     ``partials(x)[m, k, i, j]`` is the derivative of g_ij along coordinate k.
+    Its planar jet is ``((a00, a01, a11), (d0, d1))`` with
+    ``dk = (dk a00, dk a01, dk a11)``.
     """
 
     flavor = "general"
@@ -500,39 +545,48 @@ class MetricField:
     def partials(self, x):
         raise NotImplementedError
 
-    def value_and_partials(self, x):
-        """(value, partials); overridden where one pass is cheaper."""
-        return self.value(x), self.partials(x)
+    def jet(self, x0, x1):
+        """Planar component jet at the points (x0, x1), from the tensor calls."""
+        X = np.column_stack([x0, x1])
+        a = self.value(X).reshape(-1, 4).T[[0, 1, 3]]
+        d = self.partials(X).reshape(-1, 8).T[[0, 1, 3, 4, 5, 7]]
+        return tuple(a), (tuple(d[:3]), tuple(d[3:]))
 
     def describe(self):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class EuclideanMetric(MetricField):
-    dim: int = 2
-    flavor: str = field(default="euclidean", init=False)
+class _JetMetric(MetricField):
+    """A planar metric that computes its jet; value and partials are assembled from it."""
 
     def value(self, x):
         x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.broadcast_to(np.eye(n), (m, n, n)).copy(), single)
+        return _unbatch(_sym(self.jet(x[:, 0], x[:, 1])[0]), single)
 
     def partials(self, x):
         x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.zeros((m, n, n, n)), single)
+        d0, d1 = self.jet(x[:, 0], x[:, 1])[1]
+        return _unbatch(np.stack([_sym(d0), _sym(d1)], axis=1), single)
+
+
+@dataclass(frozen=True)
+class EuclideanMetric(_JetMetric):
+    dim: int = 2
+    flavor: str = field(default="euclidean", init=False)
+
+    def jet(self, x0, x1):
+        one, zero = np.ones(np.shape(x0)), np.zeros(np.shape(x0))
+        return (one, zero, one), ((zero, zero, zero), (zero, zero, zero))
 
     def describe(self):
         return f"euclidean(dim={self.dim})"
 
 
-class ConformalMetric(MetricField):
+class ConformalMetric(_JetMetric):
     """g = c^-2 * euclidean for a sound-speed field c.
 
-    Every call evaluates the speed and its gradient in one pass; geodesic
-    right-hand sides take value and partials together through
-    ``value_and_partials``.
+    Every call evaluates the speed's planar jet once: lam = c^-2 and
+    d lam = -2 c^-3 grad c.
     """
 
     def __init__(self, speed, dim=2):
@@ -540,37 +594,13 @@ class ConformalMetric(MetricField):
         self.dim = dim
         self.flavor = "conformal-radial" if isinstance(speed, (RadialProfile, ConstantField)) else "conformal"
 
-    def value(self, x):
-        x, single = _pts(x)
-        c, _ = self.speed.value_and_gradient(x)
-        return _unbatch(_conformal_value(c, x.shape[1]), single)
-
-    def partials(self, x):
-        x, single = _pts(x)
-        c, dc = self.speed.value_and_gradient(x)
-        return _unbatch(_conformal_partials(c, dc), single)
-
-    def value_and_partials(self, x):
-        x, single = _pts(x)
-        c, dc = self.speed.value_and_gradient(x)
-        return (_unbatch(_conformal_value(c, x.shape[1]), single),
-                _unbatch(_conformal_partials(c, dc), single))
+    def jet(self, x0, x1):
+        c, (c_0, c_1) = self.speed.jet(x0, x1)
+        lam = c ** -2
+        dfac = -2.0 * c ** -3  # d(c^-2)/dc
+        lam_0, lam_1 = dfac * c_0, dfac * c_1
+        zero = np.zeros_like(lam)
+        return (lam, zero, lam), ((lam_0, zero, lam_0), (lam_1, zero, lam_1))
 
     def describe(self):
         return f"conformal({self.speed.describe()})"
-
-
-def _conformal_value(c, n):
-    g = np.zeros((c.shape[0], n, n))
-    idx = np.arange(n)
-    g[:, idx, idx] = (c ** -2)[:, None]
-    return g
-
-
-def _conformal_partials(c, dc):
-    m, n = dc.shape
-    dfac = -2.0 * c ** -3  # d(c^-2)/dc
-    p = np.zeros((m, n, n, n))
-    idx = np.arange(n)
-    p[:, :, idx, idx] = (dfac[:, None] * dc)[:, :, None]
-    return p

@@ -9,6 +9,11 @@ endpoint miss with boolean masks over the sweep axis, and drives the
 brackets of all pairs to convergence in one guarded false-position batch.
 A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
 one-pair case.
+
+The right-hand side copies the batch's positions and velocities once into
+four contiguous component arrays, and the spray reads the spec's planar
+component jet (:meth:`RandersSpec.jet`), so its arithmetic runs on (m,)
+arrays only.
 """
 
 from __future__ import annotations
@@ -71,22 +76,20 @@ def _time_scale(spec):
 # spray
 
 
-def _spray_and_norm(spec, X, Y, check=False):
-    """Batched planar spray G^i(x, y) and norm F(x, y); no domain checks (hot path).
+def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
+    """Planar spray (G0, G1) and norm F on component arrays; no domain checks (hot path).
 
-    Explicit component arithmetic on one ``spec.jet`` per batch (einsum
-    dispatch overhead dominates at these sizes).
+    Explicit component arithmetic on one ``spec.jet`` per batch: every
+    operand is an (m,) array.
     """
-    a, P, b, Jb = spec.jet(X)
-    y0, y1 = Y[:, 0], Y[:, 1]
-    a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    (a, dA), bjet = spec.jet(x0, x1)
+    a00, a01, a11 = a
     ay0 = a00 * y0 + a01 * y1
     ay1 = a01 * y0 + a11 * y1
     A = ay0 * y0 + ay1 * y1
     al = np.sqrt(A)
 
-    P000, P001, P011 = P[:, 0, 0, 0], P[:, 0, 0, 1], P[:, 0, 1, 1]
-    P100, P101, P111 = P[:, 1, 0, 0], P[:, 1, 0, 1], P[:, 1, 1, 1]
+    (P000, P001, P011), (P100, P101, P111) = dA
     # A_k = dA/dx^k; Qkl = (dA/dx^k . y)_l used for y^k d^2A/dx^k dy^l
     A_0 = P000 * y0 * y0 + 2.0 * P001 * y0 * y1 + P011 * y1 * y1
     A_1 = P100 * y0 * y0 + 2.0 * P101 * y0 * y1 + P111 * y1 * y1
@@ -97,20 +100,20 @@ def _spray_and_norm(spec, X, Y, check=False):
     yA_kl0 = 2.0 * (y0 * Q00 + y1 * Q10)
     yA_kl1 = 2.0 * (y0 * Q01 + y1 * Q11)
 
-    if spec.beta.is_zero:
+    if bjet is None:
         F = al
         g00, g01, g11 = a00, a01, a11
         rhs0 = yA_kl0 - A_0
         rhs1 = yA_kl1 - A_1
     else:
-        b0, b1 = b[:, 0], b[:, 1]
+        (b0, b1), ((J00, J01), (J10, J11)) = bjet   # Jil = d b_i / dx^l
         B = b0 * y0 + b1 * y1
         F = al + B
-        B_0 = Jb[:, 0, 0] * y0 + Jb[:, 1, 0] * y1
-        B_1 = Jb[:, 0, 1] * y0 + Jb[:, 1, 1] * y1
+        B_0 = J00 * y0 + J10 * y1
+        B_1 = J01 * y0 + J11 * y1
         yB_k = y0 * B_0 + y1 * B_1
-        yB_kl0 = y0 * Jb[:, 0, 0] + y1 * Jb[:, 0, 1]
-        yB_kl1 = y0 * Jb[:, 1, 0] + y1 * Jb[:, 1, 1]
+        yB_kl0 = y0 * J00 + y1 * J01
+        yB_kl1 = y0 * J10 + y1 * J11
         yA_k = y0 * A_0 + y1 * A_1
         one_plus = 1.0 + B / al
         coef_ay = 2.0 * yB_k / al - B * yA_k / (al * A)
@@ -133,10 +136,7 @@ def _spray_and_norm(spec, X, Y, check=False):
         inv_det = 0.25 / det
         G0 = (g11 * rhs0 - g01 * rhs1) * inv_det
         G1 = (g00 * rhs1 - g01 * rhs0) * inv_det
-    out = np.empty_like(Y)
-    out[:, 0] = G0
-    out[:, 1] = G1
-    return out, F
+    return G0, G1, F
 
 
 def spray(spec, x, y):
@@ -149,20 +149,23 @@ def spray(spec, x, y):
     Y, _ = _pts(y)
     if X.shape[1] != 2 or Y.shape[1] != 2:
         raise ValueError("spray takes planar points and directions")
-    Y = np.broadcast_to(Y, X.shape).copy() if Y.shape[0] == 1 and X.shape[0] > 1 else Y
+    Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
     if np.any(np.linalg.norm(Y, axis=1) == 0.0):
         raise DegenerateInputError("spray is undefined at y = 0")
     spec.domain.require_inside(X)
-    G, _ = _spray_and_norm(spec, X, Y, check=True)
-    return _unbatch(G, single)
+    G0, G1, _ = _spray_and_norm(spec, X[:, 0], X[:, 1], Y[:, 0], Y[:, 1], check=True)
+    return _unbatch(np.column_stack([G0, G1]), single)
 
 
 def _geodesic_rhs(spec):
     def rhs(u):
-        G, F = _spray_and_norm(spec, np.ascontiguousarray(u[:, 0:2]), u[:, 2:4])
+        x0, x1, y0, y1 = np.ascontiguousarray(u[:, 0:4].T)
+        G0, G1, F = _spray_and_norm(spec, x0, x1, y0, y1)
         out = np.empty(u.shape)
-        out[:, 0:2] = u[:, 2:4]
-        out[:, 2:4] = -2.0 * G
+        out[:, 0] = y0
+        out[:, 1] = y1
+        out[:, 2] = -2.0 * G0
+        out[:, 3] = -2.0 * G1
         out[:, 4] = F
         return out
     return rhs

@@ -87,16 +87,15 @@ class RandersSpec:
         Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
         return _unbatch(self._raw_norm(X, np.ascontiguousarray(Y)), single)
 
-    def jet(self, X):
-        """(a, P, b, Jb) on a batch: alpha's value and partials, beta's value and jacobian.
+    def jet(self, x0, x1):
+        """(alpha.jet, beta.jet) at the points (x0, x1); None for a zero beta.
 
-        The geodesic spray's only field call per batch.  Specs whose alpha
-        and beta share intermediate quantities override it to compute them
-        once; the result always equals the four public field calls.
+        Planar component jets (see :mod:`randers.fields`): the geodesic
+        spray's only field call per batch.  Specs whose alpha and beta share
+        intermediate quantities override it to compute them once; every
+        component always equals the matching entry of the public field calls.
         """
-        a, P = self.alpha.value_and_partials(X)
-        b, Jb = self.beta.value_and_jacobian(X)
-        return a, P, b, Jb
+        return self.alpha.jet(x0, x1), None if self.beta.is_zero else self.beta.jet(x0, x1)
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""

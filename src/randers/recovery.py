@@ -57,7 +57,6 @@ def recover_symmetric_data(data):
 class PotentialRecovery:
     values: np.ndarray            # boundary potential, mean-zero gauge
     constancy_deviation: float    # max residual of the pairwise system
-    constant: float               # subtracted normalization constant
 
 
 def recover_boundary_potential(data1, data2):
@@ -82,8 +81,7 @@ def recover_boundary_potential(data1, data2):
     phi -= phi.mean()
     resid = phi[None, :] - phi[:, None] - delta
     off = ~np.eye(data1.n, dtype=bool)
-    return PotentialRecovery(values=phi, constancy_deviation=float(np.abs(resid[off]).max()),
-                             constant=0.0)
+    return PotentialRecovery(values=phi, constancy_deviation=float(np.abs(resid[off]).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +333,7 @@ def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
             angles=np.zeros(0), radius=domain.radius, data_max_diff=math.nan,
             beta_integrals_1=empty, beta_integrals_2=empty,
             symmetric_1=empty, symmetric_2=empty, sym_max_diff=math.nan,
-            potential=PotentialRecovery(np.zeros(0), math.nan, 0.0),
+            potential=PotentialRecovery(np.zeros(0), math.nan),
             verdicts={"boundary_data_equal": None, "gauge_equivalent": None},
             hypothesis=hypothesis, psi_identity=False, notes=notes)
 

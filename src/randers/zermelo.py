@@ -5,6 +5,11 @@ follows geodesics of the Randers norm built here; the curve parameter is
 physical travel time.  The module provides the general construction, the
 conformal (sound-speed) specialization, its small-drift linearization, and
 the non-trapping condition check for radial profiles.
+
+Both navigation algebras (general Zermelo and conformal) are written in
+planar components: each evaluates the metric (or speed) and wind jets once
+and returns the planar jets of alpha and beta, one (m,) array per
+component.  The public alpha and beta tensors are assembled from that jet.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
-from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
-                     VectorValuedField, _pts, _unbatch, disk_grid)
+from .fields import (ConformalMetric, ConstantField, RadialProfile, VectorValuedField,
+                     _JetForm, _JetMetric, _pts, _unbatch, disk_grid)
 from .norms import RandersSpec
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
@@ -63,14 +68,17 @@ class MediumModel:
 
 
 # ---------------------------------------------------------------------------
-# navigation algebra: stateless, evaluated once per batch by the spec's jet
+# navigation algebra: stateless planar component arithmetic, evaluated once
+# per batch by the spec's jet
+
+_PAIRS = ((0, 0), (0, 1), (1, 1))   # (i, j) of the planar metric components
 
 
 class _ZermeloAlgebra:
     """alpha_ij = g_ij / lam + (W_i / lam)(W_j / lam), beta_i = -W_i / lam.
 
-    Here W_i = g_ij W^j and lam = 1 - |W|_g^2.  ``parts`` evaluates the
-    metric and the wind once; the four formulas read only those parts.
+    Here W_i = g_ij W^j and lam = 1 - |W|_g^2.  ``jet`` evaluates the metric
+    and wind jets once and returns the planar jets of alpha and beta.
     """
 
     name = "zermelo"
@@ -82,43 +90,32 @@ class _ZermeloAlgebra:
     def args(self):
         return f"g={self.metric.describe()},W={self.wind.describe()}"
 
-    def parts(self, X):
-        g, P = self.metric.value_and_partials(X)
-        W, J = self.wind.value_and_jacobian(X)
-        Wi = np.einsum("mij,mj->mi", g, W)
-        s = np.einsum("mi,mi->m", Wi, W)
-        lam = 1.0 - s
-        dWi = np.einsum("mkij,mj->mki", P, W) + np.einsum("mij,mjk->mki", g, J)
-        ds = np.einsum("mkij,mi,mj->mk", P, W, W) + 2.0 * np.einsum("mj,mjk->mk", Wi, J)
-        return {"g": g, "P": P, "Wi": Wi, "lam": lam, "dWi": dWi, "dlam": -ds}
-
-    @staticmethod
-    def alpha(p):
-        lam = p["lam"]
-        Wi = p["Wi"]
-        return p["g"] / lam[:, None, None] + (Wi[:, :, None] * Wi[:, None, :]) / (lam ** 2)[:, None, None]
-
-    @staticmethod
-    def alpha_partials(p):
-        g, P, Wi, lam, dWi, dlam = p["g"], p["P"], p["Wi"], p["lam"], p["dWi"], p["dlam"]
-        l1 = lam[:, None, None, None]
-        outer = Wi[:, None, :, None] * Wi[:, None, None, :]
-        douter = dWi[:, :, :, None] * Wi[:, None, None, :] + Wi[:, None, :, None] * dWi[:, :, None, :]
-        return (P / l1
-                - g[:, None] * dlam[:, :, None, None] / l1 ** 2
-                + douter / l1 ** 2
-                - 2.0 * outer * dlam[:, :, None, None] / l1 ** 3)
-
-    @staticmethod
-    def beta(p):
-        return -p["Wi"] / p["lam"][:, None]
-
-    @staticmethod
-    def beta_jacobian(p):
-        Wi, lam, dWi, dlam = p["Wi"], p["lam"], p["dWi"], p["dlam"]
-        # d beta_i / dx^k = -dWi[k, i] / lam + W_i dlam_k / lam^2
-        return (-np.swapaxes(dWi, 1, 2) / lam[:, None, None]
-                + Wi[:, :, None] * dlam[:, None, :] / (lam ** 2)[:, None, None])
+    def jet(self, x0, x1):
+        g, dg = self.metric.jet(x0, x1)
+        (V0, V1), dV = self.wind.jet(x0, x1)
+        g00, g01, g11 = g
+        w = (g00 * V0 + g01 * V1, g01 * V0 + g11 * V1)    # W_i = g_ij W^j
+        lam = 1.0 - (w[0] * V0 + w[1] * V1)
+        lam2, lam3 = lam ** 2, lam ** 3
+        dw, dlam = [], []                                  # d_k W_i, d_k lam
+        for k, (p00, p01, p11) in enumerate(dg):
+            v0, v1 = dV[0][k], dV[1][k]                    # d_k W^0, d_k W^1
+            dw.append((p00 * V0 + p01 * V1 + (g00 * v0 + g01 * v1),
+                       p01 * V0 + p11 * V1 + (g01 * v0 + g11 * v1)))
+            ds = (p00 * V0 * V0 + 2.0 * p01 * V0 * V1 + p11 * V1 * V1
+                  + 2.0 * (w[0] * v0 + w[1] * v1))
+            dlam.append(-ds)
+        alpha = tuple(gij / lam + (w[i] * w[j]) / lam2 for gij, (i, j) in zip(g, _PAIRS))
+        dalpha = tuple(
+            tuple(pij / lam - gij * dlam[k] / lam2
+                  + (dw[k][i] * w[j] + w[i] * dw[k][j]) / lam2
+                  - 2.0 * (w[i] * w[j]) * dlam[k] / lam3
+                  for pij, gij, (i, j) in zip(dg[k], g, _PAIRS))
+            for k in (0, 1))
+        beta = (-w[0] / lam, -w[1] / lam)
+        dbeta = tuple(tuple(-dw[k][i] / lam + w[i] * dlam[k] / lam2 for k in (0, 1))
+                      for i in (0, 1))
+        return (alpha, dalpha), (beta, dbeta)
 
 
 class _ConformalAlgebra:
@@ -137,52 +134,34 @@ class _ConformalAlgebra:
     def args(self):
         return f"c={self.speed.describe()},W={self.wind.describe()}"
 
-    def parts(self, X):
-        c, dc = self.speed.value_and_gradient(X)
-        W, J = self.wind.value_and_jacobian(X)
+    def jet(self, x0, x1):
+        c, dc = self.speed.jet(x0, x1)
+        W, dV = self.wind.jet(x0, x1)
         c2 = c ** -2
-        dc2 = (-2.0 * c ** -3)[:, None] * dc                    # (m,k)
-        w2 = np.einsum("mi,mi->m", W, W)
-        dw2 = 2.0 * np.einsum("mi,mik->mk", W, J)
-        D = 1.0 - c2 * w2
-        dD = -(dc2 * w2[:, None] + c2[:, None] * dw2)
-        return {"c": c, "dc": dc, "W": W, "J": J, "c2": c2, "dc2": dc2, "D": D, "dD": dD}
-
-    @staticmethod
-    def alpha(p):
-        c2, D, W = p["c2"], p["D"], p["W"]
-        eye = np.eye(W.shape[1])[None]
-        return (c2 / D)[:, None, None] * eye + ((c2 ** 2) / D ** 2)[:, None, None] * (
-            W[:, :, None] * W[:, None, :])
-
-    @staticmethod
-    def alpha_partials(p):
-        c, dc, W, J, c2, dc2, D, dD = (p["c"], p["dc"], p["W"], p["J"],
-                                       p["c2"], p["dc2"], p["D"], p["dD"])
-        eye = np.eye(W.shape[1])[None, None]
         c4 = c2 ** 2
-        dc4 = (-4.0 * c ** -5)[:, None] * dc
-        outer = W[:, None, :, None] * W[:, None, None, :]
-        douter = (J[:, :, :] .swapaxes(1, 2)[:, :, :, None] * W[:, None, None, :]
-                  + W[:, None, :, None] * J.swapaxes(1, 2)[:, :, None, :])
-        term1 = (dc2 / D[:, None] - c2[:, None] * dD / D[:, None] ** 2)[:, :, None, None] * eye
-        term2 = (dc4 / D[:, None] ** 2 - 2.0 * c4[:, None] * dD / D[:, None] ** 3)[:, :, None, None] * outer
-        term3 = (c4 / D ** 2)[:, None, None, None] * douter
-        return term1 + term2 + term3
+        dc2_dc, dc4_dc = -2.0 * c ** -3, -4.0 * c ** -5
+        w2 = W[0] * W[0] + W[1] * W[1]
+        D = 1.0 - c2 * w2
+        D2, D3 = D ** 2, D ** 3
+        e, f = c2 / D, c4 / D2                  # alpha = e delta + f W W
+        alpha = tuple(e * (i == j) + f * (W[i] * W[j]) for i, j in _PAIRS)
+        beta = (-e * W[0], -e * W[1])
+        dalpha, dbeta = [], []                  # per derivative direction k
+        for k in (0, 1):
+            dc2, dc4 = dc2_dc * dc[k], dc4_dc * dc[k]
+            dw2 = 2.0 * (W[0] * dV[0][k] + W[1] * dV[1][k])
+            dD = -(dc2 * w2 + c2 * dw2)
+            t1 = dc2 / D - c2 * dD / D2
+            t2 = dc4 / D2 - 2.0 * c4 * dD / D3
+            dalpha.append(tuple(t1 * (i == j) + t2 * (W[i] * W[j])
+                                + f * (dV[i][k] * W[j] + W[i] * dV[j][k])
+                                for i, j in _PAIRS))
+            dbeta.append(tuple(-(dc2 / D) * W[i] - e * dV[i][k] + (c2 / D2) * W[i] * dD
+                               for i in (0, 1)))
+        return (alpha, tuple(dalpha)), (beta, tuple(zip(*dbeta)))
 
-    @staticmethod
-    def beta(p):
-        return -(p["c2"] / p["D"])[:, None] * p["W"]
 
-    @staticmethod
-    def beta_jacobian(p):
-        W, J, c2, dc2, D, dD = p["W"], p["J"], p["c2"], p["dc2"], p["D"], p["dD"]
-        return (-(dc2 / D[:, None])[:, None, :] * W[:, :, None]
-                - (c2 / D)[:, None, None] * J
-                + (c2 / D ** 2)[:, None, None] * W[:, :, None] * dD[:, None, :])
-
-
-class NavigationMetric(MetricField):
+class NavigationMetric(_JetMetric):
     """The Riemannian part alpha of a navigation algebra."""
 
     flavor = "general"
@@ -191,32 +170,22 @@ class NavigationMetric(MetricField):
         self.algebra = algebra
         self.dim = dim
 
-    def value(self, x):
-        X, single = _pts(x)
-        return _unbatch(self.algebra.alpha(self.algebra.parts(X)), single)
-
-    def partials(self, x):
-        X, single = _pts(x)
-        return _unbatch(self.algebra.alpha_partials(self.algebra.parts(X)), single)
+    def jet(self, x0, x1):
+        return self.algebra.jet(x0, x1)[0]
 
     def describe(self):
         return f"{self.algebra.name}_alpha({self.algebra.args()})"
 
 
-class NavigationOneForm(VectorValuedField):
+class NavigationOneForm(_JetForm):
     """The 1-form part beta of a navigation algebra."""
 
     def __init__(self, algebra, dim=2):
         self.algebra = algebra
         self.dim = dim
 
-    def value(self, x):
-        X, single = _pts(x)
-        return _unbatch(self.algebra.beta(self.algebra.parts(X)), single)
-
-    def jacobian(self, x):
-        X, single = _pts(x)
-        return _unbatch(self.algebra.beta_jacobian(self.algebra.parts(X)), single)
+    def jet(self, x0, x1):
+        return self.algebra.jet(x0, x1)[1]
 
     def describe(self):
         return f"{self.algebra.name}_beta({self.algebra.args()})"
@@ -230,10 +199,8 @@ class _NavigationSpec(RandersSpec):
         super().__init__(domain, NavigationMetric(algebra, n), NavigationOneForm(algebra, n))
         self.algebra = algebra
 
-    def jet(self, X):
-        alg = self.algebra
-        p = alg.parts(X)
-        return alg.alpha(p), alg.alpha_partials(p), alg.beta(p), alg.beta_jacobian(p)
+    def jet(self, x0, x1):
+        return self.algebra.jet(x0, x1)
 
 
 def zermelo_construct(medium):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randers import (CsvFormatError, add_noise, decompose, distance_matrix,
-                     load, sample_boundary, save)
+from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel,
+                     add_noise, decompose, distance_matrix, load,
+                     sample_boundary, save, zermelo_construct)
+from randers.boundary import BoundarySamples
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +207,6 @@ class TestAdmissibilityAbort:
 
 class TestExclusion:
     def test_nearly_adjacent_pairs_excluded(self, euclid_spec, dom):
-        from randers.boundary import BoundarySamples
-
         angles = np.array([0.0, 5e-4, math.pi / 2, math.pi])
         data = distance_matrix(euclid_spec, BoundarySamples(angles=angles, radius=1.0))
         assert data.diagnostics.excluded[0, 1] and data.diagnostics.excluded[1, 0]
@@ -231,3 +233,31 @@ class TestMetamorphic:
         i, j, k = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
         distinct = (i != j) & (j != k) & (i != k)
         assert slack[distinct].min() >= -1e-9
+
+
+def _rotated_samples(n, delta):
+    return BoundarySamples(angles=(2.0 * math.pi * np.arange(n) / n + delta) % (2.0 * math.pi),
+                           radius=1.0)
+
+
+@pytest.fixture(scope="module")
+def bump6(smooth_bump_spec):
+    return distance_matrix(smooth_bump_spec, 6).matrix
+
+
+class TestRotationEquivariance:
+    @settings(max_examples=5, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_rotation_invariant_medium(self, smooth_bump_spec, bump6, delta):
+        # c = 2 - r^2 and the bump gauge are rotation invariant, so rotating
+        # the samples must leave D unchanged
+        D = distance_matrix(smooth_bump_spec, _rotated_samples(6, delta)).matrix
+        assert np.abs(D - bump6).max() <= 2e-8
+
+    def test_wind_rotates_with_samples(self, dom, wind_spec):
+        delta = 2.0
+        w = 0.5 * np.array([math.cos(delta), math.sin(delta)])
+        turned = zermelo_construct(MediumModel(dom, speed=ConstantField(1.0), wind=ConstantForm(w)))
+        D = distance_matrix(wind_spec, 6).matrix
+        D_turned = distance_matrix(turned, _rotated_samples(6, delta)).matrix
+        assert np.abs(D_turned - D).max() <= 2e-8

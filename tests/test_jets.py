@@ -1,19 +1,22 @@
 """Field evaluation is stateless: nothing is remembered between calls.
 
-A batch changed in place must evaluate like a fresh copy, and a spec's
-joint ``jet`` must equal its four public field calls bit for bit.
+A batch changed in place must evaluate like a fresh copy, and every
+component of a spec's planar ``jet`` must equal the matching entry of its
+four public field calls bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from randers import (ConformalMetric, ExactForm, MediumModel, PotentialBump,
-                     RadialProfile, RandersSpec, RotationalForm,
+from randers import (ComponentForm, ConformalMetric, ConstantField,
+                     ConstantForm, EuclideanMetric, ExactForm, MediumModel,
+                     PotentialBump, RadialProfile, RandersSpec, RotationalForm,
                      conformal_specialize, spray, zermelo_construct)
 from randers.geodesics import _time_scale
 
 SPEED = RadialProfile("2 - r^2")
 WIND = RotationalForm(0.4)
+PAIRS = ((0, 0), (0, 1), (1, 1))   # (i, j) of the planar metric components
 
 
 def _navigation_spec(dom):
@@ -28,8 +31,29 @@ def _plain_spec(dom):
     return RandersSpec(dom, ConformalMetric(SPEED), ExactForm(PotentialBump(0.3, 1.0)))
 
 
+def _cli_wind_spec(dom):
+    # what `randers simulate` builds from c = "1", wind = "const(a, b)"
+    return zermelo_construct(MediumModel(dom, speed=ConstantField(1.0),
+                                         wind=ConstantForm([0.3, -0.4])))
+
+
+def _euclid_constant_spec(dom):
+    return RandersSpec(dom, EuclideanMetric(), ConstantForm([0.2, 0.1]))
+
+
+def _component_spec(dom):
+    # the base-class jet, derived from the tensor calls
+    return RandersSpec(dom, ConformalMetric(SPEED), ComponentForm(["0.1 - 0.1*x2", "0.1*x1*x2"]))
+
+
+def _euclid_spec(dom):
+    return RandersSpec(dom, EuclideanMetric())
+
+
 SPECS = {"navigation": _navigation_spec, "specialized": _specialized_spec,
-         "plain": _plain_spec}
+         "plain": _plain_spec, "cli_wind": _cli_wind_spec,
+         "euclid_constant": _euclid_constant_spec, "component": _component_spec,
+         "euclid": _euclid_spec}
 
 
 @pytest.fixture
@@ -62,11 +86,20 @@ def test_in_place_change_is_not_stale(dom, batch, call):
 def test_jet_equals_public_field_calls(dom, batch, name):
     spec = SPECS[name](dom)
     X, _ = batch
-    a, P, b, Jb = spec.jet(X)
-    assert np.array_equal(a, spec.alpha.value(X))
-    assert np.array_equal(P, spec.alpha.partials(X))
-    assert np.array_equal(b, spec.beta.value(X))
-    assert np.array_equal(Jb, spec.beta.jacobian(X))
+    x0, x1 = np.ascontiguousarray(X.T)
+    (a, dA), bjet = spec.jet(x0, x1)
+    g, P = spec.alpha.value(X), spec.alpha.partials(X)
+    pairs = [(comp, g[:, i, j]) for comp, (i, j) in zip(a, PAIRS)]
+    pairs += [(comp, P[:, k, i, j]) for k in (0, 1) for comp, (i, j) in zip(dA[k], PAIRS)]
+    assert (bjet is None) == spec.beta.is_zero
+    if bjet is not None:
+        (b, J), bv, Jv = bjet, spec.beta.value(X), spec.beta.jacobian(X)
+        pairs += [(b[i], bv[:, i]) for i in (0, 1)]
+        pairs += [(J[i][k], Jv[:, i, k]) for i in (0, 1) for k in (0, 1)]
+    assert len(pairs) == (9 if bjet is None else 15)
+    for comp, ref in pairs:
+        assert comp.shape == (len(X),) and comp.flags.c_contiguous
+        assert np.array_equal(comp, ref)
 
 
 def _state(obj, seen=None):
@@ -88,7 +121,7 @@ def test_evaluation_stores_nothing(dom, batch, name):
     X, Y = batch
     before = _state(spec)
     spec.norm(X, Y)
-    spec.jet(X)
+    spec.jet(X[:, 0], X[:, 1])
     spray(spec, X, Y)
     _time_scale(spec)
     assert _state(spec) == before

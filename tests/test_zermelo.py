@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randers import (ComponentForm, ConstantField, ConstantForm,
                      ExactForm, ExprField, InvalidMediumError, MediumModel,
-                     RadialProfile, SpecMismatchError, closedness_residual,
+                     RadialProfile, RotationalForm, SpecMismatchError,
+                     closedness_residual,
                      conformal_specialize, disk_grid, dual_norm, herglotz_check,
                      integrate_geodesic, linearize, travel_time_consistency,
                      validate_norm, zermelo_construct)
@@ -51,6 +54,74 @@ class TestConstruction:
     def test_supercritical_drift_rejected(self, dom):
         with pytest.raises(InvalidMediumError):
             MediumModel(dom, speed=ConstantField(1.0), wind=ConstantForm([1.0, 0.0]))
+
+
+def _einsum_reference(metric, wind, X):
+    """Zermelo alpha, its partials, beta and its jacobian as 4-index einsum tensors.
+
+    The batch-first formulas the planar component algebra replaced, kept as
+    an independent reference.
+    """
+    g, P = metric.value(X), metric.partials(X)
+    W, J = wind.value(X), wind.jacobian(X)
+    Wi = np.einsum("mij,mj->mi", g, W)
+    lam = 1.0 - np.einsum("mi,mi->m", Wi, W)
+    dWi = np.einsum("mkij,mj->mki", P, W) + np.einsum("mij,mjk->mki", g, J)
+    ds = np.einsum("mkij,mi,mj->mk", P, W, W) + 2.0 * np.einsum("mj,mjk->mk", Wi, J)
+    dlam = -ds
+    alpha = g / lam[:, None, None] + (Wi[:, :, None] * Wi[:, None, :]) / (lam ** 2)[:, None, None]
+    l1 = lam[:, None, None, None]
+    outer = Wi[:, None, :, None] * Wi[:, None, None, :]
+    douter = dWi[:, :, :, None] * Wi[:, None, None, :] + Wi[:, None, :, None] * dWi[:, :, None, :]
+    alpha_partials = (P / l1
+                      - g[:, None] * dlam[:, :, None, None] / l1 ** 2
+                      + douter / l1 ** 2
+                      - 2.0 * outer * dlam[:, :, None, None] / l1 ** 3)
+    beta = -Wi / lam[:, None]
+    beta_jacobian = (-np.swapaxes(dWi, 1, 2) / lam[:, None, None]
+                     + Wi[:, :, None] * dlam[:, None, :] / (lam ** 2)[:, None, None])
+    return alpha, alpha_partials, beta, beta_jacobian
+
+
+@st.composite
+def _media(draw):
+    """A radial or expression speed >= 0.5 and a wind with |W|_e <= 0.45."""
+    a = draw(st.floats(1.0, 2.0))
+    if draw(st.booleans()):
+        speed = RadialProfile(f"{a!r} + {draw(st.floats(-0.5, 0.5))!r}*r^2")
+    else:
+        b, c = draw(st.floats(-0.25, 0.25)), draw(st.floats(-0.25, 0.25))
+        speed = ExprField(f"{a!r} + {b!r}*x1 + {c!r}*x1*x2")
+    s = draw(st.floats(0.0, 0.45))
+    kind = draw(st.sampled_from(["constant", "rotational", "exact"]))
+    if kind == "constant":
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        wind = ConstantForm([s * math.cos(phi), s * math.sin(phi)])
+    elif kind == "rotational":
+        wind = RotationalForm(2.0 * s)        # |W| = s r
+    else:
+        # grad = k (x2 + x1 x2, x1 + x1^2 / 2), |grad| <= 2.5 k on the unit disk
+        wind = ExactForm(ExprField(f"{s / 2.5!r}*(x1*x2 + 0.5*x1^2*x2)"))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return speed, wind, seed
+
+
+class TestPlanarAlgebra:
+    @settings(max_examples=40, deadline=None)
+    @given(_media())
+    def test_matches_einsum_reference(self, dom, medium):
+        speed, wind, seed = medium
+        med = MediumModel(dom, speed=speed, wind=wind)
+        spec = zermelo_construct(med)
+        rng = np.random.default_rng(seed)
+        r = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 64))
+        th = rng.uniform(0.0, 2.0 * math.pi, 64)
+        X = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        got = (spec.alpha.value(X), spec.alpha.partials(X),
+               spec.beta.value(X), spec.beta.jacobian(X))
+        for new, ref in zip(got, _einsum_reference(med.metric, med.wind, X)):
+            assert new.shape == ref.shape
+            assert np.all(np.abs(new - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
 
 class TestConformalSpecialization:
