@@ -11,10 +11,13 @@ differences.
 Besides these batch-first tensors, every field has a planar component jet,
 ``jet(x0, x1)`` on the coordinate arrays of m points, which returns one
 (m,) array per component (tuples nest as described on each base class).
-The geodesic spray reads only jets.  The base classes derive a jet from the
-tensor calls; the hot families compute their components in closed form and
-assemble their public tensors from those same arrays, so a jet and the
-tensor calls agree bit for bit.
+The base classes derive a jet from the tensor calls; the hot families
+compute their components in closed form and assemble their public tensors
+from those same arrays, so a jet and the tensor calls agree bit for bit.
+
+The geodesic spray reads a metric through :meth:`MetricField.spray_terms`
+(the quadratic form, its Riemannian spray and its inverse along planar
+directions) and a 1-form through its jet.
 """
 
 from __future__ import annotations
@@ -152,6 +155,17 @@ class ScalarField:
         c, dc = self.value_and_gradient(np.column_stack([x0, x1]))
         d0, d1 = dc.T.copy()
         return c, (d0, d1)
+
+    def gradient_jet(self, x0, x1):
+        """Planar jet of the gradient from the gradient and Hessian calls.
+
+        Returns ``((d0 c, d1 c), ((h00, h01), (h10, h11)))``, the layout of a
+        1-form jet, so it is the jet of the exact form d c.
+        """
+        X = np.column_stack([x0, x1])
+        d0, d1 = self.gradient(X).T.copy()
+        h00, h01, h10, h11 = self.hessian(X).reshape(-1, 4).T.copy()
+        return (d0, d1), ((h00, h01), (h10, h11))
 
     def describe(self):
         raise NotImplementedError
@@ -336,6 +350,11 @@ class PotentialBump(ScalarField):
         h = np.broadcast_to((-2.0 * self.amplitude / self.radius ** 2) * np.eye(n), (m, n, n)).copy()
         return _unbatch(h, single)
 
+    def gradient_jet(self, x0, x1):
+        k = -2.0 * self.amplitude / self.radius ** 2
+        diag, zero = np.full(np.shape(x0), k), np.zeros(np.shape(x0))
+        return (k * x0, k * x1), ((diag, zero), (zero, diag))
+
     def describe(self):
         return f"bump(A={self.amplitude!r},R={self.radius!r})"
 
@@ -433,6 +452,9 @@ class ExactForm(VectorValuedField):
     def jacobian(self, x):
         return self.potential.hessian(x)
 
+    def jet(self, x0, x1):
+        return self.potential.gradient_jet(x0, x1)
+
     def describe(self):
         return f"d({self.potential.describe()})"
 
@@ -491,6 +513,11 @@ class ScaledForm(VectorValuedField):
     def jacobian(self, x):
         return self.factor * self.base.jacobian(x)
 
+    def jet(self, x0, x1):
+        (b0, b1), ((J00, J01), (J10, J11)) = self.base.jet(x0, x1)
+        k = self.factor
+        return (k * b0, k * b1), ((k * J00, k * J01), (k * J10, k * J11))
+
     @property
     def is_zero(self):
         return self.factor == 0.0 or self.base.is_zero
@@ -516,6 +543,14 @@ class SumForm(VectorValuedField):
             out = out + p.jacobian(x)
         return out
 
+    def jet(self, x0, x1):
+        (b0, b1), ((J00, J01), (J10, J11)) = self.parts[0].jet(x0, x1)
+        for p in self.parts[1:]:
+            (c0, c1), ((K00, K01), (K10, K11)) = p.jet(x0, x1)
+            b0, b1 = b0 + c0, b1 + c1
+            J00, J01, J10, J11 = J00 + K00, J01 + K01, J10 + K10, J11 + K11
+        return (b0, b1), ((J00, J01), (J10, J11))
+
     @property
     def is_zero(self):
         return all(p.is_zero for p in self.parts)
@@ -526,6 +561,29 @@ class SumForm(VectorValuedField):
 
 # ---------------------------------------------------------------------------
 # Riemannian metric fields
+
+
+def jet_spray_terms(jet, y0, y1):
+    """Spray terms of a metric from its planar jet (see :meth:`MetricField.spray_terms`).
+
+    G = 1/2 a^-1 (Q - A_x / 2) with Q_l = y^k (d_k a y)_l and
+    (A_x)_l = d_l a(y, y), through the explicit 2x2 inverse.
+    """
+    (a00, a01, a11), ((p000, p001, p011), (p100, p101, p111)) = jet
+    ay0 = a00 * y0 + a01 * y1
+    ay1 = a01 * y0 + a11 * y1
+    A = ay0 * y0 + ay1 * y1
+    q00 = p000 * y0 + p001 * y1   # qkl = (d_k a y)_l
+    q01 = p001 * y0 + p011 * y1
+    q10 = p100 * y0 + p101 * y1
+    q11 = p101 * y0 + p111 * y1
+    h0 = y0 * q00 + y1 * q10 - 0.5 * (q00 * y0 + q01 * y1)
+    h1 = y0 * q01 + y1 * q11 - 0.5 * (q10 * y0 + q11 * y1)
+    inv_det = 1.0 / (a00 * a11 - a01 * a01)
+    i00, i01, i11 = a11 * inv_det, -a01 * inv_det, a00 * inv_det
+    G0 = 0.5 * (i00 * h0 + i01 * h1)
+    G1 = 0.5 * (i01 * h0 + i11 * h1)
+    return A, (G0, G1), (i00, i01, i11)
 
 
 class MetricField:
@@ -551,6 +609,16 @@ class MetricField:
         a = self.value(X).reshape(-1, 4).T[[0, 1, 3]]
         d = self.partials(X).reshape(-1, 8).T[[0, 1, 3, 4, 5, 7]]
         return tuple(a), (tuple(d[:3]), tuple(d[3:]))
+
+    def spray_terms(self, x0, x1, y0, y1):
+        """(A, (G0, G1), (i00, i01, i11)) at the points (x0, x1) along (y0, y1).
+
+        A = a(y, y), G is the spray of the metric's own geodesics
+        (x'' + 2G = 0) and i holds the inverse metric components; each entry
+        is an (m,) array or a scalar that broadcasts against one.  The base
+        class computes them from the planar jet.
+        """
+        return jet_spray_terms(self.jet(x0, x1), y0, y1)
 
     def describe(self):
         raise NotImplementedError
@@ -578,6 +646,10 @@ class EuclideanMetric(_JetMetric):
         one, zero = np.ones(np.shape(x0)), np.zeros(np.shape(x0))
         return (one, zero, one), ((zero, zero, zero), (zero, zero, zero))
 
+    def spray_terms(self, x0, x1, y0, y1):
+        zero = np.zeros(np.shape(y0))
+        return y0 * y0 + y1 * y1, (zero, zero), (1.0, 0.0, 1.0)
+
     def describe(self):
         return f"euclidean(dim={self.dim})"
 
@@ -586,7 +658,9 @@ class ConformalMetric(_JetMetric):
     """g = c^-2 * euclidean for a sound-speed field c.
 
     Every call evaluates the speed's planar jet once: lam = c^-2 and
-    d lam = -2 c^-3 grad c.
+    d lam = -2 c^-3 grad c.  The spray terms need no metric components:
+    with s = -ln c, G = <grad s, y> y - |y|^2 grad s / 2 and the inverse is
+    c^2 times the identity.
     """
 
     def __init__(self, speed, dim=2):
@@ -601,6 +675,14 @@ class ConformalMetric(_JetMetric):
         lam_0, lam_1 = dfac * c_0, dfac * c_1
         zero = np.zeros_like(lam)
         return (lam, zero, lam), ((lam_0, zero, lam_0), (lam_1, zero, lam_1))
+
+    def spray_terms(self, x0, x1, y0, y1):
+        c, (c_0, c_1) = self.speed.jet(x0, x1)
+        s_0, s_1 = -c_0 / c, -c_1 / c        # grad(-ln c)
+        yy = y0 * y0 + y1 * y1
+        sy = s_0 * y0 + s_1 * y1
+        c2 = c * c
+        return yy / c2, (sy * y0 - 0.5 * yy * s_0, sy * y1 - 0.5 * yy * s_1), (c2, 0.0, c2)
 
     def describe(self):
         return f"conformal({self.speed.describe()})"

@@ -10,10 +10,12 @@ brackets of all pairs to convergence in one guarded false-position batch.
 A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
 one-pair case.
 
-The right-hand side copies the batch's positions and velocities once into
-four contiguous component arrays, and the spray reads the spec's planar
-component jet (:meth:`RandersSpec.jet`), so its arithmetic runs on (m,)
-arrays only.
+The spray is the Riemannian spray of alpha plus a beta correction (Shen's
+decomposition): a closed beta adds a multiple of y, so its geodesics are
+alpha's traced at another speed, and only a curl of beta turns them.  The
+right-hand side copies the batch's positions and velocities once into four
+contiguous component arrays and makes one field call per batch,
+:meth:`RandersSpec.spray_terms`, so its arithmetic runs on (m,) arrays only.
 """
 
 from __future__ import annotations
@@ -79,63 +81,39 @@ def _time_scale(spec):
 def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
     """Planar spray (G0, G1) and norm F on component arrays; no domain checks (hot path).
 
-    Explicit component arithmetic on one ``spec.jet`` per batch: every
-    operand is an (m,) array.
+    G = G_alpha + P y + alpha S (Shen's decomposition of a Randers spray),
+    with J_il = d b_i / dx^l, s_i0 = w (y1, -y0) for w = (J01 - J10) / 2,
+    r00 = y.J.y - 2 <b, G_alpha>, S = a^-1 s_.0, s0 = <b, S> and
+    P = (r00 - 2 alpha s0) / (2F).  The S terms vanish unless beta has a
+    curl; a closed beta only rescales the alpha spray along y.
     """
-    (a, dA), bjet = spec.jet(x0, x1)
-    a00, a01, a11 = a
-    ay0 = a00 * y0 + a01 * y1
-    ay1 = a01 * y0 + a11 * y1
-    A = ay0 * y0 + ay1 * y1
+    (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
     al = np.sqrt(A)
-
-    (P000, P001, P011), (P100, P101, P111) = dA
-    # A_k = dA/dx^k; Qkl = (dA/dx^k . y)_l used for y^k d^2A/dx^k dy^l
-    A_0 = P000 * y0 * y0 + 2.0 * P001 * y0 * y1 + P011 * y1 * y1
-    A_1 = P100 * y0 * y0 + 2.0 * P101 * y0 * y1 + P111 * y1 * y1
-    Q00 = P000 * y0 + P001 * y1
-    Q01 = P001 * y0 + P011 * y1
-    Q10 = P100 * y0 + P101 * y1
-    Q11 = P101 * y0 + P111 * y1
-    yA_kl0 = 2.0 * (y0 * Q00 + y1 * Q10)
-    yA_kl1 = 2.0 * (y0 * Q01 + y1 * Q11)
-
     if bjet is None:
         F = al
-        g00, g01, g11 = a00, a01, a11
-        rhs0 = yA_kl0 - A_0
-        rhs1 = yA_kl1 - A_1
     else:
-        (b0, b1), ((J00, J01), (J10, J11)) = bjet   # Jil = d b_i / dx^l
-        B = b0 * y0 + b1 * y1
-        F = al + B
-        B_0 = J00 * y0 + J10 * y1
-        B_1 = J01 * y0 + J11 * y1
-        yB_k = y0 * B_0 + y1 * B_1
-        yB_kl0 = y0 * J00 + y1 * J01
-        yB_kl1 = y0 * J10 + y1 * J11
-        yA_k = y0 * A_0 + y1 * A_1
-        one_plus = 1.0 + B / al
-        coef_ay = 2.0 * yB_k / al - B * yA_k / (al * A)
-        coef_b = yA_k / al + 2.0 * yB_k
-        rhs0 = one_plus * (yA_kl0 - A_0) + 2.0 * F * (yB_kl0 - B_0) + ay0 * coef_ay + b0 * coef_b
-        rhs1 = one_plus * (yA_kl1 - A_1) + 2.0 * F * (yB_kl1 - B_1) + ay1 * coef_ay + b1 * coef_b
-        # closed-form Randers fundamental tensor
-        ell0, ell1 = ay0 / al, ay1 / al
-        lb0, lb1 = ell0 + b0, ell1 + b1
-        fa = F / al
-        g00 = fa * (a00 - ell0 * ell0) + lb0 * lb0
-        g01 = fa * (a01 - ell0 * ell1) + lb0 * lb1
-        g11 = fa * (a11 - ell1 * ell1) + lb1 * lb1
-
-    det = g00 * g11 - g01 * g01
-    if check and (not np.all(np.isfinite(det)) or np.any(det <= 0.0)):
-        raise ConvexityError("fundamental tensor is singular or indefinite; "
-                             "the spec should have been rejected by validate_norm")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_det = 0.25 / det
-        G0 = (g11 * rhs0 - g01 * rhs1) * inv_det
-        G1 = (g00 * rhs1 - g01 * rhs0) * inv_det
+        (b0, b1), ((J00, J01), (J10, J11)) = bjet
+        F = al + (b0 * y0 + b1 * y1)
+        r00 = (J00 * y0 + J01 * y1) * y0 + (J10 * y0 + J11 * y1) * y1 - 2.0 * (b0 * G0 + b1 * G1)
+        w = 0.5 * (J01 - J10)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if np.any(w):
+                i00, i01, i11 = inv
+                s0, s1 = w * y1, -w * y0
+                S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
+                P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
+                G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
+            else:
+                P = r00 / (2.0 * F)
+                G0, G1 = G0 + P * y0, G1 + P * y1
+    if check:
+        # Randers identity det g = (F / alpha)^3 det a
+        i00, i01, i11 = inv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = (F / al) ** 3 / (i00 * i11 - i01 * i01)
+        if not np.all(np.isfinite(det)) or np.any(det <= 0.0):
+            raise ConvexityError("fundamental tensor is singular or indefinite; "
+                                 "the spec should have been rejected by validate_norm")
     return G0, G1, F
 
 

@@ -90,12 +90,22 @@ class RandersSpec:
     def jet(self, x0, x1):
         """(alpha.jet, beta.jet) at the points (x0, x1); None for a zero beta.
 
-        Planar component jets (see :mod:`randers.fields`): the geodesic
-        spray's only field call per batch.  Specs whose alpha and beta share
-        intermediate quantities override it to compute them once; every
-        component always equals the matching entry of the public field calls.
+        Planar component jets (see :mod:`randers.fields`).  Specs whose
+        alpha and beta share intermediate quantities override it to compute
+        them once; every component always equals the matching entry of the
+        public field calls.
         """
         return self.alpha.jet(x0, x1), None if self.beta.is_zero else self.beta.jet(x0, x1)
+
+    def spray_terms(self, x0, x1, y0, y1):
+        """(alpha.spray_terms, beta.jet) at the points (x0, x1) along (y0, y1).
+
+        The geodesic spray's only field call per batch; None stands for a
+        zero beta.  Specs whose alpha and beta share intermediate quantities
+        override it to compute them once.
+        """
+        return (self.alpha.spray_terms(x0, x1, y0, y1),
+                None if self.beta.is_zero else self.beta.jet(x0, x1))
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""
@@ -228,19 +238,6 @@ def fundamental_tensor(spec, x, y):
         raise DegenerateInputError("fundamental tensor is undefined at y = 0 (F is not smooth there)")
     spec.domain.require_inside(X)
     return _unbatch(_fd_fundamental_batch(spec, X, np.broadcast_to(Y, X.shape)), single)
-
-
-def _analytic_fundamental(a, b, Y):
-    """Closed-form Randers fundamental tensor from metric/1-form values."""
-    ay = np.einsum("mij,mj->mi", a, Y)
-    A = np.einsum("mi,mi->m", ay, Y)
-    al = np.sqrt(A)
-    B = np.einsum("mi,mi->m", b, Y)
-    F = al + B
-    ell = ay / al[:, None]
-    lb = ell + b
-    return ((F / al)[:, None, None] * (a - ell[:, :, None] * ell[:, None, :])
-            + lb[:, :, None] * lb[:, None, :])
 
 
 # -- validity ----------------------------------------------------------------

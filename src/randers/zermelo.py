@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
 from .fields import (ConformalMetric, ConstantField, RadialProfile, VectorValuedField,
-                     _JetForm, _JetMetric, _pts, _unbatch, disk_grid)
+                     _JetForm, _JetMetric, _pts, _unbatch, disk_grid, jet_spray_terms)
 from .norms import RandersSpec
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
@@ -192,7 +192,7 @@ class NavigationOneForm(_JetForm):
 
 
 class _NavigationSpec(RandersSpec):
-    """Randers spec of a medium with wind; its jet runs the algebra once per batch."""
+    """Randers spec of a medium with wind; its jet and spray terms run the algebra once per batch."""
 
     def __init__(self, domain, algebra):
         n = domain.dimension
@@ -201,6 +201,10 @@ class _NavigationSpec(RandersSpec):
 
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)
+
+    def spray_terms(self, x0, x1, y0, y1):
+        ajet, bjet = self.algebra.jet(x0, x1)
+        return jet_spray_terms(ajet, y0, y1), bjet
 
 
 def zermelo_construct(medium):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from randers import (ComponentForm, ConformalMetric, ConstantField,
-                     ConstantForm, EuclideanMetric, ExactForm, MediumModel,
-                     PotentialBump, RadialProfile, RandersSpec, RotationalForm,
-                     conformal_specialize, spray, zermelo_construct)
-from randers.geodesics import _time_scale
+                     ConstantForm, EuclideanMetric, ExactForm, ExprField,
+                     MediumModel, PotentialBump, RadialProfile, RandersSpec,
+                     RotationalForm, ScaledForm, SumForm, conformal_specialize,
+                     spray, zermelo_construct)
+from randers.geodesics import _geodesic_rhs, _time_scale
+from randers.zermelo import _ZermeloAlgebra
 
 SPEED = RadialProfile("2 - r^2")
 WIND = RotationalForm(0.4)
@@ -50,10 +52,27 @@ def _euclid_spec(dom):
     return RandersSpec(dom, EuclideanMetric())
 
 
+def _reversed_navigation_spec(dom):
+    # beta is a ScaledForm of the navigation 1-form
+    return _navigation_spec(dom).reverse()
+
+
+def _exact_expr_spec(dom):
+    # the base-class gradient jet, derived from the gradient and Hessian calls
+    return RandersSpec(dom, ConformalMetric(SPEED),
+                       ExactForm(ExprField("0.1*x1*x2 + 0.05*x2^3 - 0.08*x1^2")))
+
+
+def _sum_spec(dom):
+    return RandersSpec(dom, ConformalMetric(SPEED),
+                       SumForm(ExactForm(PotentialBump(0.3, 1.0)), ScaledForm(WIND, -0.5)))
+
+
 SPECS = {"navigation": _navigation_spec, "specialized": _specialized_spec,
          "plain": _plain_spec, "cli_wind": _cli_wind_spec,
          "euclid_constant": _euclid_constant_spec, "component": _component_spec,
-         "euclid": _euclid_spec}
+         "euclid": _euclid_spec, "navigation_reversed": _reversed_navigation_spec,
+         "exact_expr": _exact_expr_spec, "sum": _sum_spec}
 
 
 @pytest.fixture
@@ -125,3 +144,17 @@ def test_evaluation_stores_nothing(dom, batch, name):
     spray(spec, X, Y)
     _time_scale(spec)
     assert _state(spec) == before
+
+
+def test_reversed_navigation_runs_the_algebra_at_most_twice(dom, batch, monkeypatch):
+    spec = _reversed_navigation_spec(dom)
+    calls = []
+    jet = _ZermeloAlgebra.jet
+
+    def counted(self, x0, x1):
+        calls.append(1)
+        return jet(self, x0, x1)
+    monkeypatch.setattr(_ZermeloAlgebra, "jet", counted)
+    X, Y = batch
+    _geodesic_rhs(spec)(np.column_stack([X, Y, np.zeros(len(X))]))
+    assert 1 <= len(calls) <= 2

@@ -9,7 +9,19 @@ from randers import (ConformalMetric, ConstantField, ConstantForm,
                      RotationalForm, closedness_residual, curve_length,
                      disk_grid, dual_norm, fundamental_tensor, reverse_norm,
                      riemannian_norm, validate_norm)
-from randers.norms import _analytic_fundamental
+
+
+def _analytic_fundamental(a, b, Y):
+    """Closed-form Randers fundamental tensor from metric/1-form values."""
+    ay = np.einsum("mij,mj->mi", a, Y)
+    A = np.einsum("mi,mi->m", ay, Y)
+    al = np.sqrt(A)
+    B = np.einsum("mi,mi->m", b, Y)
+    F = al + B
+    ell = ay / al[:, None]
+    lb = ell + b
+    return ((F / al)[:, None, None] * (a - ell[:, :, None] * ell[:, None, :])
+            + lb[:, :, None] * lb[:, None, :])
 
 
 class TestRiemannianNorm:
