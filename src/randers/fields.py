@@ -646,10 +646,6 @@ class EuclideanMetric(_JetMetric):
         one, zero = np.ones(np.shape(x0)), np.zeros(np.shape(x0))
         return (one, zero, one), ((zero, zero, zero), (zero, zero, zero))
 
-    def spray_terms(self, x0, x1, y0, y1):
-        zero = np.zeros(np.shape(y0))
-        return y0 * y0 + y1 * y1, (zero, zero), (1.0, 0.0, 1.0)
-
     def describe(self):
         return f"euclidean(dim={self.dim})"
 

@@ -84,8 +84,8 @@ def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
     G = G_alpha + P y + alpha S (Shen's decomposition of a Randers spray),
     with J_il = d b_i / dx^l, s_i0 = w (y1, -y0) for w = (J01 - J10) / 2,
     r00 = y.J.y - 2 <b, G_alpha>, S = a^-1 s_.0, s0 = <b, S> and
-    P = (r00 - 2 alpha s0) / (2F).  The S terms vanish unless beta has a
-    curl; a closed beta only rescales the alpha spray along y.
+    P = (r00 - 2 alpha s0) / (2F).  S is zero where beta has no curl, so a
+    closed beta only rescales the alpha spray along y.
     """
     (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
     al = np.sqrt(A)
@@ -96,16 +96,12 @@ def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
         F = al + (b0 * y0 + b1 * y1)
         r00 = (J00 * y0 + J01 * y1) * y0 + (J10 * y0 + J11 * y1) * y1 - 2.0 * (b0 * G0 + b1 * G1)
         w = 0.5 * (J01 - J10)
+        i00, i01, i11 = inv
+        s0, s1 = w * y1, -w * y0
+        S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
         with np.errstate(divide="ignore", invalid="ignore"):
-            if np.any(w):
-                i00, i01, i11 = inv
-                s0, s1 = w * y1, -w * y0
-                S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
-                P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
-                G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
-            else:
-                P = r00 / (2.0 * F)
-                G0, G1 = G0 + P * y0, G1 + P * y1
+            P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
+        G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
     if check:
         # Randers identity det g = (F / alpha)^3 det a
         i00, i01, i11 = inv

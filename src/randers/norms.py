@@ -90,10 +90,8 @@ class RandersSpec:
     def jet(self, x0, x1):
         """(alpha.jet, beta.jet) at the points (x0, x1); None for a zero beta.
 
-        Planar component jets (see :mod:`randers.fields`).  Specs whose
-        alpha and beta share intermediate quantities override it to compute
-        them once; every component always equals the matching entry of the
-        public field calls.
+        Planar component jets (see :mod:`randers.fields`); every component
+        equals the matching entry of the public field calls.
         """
         return self.alpha.jet(x0, x1), None if self.beta.is_zero else self.beta.jet(x0, x1)
 

@@ -192,15 +192,12 @@ class NavigationOneForm(_JetForm):
 
 
 class _NavigationSpec(RandersSpec):
-    """Randers spec of a medium with wind; its jet and spray terms run the algebra once per batch."""
+    """Randers spec of a medium with wind; its spray terms run the algebra once per batch."""
 
     def __init__(self, domain, algebra):
         n = domain.dimension
         super().__init__(domain, NavigationMetric(algebra, n), NavigationOneForm(algebra, n))
         self.algebra = algebra
-
-    def jet(self, x0, x1):
-        return self.algebra.jet(x0, x1)
 
     def spray_terms(self, x0, x1, y0, y1):
         ajet, bjet = self.algebra.jet(x0, x1)
