@@ -183,7 +183,7 @@ def cmd_plotdata(scenarios, out, threads):
         speed = spec.alpha.speed
     if isinstance(speed, (RadialProfile, ConstantField)):
         r = np.linspace(0.0, dom.radius, 256)
-        c = speed.profile(r) if isinstance(speed, RadialProfile) else np.full_like(r, speed.c)
+        c = speed.profile(r)
         with open(os.path.join(out, "profile.csv"), "w") as fh:
             fh.write("# radial sound speed units=length,speed\nr,c\n")
             for rr, cc in zip(r, c):

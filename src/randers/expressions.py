@@ -3,9 +3,10 @@
 Supports +, -, *, /, ^ (constant exponent), unary minus, parentheses, the
 functions exp/sin/cos/sqrt, float literals, and a caller-supplied variable
 set (x1, x2, r for planar fields; r alone for radial profiles).  Compiled
-expressions evaluate on plain floats, numpy arrays, and the dual-number
-carriers from :mod:`randers.dual`, so one source string yields values,
-gradients, and Hessians alike.
+expressions evaluate on plain floats and numpy arrays.
+:meth:`Expression.diff` differentiates the syntax tree symbolically and
+returns another compiled expression, so a field builds its derivative trees
+once, when it is constructed, and evaluates them like its value.
 """
 
 from __future__ import annotations
@@ -142,27 +143,7 @@ class _Parser:
 
 
 def _fold_constant(node):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "neg":
-        v = _fold_constant(node[1])
-        return None if v is None else -v
-    if tag in ("+", "-", "*", "/"):
-        a, b = _fold_constant(node[1]), _fold_constant(node[2])
-        if a is None or b is None:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[tag]
-    if tag == "pow":
-        a = _fold_constant(node[1])
-        return None if a is None else a ** node[2]
-    return None
-
-
-def _apply(fname, v):
-    if hasattr(v, fname):
-        return getattr(v, fname)()
-    return getattr(np, fname)(v)
+    return None if _vars_used(node) else float(_eval(node, {}))
 
 
 def _eval(node, env):
@@ -184,23 +165,109 @@ def _eval(node, env):
     if tag == "pow":
         return _eval(node[1], env) ** node[2]
     if tag == "call":
-        return _apply(node[1], _eval(node[2], env))
+        return getattr(np, node[1])(_eval(node[2], env))
     raise AssertionError(f"bad node {tag}")
 
 
-def _vars_used(node, acc):
+def _vars_used(node):
     tag = node[0]
+    if tag == "num":
+        return frozenset()
     if tag == "var":
-        acc.add(node[1])
-    elif tag == "neg":
-        _vars_used(node[1], acc)
-    elif tag in ("+", "-", "*", "/"):
-        _vars_used(node[1], acc)
-        _vars_used(node[2], acc)
-    elif tag == "pow":
-        _vars_used(node[1], acc)
-    elif tag == "call":
-        _vars_used(node[2], acc)
+        return frozenset([node[1]])
+    if tag in ("neg", "pow"):
+        return _vars_used(node[1])
+    if tag == "call":
+        return _vars_used(node[2])
+    return _vars_used(node[1]) | _vars_used(node[2])
+
+
+# Derivative trees are built through constructors that fold constant
+# operands, drop zero terms and unit factors, so a derivative carries no
+# arithmetic on known zeros and a constant derivative is a single number.
+
+_ZERO, _ONE = ("num", 0.0), ("num", 1.0)
+
+
+def _num(v):
+    return ("num", float(v))
+
+
+def _neg(a):
+    return _num(-a[1]) if a[0] == "num" else ("neg", a)
+
+
+def _binary(tag, a, b):
+    if a[0] == "num" and b[0] == "num":
+        return _num(_eval((tag, a, b), {}))
+    return (tag, a, b)
+
+
+def _add(a, b):
+    if a == _ZERO:
+        return b
+    return a if b == _ZERO else _binary("+", a, b)
+
+
+def _sub(a, b):
+    if b == _ZERO:
+        return a
+    return _neg(b) if a == _ZERO else _binary("-", a, b)
+
+
+def _mul(a, b):
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    if a == _ONE:
+        return b
+    return a if b == _ONE else _binary("*", a, b)
+
+
+def _div(a, b):
+    if a == _ZERO or b == _ONE:
+        return a
+    return _binary("/", a, b)
+
+
+def _pow(a, p):
+    if p == 0.0:
+        return _ONE
+    return a if p == 1.0 else ("pow", a, p)
+
+
+# f'(a) from the call node f(a)
+_CALL_DERIVATIVES = {
+    "exp": lambda node: node,
+    "sin": lambda node: ("call", "cos", node[2]),
+    "cos": lambda node: _neg(("call", "sin", node[2])),
+    "sqrt": lambda node: _div(_num(0.5), node),
+}
+
+
+def _diff(node, var):
+    tag = node[0]
+    if tag == "num":
+        return _ZERO
+    if tag == "var":
+        return _ONE if node[1] == var else _ZERO
+    if tag == "neg":
+        return _neg(_diff(node[1], var))
+    if tag == "pow":
+        a, p = node[1], node[2]
+        return _mul(_mul(_num(p), _pow(a, p - 1.0)), _diff(a, var))
+    if tag == "call":
+        return _mul(_CALL_DERIVATIVES[node[1]](node), _diff(node[2], var))
+    a, b = node[1], node[2]
+    da, db = _diff(a, var), _diff(b, var)
+    if tag == "+":
+        return _add(da, db)
+    if tag == "-":
+        return _sub(da, db)
+    if tag == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if tag == "/":   # a'/b - a b'/b^2
+        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, 2.0)))
+    raise AssertionError(f"bad node {tag}")
 
 
 @dataclass(frozen=True)
@@ -221,10 +288,17 @@ class Expression:
             raise ValueError(f"expression {self.source!r} is not constant")
         return float(_eval(self.node, {}))
 
+    def diff(self, var):
+        """Partial derivative along ``var``, as another compiled expression.
+
+        A derivative that folds to a constant evaluates to a plain float, so
+        callers broadcast it against their points.
+        """
+        node = _diff(self.node, var)
+        return Expression(f"d/d{var}({self.source})", node, _vars_used(node))
+
 
 def compile_expression(src, allowed=("x1", "x2", "r")):
     """Parse ``src`` into an :class:`Expression` over the allowed variables."""
     node = _Parser(src, frozenset(allowed)).parse()
-    used = set()
-    _vars_used(node, used)
-    return Expression(src.strip(), node, frozenset(used))
+    return Expression(src.strip(), node, _vars_used(node))

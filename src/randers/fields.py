@@ -5,8 +5,10 @@ Every scenario is assembled from a small set of named field families
 or gradient winds, rotational forms) so runs are exactly reproducible from
 a short textual description.  All fields evaluate on batches of points:
 ``x`` may be a single point of shape (n,) or a stack of shape (m, n), and
-derivative rules are analytic or dual-number based, never finite
-differences.
+derivatives are analytic: closed forms for the fixed families, and
+symbolic derivative trees of the expression (see
+:meth:`randers.expressions.Expression.diff`) for expression fields, never
+finite differences.
 
 Besides these batch-first tensors, every field has a planar component jet,
 ``jet(x0, x1)`` on the coordinate arrays of m points, which returns one
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Dual, DualHess, seed_dual, seed_dual2, seed_hess
 from .errors import DomainError
 from .expressions import compile_expression
 
@@ -65,6 +66,15 @@ def _sym(a):
     """(m, 2, 2) symmetric tensor from planar components (a00, a01, a11)."""
     a00, a01, a11 = a
     return _mat(((a00, a01), (a01, a11)))
+
+
+def _full(v, shape):
+    """A fresh float array of the given shape from an evaluated expression tree.
+
+    A tree may fold to a plain number or return one of its input arrays, so
+    the result is always broadcast and copied.
+    """
+    return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
 
 
 def _safe_radial(x):
@@ -135,7 +145,7 @@ def circle_directions(count=16):
 
 
 class ScalarField:
-    """Smooth scalar field with analytic/dual gradient and Hessian rules."""
+    """Smooth scalar field with analytic gradient and Hessian rules."""
 
     def value(self, x):
         raise NotImplementedError
@@ -192,63 +202,96 @@ class ConstantField(ScalarField):
         m, n = x.shape
         return _unbatch(np.zeros((m, n, n)), single)
 
+    def profile(self, r):
+        """The constant as a radial profile; its radial derivatives are zero."""
+        return np.full(np.shape(r), self.c, dtype=float)
+
+    def profile_pair(self, r):
+        return self.profile(r), self.profile_d1(r)
+
+    def profile_d1(self, r):
+        return np.zeros(np.shape(r))
+
+    profile_d2 = profile_d1
+
     def describe(self):
         return f"const({self.c!r})"
 
 
 class ExprField(ScalarField):
-    """Scalar field from an expression in x1, x2, r."""
+    """Scalar field from an expression in x1, x2, r.
+
+    Its partial derivatives along x1, x2 and r, first and second order, are
+    expression trees built once at construction.  The gradient and Hessian
+    chain r = |x| through dr/dx = x / r, with the unit vector x / r taken as
+    zero at the origin; r is computed only when the expression uses it.
+    """
 
     def __init__(self, expr):
         if isinstance(expr, str):
             expr = compile_expression(expr, allowed=("x1", "x2", "r"))
         self.expr = expr
+        self.d1 = {v: expr.diff(v) for v in ("x1", "x2", "r")}
+        self.d2 = {(a, b): self.d1[a].diff(b)
+                   for a, b in (("x1", "x1"), ("x1", "x2"), ("x2", "x2"),
+                                ("x1", "r"), ("x2", "r"), ("r", "r"))}
 
-    def _env_plain(self, x):
-        env = {"x1": x[:, 0], "x2": x[:, 1]}
-        if "r" in self.expr.variables:
-            env["r"] = np.linalg.norm(x, axis=1)
-        return env
+    def _env(self, x0, x1):
+        """Variables at the points, and (x0 / r, x1 / r, 1 / r) or None without r."""
+        env = {"x1": x0, "x2": x1}
+        if "r" not in self.expr.variables:
+            return env, None
+        r = np.sqrt(x0 * x0 + x1 * x1)
+        env["r"] = r
+        safe = np.where(r > 0.0, r, np.inf)   # zero unit vector at the origin
+        return env, (x0 / safe, x1 / safe, 1.0 / safe)
+
+    def _grad(self, env, radial, shape):
+        g0, g1 = self.d1["x1"](**env), self.d1["x2"](**env)
+        if radial is not None:
+            gr = self.d1["r"](**env)
+            u0, u1, _ = radial
+            g0, g1 = g0 + gr * u0, g1 + gr * u1
+        return _full(g0, shape), _full(g1, shape)
+
+    def _hess(self, env, radial, shape):
+        """Planar Hessian components (h00, h01, h11)."""
+        d2 = {k: e(**env) for k, e in self.d2.items()}
+        h00, h01, h11 = d2["x1", "x1"], d2["x1", "x2"], d2["x2", "x2"]
+        if radial is not None:
+            u0, u1, inv_r = radial
+            f0, f1, fr = d2["x1", "r"], d2["x2", "r"], self.d1["r"](**env)
+            frr, fr_r = d2["r", "r"], fr * inv_r
+            h00 = h00 + 2.0 * f0 * u0 + frr * u0 * u0 + fr_r * (1.0 - u0 * u0)
+            h01 = h01 + f0 * u1 + f1 * u0 + (frr - fr_r) * u0 * u1
+            h11 = h11 + 2.0 * f1 * u1 + frr * u1 * u1 + fr_r * (1.0 - u1 * u1)
+        return _full(h00, shape), _full(h01, shape), _full(h11, shape)
 
     def value(self, x):
         x, single = _pts(x)
-        v = self.expr(**self._env_plain(x))
-        return _unbatch(np.broadcast_to(np.asarray(v, dtype=float), (x.shape[0],)).copy(), single)
+        env, _ = self._env(x[:, 0], x[:, 1])
+        return _unbatch(_full(self.expr(**env), x.shape[:1]), single)
 
     def gradient(self, x):
-        return self.value_and_gradient(x)[1]
-
-    def value_and_gradient(self, x):
         x, single = _pts(x)
-        x1, x2 = seed_dual(x)
-        env = {"x1": x1, "x2": x2}
-        if "r" in self.expr.variables:
-            r, unit = _safe_radial(x)
-            env["r"] = Dual(r, unit)
-        out = self.expr(**env)
-        if not isinstance(out, Dual):
-            val = np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
-            return _unbatch(val, single), _unbatch(np.zeros_like(x), single)
-        val = np.broadcast_to(out.val, (x.shape[0],)).copy()
-        grad = np.broadcast_to(out.grad, x.shape).copy()
-        return _unbatch(val, single), _unbatch(grad, single)
+        env, radial = self._env(x[:, 0], x[:, 1])
+        return _unbatch(np.stack(self._grad(env, radial, x.shape[:1]), axis=-1), single)
 
     def hessian(self, x):
         x, single = _pts(x)
-        x1, x2 = seed_hess(x)
-        env = {"x1": x1, "x2": x2}
-        if "r" in self.expr.variables:
-            r, unit = _safe_radial(x)
-            eye = np.eye(2)[None, :, :]
-            rr = np.where(r > 0.0, r, 1.0)
-            hess = (eye - unit[:, :, None] * unit[:, None, :]) / rr[:, None, None]
-            hess[r == 0.0] = 0.0
-            env["r"] = DualHess(r, unit, hess)
-        out = self.expr(**env)
-        m, n = x.shape
-        if not isinstance(out, DualHess):
-            return _unbatch(np.zeros((m, n, n)), single)
-        return _unbatch(np.broadcast_to(out.hess, (m, n, n)).copy(), single)
+        env, radial = self._env(x[:, 0], x[:, 1])
+        return _unbatch(_sym(self._hess(env, radial, x.shape[:1])), single)
+
+    def jet(self, x0, x1):
+        env, radial = self._env(x0, x1)
+        shape = np.shape(x0)
+        return _full(self.expr(**env), shape), self._grad(env, radial, shape)
+
+    def gradient_jet(self, x0, x1):
+        env, radial = self._env(x0, x1)
+        shape = np.shape(x0)
+        h00, h01, h11 = self._hess(env, radial, shape)
+        return self._grad(env, radial, shape), ((h00, h01), (h01, h11))
 
     def describe(self):
         return f"expr({self.expr.source})"
@@ -258,7 +301,8 @@ class RadialProfile(ScalarField):
     """Radially symmetric field c(r) given by an expression in r alone.
 
     Exposes the 1D profile and its first two radial derivatives, which the
-    Herglotz condition check and curvature evaluations need.
+    Herglotz condition check and curvature evaluations need; the derivative
+    trees are built once at construction.
     """
 
     def __init__(self, expr):
@@ -267,33 +311,25 @@ class RadialProfile(ScalarField):
         if not expr.variables <= {"r"}:
             raise ValueError("radial profile may only use the variable r")
         self.expr = expr
+        self.d1 = expr.diff("r")
+        self.d2 = self.d1.diff("r")
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
-        return np.broadcast_to(np.asarray(self.expr(r=r), dtype=float), r.shape).copy()
+        return _full(self.expr(r=r), r.shape)
 
     def profile_pair(self, r):
-        """(c, dc/dr) in a single jet pass."""
+        """(c, dc/dr) at the radii r."""
         r = np.asarray(r, dtype=float)
-        out = self.expr(r=seed_dual2(r))
-        from .dual import Dual2
-
-        if not isinstance(out, Dual2):
-            return np.broadcast_to(np.asarray(out, dtype=float), r.shape).copy(), np.zeros_like(r)
-        return (np.broadcast_to(out.val, r.shape).copy(),
-                np.broadcast_to(out.d1, r.shape).copy())
+        return _full(self.expr(r=r), r.shape), _full(self.d1(r=r), r.shape)
 
     def profile_d1(self, r):
-        return self.profile_pair(r)[1]
+        r = np.asarray(r, dtype=float)
+        return _full(self.d1(r=r), r.shape)
 
     def profile_d2(self, r):
         r = np.asarray(r, dtype=float)
-        out = self.expr(r=seed_dual2(r))
-        from .dual import Dual2
-
-        if not isinstance(out, Dual2):
-            return np.zeros_like(r)
-        return np.broadcast_to(out.d2, r.shape).copy()
+        return _full(self.d2(r=r), r.shape)
 
     def value(self, x):
         x, single = _pts(x)

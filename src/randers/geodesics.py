@@ -549,7 +549,7 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
     domain = Domain(radius=radius, dimension=2)
     spec = RandersSpec(domain, metric)
     hz = herglotz_check(metric.speed, radius)
-    Kfn = _gauss_curvature_fn(_as_profile(metric.speed))
+    Kfn = _gauss_curvature_fn(metric.speed)
 
     base = _geodesic_rhs(spec)
 
@@ -583,24 +583,6 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
                                first_conjugate=first, min_jacobi=minj,
                                herglotz_margin=hz.margin,
                                any_conjugate=bool(np.isfinite(first).any()))
-
-
-def _as_profile(speed):
-    from .fields import ConstantField, RadialProfile
-
-    if isinstance(speed, RadialProfile):
-        return speed
-    if isinstance(speed, ConstantField):
-        class _Flat:
-            def profile(self, r):
-                return np.full_like(np.asarray(r, dtype=float), speed.c)
-
-            def profile_d1(self, r):
-                return np.zeros_like(np.asarray(r, dtype=float))
-
-            profile_d2 = profile_d1
-        return _Flat()
-    raise ValueError("radial profile required")
 
 
 # ---------------------------------------------------------------------------

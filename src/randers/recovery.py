@@ -212,9 +212,7 @@ def verify_gauge(beta1, beta2, phi, domain, *, profile1=None, profile2=None,
     prof_dev = None
     if profile1 is not None and profile2 is not None:
         r = np.linspace(0.0, domain.radius, 512)
-        c1 = profile1.profile(r) if hasattr(profile1, "profile") else np.full_like(r, profile1.c)
-        c2 = profile2.profile(r) if hasattr(profile2, "profile") else np.full_like(r, profile2.c)
-        prof_dev = float(np.abs(c2 - c1).max())
+        prof_dev = float(np.abs(profile2.profile(r) - profile1.profile(r)).max())
     return GaugeReport(gauge_residual=gauge_res, boundary_residual=boundary_res,
                        psi_identity=True, profile_deviation=prof_dev)
 

@@ -14,13 +14,14 @@ component.  The public alpha and beta tensors are assembled from that jet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
-from .fields import (ConformalMetric, ConstantField, RadialProfile, VectorValuedField,
-                     _JetForm, _JetMetric, _pts, _unbatch, disk_grid, jet_spray_terms)
+from .fields import (ConformalMetric, ConstantField, RadialProfile, ScaledForm,
+                     VectorValuedField, _JetForm, _JetMetric, _pts, _unbatch, disk_grid,
+                     jet_spray_terms)
 from .norms import RandersSpec
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
@@ -74,6 +75,7 @@ class MediumModel:
 _PAIRS = ((0, 0), (0, 1), (1, 1))   # (i, j) of the planar metric components
 
 
+@dataclass(frozen=True)
 class _ZermeloAlgebra:
     """alpha_ij = g_ij / lam + (W_i / lam)(W_j / lam), beta_i = -W_i / lam.
 
@@ -81,11 +83,9 @@ class _ZermeloAlgebra:
     and wind jets once and returns the planar jets of alpha and beta.
     """
 
+    metric: object
+    wind: object
     name = "zermelo"
-
-    def __init__(self, metric, wind):
-        self.metric = metric
-        self.wind = wind
 
     def args(self):
         return f"g={self.metric.describe()},W={self.wind.describe()}"
@@ -118,6 +118,7 @@ class _ZermeloAlgebra:
         return (alpha, dalpha), (beta, dbeta)
 
 
+@dataclass(frozen=True)
 class _ConformalAlgebra:
     """g = c^-2 e: alpha_ij = c^-2 d_ij / D + c^-4 W^i W^j / D^2, beta_i = -c^-2 W^i / D.
 
@@ -125,11 +126,9 @@ class _ConformalAlgebra:
     :class:`_ZermeloAlgebra` that gives the same result.
     """
 
+    speed: object
+    wind: object
     name = "conformal_zermelo"
-
-    def __init__(self, speed, wind):
-        self.speed = speed
-        self.wind = wind
 
     def args(self):
         return f"c={self.speed.describe()},W={self.wind.describe()}"
@@ -202,6 +201,15 @@ class _NavigationSpec(RandersSpec):
     def spray_terms(self, x0, x1, y0, y1):
         ajet, bjet = self.algebra.jet(x0, x1)
         return jet_spray_terms(ajet, y0, y1), bjet
+
+    def reverse(self):
+        """The same algebra over the wind -W.
+
+        Both algebras are even in W for alpha and odd for beta, and negation
+        is exact, so alpha is unchanged and beta is exactly negated.
+        """
+        wind = ScaledForm(self.algebra.wind, -1.0)
+        return _NavigationSpec(self.domain, replace(self.algebra, wind=wind))
 
 
 def zermelo_construct(medium):
@@ -294,8 +302,7 @@ def herglotz_check(speed, radius, grid=1000):
     if not isinstance(speed, (RadialProfile, ConstantField)):
         raise ValueError("herglotz check needs a radial profile or constant speed")
     r = np.linspace(0.0, radius, grid)
-    c = speed.profile(r) if isinstance(speed, RadialProfile) else np.full_like(r, speed.c)
-    d1 = speed.profile_d1(r) if isinstance(speed, RadialProfile) else np.zeros_like(r)
+    c, d1 = speed.profile_pair(r)
     val = (c - r * d1) / c ** 2
     k = int(np.argmin(val))
     margin = float(val[k])

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randers import (ConfigError, ConformalMetric, ConstantField, ConstantForm,
                      Domain, DomainError, EuclideanMetric, ExactForm, ExprField,
@@ -17,6 +20,15 @@ def fd_gradient(field, x, h=1e-6):
         e[i] = h
         g[i] = (field.value(x + e) - field.value(x - e)) / (2 * h)
     return g
+
+
+def fd_hessian(field, x, h=1e-5):
+    H = np.zeros((2, 2))
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        H[:, i] = (field.gradient(x + e) - field.gradient(x - e)) / (2 * h)
+    return H
 
 
 class TestExpressions:
@@ -52,6 +64,101 @@ class TestExpressions:
     def test_nonconstant_exponent_rejected(self):
         with pytest.raises(ConfigError, match="constant"):
             compile_expression("2 ^ x1", allowed=("x1",))
+
+
+# Random expression trees.  Leaves are variables and numbers in [-1, 1];
+# sqrt, division and non-integer powers only see arguments in [0.5, 2.5],
+# so every tree and its derivatives stay finite on the sampled points.
+NUMBERS = st.floats(-1.0, 1.0).map(lambda v: f"({v!r})")
+
+
+def _extend(sub):
+    return st.one_of(
+        st.builds("-({})".format, sub),
+        st.builds("({}) {} ({})".format, sub, st.sampled_from("+-*"), sub),
+        st.builds("({}) / (1.5 + cos({}))".format, sub, sub),
+        st.builds("sqrt(1.5 + sin({}))".format, sub),
+        st.builds("(1.5 + sin({}))^({})".format, sub, st.sampled_from([-2.0, -1.5, 0.5, 2.5])),
+        st.builds("({})^{}".format, sub, st.sampled_from(["2", "3"])),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos"]), sub),
+        st.builds("exp(sin({}))".format, sub),
+    )
+
+
+def expression_sources(variables):
+    """A skeleton with every node kind (num, var, neg, + - * /, pow, calls) around random subtrees."""
+    sub = st.recursive(st.one_of(st.sampled_from(variables), NUMBERS), _extend, max_leaves=5)
+    return st.builds("sqrt(1.5 + sin({})) * exp(-sin({})) / (1.5 + cos({})) - ({})^3 + {} * 0.5".format,
+                     sub, sub, sub, sub, st.sampled_from(variables))
+
+
+VARS = ("x1", "x2", "r")
+CS_STEP = 1e-30
+# Central differences resolve a field only where it varies slowly on the
+# step scale; trees such as cos(((1.5 + sin(x1))^2.5)^3) oscillate too fast.
+FD_MAX_CURVATURE = 100.0
+
+
+def complex_step(expr, env, var):
+    """d expr / d var at env by the complex step: exact to rounding for analytic trees."""
+    shifted = dict(env, **{var: env[var] + 1j * CS_STEP})
+    return np.broadcast_to(np.imag(expr(**shifted)) / CS_STEP, env[var].shape)
+
+
+class TestSymbolicDerivatives:
+    @settings(max_examples=40, deadline=None)
+    @given(src=expression_sources(VARS),
+           pts=st.lists(st.floats(-0.9, 0.9), min_size=9, max_size=9))
+    def test_diff_matches_complex_step(self, src, pts):
+        e = compile_expression(src, allowed=VARS)
+        env = dict(zip(VARS, np.reshape(pts, (3, 3)).astype(complex)))
+        for a in VARS:
+            da = e.diff(a)
+            got = np.broadcast_to(da(**env), (3,)).real
+            ref = complex_step(e, env, a)
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (src, a)
+            for b in VARS:
+                got2 = np.broadcast_to(da.diff(b)(**env), (3,)).real
+                ref2 = complex_step(da, env, b)
+                assert np.all(np.abs(got2 - ref2) <= 1e-12 * (1.0 + np.abs(ref2))), (src, a, b)
+
+    def test_zero_terms_and_unit_factors_are_dropped(self):
+        e = compile_expression("3*x1 + x2^2 + 5", allowed=VARS)
+        assert e.diff("x1").node == ("num", 3.0)
+        assert e.diff("r").node == ("num", 0.0) and not e.diff("r").variables
+        assert e.diff("x2").node == ("*", ("num", 2.0), ("var", "x2"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(src=expression_sources(VARS), radius=st.floats(0.2, 0.9),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    def test_expr_field_with_r_matches_central_differences(self, src, radius, angle):
+        f = ExprField(src)
+        x = radius * np.array([math.cos(angle), math.sin(angle)])
+        g, H = f.gradient(x), f.hessian(x)
+        assume(np.abs(H).max() <= FD_MAX_CURVATURE)
+        scale = 1.0 + np.abs(f.value(x))
+        assert np.allclose(g, fd_gradient(f, x), rtol=1e-6, atol=1e-6 * scale), src
+        assert np.allclose(H, fd_hessian(f, x), rtol=1e-5, atol=1e-5 * (1.0 + np.abs(g).max())), src
+        assert np.array_equal(H, H.T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(src=expression_sources(VARS))
+    def test_expr_field_r_chain_vanishes_at_origin(self, src):
+        # r = |x| has no derivative at 0, where a central difference of the
+        # field converges only at first order.  By convention the r-chain
+        # terms are zero there: the field's derivatives equal those of the
+        # same expression with r frozen at 0, which is smooth.
+        f, frozen = ExprField(src), ExprField(re.sub(r"\br\b", "(0)", src))
+        assert "r" not in frozen.expr.variables
+        origin = np.zeros(2)
+        g, H = f.gradient(origin), f.hessian(origin)
+        assert np.array_equal(g, frozen.gradient(origin))
+        assert np.array_equal(H, frozen.hessian(origin))
+        assume(np.abs(H).max() <= FD_MAX_CURVATURE)
+        assert np.allclose(g, fd_gradient(frozen, origin), rtol=1e-6,
+                           atol=1e-6 * (1.0 + abs(frozen.value(origin)))), src
+        assert np.allclose(H, fd_hessian(frozen, origin), rtol=1e-5,
+                           atol=1e-5 * (1.0 + np.abs(g).max())), src
 
 
 class TestDomain:
