@@ -31,6 +31,8 @@ _LEMMA_TOL = 1e-6
 
 
 def _load_scenarios(paths, seed=None, threads=None):
+    if threads is not None and threads < 1:
+        raise RandersError("--threads must be >= 1")
     scenarios = []
     for p in paths:
         with open(p, encoding="utf-8") as fh:
@@ -39,8 +41,6 @@ def _load_scenarios(paths, seed=None, threads=None):
             pipeline = dict(cfg.pipeline, seed=seed)
             cfg = dataclasses.replace(cfg, pipeline=pipeline)
         scenarios.append(build_scenario(cfg))
-    if threads is not None and threads < 1:
-        raise RandersError("--threads must be >= 1")
     return scenarios
 
 

@@ -198,9 +198,12 @@ def _validate(cfg):
         raise ConfigError(f"unknown medium kind {kind!r}")
     if cfg.medium["alpha"] not in ("euclidean", "conformal"):
         raise ConfigError(f"unknown alpha {cfg.medium['alpha']!r}")
-    for key in ("rtol", "atol", "miss_tol"):
+    for key in ("rtol", "atol", "miss_tol", "angle_samples", "max_steps",
+                "trap_time_factor", "threads"):
         if cfg.solver[key] <= 0:
             raise ConfigError(f"solver {key} must be positive")
+    if cfg.solver["exclude_separation"] < 0:
+        raise ConfigError("solver exclude_separation must be >= 0")
     if cfg.pipeline["noise_sigma"] < 0:
         raise ConfigError("noise_sigma must be >= 0")
 
@@ -255,7 +258,7 @@ def _parse_form(val, what):
         return ComponentForm(val)
     src = val.strip()
     if src == "zero":
-        return ZeroForm(2)
+        return ZeroForm()
     m = _PRESET_RE.match(src)
     if m is None:
         raise ConfigError(f"unknown {what} preset {src!r} (expected zero, const(..), "

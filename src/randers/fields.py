@@ -10,12 +10,13 @@ symbolic derivative trees of the expression (see
 :meth:`randers.expressions.Expression.diff`) for expression fields, never
 finite differences.
 
-Besides these batch-first tensors, every field has a planar component jet,
+A field family implements one primitive, its planar component jet
 ``jet(x0, x1)`` on the coordinate arrays of m points, which returns one
-(m,) array per component (tuples nest as described on each base class).
-The base classes derive a jet from the tensor calls; the hot families
-compute their components in closed form and assemble their public tensors
-from those same arrays, so a jet and the tensor calls agree bit for bit.
+(m,) array per component (tuples nest as described on each base class);
+scalar fields also implement ``gradient_jet``, the jet of their exact form.
+The base classes assemble every family's batch-first tensors (``value``,
+``gradient``, ``hessian``, ``jacobian``, ``partials``) from that jet, in one
+place each, so a jet and the tensor calls agree bit for bit.
 
 The geodesic spray reads a metric through :meth:`MetricField.spray_terms`
 (the quadratic form, its Riemannian spray and its inverse along planar
@@ -77,15 +78,6 @@ def _full(v, shape):
     return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
 
 
-def _safe_radial(x):
-    """(r, x/r) with the unit vector zeroed at the origin."""
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    safe = np.where(r > 0.0, r, 1.0)
-    unit = x / safe[..., None]
-    unit[r == 0.0] = 0.0
-    return r, unit
-
-
 @dataclass(frozen=True)
 class Domain:
     """Closed disk of given radius; ``dimension`` is always 2 (the pipeline is planar)."""
@@ -145,37 +137,34 @@ def circle_directions(count=16):
 
 
 class ScalarField:
-    """Smooth scalar field with analytic gradient and Hessian rules."""
+    """Smooth scalar field; a family implements ``jet`` and ``gradient_jet``.
 
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    def hessian(self, x):
-        raise NotImplementedError
-
-    def value_and_gradient(self, x):
-        """Single-pass (value, gradient); overridden where one pass is cheaper."""
-        return self.value(x), self.gradient(x)
+    ``value``, ``gradient`` and ``hessian`` are assembled from those planar
+    jets here, so the tensor calls and the jets agree bit for bit.
+    """
 
     def jet(self, x0, x1):
         """Planar jet (c, (d0 c, d1 c)) at the points (x0, x1)."""
-        c, dc = self.value_and_gradient(np.column_stack([x0, x1]))
-        d0, d1 = dc.T.copy()
-        return c, (d0, d1)
+        raise NotImplementedError
 
     def gradient_jet(self, x0, x1):
-        """Planar jet of the gradient from the gradient and Hessian calls.
+        """Planar jet of the gradient, ``((d0 c, d1 c), ((h00, h01), (h10, h11)))``.
 
-        Returns ``((d0 c, d1 c), ((h00, h01), (h10, h11)))``, the layout of a
-        1-form jet, so it is the jet of the exact form d c.
+        This is the layout of a 1-form jet, so it is the jet of the exact form d c.
         """
-        X = np.column_stack([x0, x1])
-        d0, d1 = self.gradient(X).T.copy()
-        h00, h01, h10, h11 = self.hessian(X).reshape(-1, 4).T.copy()
-        return (d0, d1), ((h00, h01), (h10, h11))
+        raise NotImplementedError
+
+    def value(self, x):
+        x, single = _pts(x)
+        return _unbatch(self.jet(x[:, 0], x[:, 1])[0], single)
+
+    def gradient(self, x):
+        x, single = _pts(x)
+        return _unbatch(np.stack(self.jet(x[:, 0], x[:, 1])[1], axis=-1), single)
+
+    def hessian(self, x):
+        x, single = _pts(x)
+        return _unbatch(_mat(self.gradient_jet(x[:, 0], x[:, 1])[1]), single)
 
     def describe(self):
         raise NotImplementedError
@@ -189,18 +178,9 @@ class ConstantField(ScalarField):
         zero = np.zeros(np.shape(x0))
         return np.full(np.shape(x0), self.c), (zero, zero)
 
-    def value(self, x):
-        x, single = _pts(x)
-        return _unbatch(np.full(x.shape[0], self.c), single)
-
-    def gradient(self, x):
-        x, single = _pts(x)
-        return _unbatch(np.zeros_like(x), single)
-
-    def hessian(self, x):
-        x, single = _pts(x)
-        m, n = x.shape
-        return _unbatch(np.zeros((m, n, n)), single)
+    def gradient_jet(self, x0, x1):
+        zero = np.zeros(np.shape(x0))
+        return (zero, zero), ((zero, zero), (zero, zero))
 
     def profile(self, r):
         """The constant as a radial profile; its radial derivatives are zero."""
@@ -267,21 +247,6 @@ class ExprField(ScalarField):
             h11 = h11 + 2.0 * f1 * u1 + frr * u1 * u1 + fr_r * (1.0 - u1 * u1)
         return _full(h00, shape), _full(h01, shape), _full(h11, shape)
 
-    def value(self, x):
-        x, single = _pts(x)
-        env, _ = self._env(x[:, 0], x[:, 1])
-        return _unbatch(_full(self.expr(**env), x.shape[:1]), single)
-
-    def gradient(self, x):
-        x, single = _pts(x)
-        env, radial = self._env(x[:, 0], x[:, 1])
-        return _unbatch(np.stack(self._grad(env, radial, x.shape[:1]), axis=-1), single)
-
-    def hessian(self, x):
-        x, single = _pts(x)
-        env, radial = self._env(x[:, 0], x[:, 1])
-        return _unbatch(_sym(self._hess(env, radial, x.shape[:1])), single)
-
     def jet(self, x0, x1):
         env, radial = self._env(x0, x1)
         shape = np.shape(x0)
@@ -302,7 +267,8 @@ class RadialProfile(ScalarField):
 
     Exposes the 1D profile and its first two radial derivatives, which the
     Herglotz condition check and curvature evaluations need; the derivative
-    trees are built once at construction.
+    trees are built once at construction.  In the plane, the unit vector
+    x / r is taken as zero at the origin, and so are the gradient and Hessian.
     """
 
     def __init__(self, expr):
@@ -331,34 +297,23 @@ class RadialProfile(ScalarField):
         r = np.asarray(r, dtype=float)
         return _full(self.d2(r=r), r.shape)
 
-    def value(self, x):
-        x, single = _pts(x)
-        return _unbatch(self.profile(np.linalg.norm(x, axis=1)), single)
-
-    def gradient(self, x):
-        return self.value_and_gradient(x)[1]
-
-    def value_and_gradient(self, x):
-        x, single = _pts(x)
-        c, dc = self.jet(x[:, 0], x[:, 1])
-        return _unbatch(c, single), _unbatch(np.stack(dc, axis=-1), single)
-
     def jet(self, x0, x1):
         r = np.sqrt(x0 * x0 + x1 * x1)
         c, d1 = self.profile_pair(r)
         safe = np.where(r > 0.0, r, np.inf)  # zero unit vector at the origin
         return c, (d1 * (x0 / safe), d1 * (x1 / safe))
 
-    def hessian(self, x):
-        x, single = _pts(x)
-        r, unit = _safe_radial(x)
+    def gradient_jet(self, x0, x1):
+        """Hessian c'' u u^T + (c' / r)(I - u u^T) with u = x / r."""
+        r = np.sqrt(x0 * x0 + x1 * x1)
         d1, d2 = self.profile_d1(r), self.profile_d2(r)
-        eye = np.eye(x.shape[1])[None]
-        outer = unit[:, :, None] * unit[:, None, :]
-        rr = np.where(r > 0.0, r, 1.0)
-        hess = d2[:, None, None] * outer + (d1 / rr)[:, None, None] * (eye - outer)
-        hess[r == 0.0] = 0.0
-        return _unbatch(hess, single)
+        safe = np.where(r > 0.0, r, np.inf)  # zero unit vector at the origin
+        u0, u1, d1_r = x0 / safe, x1 / safe, d1 / safe
+        h00 = d2 * (u0 * u0) + d1_r * (1.0 - u0 * u0)
+        h01 = d2 * (u0 * u1) - d1_r * (u0 * u1)
+        h11 = d2 * (u1 * u1) + d1_r * (1.0 - u1 * u1)
+        h00, h01, h11 = (np.where(r > 0.0, h, 0.0) for h in (h00, h01, h11))
+        return (d1 * u0, d1 * u1), ((h00, h01), (h01, h11))
 
     def describe(self):
         return f"radial({self.expr.source})"
@@ -371,20 +326,10 @@ class PotentialBump(ScalarField):
     amplitude: float
     radius: float
 
-    def value(self, x):
-        x, single = _pts(x)
-        r2 = np.einsum("mi,mi->m", x, x)
-        return _unbatch(self.amplitude * (1.0 - r2 / self.radius ** 2), single)
-
-    def gradient(self, x):
-        x, single = _pts(x)
-        return _unbatch((-2.0 * self.amplitude / self.radius ** 2) * x, single)
-
-    def hessian(self, x):
-        x, single = _pts(x)
-        m, n = x.shape
-        h = np.broadcast_to((-2.0 * self.amplitude / self.radius ** 2) * np.eye(n), (m, n, n)).copy()
-        return _unbatch(h, single)
+    def jet(self, x0, x1):
+        k = -2.0 * self.amplitude / self.radius ** 2
+        c = self.amplitude * (1.0 - (x0 * x0 + x1 * x1) / self.radius ** 2)
+        return c, (k * x0, k * x1)
 
     def gradient_jet(self, x0, x1):
         k = -2.0 * self.amplitude / self.radius ** 2
@@ -400,37 +345,17 @@ class PotentialBump(ScalarField):
 
 
 class VectorValuedField:
-    """Smooth covector/vector field: value (m, n), jacobian[m, i, j] = d_j comp_i.
+    """Smooth covector/vector field; a family implements ``jet``.
 
     Its planar jet is ``((b0, b1), ((d0 b0, d1 b0), (d0 b1, d1 b1)))``: the
-    components, then one row of the jacobian per component.
+    components, then one row of the jacobian per component.  ``value`` (m, n)
+    and ``jacobian`` (m, n, n) with jacobian[m, i, j] = d_j comp_i are
+    assembled from it here.
     """
 
-    dim = 2
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def jacobian(self, x):
-        raise NotImplementedError
-
     def jet(self, x0, x1):
-        """Planar component jet at the points (x0, x1), from the tensor calls."""
-        X = np.column_stack([x0, x1])
-        b0, b1 = self.value(X).T.copy()
-        J00, J01, J10, J11 = self.jacobian(X).reshape(-1, 4).T.copy()
-        return (b0, b1), ((J00, J01), (J10, J11))
-
-    def describe(self):
+        """Planar component jet at the points (x0, x1)."""
         raise NotImplementedError
-
-    @property
-    def is_zero(self):
-        return False
-
-
-class _JetForm(VectorValuedField):
-    """A planar form that computes its jet; value and jacobian are assembled from it."""
 
     def value(self, x):
         x, single = _pts(x)
@@ -440,11 +365,16 @@ class _JetForm(VectorValuedField):
         x, single = _pts(x)
         return _unbatch(_mat(self.jet(x[:, 0], x[:, 1])[1]), single)
 
+    def describe(self):
+        raise NotImplementedError
+
+    @property
+    def is_zero(self):
+        return False
+
 
 @dataclass(frozen=True)
-class ZeroForm(_JetForm):
-    dim: int = 2
-
+class ZeroForm(VectorValuedField):
     def jet(self, x0, x1):
         zero = np.zeros(np.shape(x0))
         return (zero, zero), ((zero, zero), (zero, zero))
@@ -457,10 +387,9 @@ class ZeroForm(_JetForm):
         return "zero"
 
 
-class ConstantForm(_JetForm):
+class ConstantForm(VectorValuedField):
     def __init__(self, components):
         self.components = np.asarray(components, dtype=float)
-        self.dim = len(self.components)
 
     def jet(self, x0, x1):
         m = np.shape(x0)
@@ -482,12 +411,6 @@ class ExactForm(VectorValuedField):
     def __init__(self, potential):
         self.potential = potential
 
-    def value(self, x):
-        return self.potential.gradient(x)
-
-    def jacobian(self, x):
-        return self.potential.hessian(x)
-
     def jet(self, x0, x1):
         return self.potential.gradient_jet(x0, x1)
 
@@ -501,16 +424,11 @@ class RotationalForm(VectorValuedField):
 
     strength: float
 
-    def value(self, x):
-        x, single = _pts(x)
-        v = 0.5 * self.strength * np.column_stack([-x[:, 1], x[:, 0]])
-        return _unbatch(v, single)
-
-    def jacobian(self, x):
-        x, single = _pts(x)
-        m = x.shape[0]
-        j = np.broadcast_to(0.5 * self.strength * np.array([[0.0, -1.0], [1.0, 0.0]]), (m, 2, 2)).copy()
-        return _unbatch(j, single)
+    def jet(self, x0, x1):
+        h = 0.5 * self.strength
+        m = np.shape(x0)
+        zero = np.zeros(m)
+        return (h * -x1, h * x0), ((zero, np.full(m, -h)), (np.full(m, h), zero))
 
     def describe(self):
         return f"rot({self.strength!r})"
@@ -521,17 +439,10 @@ class ComponentForm(VectorValuedField):
 
     def __init__(self, exprs):
         self.fields = [e if isinstance(e, ExprField) else ExprField(e) for e in exprs]
-        self.dim = len(self.fields)
 
-    def value(self, x):
-        x, single = _pts(x)
-        v = np.column_stack([f.value(x) for f in self.fields])
-        return _unbatch(v, single)
-
-    def jacobian(self, x):
-        x, single = _pts(x)
-        j = np.stack([f.gradient(x) for f in self.fields], axis=1)
-        return _unbatch(j, single)
+    def jet(self, x0, x1):
+        (b0, db0), (b1, db1) = (f.jet(x0, x1) for f in self.fields)
+        return (b0, b1), (db0, db1)
 
     def describe(self):
         return "components(" + ",".join(f.expr.source for f in self.fields) + ")"
@@ -541,13 +452,6 @@ class ScaledForm(VectorValuedField):
     def __init__(self, base, factor):
         self.base = base
         self.factor = float(factor)
-        self.dim = base.dim
-
-    def value(self, x):
-        return self.factor * self.base.value(x)
-
-    def jacobian(self, x):
-        return self.factor * self.base.jacobian(x)
 
     def jet(self, x0, x1):
         (b0, b1), ((J00, J01), (J10, J11)) = self.base.jet(x0, x1)
@@ -565,19 +469,6 @@ class ScaledForm(VectorValuedField):
 class SumForm(VectorValuedField):
     def __init__(self, *parts):
         self.parts = parts
-        self.dim = parts[0].dim
-
-    def value(self, x):
-        out = self.parts[0].value(x)
-        for p in self.parts[1:]:
-            out = out + p.value(x)
-        return out
-
-    def jacobian(self, x):
-        out = self.parts[0].jacobian(x)
-        for p in self.parts[1:]:
-            out = out + p.jacobian(x)
-        return out
 
     def jet(self, x0, x1):
         (b0, b1), ((J00, J01), (J10, J11)) = self.parts[0].jet(x0, x1)
@@ -623,28 +514,28 @@ def jet_spray_terms(jet, y0, y1):
 
 
 class MetricField:
-    """Symmetric positive-definite metric with analytic spatial partials.
+    """Symmetric positive-definite metric; a family implements ``jet``.
 
-    ``partials(x)[m, k, i, j]`` is the derivative of g_ij along coordinate k.
     Its planar jet is ``((a00, a01, a11), (d0, d1))`` with
-    ``dk = (dk a00, dk a01, dk a11)``.
+    ``dk = (dk a00, dk a01, dk a11)``.  ``value`` (m, n, n) and ``partials``
+    (m, n, n, n), with ``partials(x)[m, k, i, j]`` the derivative of g_ij
+    along coordinate k, are assembled from it here.
     """
 
     flavor = "general"
-    dim = 2
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def partials(self, x):
-        raise NotImplementedError
 
     def jet(self, x0, x1):
-        """Planar component jet at the points (x0, x1), from the tensor calls."""
-        X = np.column_stack([x0, x1])
-        a = self.value(X).reshape(-1, 4).T[[0, 1, 3]]
-        d = self.partials(X).reshape(-1, 8).T[[0, 1, 3, 4, 5, 7]]
-        return tuple(a), (tuple(d[:3]), tuple(d[3:]))
+        """Planar component jet at the points (x0, x1)."""
+        raise NotImplementedError
+
+    def value(self, x):
+        x, single = _pts(x)
+        return _unbatch(_sym(self.jet(x[:, 0], x[:, 1])[0]), single)
+
+    def partials(self, x):
+        x, single = _pts(x)
+        d0, d1 = self.jet(x[:, 0], x[:, 1])[1]
+        return _unbatch(np.stack([_sym(d0), _sym(d1)], axis=1), single)
 
     def spray_terms(self, x0, x1, y0, y1):
         """(A, (G0, G1), (i00, i01, i11)) at the points (x0, x1) along (y0, y1).
@@ -660,22 +551,8 @@ class MetricField:
         raise NotImplementedError
 
 
-class _JetMetric(MetricField):
-    """A planar metric that computes its jet; value and partials are assembled from it."""
-
-    def value(self, x):
-        x, single = _pts(x)
-        return _unbatch(_sym(self.jet(x[:, 0], x[:, 1])[0]), single)
-
-    def partials(self, x):
-        x, single = _pts(x)
-        d0, d1 = self.jet(x[:, 0], x[:, 1])[1]
-        return _unbatch(np.stack([_sym(d0), _sym(d1)], axis=1), single)
-
-
 @dataclass(frozen=True)
-class EuclideanMetric(_JetMetric):
-    dim: int = 2
+class EuclideanMetric(MetricField):
     flavor: str = field(default="euclidean", init=False)
 
     def jet(self, x0, x1):
@@ -683,10 +560,10 @@ class EuclideanMetric(_JetMetric):
         return (one, zero, one), ((zero, zero, zero), (zero, zero, zero))
 
     def describe(self):
-        return f"euclidean(dim={self.dim})"
+        return "euclidean(dim=2)"
 
 
-class ConformalMetric(_JetMetric):
+class ConformalMetric(MetricField):
     """g = c^-2 * euclidean for a sound-speed field c.
 
     Every call evaluates the speed's planar jet once: lam = c^-2 and
@@ -695,9 +572,8 @@ class ConformalMetric(_JetMetric):
     c^2 times the identity.
     """
 
-    def __init__(self, speed, dim=2):
+    def __init__(self, speed):
         self.speed = speed
-        self.dim = dim
         self.flavor = "conformal-radial" if isinstance(speed, (RadialProfile, ConstantField)) else "conformal"
 
     def jet(self, x0, x1):

@@ -34,7 +34,7 @@ class RandersSpec:
     def __init__(self, domain, alpha, beta=None, *, margin_grid=MARGIN_GRID_SIZE):
         self.domain = domain
         self.alpha = alpha
-        self.beta = beta if beta is not None else ZeroForm(domain.dimension)
+        self.beta = beta if beta is not None else ZeroForm()
         grid = disk_grid(domain, margin_grid)
         a = alpha.value(grid)
         b = self.beta.value(grid)
@@ -87,14 +87,6 @@ class RandersSpec:
         Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
         return _unbatch(self._raw_norm(X, np.ascontiguousarray(Y)), single)
 
-    def jet(self, x0, x1):
-        """(alpha.jet, beta.jet) at the points (x0, x1); None for a zero beta.
-
-        Planar component jets (see :mod:`randers.fields`); every component
-        equals the matching entry of the public field calls.
-        """
-        return self.alpha.jet(x0, x1), None if self.beta.is_zero else self.beta.jet(x0, x1)
-
     def spray_terms(self, x0, x1, y0, y1):
         """(alpha.spray_terms, beta.jet) at the points (x0, x1) along (y0, y1).
 
@@ -107,7 +99,7 @@ class RandersSpec:
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""
-        beta = ZeroForm(self.domain.dimension) if self.beta.is_zero else ScaledForm(self.beta, -1.0)
+        beta = ZeroForm() if self.beta.is_zero else ScaledForm(self.beta, -1.0)
         return RandersSpec(self.domain, self.alpha, beta)
 
 

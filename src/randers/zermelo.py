@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
-from .fields import (ConformalMetric, ConstantField, RadialProfile, ScaledForm,
-                     VectorValuedField, _JetForm, _JetMetric, _pts, _unbatch, disk_grid,
-                     jet_spray_terms)
+from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
+                     ScaledForm, VectorValuedField, disk_grid, jet_spray_terms)
 from .norms import RandersSpec
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
@@ -42,7 +41,7 @@ class MediumModel:
         from .fields import ZeroForm
 
         self.domain = domain
-        self.wind = wind if wind is not None else ZeroForm(domain.dimension)
+        self.wind = wind if wind is not None else ZeroForm()
         if metric is not None:
             self.metric = metric
             self.speed = speed
@@ -51,7 +50,7 @@ class MediumModel:
             if speed is None:
                 raise ValueError("either a sound speed or an explicit metric is required")
             self.speed = speed
-            self.metric = ConformalMetric(speed, dim=domain.dimension)
+            self.metric = ConformalMetric(speed)
             self.flavor = self.metric.flavor
         pts = disk_grid(domain, grid)
         g = self.metric.value(pts)
@@ -160,14 +159,11 @@ class _ConformalAlgebra:
         return (alpha, tuple(dalpha)), (beta, tuple(zip(*dbeta)))
 
 
-class NavigationMetric(_JetMetric):
+class NavigationMetric(MetricField):
     """The Riemannian part alpha of a navigation algebra."""
 
-    flavor = "general"
-
-    def __init__(self, algebra, dim=2):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.dim = dim
 
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)[0]
@@ -176,12 +172,11 @@ class NavigationMetric(_JetMetric):
         return f"{self.algebra.name}_alpha({self.algebra.args()})"
 
 
-class NavigationOneForm(_JetForm):
+class NavigationOneForm(VectorValuedField):
     """The 1-form part beta of a navigation algebra."""
 
-    def __init__(self, algebra, dim=2):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.dim = dim
 
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)[1]
@@ -194,8 +189,7 @@ class _NavigationSpec(RandersSpec):
     """Randers spec of a medium with wind; its spray terms run the algebra once per batch."""
 
     def __init__(self, domain, algebra):
-        n = domain.dimension
-        super().__init__(domain, NavigationMetric(algebra, n), NavigationOneForm(algebra, n))
+        super().__init__(domain, NavigationMetric(algebra), NavigationOneForm(algebra))
         self.algebra = algebra
 
     def spray_terms(self, x0, x1, y0, y1):
@@ -231,7 +225,7 @@ def conformal_specialize(speed, wind, domain):
     if (w >= c).any():
         raise InvalidMediumError("drift speed reaches |W|_e >= c on the probe grid")
     if wind.is_zero:
-        return RandersSpec(domain, ConformalMetric(speed, dim=domain.dimension))
+        return RandersSpec(domain, ConformalMetric(speed))
     return _NavigationSpec(domain, _ConformalAlgebra(speed, wind))
 
 
@@ -242,25 +236,16 @@ def conformal_specialize(speed, wind, domain):
 class LinearizedOneForm(VectorValuedField):
     """beta = -W / c^2: the first-order drift perturbation."""
 
-    def __init__(self, speed, wind, dim=2):
+    def __init__(self, speed, wind):
         self.speed = speed
         self.wind = wind
-        self.dim = dim
 
-    def value(self, x):
-        X, single = _pts(x)
-        c = self.speed.value(X)
-        return _unbatch(-(c ** -2)[:, None] * self.wind.value(X), single)
-
-    def jacobian(self, x):
-        X, single = _pts(x)
-        c = self.speed.value(X)
-        dc = self.speed.gradient(X)
-        W = self.wind.value(X)
-        J = self.wind.jacobian(X)
-        j = (-(c ** -2)[:, None, None] * J
-             + (2.0 * c ** -3)[:, None, None] * W[:, :, None] * dc[:, None, :])
-        return _unbatch(j, single)
+    def jet(self, x0, x1):
+        c, dc = self.speed.jet(x0, x1)
+        W, dW = self.wind.jet(x0, x1)
+        k2, k3 = -(c ** -2), 2.0 * c ** -3     # d_k beta_i = k2 d_k W_i + k3 W_i d_k c
+        dbeta = tuple(tuple(k2 * dW[i][k] + k3 * W[i] * dc[k] for k in (0, 1)) for i in (0, 1))
+        return (k2 * W[0], k2 * W[1]), dbeta
 
     @property
     def is_zero(self):
@@ -280,10 +265,10 @@ def linearize(speed, wind, domain):
     c = speed.value(pts)
     w = np.linalg.norm(wind.value(pts), axis=1)
     rho = float((w / c).max())
-    alpha = ConformalMetric(speed, dim=domain.dimension)
+    alpha = ConformalMetric(speed)
     if wind.is_zero:
         return RandersSpec(domain, alpha), rho
-    return RandersSpec(domain, alpha, LinearizedOneForm(speed, wind, domain.dimension)), rho
+    return RandersSpec(domain, alpha, LinearizedOneForm(speed, wind)), rho
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,22 @@ class TestSimulate:
         assert (out1 / "distances.csv").read_bytes() == (out2 / "distances.csv").read_bytes()
 
     def test_error_block_on_bad_config(self, cfg_file, tmp_path, capsys):
-        bad = cfg_file("bad.cfg", '[medium]\nkind = "direct"\nbeta = "const(1.5, 0)"\n')
-        rc = main(["simulate", "--config", bad, "--out", str(tmp_path / "o")])
+        for text, needle in (('[medium]\nkind = "direct"\nbeta = "const(1.5, 0)"\n', "margin"),
+                             ("[solver]\nangle_samples = 0\n", "angle_samples")):
+            bad = cfg_file("bad.cfg", text)
+            rc = main(["simulate", "--config", bad, "--out", str(tmp_path / "o")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            block = json.loads(err.strip().splitlines()[-1])
+            assert block["error"]["type"] == "ConfigError"
+            assert needle in block["error"]["message"]
+
+    def test_threads_flag_checked_before_building(self, cfg_file, tmp_path, capsys):
+        bad = cfg_file("bad.cfg", "[solver]\nangle_samples = 0\n")
+        rc = main(["simulate", "--config", bad, "--out", str(tmp_path / "o"), "--threads", "0"])
         assert rc == 1
-        err = capsys.readouterr().err
-        block = json.loads(err.strip().splitlines()[-1])
-        assert block["error"]["type"] == "ConfigError"
+        block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "--threads" in block["error"]["message"]
 
 
 class TestDecompose:

@@ -97,6 +97,15 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
         with pytest.raises(ConfigError, match="radius"):
             parse_config("[domain]\nradius = -1.0\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("angle_samples", "0"), ("angle_samples", "-4"), ("max_steps", "0"),
+        ("threads", "0"), ("threads", "-3"), ("trap_time_factor", "0"),
+        ("trap_time_factor", "-1"), ("exclude_separation", "-0.001"),
+    ])
+    def test_bad_solver_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[solver]\n{key} = {value}\n")
+
 
 class TestEmit:
     def test_round_trip_identity(self):

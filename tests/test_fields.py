@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from randers import (ConfigError, ConformalMetric, ConstantField, ConstantForm,
-                     Domain, DomainError, EuclideanMetric, ExactForm, ExprField,
-                     PotentialBump, RadialProfile, RotationalForm, SumForm,
-                     ZeroForm, disk_grid)
+from randers import (ComponentForm, ConfigError, ConformalMetric, ConstantField,
+                     ConstantForm, Domain, DomainError, EuclideanMetric, ExactForm,
+                     ExprField, PotentialBump, RadialProfile, RotationalForm,
+                     ScaledForm, SumForm, ZeroForm, disk_grid)
 from randers.expressions import compile_expression
+from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
+                             _ConformalAlgebra, _ZermeloAlgebra)
 
 
 def fd_gradient(field, x, h=1e-6):
@@ -230,6 +232,18 @@ class TestScalarFields:
         assert p.value(x) == pytest.approx(2 - np.linalg.norm(x))
         assert np.allclose(p.gradient(x), fd_gradient(p, x), rtol=1e-6)
 
+    def test_radial_hessian_matches_fd(self, rng):
+        p = RadialProfile("1 + 0.3*exp(-4*r^2) + r^3")
+        for x in rng.uniform(-0.7, 0.7, (4, 2)):
+            assert np.allclose(p.hessian(x), fd_hessian(p, x), rtol=1e-6, atol=1e-8)
+
+    def test_radial_gradient_jet_zero_at_origin(self):
+        # c'' = 0.75 r^-0.5 is infinite at the origin; the jet is still zero there
+        p = RadialProfile("r^1.5")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (g0, g1), ((h00, h01), (h10, h11)) = p.gradient_jet(np.zeros(1), np.zeros(1))
+        assert all(np.array_equal(v, [0.0]) for v in (g0, g1, h00, h01, h10, h11))
+
     def test_bump_vanishes_on_boundary(self, dom):
         bump = PotentialBump(0.3, 1.0)
         theta = np.linspace(0, 2 * math.pi, 17)
@@ -239,9 +253,12 @@ class TestScalarFields:
     def test_value_and_gradient_consistent(self, rng):
         for f in (ExprField("x1*x2 + r"), RadialProfile("1 + r^2"), ConstantField(2.0)):
             x = rng.uniform(-0.5, 0.5, (5, 2))
-            v, g = f.value_and_gradient(x)
+            x0, x1 = np.ascontiguousarray(x.T)
+            v, (g0, g1) = f.jet(x0, x1)
+            (h0, h1), _ = f.gradient_jet(x0, x1)
             assert np.array_equal(v, f.value(x))
-            assert np.array_equal(g, f.gradient(x))
+            assert np.array_equal(np.column_stack([g0, g1]), f.gradient(x))
+            assert np.array_equal(h0, g0) and np.array_equal(h1, g1)
 
 
 class TestForms:
@@ -259,10 +276,10 @@ class TestForms:
 
     def test_sum_and_zero(self, rng):
         x = rng.uniform(-0.5, 0.5, (4, 2))
-        s = SumForm(ConstantForm([0.1, 0.2]), ZeroForm(2))
+        s = SumForm(ConstantForm([0.1, 0.2]), ZeroForm())
         assert np.allclose(s.value(x), [0.1, 0.2])
         assert s.is_zero is False
-        assert ZeroForm(2).is_zero is True
+        assert ZeroForm().is_zero is True
 
 
 class TestMetrics:
@@ -286,3 +303,78 @@ class TestMetrics:
             e[k] = h
             fd = (m.value(x + e) - m.value(x - e)) / (2 * h)
             assert np.allclose(P[k], fd, rtol=1e-6, atol=1e-8)
+
+
+# every family of each base class; the tensor calls are assembled from the jet
+_SPEED = RadialProfile("2 - r^2")
+_WIND = RotationalForm(0.4)
+SCALARS = {
+    "constant": ConstantField(1.5),
+    "expr": ExprField("exp(x1) * cos(x2) + 0.5*r^2 + sqrt(1 + r)"),
+    "expr_no_r": ExprField("0.1*x1*x2 + 0.05*x2^3 - 0.08*x1^2"),
+    "radial": RadialProfile("1 + 0.3*exp(-4*r^2) + r^3"),
+    "bump": PotentialBump(0.3, 1.0),
+}
+FORMS = {
+    "zero": ZeroForm(),
+    "constant": ConstantForm([0.2, -0.1]),
+    "exact": ExactForm(RadialProfile("2 - r^2 + r^3")),
+    "rotational": _WIND,
+    "component": ComponentForm(["0.1 - 0.1*x2", "0.1*x1*x2 + 0.02*r"]),
+    "scaled": ScaledForm(RotationalForm(0.3), -0.5),
+    "sum": SumForm(ExactForm(PotentialBump(0.3, 1.0)), _WIND),
+    "navigation": NavigationOneForm(_ZermeloAlgebra(ConformalMetric(_SPEED), _WIND)),
+    "conformal_navigation": NavigationOneForm(_ConformalAlgebra(_SPEED, _WIND)),
+    "linearized": LinearizedOneForm(ExprField("1.5 + 0.1*x1"), _WIND),
+}
+METRICS = {
+    "euclidean": EuclideanMetric(),
+    "conformal": ConformalMetric(_SPEED),
+    "navigation": NavigationMetric(_ZermeloAlgebra(ConformalMetric(_SPEED), _WIND)),
+    "conformal_navigation": NavigationMetric(_ConformalAlgebra(_SPEED, _WIND)),
+}
+
+
+def _jet_pairs(kind, f, x):
+    """(jet component, matching tensor entry) pairs at the points x, (m, 2)."""
+    x0, x1 = np.ascontiguousarray(x.T)
+    if kind == "scalar":
+        c, dc = f.jet(x0, x1)
+        dc_, ((h00, h01), (h10, h11)) = f.gradient_jet(x0, x1)
+        v, g, H = f.value(x), f.gradient(x), f.hessian(x)
+        return ([(c, v)] + [(dc[k], g[:, k]) for k in (0, 1)]
+                + [(dc_[k], g[:, k]) for k in (0, 1)]
+                + [(h, H[:, i, j]) for h, (i, j) in
+                   zip((h00, h01, h10, h11), ((0, 0), (0, 1), (1, 0), (1, 1)))])
+    if kind == "form":
+        b, J = f.jet(x0, x1)
+        v, Jv = f.value(x), f.jacobian(x)
+        return ([(b[i], v[:, i]) for i in (0, 1)]
+                + [(J[i][k], Jv[:, i, k]) for i in (0, 1) for k in (0, 1)])
+    a, da = f.jet(x0, x1)
+    g, P = f.value(x), f.partials(x)
+    pairs = ((0, 0), (0, 1), (1, 1))
+    return ([(a[n], g[:, i, j]) for n, (i, j) in enumerate(pairs)]
+            + [(a[n], g[:, j, i]) for n, (i, j) in enumerate(pairs)]
+            + [(da[k][n], P[:, k, i, j]) for k in (0, 1) for n, (i, j) in enumerate(pairs)]
+            + [(da[k][n], P[:, k, j, i]) for k in (0, 1) for n, (i, j) in enumerate(pairs)])
+
+
+FAMILIES = {"scalar": SCALARS, "form": FORMS, "metric": METRICS}
+TENSORS = {"scalar": ("value", "gradient", "hessian"), "form": ("value", "jacobian"),
+           "metric": ("value", "partials")}
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, fs in FAMILIES.items() for n in fs])
+def test_tensor_calls_equal_jet(rng, kind, name):
+    f = FAMILIES[kind][name]
+    x = rng.uniform(-0.6, 0.6, (9, 2))
+    x[0] = 0.0                                   # the origin
+    for pts in (x, x[:1], x[3:4]):
+        for comp, ref in _jet_pairs(kind, f, pts):
+            assert comp.shape == (len(pts),) and comp.flags.c_contiguous
+            assert np.array_equal(comp, ref)
+    for p in (x[0], x[3]):                       # single-point input, origin included
+        for method in TENSORS[kind]:
+            t = getattr(f, method)
+            assert np.array_equal(t(p), t(p[None, :])[0])

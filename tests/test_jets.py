@@ -1,8 +1,8 @@
 """Field evaluation is stateless: nothing is remembered between calls.
 
-A batch changed in place must evaluate like a fresh copy, and every
-component of a spec's planar ``jet`` must equal the matching entry of its
-four public field calls bit for bit.
+A batch changed in place must evaluate like a fresh copy, and the spray's
+field call ``spec.spray_terms`` must agree with the public field calls:
+beta's jet bit for bit, alpha's terms with those of alpha's jet.
 """
 
 import numpy as np
@@ -13,12 +13,12 @@ from randers import (ComponentForm, ConformalMetric, ConstantField,
                      MediumModel, PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, ScaledForm, SumForm, conformal_specialize,
                      spray, zermelo_construct)
+from randers.fields import jet_spray_terms
 from randers.geodesics import _geodesic_rhs, _time_scale
 from randers.zermelo import _ZermeloAlgebra
 
 SPEED = RadialProfile("2 - r^2")
 WIND = RotationalForm(0.4)
-PAIRS = ((0, 0), (0, 1), (1, 1))   # (i, j) of the planar metric components
 
 
 def _navigation_spec(dom):
@@ -44,7 +44,7 @@ def _euclid_constant_spec(dom):
 
 
 def _component_spec(dom):
-    # the base-class jet, derived from the tensor calls
+    # the jets of the two component expression fields
     return RandersSpec(dom, ConformalMetric(SPEED), ComponentForm(["0.1 - 0.1*x2", "0.1*x1*x2"]))
 
 
@@ -58,7 +58,7 @@ def _reversed_navigation_spec(dom):
 
 
 def _exact_expr_spec(dom):
-    # the base-class gradient jet, derived from the gradient and Hessian calls
+    # the expression field's gradient jet, from its derivative trees
     return RandersSpec(dom, ConformalMetric(SPEED),
                        ExactForm(ExprField("0.1*x1*x2 + 0.05*x2^3 - 0.08*x1^2")))
 
@@ -104,21 +104,23 @@ def test_in_place_change_is_not_stale(dom, batch, call):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_jet_equals_public_field_calls(dom, batch, name):
     spec = SPECS[name](dom)
-    X, _ = batch
+    X, Y = batch
     x0, x1 = np.ascontiguousarray(X.T)
-    (a, dA), bjet = spec.jet(x0, x1)
-    g, P = spec.alpha.value(X), spec.alpha.partials(X)
-    pairs = [(comp, g[:, i, j]) for comp, (i, j) in zip(a, PAIRS)]
-    pairs += [(comp, P[:, k, i, j]) for k in (0, 1) for comp, (i, j) in zip(dA[k], PAIRS)]
+    y0, y1 = np.ascontiguousarray(Y.T)
+    aterms, bjet = spec.spray_terms(x0, x1, y0, y1)
+    A, G, inv = aterms
+    rA, rG, rinv = jet_spray_terms(spec.alpha.jet(x0, x1), y0, y1)
+    for comp, ref in zip((A, *G, *inv), (rA, *rG, *rinv)):
+        comp, ref = np.broadcast_arrays(comp, ref)
+        assert np.all(np.abs(comp - ref) <= 1e-13 * (1.0 + np.abs(ref)))
     assert (bjet is None) == spec.beta.is_zero
     if bjet is not None:
         (b, J), bv, Jv = bjet, spec.beta.value(X), spec.beta.jacobian(X)
-        pairs += [(b[i], bv[:, i]) for i in (0, 1)]
+        pairs = [(b[i], bv[:, i]) for i in (0, 1)]
         pairs += [(J[i][k], Jv[:, i, k]) for i in (0, 1) for k in (0, 1)]
-    assert len(pairs) == (9 if bjet is None else 15)
-    for comp, ref in pairs:
-        assert comp.shape == (len(X),) and comp.flags.c_contiguous
-        assert np.array_equal(comp, ref)
+        for comp, ref in pairs:
+            assert comp.shape == (len(X),) and comp.flags.c_contiguous
+            assert np.array_equal(comp, ref)
 
 
 def _state(obj, seen=None):
@@ -140,7 +142,7 @@ def test_evaluation_stores_nothing(dom, batch, name):
     X, Y = batch
     before = _state(spec)
     spec.norm(X, Y)
-    spec.jet(X[:, 0], X[:, 1])
+    spec.spray_terms(X[:, 0], X[:, 1], Y[:, 0], Y[:, 1])
     spray(spec, X, Y)
     _time_scale(spec)
     assert _state(spec) == before

@@ -1,7 +1,7 @@
 """The geodesic spray against a reference and the paper's projective law.
 
 ``reference_spray_and_norm`` is the earlier spray body: it builds the full
-Randers fundamental tensor from the spec's planar jet and solves the 2x2
+Randers fundamental tensor from the planar jets of alpha and beta and solves the 2x2
 geodesic system per row.  The spray in ``randers.geodesics`` uses Shen's
 decomposition instead and must agree with it on every metric family and
 1-form family.
@@ -26,7 +26,8 @@ from randers.geodesics import _spray_and_norm
 
 def reference_spray_and_norm(spec, x0, x1, y0, y1, check=False):
     """Spray and norm through the Randers fundamental tensor and a 2x2 solve."""
-    (a, dA), bjet = spec.jet(x0, x1)
+    a, dA = spec.alpha.jet(x0, x1)
+    bjet = None if spec.beta.is_zero else spec.beta.jet(x0, x1)
     a00, a01, a11 = a
     ay0 = a00 * y0 + a01 * y1
     ay1 = a01 * y0 + a11 * y1
