@@ -44,8 +44,8 @@ print("degree-0 homogeneity deviation:", np.abs(g2 - g1).max())
 
 # --- dual norms -------------------------------------------------------------
 # F*(w) = sup { w(y) : F(y) = 1 }.  For the Riemannian part this is the
-# usual inverse-metric norm; for the full Randers norm it is maximized over
-# the unit sphere of F.
+# usual inverse-metric norm; for the full Randers norm it is the closed form
+# of its Zermelo navigation data (h, W): F*(w) = |w|_h* + w(W).
 w = np.array([1.0, 0.0])
 print("\nriemannian dual of e1:", dual_norm(spec.alpha, x, w))
 print("randers dual of e1   :", dual_norm(spec, x, w))

@@ -390,6 +390,8 @@ class ZeroForm(VectorValuedField):
 class ConstantForm(VectorValuedField):
     def __init__(self, components):
         self.components = np.asarray(components, dtype=float)
+        if self.components.shape != (2,):
+            raise ValueError(f"ConstantForm needs 2 components, got {self.components.tolist()!r}")
 
     def jet(self, x0, x1):
         m = np.shape(x0)
@@ -439,6 +441,8 @@ class ComponentForm(VectorValuedField):
 
     def __init__(self, exprs):
         self.fields = [e if isinstance(e, ExprField) else ExprField(e) for e in exprs]
+        if len(self.fields) != 2:
+            raise ValueError(f"ComponentForm needs 2 components, got {len(self.fields)}")
 
     def jet(self, x0, x1):
         (b0, db0), (b1, db1) = (f.jet(x0, x1) for f in self.fields)

@@ -28,8 +28,11 @@ import numpy as np
 from . import integrators as ivp
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
-                     TrappedGeodesicError)
-from .fields import ConformalMetric, _pts, _unbatch, circle_directions, disk_grid
+                     SpecMismatchError, TrappedGeodesicError)
+from .fields import (ConformalMetric, Domain, _pts, _unbatch, circle_directions,
+                     disk_grid)
+from .norms import RandersSpec
+from .zermelo import herglotz_check
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShot",
            "spray", "integrate_geodesic", "solve_bvp", "shoot_pairs",
@@ -241,10 +244,10 @@ def integrate_geodesic(spec, x0, y0, opts=None):
                               _boundary_stop(spec),
                               opts.controls(opts.trap_time_factor * _time_scale(spec), record=True),
                               record=True)
-    return _path_from(res, 0, spec, opts)
+    return _path_from(res, 0, spec)
 
 
-def _path_from(res, i, spec, opts):
+def _path_from(res, i, spec):
     st = res.status[i]
     if st == ivp.TRAPPED or st == ivp.MAXSTEPS:
         raise TrappedGeodesicError(
@@ -312,55 +315,44 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
     """Guarded Illinois iteration on batches of independent brackets.
 
     Returns (psi, time, miss, ok) arrays; each row is one bracket problem.
+    The iteration holds only its unfinished brackets: a bracket's result is
+    written out once, when its ray lands within tolerance, and the live
+    arrays shrink only on iterations where some bracket converged or its
+    ray failed (which leaves its result nan).
     """
     q = len(lo)
-    lo, hi = lo.copy(), hi.copy()
-    m_lo, m_hi = m_lo.copy(), m_hi.copy()
-    side = np.zeros(q, dtype=np.int8)
-    psi_out = np.full(q, np.nan)
-    t_out = np.full(q, np.nan)
-    miss_out = np.full(q, np.nan)
-    done = np.zeros(q, dtype=bool)
-    tol = opts.miss_rtol
+    psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
+    ids, side = np.arange(q), np.zeros(q, dtype=np.int8)
 
     for it in range(opts.refine_max_iter):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
+        if not ids.size:
             break
-        width = hi[act] - lo[act]
-        denom = m_hi[act] - m_lo[act]
+        width = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = hi[act] - m_hi[act] * width / denom
-        mid = 0.5 * (lo[act] + hi[act])
+            cand = hi - m_hi * width / (m_hi - m_lo)
+        mid = 0.5 * (lo + hi)
         cand = np.where(np.isfinite(cand), cand, mid)
-        cand = np.clip(cand, lo[act] + 0.02 * width, hi[act] - 0.02 * width)
+        cand = np.clip(cand, lo + 0.02 * width, hi - 0.02 * width)
         if it % 6 == 5:
             cand = mid  # periodic bisection keeps the bracket shrinking
 
-        th_exit, t_exit, ok, _ = _exit_fan(spec, theta0[act], cand, opts)
-        m_new = _wrap(th_exit - theta_tgt[act])
-
-        failed = ~ok
-        conv = ok & (np.abs(m_new) <= tol)
-        rows = act[conv]
+        th_exit, t_exit, ok, _ = _exit_fan(spec, theta0, cand, opts)
+        m_new = _wrap(th_exit - theta_tgt)
+        conv = ok & (np.abs(m_new) <= opts.miss_rtol)
+        rows = ids[conv]
         psi_out[rows], t_out[rows], miss_out[rows] = cand[conv], t_exit[conv], m_new[conv]
-        done[rows] = True
-        done[act[failed]] = True  # leaves nan: integration broke inside bracket
 
-        upd = ~conv & ~failed
-        u_rows = act[upd]
-        cu, mu = cand[upd], m_new[upd]
-        same_lo = np.sign(mu) == np.sign(m_lo[u_rows])
         # replace one endpoint; halve the other side when it stagnates
-        rep_lo = u_rows[same_lo]
-        lo[rep_lo], m_lo[rep_lo] = cu[same_lo], mu[same_lo]
-        m_hi[rep_lo] = np.where(side[rep_lo] == -1, 0.5 * m_hi[rep_lo], m_hi[rep_lo])
-        side[rep_lo] = -1
-        rep_hi = u_rows[~same_lo]
-        hi[rep_hi], m_hi[rep_hi] = cu[~same_lo], mu[~same_lo]
-        m_lo[rep_hi] = np.where(side[rep_hi] == 1, 0.5 * m_lo[rep_hi], m_lo[rep_hi])
-        side[rep_hi] = 1
-    return psi_out, t_out, miss_out, done & np.isfinite(psi_out)
+        same_lo = np.sign(m_new) == np.sign(m_lo)
+        lo, hi = np.where(same_lo, cand, lo), np.where(same_lo, hi, cand)
+        m_lo, m_hi = (np.where(same_lo, m_new, np.where(side == 1, 0.5 * m_lo, m_lo)),
+                      np.where(same_lo, np.where(side == -1, 0.5 * m_hi, m_hi), m_new))
+        side = np.where(same_lo, -1, 1)
+        live = ok & ~conv
+        if not live.all():
+            ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side = (
+                a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side))
+    return psi_out, t_out, miss_out, np.isfinite(psi_out)
 
 
 @dataclass
@@ -403,7 +395,7 @@ def solve_bvp(spec, x_from, x_to, opts=None):
             f"{th0:.4f} -> {th1:.4f}; the norm is not admissible for this pair")
 
     _, _, _, res = _exit_fan(spec, np.array([th0]), np.array([shot.angle]), opts, record=True)
-    path = _path_from(res, 0, spec, opts)
+    path = _path_from(res, 0, spec)
     return ShootingResult(path=path, initial_angle=shot.angle, miss=shot.miss,
                           branch_count=1)
 
@@ -492,7 +484,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
             _, _, _, res = _exit_fan(spec, th0v, psv, opts, record=True)
             for k, s in enumerate(rec):
                 if res.status[k] == ivp.EXITED:
-                    s.path = _path_from(res, k, spec, opts)
+                    s.path = _path_from(res, k, spec)
     return out
 
 
@@ -533,9 +525,6 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
     inward angles, excluding exactly-radial shots where the conformal factor
     need not be smooth.
     """
-    from .norms import RandersSpec
-    from .zermelo import herglotz_check
-
     if not isinstance(metric, ConformalMetric) or metric.flavor != "conformal-radial":
         raise ValueError("conjugate point scan expects a conformal-radial metric")
     opts = opts or SolverOptions()
@@ -543,8 +532,6 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
         half = np.linspace(0.06, 1.45, 12)
         angles = np.concatenate([-half[::-1], half])
     angles = np.asarray(angles, dtype=float)
-
-    from .fields import Domain
 
     domain = Domain(radius=radius, dimension=2)
     spec = RandersSpec(domain, metric)
@@ -644,7 +631,6 @@ def reversed_geodesic_check(spec, path, opts=None):
     closed) perturbation separates them on some chord.
     """
     if path.spec_hash != spec.spec_hash:
-        from .errors import SpecMismatchError
         raise SpecMismatchError("path was not produced under the supplied spec")
     opts = opts or SolverOptions()
     back = solve_bvp(spec, path.exit_point, path.x[0], opts)

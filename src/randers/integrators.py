@@ -10,6 +10,11 @@ state, so the refined exit inherits the integrator's local accuracy; the
 stop function supplies its own time derivative, so Newton costs no extra
 right-hand-side evaluation.  Detection is end-of-step only, which is exact
 for domains whose boundary is strictly convex for the flow being integrated.
+
+The driver and the exit refinement hold only their live rows, the
+unfinished rays, each with its index in the batch.  A ray's result is written
+to the output arrays once, when it finishes; the live arrays are updated with
+masks and compacted only on iterations where some ray finished.
 """
 
 from __future__ import annotations
@@ -116,28 +121,26 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
     bracket is that narrow, and its last iterate (tau, state) is returned as
     it stands.
     """
-    tau, u_exit = np.zeros_like(h), np.empty_like(u0)
-    lo, hi = np.zeros_like(h), h.copy()
-    tol = _EXIT_RTOL * h
+    tau, u_exit = np.empty_like(h), np.empty_like(u0)
+    ids = np.arange(len(h))
+    lo, hi, tol = np.zeros_like(h), h, _EXIT_RTOL * h
     g, dg = stop(u0)
     curv = (g1 - g - dg * h) / (h * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_new = -2.0 * g / (dg + np.sqrt(np.maximum(dg * dg - 4.0 * curv * g, 0.0)))
-    rays = np.arange(len(h))
-    while rays.size:
-        lo_r, hi_r = lo[rays], hi[rays]
-        t_new = np.where((t_new > lo_r) & (t_new < hi_r), t_new, 0.5 * (lo_r + hi_r))
-        u_new, _ = _rk_step(rhs, u0[rays], t_new, f0[rays])
+    while ids.size:
+        t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
+        u_new, _ = _rk_step(rhs, u0, t_new, f0)
         g, dg = stop(u_new)
         out = g > 0.0
-        hi_r, lo_r = np.where(out, t_new, hi_r), np.where(out, lo_r, t_new)
-        hi[rays], lo[rays] = hi_r, lo_r
-        tau[rays], u_exit[rays] = t_new, u_new
+        hi, lo = np.where(out, t_new, hi), np.where(out, lo, t_new)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = g / dg
-        tol_r = tol[rays]
-        going = ~((np.abs(step) <= tol_r) | (g == 0.0) | (hi_r - lo_r <= tol_r))
-        rays, t_new = rays[going], (t_new - step)[going]
+        done = (np.abs(step) <= tol) | (g == 0.0) | (hi - lo <= tol)
+        tau[ids[done]], u_exit[ids[done]] = t_new[done], u_new[done]
+        t_new = t_new - step
+        if done.any():
+            ids, lo, hi, tol, t_new, u0, f0 = (a[~done] for a in (ids, lo, hi, tol, t_new, u0, f0))
     return tau, u_exit
 
 
@@ -151,35 +154,29 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     g <= 0 and finish when g first turns positive at the end of an
     accepted step; the exit is then refined inside that step.
     """
-    if ctl is None:
-        ctl = Controls()
+    ctl = ctl or Controls()
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
-    m, _ = u0.shape
+    m = len(u0)
 
     status = np.full(m, MAXSTEPS, dtype=np.int8)
-    t_end = np.zeros(m)
-    u_end = u0.copy()
-    nsteps = np.zeros(m, dtype=np.int64)
-    hist = [([0.0], [u0[i].copy()]) for i in range(m)] if record else None
+    t_end, u_end = np.zeros(m), np.empty_like(u0)
+    steps = np.zeros(m, dtype=np.int64)
 
-    t = np.zeros(m)
-    u = u0.copy()
+    ids, t, u, n = np.arange(m), np.zeros(m), u0.copy(), np.zeros(m, dtype=np.int64)
     f = rhs(u)
     h = _initial_step(rhs, u, f, ctl)
-    active = np.arange(m)
-
-    # exits waiting for refinement, as copied row blocks: (rays, t, u, f, h, g(u5))
+    # recorded samples as (ids, t, u) blocks, split per ray at the end
+    blocks = [(ids, t, u)] if record else None
+    # exits waiting for refinement, as row blocks: (ids, t, u, f, h, g(u5))
     pending = []
 
     for _ in range(ctl.max_steps * 4):
-        if active.size == 0:
+        if not ids.size:
             break
-        na = active.size
-        ua, fa, ta = u[active], f[active], t[active]
-        ha = np.minimum(h[active], np.maximum(ctl.t_max - ta, 1e-14))
-        u5, err, fnew = _stages(rhs, ua, ha, fa)
+        hs = np.minimum(h, np.maximum(ctl.t_max - t, 1e-14))
+        u5, err, fnew = _stages(rhs, u, hs, f)
 
-        scale = ctl.atol + ctl.rtol * np.maximum(np.abs(ua), np.abs(u5))
+        scale = ctl.atol + ctl.rtol * np.maximum(np.abs(u), np.abs(u5))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
         enorm = np.where(np.isfinite(enorm) & np.isfinite(u5).all(axis=1), enorm, np.inf)
@@ -190,69 +187,46 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
         fac = np.clip(np.where(np.isfinite(fac), fac, _MIN_FAC), _MIN_FAC, _MAX_FAC)
         fac = np.where(accept, fac, np.minimum(fac, 1.0))
 
-        exited_l = np.zeros(na, dtype=bool)
-        acc_l = np.nonzero(accept)[0]
-        if acc_l.size:
-            g_acc = stop(u5[acc_l])[0]
-            crossed = g_acc > 0.0
-            cr_l = acc_l[crossed]
-            if cr_l.size:
-                pending.append((active[cr_l], ta[cr_l], ua[cr_l], fa[cr_l], ha[cr_l],
-                                g_acc[crossed]))
-                nsteps[active[cr_l]] += 1
-                exited_l[cr_l] = True
+        # stop is evaluated on accepted (finite) states only
+        g = np.zeros_like(t)
+        g[accept] = stop(u5[accept])[0]
+        crossed = g > 0.0
+        stay = accept & ~crossed
+        t = np.where(stay, t + hs, t)
+        u = np.where(stay[:, None], u5, u)
+        f = np.where(stay[:, None], fnew, f)
+        n = n + accept
+        h = np.minimum(hs * fac, ctl.h_max)
+        if record:
+            blocks.append((ids[stay], t[stay], u[stay]))
 
-            stay_l = acc_l[~exited_l[acc_l]]
-            rays_stay = active[stay_l]
-            t[rays_stay] += ha[stay_l]
-            u[rays_stay] = u5[stay_l]
-            f[rays_stay] = fnew[stay_l]
-            nsteps[rays_stay] += 1
-            if record:
-                for rr in rays_stay:
-                    hist[rr][0].append(float(t[rr]))
-                    hist[rr][1].append(u[rr].copy())
+        failed = (h <= 1e-15 * np.maximum(1.0, t)) & ~accept
+        trapped = (t >= ctl.t_max * (1.0 - 1e-12)) & ~crossed & ~failed
+        capped = (n >= ctl.max_steps) & ~crossed & ~failed & ~trapped
+        ended = failed | trapped | capped
+        left = ended | crossed
+        if left.any():
+            pending.append(tuple(a[crossed] for a in (ids, t, u, f, hs, g)))
+            status[ids[failed]], status[ids[trapped]] = FAILED, TRAPPED
+            t_end[ids[ended]], u_end[ids[ended]] = t[ended], u[ended]
+            steps[ids[left]] = n[left]
+            ids, t, u, f, h, n = (a[~left] for a in (ids, t, u, f, h, n))
 
-        h[active] = np.minimum(ha * fac, ctl.h_max)
-
-        alive = ~exited_l
-        dead_l = np.nonzero((h[active] <= 1e-15 * np.maximum(1.0, t[active])) & ~accept & alive)[0]
-        if dead_l.size:
-            rays = active[dead_l]
-            status[rays] = FAILED
-            t_end[rays], u_end[rays] = t[rays], u[rays]
-            alive[dead_l] = False
-
-        trap_l = np.nonzero((t[active] >= ctl.t_max * (1.0 - 1e-12)) & alive)[0]
-        if trap_l.size:
-            rays = active[trap_l]
-            status[rays] = TRAPPED
-            t_end[rays], u_end[rays] = t[rays], u[rays]
-            alive[trap_l] = False
-
-        over_l = np.nonzero((nsteps[active] >= ctl.max_steps) & alive)[0]
-        if over_l.size:
-            rays = active[over_l]
-            t_end[rays], u_end[rays] = t[rays], u[rays]
-            alive[over_l] = False
-
-        active = active[alive]
-
-    if active.size:  # iteration cap: leave as MAXSTEPS with final snapshots
-        t_end[active], u_end[active] = t[active], u[active]
+    # rays still live at the iteration cap stay MAXSTEPS with their last state
+    t_end[ids], u_end[ids], steps[ids] = t, u, n
 
     if pending:
         rays, t0, u0p, f0p, h0p, g1p = (np.concatenate(col) for col in zip(*pending))
         tau, u_exit = _refine_exits(rhs, stop, u0p, f0p, h0p, g1p)
-        status[rays] = EXITED
-        t_end[rays] = t0 + tau
-        u_end[rays] = u_exit
+        status[rays], t_end[rays], u_end[rays] = EXITED, t0 + tau, u_exit
         if record:
-            for k, rr in enumerate(rays):
-                hist[rr][0].append(float(t_end[rr]))
-                hist[rr][1].append(u_exit[k].copy())
+            blocks.append((rays, t_end[rays], u_exit))
 
-    out_hist = None
+    history = None
     if record:
-        out_hist = [(np.asarray(ts), np.vstack(us)) for ts, us in hist]
-    return BatchIntegration(status, t_end, u_end, nsteps, out_hist)
+        rays, ts, us = (np.concatenate(col) for col in zip(*blocks))
+        order = np.argsort(rays, kind="stable")
+        cuts = np.cumsum(np.bincount(rays, minlength=m))[:-1]
+        # [:m]: np.split returns one (empty) piece for an empty batch
+        history = list(zip(np.split(ts[order], cuts), np.split(us[order], cuts)))[:m]
+    return BatchIntegration(status, t_end, u_end, steps, history)

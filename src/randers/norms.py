@@ -118,68 +118,33 @@ def riemannian_norm(metric, x, y, domain=None):
     return _unbatch(np.sqrt(np.maximum(quad, 0.0)), single)
 
 
-def _riemannian_dual(metric, X, W):
-    g = metric.value(X)
-    quad = np.einsum("mi,mi->m", W, np.linalg.solve(g, W[:, :, None])[:, :, 0])
-    return np.sqrt(np.maximum(quad, 0.0))
-
-
 def dual_norm(obj, x, omega):
     """Dual norm F*(x, omega) = sup { omega(y) : F(x, y) = 1 }.
 
-    Riemannian inputs use the closed form sqrt(g^ij w_i w_j); general Randers
-    norms are maximized over the F-unit sphere (planar domains).
+    A Randers norm is the navigation norm of h = lam (a - b b) under the
+    wind W = -a^-1 b / lam, with lam = 1 - |b|_a*^2 (Zermelo's
+    correspondence), so F*(w) = |w|_h* + w(W), which is
+    (sqrt(lam |w|_a*^2 + <b, w>_a*^2) - <b, w>_a*) / lam.  A metric field
+    is the case b = 0: sqrt(g^ij w_i w_j).
     """
     X, single = _pts(x)
     W, _ = _pts(omega)
     if isinstance(obj, MetricField):
-        return _unbatch(_riemannian_dual(obj, X, W), single)
-    spec = obj
-    spec.require_valid()
-    spec.domain.require_inside(X)
-    if spec.beta.is_zero:
-        return _unbatch(_riemannian_dual(spec.alpha, X, W), single)
-    if X.shape[1] != 2:
-        raise NotImplementedError("randers dual norm maximization is implemented for planar domains")
-
-    out = np.empty(X.shape[0])
-    for k in range(X.shape[0]):
-        out[k] = _dual_norm_point(spec, X[k], W[k])
-    return _unbatch(out, single)
-
-
-def _dual_ray_value(spec, x, w, theta):
-    """omega(y) on the F-unit sphere along direction angle theta (batched)."""
-    u = np.column_stack([np.cos(theta), np.sin(theta)])
-    xb = np.broadcast_to(x, u.shape)
-    f = spec._raw_norm(np.ascontiguousarray(xb), u)
-    return (u @ w) / f
-
-
-def _dual_norm_point(spec, x, w, sweep=512, iters=80):
-    theta = 2.0 * math.pi * np.arange(sweep) / sweep
-    vals = _dual_ray_value(spec, x, w, theta)
-    k = int(np.argmax(vals))
-    lo = theta[k] - 2.0 * math.pi / sweep
-    hi = theta[k] + 2.0 * math.pi / sweep
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _dual_ray_value(spec, x, w, np.array([c]))[0]
-    fd = _dual_ray_value(spec, x, w, np.array([d]))[0]
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _dual_ray_value(spec, x, w, np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _dual_ray_value(spec, x, w, np.array([d]))[0]
-        if b - a < 1e-14:
-            break
-    return float(max(fc, fd))
+        a, b = obj.value(X), np.zeros_like(X)
+    else:
+        obj.require_valid()
+        obj.domain.require_inside(X)
+        a, b = obj.alpha.value(X), obj.beta.value(X)
+    w_sharp = np.linalg.solve(a, W[:, :, None])[:, :, 0]
+    ww = np.einsum("mi,mi->m", W, w_sharp)
+    bw = np.einsum("mi,mi->m", b, w_sharp)
+    lam = 1.0 - np.einsum("mi,mi->m", b, np.linalg.solve(a, b[:, :, None])[:, :, 0])
+    if np.any(lam <= 0.0):
+        k = int(np.argmax(lam <= 0.0))
+        raise InvalidNormError(
+            f"|beta|_alpha* = {math.sqrt(1.0 - lam[k]):.3g} >= 1 at point {X[k]}; "
+            f"the dual norm is undefined there (grid margin {obj.margin:.3g})")
+    return _unbatch((np.sqrt(np.maximum(lam * ww + bw * bw, 0.0)) - bw) / lam, single)
 
 
 # -- fundamental tensor ------------------------------------------------------

@@ -350,11 +350,7 @@ def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
         if not conformal_radial:
             notes.append("profile inversion skipped: media are not conformal-radial")
         else:
-            for d in (data1, data2):
-                sym_data = BoundaryDistanceData(angles=d.angles, radius=d.radius,
-                                                matrix=0.5 * (d.matrix + d.matrix.T),
-                                                spec_hash=d.spec_hash)
-                profiles.append(herglotz_invert(sym_data))
+            profiles = [herglotz_invert(data1), herglotz_invert(data2)]
 
     gauge = None
     if phi_truth is not None:

@@ -281,6 +281,17 @@ class TestForms:
         assert s.is_zero is False
         assert ZeroForm().is_zero is True
 
+    @pytest.mark.parametrize("form, components", [
+        (ComponentForm, ["0.1*x1"]),
+        (ComponentForm, ["0.1*x1", "x2", "r"]),
+        (ConstantForm, [0.1]),
+        (ConstantForm, [0.1, 0.2, 0.3]),
+        (ConstantForm, 0.1),
+    ], ids=["component-1", "component-3", "const-1", "const-3", "const-scalar"])
+    def test_form_arity_checked_at_construction(self, form, components):
+        with pytest.raises(ValueError, match=f"{form.__name__} needs 2 components"):
+            form(components)
+
 
 class TestMetrics:
     def test_euclidean(self, rng):

@@ -10,6 +10,7 @@ from randers import (ConformalMetric, ConnectivityError, ConstantField,
                      SolverOptions, SumForm, conjugate_point_scan, curve_length,
                      integrate_geodesic, polyline_hausdorff,
                      reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
+from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
 
 
@@ -226,6 +227,46 @@ class TestBracketLogic:
         for row, m in enumerate(miss):
             n1, b1 = _bracket_roots(m, ok, 1e-8)
             assert np.array_equal(node[row], n1) and np.array_equal(bracket[row], b1)
+
+
+class TestFalsePosition:
+    def test_batch_equals_brackets_alone(self, monkeypatch, smooth_bump_spec):
+        # chords of different lengths converge at different iterations; under
+        # a step cap between their step counts the longest chord's rays fail
+        spec, psi = smooth_bump_spec, _sweep_angles(16)
+        theta0 = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.5])
+        theta1 = np.array([3.0, 0.3, 1.6, 4.0, 4.3, 2.2])
+        brackets = []
+        for a, b in zip(theta0, theta1):
+            th, _, ok, _ = geo._exit_fan(spec, np.full(16, a), psi, SolverOptions())
+            m = geo._wrap(th - b)
+            k = int(np.argmax(_bracket_roots(m, ok, 1e-8)[1]))
+            brackets.append((psi[k], psi[k + 1], m[k], m[k + 1]))
+        lo, hi, m_lo, m_hi = (np.array(c) for c in zip(*brackets))
+
+        fans = []
+        exit_fan = geo._exit_fan
+
+        def counted(*args, **kwargs):
+            fans.append(len(args[2]))
+            return exit_fan(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "_exit_fan", counted)
+        opts = SolverOptions(max_steps=89)
+        batch = geo._false_position(spec, theta0, theta1, lo, hi, m_lo, m_hi, opts)
+        assert fans[0] == 6 and min(fans) < 6   # finished brackets leave the batch
+        iterations = []
+        for q in range(6):
+            fans.clear()
+            one = geo._false_position(spec, theta0[q:q + 1], theta1[q:q + 1], lo[q:q + 1],
+                                      hi[q:q + 1], m_lo[q:q + 1], m_hi[q:q + 1], opts)
+            iterations.append(len(fans))
+            for got, ref in zip(batch, one):
+                assert np.array_equal(got[q:q + 1], ref, equal_nan=True)
+        ok = batch[3]
+        assert ok.any() and not ok.all()
+        assert np.isnan(batch[0][~ok]).all()
+        assert len({n for n, good in zip(iterations, ok) if good}) > 1
 
 
 class TestShootPairs:

@@ -101,3 +101,50 @@ def test_curved_exits_land_on_boundary(monkeypatch, smooth_bump_spec):
     x = res.u_end[:, 0:2]
     assert np.abs((x * x).sum(1) - 1.0).max() <= 1e-13
     assert rows <= 75 * 90
+
+
+def _oscillator_rhs(u):
+    """x'' = -w2 x with w2 = u[:, 4] carried as a constant; NaN for x2 > 0.6."""
+    out = np.column_stack([u[:, 2:4], -u[:, 4:5] * u[:, 0:2], np.zeros(len(u))])
+    out[u[:, 1] > 0.6] = np.nan
+    return out
+
+
+def _unit_disk_stop(u):
+    return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_mixed_batch_equals_rays_alone(record):
+    # exiting rays, slow oscillations trapped by t_max, fast ones capped by
+    # max_steps, and straight rays that fail at the NaN wall x2 = 0.6
+    u0 = np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.1, -0.2, -0.5, 0.3, 0.0],
+        [0.3, 0.0, 0.0, 0.1, 1.0],
+        [0.2, -0.3, 0.0, 0.0, 4000.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [-0.3, 0.2, 0.2, 0.5, 0.0],
+        [0.5, 0.1, 0.0, -0.2, 0.5],
+        [-0.4, -0.1, 0.3, 0.0, 2500.0],
+        [0.4, 0.0, -1.0, -0.2, 0.2],
+    ])
+    ctl = ivp.Controls(t_max=20.0, max_steps=400)
+    res = ivp.integrate_batch(_oscillator_rhs, u0, _unit_disk_stop, ctl, record=record)
+    assert set(res.status.tolist()) == {ivp.EXITED, ivp.TRAPPED, ivp.MAXSTEPS, ivp.FAILED}
+    assert (res.history is None) == (not record)
+    for k in range(len(u0)):
+        one = ivp.integrate_batch(_oscillator_rhs, u0[k:k + 1], _unit_disk_stop, ctl,
+                                  record=record)
+        assert res.status[k] == one.status[0]
+        assert res.t_end[k] == one.t_end[0]
+        assert np.array_equal(res.u_end[k], one.u_end[0])
+        assert res.steps[k] == one.steps[0]
+        if record:
+            (t, u), (t1, u1) = res.history[k], one.history[0]
+            assert np.array_equal(t, t1) and np.array_equal(u, u1)
+            # the start, then one sample per accepted step (an exit step's
+            # sample is its refined exit)
+            assert len(t) == res.steps[k] + 1
+            assert t[0] == 0.0 and t[-1] == res.t_end[k]
+            assert np.array_equal(u[0], u0[k]) and np.array_equal(u[-1], res.u_end[k])

@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from randers import (ConformalMetric, ConstantField, ConstantForm,
+from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm,
                      DegenerateInputError, Domain, DomainError, EuclideanMetric,
                      ExactForm, InvalidNormError, PotentialBump, RandersSpec,
                      RotationalForm, closedness_residual, curve_length,
                      disk_grid, dual_norm, fundamental_tensor, reverse_norm,
                      riemannian_norm, validate_norm)
+from randers.norms import MARGIN_GRID_SIZE
 
 
 def _analytic_fundamental(a, b, Y):
@@ -106,6 +108,18 @@ class TestDualNorm:
         w = np.array([0.7, -0.3])
         closed = math.sqrt(w @ np.linalg.solve(h, w)) + w @ W
         assert dual_norm(spec, [0.0, 0.0], w) == pytest.approx(closed, abs=1e-12)
+
+    def test_randers_undefined_off_the_margin_grid(self, dom):
+        # a narrow 1-form spike between margin-grid points: the spec is
+        # valid, yet |b|_a* = 1.5 at the spike, where F* does not exist
+        c = np.array([0.029178, 0.023475])
+        assert np.linalg.norm(disk_grid(dom, MARGIN_GRID_SIZE) - c, axis=1).min() > 0.02
+        spike = f"1.5*exp(-100000*((x1 - {c[0]})^2 + (x2 - {c[1]})^2))"
+        spec = RandersSpec(dom, EuclideanMetric(), ComponentForm([spike, "0"]))
+        assert spec.is_valid
+        assert dual_norm(spec, [0.3, 0.2], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(InvalidNormError, match=re.escape(str(c))):
+            dual_norm(spec, np.array([[0.3, 0.2], c]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestValidity:

@@ -228,6 +228,29 @@ class TestRigidityReport:
         assert rep.verdicts["boundary_data_equal"] is None
         assert any("admissibility" in note for note in rep.notes)
 
+    def test_profiles_equal_inversion_of_symmetrized_data(self, smooth_spec, smooth_bump_spec,
+                                                            rng):
+        # asymmetric tables; the report inverts them as they come, and
+        # herglotz_invert's own symmetrization must give what inverting the
+        # symmetrized tables gives, bit for bit
+        data = []
+        for c0 in (1.0, 1.2):
+            d = analytic_constant_c_data(n=32, c0=c0)
+            d.matrix += 1e-9 * rng.uniform(size=d.matrix.shape) * ~np.eye(32, dtype=bool)
+            data.append(d)
+        rep = rigidity_report(smooth_spec, smooth_bump_spec, n=32, data1=data[0],
+                              data2=data[1], invert_profile=True)
+        assert len(rep.profiles) == 2
+        for prof, d in zip(rep.profiles, data):
+            assert not np.array_equal(d.matrix, d.matrix.T)
+            sym = BoundaryDistanceData(angles=d.angles, radius=d.radius,
+                                       matrix=0.5 * (d.matrix + d.matrix.T),
+                                       spec_hash=d.spec_hash)
+            ref = herglotz_invert(sym)
+            for field in ("r", "c", "separation", "travel_time", "spread_max_rel",
+                          "radial_consistent", "p_margin"):
+                assert np.array_equal(getattr(prof, field), getattr(ref, field))
+
     def test_report_write(self, tmp_path, dom, smooth_spec, smooth_bump_spec, bump_pair):
         rep = rigidity_report(smooth_spec, smooth_bump_spec, n=8,
                               data1=bump_pair[0], data2=bump_pair[1])
