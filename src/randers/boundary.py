@@ -4,10 +4,21 @@ The distance matrix D[i][j] holds the travel time of the unique geodesic
 from boundary sample i to j; its symmetric part is the reversible-norm
 distance and its antisymmetric part the line integrals of the 1-form, which
 is what the inverse pipeline consumes.  CSV round trips are bit-exact.
+
+``load`` parses the body of a distance CSV in one C pass: the open file is
+streamed, blank and whitespace-only lines skipped, through ``np.loadtxt``
+into a structured array, so no line is held as a string.  The range,
+duplicate-pair and angle checks then run as whole-array operations (first
+occurrences by ``np.unique``), and the matrix is filled by one scatter.
+A row's faults depend only on earlier rows, so the earliest faulty row over
+all checks is the line a row-by-row parse would stop at; errors name that
+line.  Row numbers are mapped to line numbers, by reading the file again,
+only when there is an error to report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -167,6 +178,9 @@ def add_noise(data, sigma, seed):
 _HEADER_RE = re.compile(
     r"^# n=(?P<n>\d+) R=(?P<R>[^ ]+) spec=(?P<spec>[0-9a-f]+) units=time"
     r"(?: sigma=(?P<sigma>[^ ]+) seed=(?P<seed>\d+))?\s*$")
+_COLUMNS = "i,j,angle_i,angle_j,d"
+_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("angle_i", np.float64),
+                 ("angle_j", np.float64), ("d", np.float64)])
 
 
 def save(data, path):
@@ -177,7 +191,7 @@ def save(data, path):
         if data.noise is not None:
             head += f" sigma={float(data.noise.sigma)!r} seed={data.noise.seed}"
         fh.write(head + "\n")
-        fh.write("i,j,angle_i,angle_j,d\n")
+        fh.write(_COLUMNS + "\n")
         for i in range(data.n):
             for j in range(data.n):
                 if i == j:
@@ -185,56 +199,133 @@ def save(data, path):
                 fh.write(f"{i},{j},{ang[i]},{ang[j]},{float(data.matrix[i, j])!r}\n")
 
 
-def load(path):
-    """Parse a distance CSV; malformed content errors carry line numbers."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+def _read_header(fh):
+    """Parse the two header lines: (n, radius, spec_hash, noise)."""
+    head = fh.readline()
+    if not head:
         raise CsvFormatError("empty file", line=1)
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(head.rstrip("\n"))
     if m is None:
         raise CsvFormatError("bad header (expected '# n=<n> R=<R> spec=<hash> units=time')", line=1)
-    n = int(m.group("n"))
-    radius = float(m.group("R"))
-    spec_hash = m.group("spec")
+    n, radius, spec_hash = int(m.group("n")), float(m.group("R")), m.group("spec")
     noise = None
     if m.group("sigma") is not None:
         noise = NoiseDescriptor(sigma=float(m.group("sigma")), seed=int(m.group("seed")))
-    if len(lines) < 2 or lines[1].strip() != "i,j,angle_i,angle_j,d":
-        raise CsvFormatError("missing column header 'i,j,angle_i,angle_j,d'", line=2)
+    if fh.readline().strip() != _COLUMNS:
+        raise CsvFormatError(f"missing column header '{_COLUMNS}'", line=2)
+    return n, radius, spec_hash, noise
 
+
+def _parse_rows(lines):
+    """Parse non-blank body lines in one np.loadtxt pass; ValueError if it rejects one."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:        # loadtxt warns on empty input
+        return np.zeros(0, dtype=_ROW)
+    return np.loadtxt(itertools.chain([first], lines), delimiter=",", dtype=_ROW,
+                      comments=None, ndmin=1)
+
+
+def _check_rows(rows, n):
+    """The earliest faulty row as (row, message) or None, and each sample's first angle.
+
+    A row is checked for range, then duplicate, then the angle of i, then
+    that of j, each against earlier rows only; so the earliest row any
+    whole-array check flags is the row a line-by-line parse stops at.
+    """
+    faults = []
+    i, j = rows["i"], rows["j"]
+    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+    if bad.any():
+        r = int(bad.argmax())
+        faults.append((r, f"pair ({i[r]}, {j[r]}) out of range for n={n}"))
+        rows, i, j = rows[:r], i[:r], j[:r]
+    _, first = np.unique(i * n + j, return_index=True)
+    if len(first) < len(rows):
+        r = int(np.setdiff1d(np.arange(len(rows)), first)[0])
+        faults.append((r, f"duplicate pair ({i[r]}, {j[r]})"))
+    # events in parse order, two per row: (i, angle_i), then (j, angle_j)
+    idx = np.column_stack([i, j]).ravel()
+    val = np.column_stack([rows["angle_i"], rows["angle_j"]]).ravel()
+    _, first = np.unique(idx, return_index=True)
     angles = np.full(n, np.nan)
-    D = np.zeros((n, n))
-    seen = np.zeros((n, n), dtype=bool)
-    for ln, raw in enumerate(lines[2:], start=3):
-        if not raw.strip():
-            continue
-        cols = raw.split(",")
-        if len(cols) != 5:
-            raise CsvFormatError(f"expected 5 columns, found {len(cols)}", line=ln)
-        try:
-            i, j = int(cols[0]), int(cols[1])
-            ai, aj, d = float(cols[2]), float(cols[3]), float(cols[4])
-        except ValueError as exc:
-            raise CsvFormatError(str(exc), line=ln) from None
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise CsvFormatError(f"pair ({i}, {j}) out of range for n={n}", line=ln)
-        if seen[i, j]:
-            raise CsvFormatError(f"duplicate pair ({i}, {j})", line=ln)
-        for idx, val in ((i, ai), (j, aj)):
-            if np.isnan(angles[idx]):
-                angles[idx] = val
-            elif angles[idx] != val:
-                raise CsvFormatError(f"inconsistent angle for sample {idx}", line=ln)
-        D[i, j] = d
-        seen[i, j] = True
+    angles[idx[first]] = val[first]
+    finite = np.isfinite(val)
+    bad = ~finite | (val != angles[idx])
+    if bad.any():
+        e = int(bad.argmax())
+        faults.append((e // 2, f"inconsistent angle for sample {idx[e]}" if finite[e]
+                       else f"angle for sample {idx[e]} is not finite"))
+    # min() keeps the first of equal rows: a duplicate before an angle fault
+    return min(faults, key=lambda f: f[0], default=None), angles
 
-    missing = ~seen & ~np.eye(n, dtype=bool)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
+
+def _lines(path):
+    """Every line of the file without its terminator; read only to report an error."""
+    with open(path) as fh:
+        return [raw.rstrip("\n") for raw in fh]
+
+
+def _body(path):
+    """(line number, text) of each non-blank line after the header: row k is body[k]."""
+    return [(ln, raw) for ln, raw in enumerate(_lines(path)[2:], start=3) if raw.strip()]
+
+
+def _rejected(raw):
+    """True when np.loadtxt cannot parse this one body line."""
+    try:
+        _parse_rows([raw])
+    except ValueError:
+        return True
+    return False
+
+
+def _rejection(raw):
+    """Why loadtxt rejected a line, in the words of int() and float() where they reject it too."""
+    cols = raw.split(",")
+    if len(cols) != 5:
+        return f"expected 5 columns, found {len(cols)}"
+    try:
+        int(cols[0]), int(cols[1])
+        float(cols[2]), float(cols[3]), float(cols[4])
+    except ValueError as exc:
+        return str(exc)
+    return f"unsupported number format in {raw.strip()!r}"
+
+
+def load(path):
+    """Parse a distance CSV; every error for malformed content names its line.
+
+    Angles must be finite and the same on every row of a sample; ``d`` is
+    not checked (NaN marks an excluded pair).  Numbers are read by
+    ``np.loadtxt``, which rejects digit separators (``1_0``), non-ASCII
+    digits and indices outside int64; ``save`` writes none of these.
+    """
+    with open(path) as fh:
+        n, radius, spec_hash, noise = _read_header(fh)
+        try:
+            rows = _parse_rows(ln for ln in fh if not ln.isspace())
+        except ValueError:
+            rows = None
+    if rows is None:
+        body = _body(path)
+        k = next(k for k, (_, raw) in enumerate(body) if _rejected(raw))
+        fault, _ = _check_rows(_parse_rows(raw for _, raw in body[:k]), n)
+        r, msg = fault or (k, _rejection(body[k][1]))
+        raise CsvFormatError(msg, line=body[r][0])
+    fault, angles = _check_rows(rows, n)
+    if fault is not None:
+        raise CsvFormatError(fault[1], line=_body(path)[fault[0]][0])
+
+    D = np.zeros((n, n))
+    D[rows["i"], rows["j"]] = rows["d"]
+    if len(rows) < n * (n - 1):
+        seen = np.eye(n, dtype=bool)
+        seen[rows["i"], rows["j"]] = True
+        i, j = np.argwhere(~seen)[0]
         raise CsvFormatError(f"missing entry for pair ({i}, {j}); file truncated?",
-                             line=len(lines) + 1)
+                             line=len(_lines(path)) + 1)
     if np.isnan(angles).any():
-        raise CsvFormatError("some samples never appeared in any row", line=len(lines))
+        raise CsvFormatError("some samples never appeared in any row", line=len(_lines(path)))
     return BoundaryDistanceData(angles=angles, radius=radius, matrix=D,
                                 spec_hash=spec_hash, noise=noise)

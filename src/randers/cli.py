@@ -191,8 +191,7 @@ def cmd_plotdata(scenarios, out, threads):
     smp = bd.sample_boundary(dom, scn.n_boundary)
     with open(os.path.join(out, "boundary.csv"), "w") as fh:
         fh.write("# boundary samples units=radians,length\ni,angle,x1,x2\n")
-        for i, a in enumerate(smp.angles):
-            p = smp.points[i]
+        for i, (a, p) in enumerate(zip(smp.angles, smp.points)):
             fh.write(f"{i},{float(a)!r},{float(p[0])!r},{float(p[1])!r}\n")
     print(f"wrote {len(angles)} path files, profile.csv, boundary.csv to {out}")
     return 0

@@ -2,13 +2,69 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel,
                      add_noise, decompose, distance_matrix, load,
                      sample_boundary, save, zermelo_construct)
-from randers.boundary import BoundarySamples
+from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
+                              NoiseDescriptor)
+
+
+def _reference_load(path):
+    """The earlier line-by-line ``load``: the reference the streamed parse must match."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CsvFormatError("empty file", line=1)
+    m = _HEADER_RE.match(lines[0])
+    if m is None:
+        raise CsvFormatError("bad header (expected '# n=<n> R=<R> spec=<hash> units=time')", line=1)
+    n = int(m.group("n"))
+    radius = float(m.group("R"))
+    spec_hash = m.group("spec")
+    noise = None
+    if m.group("sigma") is not None:
+        noise = NoiseDescriptor(sigma=float(m.group("sigma")), seed=int(m.group("seed")))
+    if len(lines) < 2 or lines[1].strip() != "i,j,angle_i,angle_j,d":
+        raise CsvFormatError("missing column header 'i,j,angle_i,angle_j,d'", line=2)
+
+    angles = np.full(n, np.nan)
+    D = np.zeros((n, n))
+    seen = np.zeros((n, n), dtype=bool)
+    for ln, raw in enumerate(lines[2:], start=3):
+        if not raw.strip():
+            continue
+        cols = raw.split(",")
+        if len(cols) != 5:
+            raise CsvFormatError(f"expected 5 columns, found {len(cols)}", line=ln)
+        try:
+            i, j = int(cols[0]), int(cols[1])
+            ai, aj, d = float(cols[2]), float(cols[3]), float(cols[4])
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=ln) from None
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise CsvFormatError(f"pair ({i}, {j}) out of range for n={n}", line=ln)
+        if seen[i, j]:
+            raise CsvFormatError(f"duplicate pair ({i}, {j})", line=ln)
+        for idx, val in ((i, ai), (j, aj)):
+            if np.isnan(angles[idx]):
+                angles[idx] = val
+            elif angles[idx] != val:
+                raise CsvFormatError(f"inconsistent angle for sample {idx}", line=ln)
+        D[i, j] = d
+        seen[i, j] = True
+
+    missing = ~seen & ~np.eye(n, dtype=bool)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise CsvFormatError(f"missing entry for pair ({i}, {j}); file truncated?",
+                             line=len(lines) + 1)
+    if np.isnan(angles).any():
+        raise CsvFormatError("some samples never appeared in any row", line=len(lines))
+    return BoundaryDistanceData(angles=angles, radius=radius, matrix=D,
+                                spec_hash=spec_hash, noise=noise)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +232,232 @@ class TestCsv:
         p.write_text("junk\n")
         with pytest.raises(CsvFormatError, match="line 1"):
             load(p)
+
+
+def _outcome(loader, path):
+    """What a loader makes of a file: its data bit for bit, or its error and line."""
+    try:
+        d = loader(path)
+    except CsvFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("data", d.matrix.tobytes(), d.angles.tobytes(), d.radius.hex(),
+            d.spec_hash, d.noise)
+
+
+def _saved_lines(tmp_path):
+    """Lines of a saved n = 5 file with noise and one excluded (NaN) pair."""
+    n = 5
+    D = np.random.default_rng(3).uniform(0.1, 2.0, (n, n))
+    np.fill_diagonal(D, 0.0)
+    D[1, 2] = np.nan
+    data = BoundaryDistanceData(angles=2.0 * math.pi * np.arange(n) / n, radius=1.5,
+                                matrix=D, spec_hash="9f3a", noise=NoiseDescriptor(0.01, 4))
+    p = tmp_path / "base.csv"
+    save(data, p)
+    return p.read_text().splitlines()
+
+
+def _set_col(line, col, text):
+    cols = line.split(",")
+    cols[col] = text
+    return ",".join(cols)
+
+
+def _mutate(lines, op):
+    """Apply one edit; positions are taken modulo the body so any integer works."""
+    kind, *args = op
+    body = len(lines) - 2
+    if kind == "truncate":
+        return lines[:2]
+    if kind == "crlf":           # applied when the file is written
+        return lines
+    if kind == "blank":
+        lines.insert(2 + args[0] % (body + 1), args[1])
+        return lines
+    if body == 0:
+        return lines
+    k = 2 + args[0] % body
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(2 + args[1] % (body + 1), lines[k])
+    elif kind == "swap":
+        m = 2 + args[1] % body
+        lines[k], lines[m] = lines[m], lines[k]
+    elif kind in ("index", "corrupt", "angle"):
+        cols = lines[k].split(",")
+        col = args[1] % len(cols)
+        cols[col] = cols[1 - col] if args[2] == "diagonal" and len(cols) > 1 else args[2]
+        lines[k] = ",".join(cols)
+    elif kind == "drop_column":
+        cols = lines[k].split(",")
+        del cols[args[1] % len(cols)]
+        lines[k] = ",".join(cols)
+    elif kind == "add_column":
+        lines[k] += ",1.0"
+    return lines
+
+
+def _has_nonfinite_angle(lines):
+    for raw in lines[2:]:
+        cols = raw.split(",")
+        if len(cols) == 5:
+            for text in cols[2:4]:
+                try:
+                    if not math.isfinite(float(text)):
+                        return True
+                except ValueError:
+                    pass
+    return False
+
+
+_POS = st.integers(0, 10_000)
+_EDITS = st.one_of(
+    st.tuples(st.just("delete"), _POS),
+    st.tuples(st.just("duplicate"), _POS, _POS),
+    st.tuples(st.just("swap"), _POS, _POS),
+    st.tuples(st.just("index"), _POS, st.sampled_from([0, 1]),
+              st.sampled_from(["-1", "5", "6", "40", "diagonal"])),
+    st.tuples(st.just("corrupt"), _POS, st.integers(0, 5),
+              st.text(alphabet=" .eE+-0123456789x", max_size=6)),
+    st.tuples(st.just("angle"), _POS, st.sampled_from([2, 3]),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+    st.tuples(st.just("drop_column"), _POS, st.integers(0, 4)),
+    st.tuples(st.just("add_column"), _POS),
+    st.tuples(st.just("blank"), _POS, st.sampled_from(["", " ", "\t ", "  \t  "])),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("truncate")),
+)
+
+
+class TestLoadMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+    @example(edits=[("truncate",)])
+    @example(edits=[("blank", 3, " \t "), ("blank", 0, "")])
+    @example(edits=[("crlf",), ("blank", 7, "  ")])
+    @example(edits=[("duplicate", 4, 9), ("corrupt", 0, 4, "x")])
+    def test_mutated_file(self, tmp_path_factory, edits):
+        # non-finite angles are excluded: the reference accepts them, load does not
+        lines = _saved_lines(tmp_path_factory.mktemp("ref"))
+        for op in edits:
+            lines = _mutate(lines, op)
+        assume(not _has_nonfinite_angle(lines))
+        newline = "\r\n" if ("crlf",) in edits else "\n"
+        p = tmp_path_factory.mktemp("mut") / "m.csv"
+        p.write_bytes("".join(line + newline for line in lines).encode())
+        assert _outcome(load, p) == _outcome(_reference_load, p)
+
+    # two faults of different kinds, in either order: the earlier line wins;
+    # a duplicate row whose angle also differs is reported as the duplicate
+    @pytest.mark.parametrize("edits, line, message", [
+        ({4: "0,1,<a0>,<a1>,7.0", 6: "0,4,<a0>,<a4>,x"}, 4, "duplicate pair (0, 1)"),
+        ({4: "0,2,<a0>,<a2>,x", 6: "0,1,<a0>,<a1>,7.0"}, 4, "could not convert string to float: 'x'"),
+        ({5: "0,9,<a0>,<a1>,1.0", 7: "1,0,0.25,<a0>,1.0"}, 5, "pair (0, 9) out of range for n=5"),
+        ({5: "0,3,0.25,<a3>,1.0", 7: "1,1,<a1>,<a1>,1.0"}, 5, "inconsistent angle for sample 0"),
+        ({4: "0,1,0.25,<a1>,1.0"}, 4, "duplicate pair (0, 1)"),
+    ])
+    def test_earliest_fault_wins(self, tmp_path, edits, line, message):
+        lines = _saved_lines(tmp_path)
+        angles = {f"<a{k}>": lines[2 + 4 * k].split(",")[2] for k in range(5)}
+        for ln, text in edits.items():
+            for key, value in angles.items():
+                text = text.replace(key, value)
+            lines[ln - 1] = text
+        p = tmp_path / "two.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError) as err:
+            load(p)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+        assert _outcome(_reference_load, p) == ("error", str(err.value), line)
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_nonfinite_angle_rejected(self, tmp_path, text):
+        lines = _saved_lines(tmp_path)
+        lines[2] = _set_col(lines[2], 2, text)       # sample 0 on line 3
+        p = tmp_path / "a.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match="^line 3: angle for sample 0 is not finite$"):
+            load(p)
+
+    def test_sample_with_only_nan_angles_named(self, tmp_path):
+        lines = _saved_lines(tmp_path)
+        for k in range(2, len(lines)):
+            cols = lines[k].split(",")
+            for col in (0, 1):
+                if cols[col] == "4":
+                    cols[2 + col] = "nan"
+            lines[k] = ",".join(cols)
+        p = tmp_path / "b.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match="^line 6: angle for sample 4 is not finite$"):
+            load(p)
+
+    # forms int() and float() read but np.loadtxt does not; save never writes them
+    @pytest.mark.parametrize("col, text", [(1, "1_0"), (4, "1_0.5"), (4, "١")])
+    def test_unsupported_number_names_line(self, tmp_path, col, text):
+        lines = _saved_lines(tmp_path)
+        lines[6] = _set_col(lines[6], col, text)
+        p = tmp_path / "u.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="^line 7: unsupported number format"):
+            load(p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ENTRIES = st.one_of(
+    _FINITE,
+    st.just(math.nan),
+    st.just(-0.0),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(2, 12))
+    D = np.array(draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(D, 0.0)
+    noise = draw(st.none() | st.builds(NoiseDescriptor, sigma=_FINITE,
+                                       seed=st.integers(0, 2**64)))
+    return BoundaryDistanceData(
+        angles=np.array(draw(st.lists(_FINITE, min_size=n, max_size=n))),
+        radius=draw(st.floats(min_value=1e-300, max_value=1e300)), matrix=D,
+        spec_hash=draw(st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)),
+        noise=noise)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(data=_datasets())
+    def test_load_of_save_is_bitwise(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("rt") / "d.csv"
+        save(data, p)
+        back = load(p)
+        assert back.matrix.tobytes() == data.matrix.tobytes()
+        assert back.angles.tobytes() == data.angles.tobytes()
+        assert back.radius.hex() == data.radius.hex()
+        assert back.spec_hash == data.spec_hash
+        assert repr(back.noise) == repr(data.noise)
+
+    def test_save_bytes_golden(self, tmp_path):
+        D = np.array([[0.0, 1.5, math.nan], [0.1, 0.0, -0.0], [5e-324, 1e300, 0.0]])
+        data = BoundaryDistanceData(angles=2.0 * math.pi * np.arange(3) / 3, radius=1.0,
+                                    matrix=D, spec_hash="0123abcd",
+                                    noise=NoiseDescriptor(sigma=0.001, seed=7))
+        p = tmp_path / "g.csv"
+        save(data, p)
+        assert p.read_bytes() == (
+            b"# n=3 R=1.0 spec=0123abcd units=time sigma=0.001 seed=7\n"
+            b"i,j,angle_i,angle_j,d\n"
+            b"0,1,0.0,2.0943951023931953,1.5\n"
+            b"0,2,0.0,4.1887902047863905,nan\n"
+            b"1,0,2.0943951023931953,0.0,0.1\n"
+            b"1,2,2.0943951023931953,4.1887902047863905,-0.0\n"
+            b"2,0,4.1887902047863905,0.0,5e-324\n"
+            b"2,1,4.1887902047863905,2.0943951023931953,1e+300\n")
 
 
 class TestAdmissibilityAbort:

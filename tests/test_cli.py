@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from randers.boundary import load
+from randers import Domain
+from randers.boundary import load, sample_boundary
 from randers.cli import main
 
 EUCLID_CFG = """
@@ -162,3 +163,16 @@ class TestPlotdata:
         assert (out / "boundary.csv").exists()
         first = (out / "path_00.csv").read_text().splitlines()
         assert first[1] == "t,x1,x2,y1,y2"
+
+    def test_boundary_csv_bytes(self, cfg_file, tmp_path):
+        out = tmp_path / "out"
+        cfg = cfg_file("c.cfg", "[domain]\nradius = 1.5\nboundary_samples = 7\n\n"
+                                '[medium]\nkind = "conformal"\nc = "2 - r"\nwind = "zero"\n')
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 0
+        # the rows as written when each row read its point from a fresh smp.points
+        smp = sample_boundary(Domain(radius=1.5), 7)
+        want = "# boundary samples units=radians,length\ni,angle,x1,x2\n"
+        for i, a in enumerate(smp.angles):
+            p = smp.points[i]
+            want += f"{i},{float(a)!r},{float(p[0])!r},{float(p[1])!r}\n"
+        assert (out / "boundary.csv").read_bytes() == want.encode()
