@@ -68,6 +68,7 @@ class DistanceDiagnostics:
     miss: np.ndarray            # arc-length units
     excluded: np.ndarray        # nearly-adjacent pairs left out
     angle_samples: int
+    correction: np.ndarray      # first-variation term subtracted from each exit time
 
 
 @dataclass
@@ -131,6 +132,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     D = np.zeros((n, n))
     D[excluded] = np.nan
     miss = np.zeros((n, n))
+    correction = np.zeros((n, n))
     branches = np.zeros((n, n), dtype=int)
     for shot in shots:
         if shot.branch_count == 0 or not shot.converged:
@@ -142,12 +144,14 @@ def distance_matrix(spec, samples, opts=None, threads=1):
                 f"({shot.i}, {shot.j}); distance matrix build aborted")
         D[shot.i, shot.j] = shot.time
         miss[shot.i, shot.j] = shot.miss
+        correction[shot.i, shot.j] = shot.correction
         branches[shot.i, shot.j] = shot.branch_count
 
     if not (D[keep] > 0.0).all():
         raise RandersError("non-positive distance computed; solver failure")
     diag = DistanceDiagnostics(branch_counts=branches, miss=miss,
-                               excluded=excluded, angle_samples=opts.angle_samples)
+                               excluded=excluded, angle_samples=opts.angle_samples,
+                               correction=correction)
     return BoundaryDistanceData(angles=angles.copy(), radius=samples.radius,
                                 matrix=D, spec_hash=spec.spec_hash, diagnostics=diag)
 
@@ -184,19 +188,23 @@ _ROW = np.dtype([("i", np.int64), ("j", np.int64), ("angle_i", np.float64),
 
 
 def save(data, path):
-    """Write the matrix as CSV with a self-describing header; bit-exact."""
-    ang = [repr(float(a)) for a in data.angles]
+    """Write the matrix as CSV with a self-describing header; bit-exact.
+
+    Each angle is formatted once, and the rows of one sample are formatted
+    from one ``tolist`` of its matrix row and written in one call, so
+    memory stays at one sample's rows.
+    """
+    ang = [repr(a) for a in np.asarray(data.angles, dtype=float).tolist()]
     with open(path, "w") as fh:
         head = f"# n={data.n} R={float(data.radius)!r} spec={data.spec_hash} units=time"
         if data.noise is not None:
             head += f" sigma={float(data.noise.sigma)!r} seed={data.noise.seed}"
         fh.write(head + "\n")
         fh.write(_COLUMNS + "\n")
-        for i in range(data.n):
-            for j in range(data.n):
-                if i == j:
-                    continue
-                fh.write(f"{i},{j},{ang[i]},{ang[j]},{float(data.matrix[i, j])!r}\n")
+        for i, row in enumerate(np.asarray(data.matrix, dtype=float)):
+            ai = ang[i]
+            fh.write("".join([f"{i},{j},{ai},{aj},{v!r}\n"
+                              for j, (aj, v) in enumerate(zip(ang, row.tolist())) if j != i]))
 
 
 def _read_header(fh):

@@ -10,6 +10,27 @@ brackets of all pairs to convergence in one guarded false-position batch.
 A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
 one-pair case.
 
+The sweep only makes decisions (which rays hit, where the miss changes
+sign, which rays exit), so it runs at the loose tolerances ``_SWEEP_RTOL``
+and ``_SWEEP_ATOL``.  Every sweep ray that could change a decision is then
+re-integrated at the solver tolerance in one batch: rays within the guard
+band ``_GUARD`` (radians) of a target, rays that did not exit or came near
+their time or step budget, and both rays of a sweep interval whose
+exit-angle step could put a miss jump within the band of the wrap cut.
+Outside the band a decision needs the exit angle only to ``_GUARD``, so
+masks, branch counts and errors are those of a sweep at the solver
+tolerance.  The guard checks itself: the re-integrated rays measure the
+loose error, and a start where it exceeds a tenth of the band has its whole
+fan re-integrated.
+
+A converged ray still misses its target by an angle delta, and where it
+stops depends on the root finder and on the loose bracket values it starts
+from.  By the first variation of length, the travel time to the boundary
+point at angle theta changes at the rate <dF/dy(x, y), dx/dtheta> of the
+arriving geodesic (x, y), so each shot reports T minus that rate times
+delta.  This removes the first-order dependence on the stopping point;
+``GeodesicPath.exit_time`` stays the raw exit time of the ray.
+
 The spray is the Riemannian spray of alpha plus a beta correction (Shen's
 decomposition): a closed beta adds a multiple of y, so its geodesics are
 alpha's traced at another speed, and only a curl of beta turns them.  The
@@ -21,7 +42,7 @@ contiguous component arrays and makes one field call per batch,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +61,11 @@ __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShot",
            "polyline_hausdorff", "ConjugateScanReport", "ReversalReport"]
 
 _TWO_PI = 2.0 * math.pi
+
+# shooting sweep: its loose tolerances, and the band of angular miss (rad)
+# inside which a sweep ray is re-integrated at the solver tolerance
+_SWEEP_RTOL, _SWEEP_ATOL = 1e-6, 1e-9
+_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -311,10 +337,81 @@ def _bracket_roots(miss, ok, angle_tol):
     return node, bracket
 
 
+def _sweep(spec, theta0, psi, targets, opts):
+    """Shooting fans from the starts ``theta0`` (s,) over the angles ``psi`` (K,).
+
+    ``targets[si]`` holds the target angles of start si.  Returns the exit
+    angle, exit time, exit flag and exit state, shaped (s, K) and (s, K, 5).
+    The fans run at the loose sweep tolerance and every ray that could
+    change a decision is re-integrated at ``opts`` (see the module
+    docstring); when ``opts`` is as loose as the sweep there is one pass.
+    """
+    S, K = len(theta0), len(psi)
+    th0, ps = np.repeat(theta0, K), np.tile(psi, S)
+    loose = replace(opts, rtol=max(opts.rtol, _SWEEP_RTOL), atol=max(opts.atol, _SWEEP_ATOL))
+    th, t, ok, res = _exit_fan(spec, th0, ps, loose)
+    u = res.u_end
+    if loose != opts:
+        # a ray that exits within a relative _GUARD of its time budget, or
+        # near its step budget, may not exit at the solver tolerance; an
+        # order-5 pair takes steps ~ tol^(-1/5), and the guard is twice that
+        step_ratio = 2.0 * max(loose.rtol / opts.rtol, loose.atol / opts.atol) ** 0.2
+        t_max = opts.trap_time_factor * _time_scale(spec)
+        redo = (~ok | (t >= (1.0 - _GUARD) * t_max)
+                | (res.steps * step_ratio >= opts.max_steps)).reshape(S, K)
+        # whatever the target, a miss jump |m1 - m0| is |d| or 2 pi - |d| for
+        # the exit-angle step d; either one near the wrap cut can flip a bracket
+        d = np.abs(np.diff(th.reshape(S, K), axis=1))
+        cut = np.minimum(np.abs(d - 0.9 * math.pi), np.abs(1.1 * math.pi - d)) <= _GUARD
+        redo[:, :-1] |= cut
+        redo[:, 1:] |= cut
+        band = opts.miss_rtol + _GUARD
+        for si, tg in enumerate(targets):
+            # distance to the nearest target around the circle: the targets
+            # repeated one turn either side always enclose an exit angle
+            x, tg = th[si * K:(si + 1) * K], tg % _TWO_PI
+            ring = np.sort(np.concatenate([tg - _TWO_PI, tg, tg + _TWO_PI]))
+            k = np.searchsorted(ring, x)
+            redo[si] |= np.minimum(x - ring[k - 1], ring[k] - x) <= band
+        redo = np.flatnonzero(redo)
+        if redo.size:
+            th_r, t_r, ok_r, res_r = _exit_fan(spec, th0[redo], ps[redo], opts)
+            err = np.where(ok[redo] & ok_r, np.abs(_wrap(th[redo] - th_r)),
+                           np.where(ok[redo] == ok_r, 0.0, np.inf))
+            th[redo], t[redo], ok[redo], u[redo] = th_r, t_r, ok_r, res_r.u_end
+            # self-check: a start whose loose error leaves the guard's margin
+            # gets its whole fan at the solver tolerance
+            bad = np.unique(redo[err > 0.1 * _GUARD] // K)
+            if bad.size:
+                full = (bad[:, None] * K + np.arange(K)).ravel()
+                th_f, t_f, ok_f, res_f = _exit_fan(spec, th0[full], ps[full], opts)
+                th[full], t[full], ok[full], u[full] = th_f, t_f, ok_f, res_f.u_end
+    return th.reshape(S, K), t.reshape(S, K), ok.reshape(S, K), u.reshape(S, K, 5)
+
+
+def _first_variation(spec, u):
+    """<dF/dy(x, y), tau> at exit states u (m, 5), tau = dx/dtheta at the exit point.
+
+    This is the rate at which the travel time to the boundary point at angle
+    theta changes with theta.  For Randers dF/dy = a y / alpha + b, and
+    tau = R (-sin theta, cos theta).
+    """
+    x0, x1, y0, y1 = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
+    (a00, a01, a11), _ = spec.alpha.jet(x0, x1)
+    ay0, ay1 = a00 * y0 + a01 * y1, a01 * y0 + a11 * y1
+    al = np.sqrt(ay0 * y0 + ay1 * y1)
+    p0, p1 = ay0 / al, ay1 / al
+    if not spec.beta.is_zero:
+        (b0, b1), _ = spec.beta.jet(x0, x1)
+        p0, p1 = p0 + b0, p1 + b1
+    return spec.domain.radius * (x0 * p1 - x1 * p0) / np.hypot(x0, x1)
+
+
 def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
     """Guarded Illinois iteration on batches of independent brackets.
 
-    Returns (psi, time, miss, ok) arrays; each row is one bracket problem.
+    Returns (psi, time, miss, ok, state) arrays; each row is one bracket
+    problem and ``state`` (q, 5) holds the exit state of its converged ray.
     The iteration holds only its unfinished brackets: a bracket's result is
     written out once, when its ray lands within tolerance, and the live
     arrays shrink only on iterations where some bracket converged or its
@@ -322,6 +419,7 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
     """
     q = len(lo)
     psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
+    u_out = np.full((q, 5), np.nan)
     ids, side = np.arange(q), np.zeros(q, dtype=np.int8)
 
     for it in range(opts.refine_max_iter):
@@ -336,11 +434,12 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
         if it % 6 == 5:
             cand = mid  # periodic bisection keeps the bracket shrinking
 
-        th_exit, t_exit, ok, _ = _exit_fan(spec, theta0, cand, opts)
+        th_exit, t_exit, ok, res = _exit_fan(spec, theta0, cand, opts)
         m_new = _wrap(th_exit - theta_tgt)
         conv = ok & (np.abs(m_new) <= opts.miss_rtol)
         rows = ids[conv]
         psi_out[rows], t_out[rows], miss_out[rows] = cand[conv], t_exit[conv], m_new[conv]
+        u_out[rows] = res.u_end[conv]
 
         # replace one endpoint; halve the other side when it stagnates
         same_lo = np.sign(m_new) == np.sign(m_lo)
@@ -352,7 +451,7 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
         if not live.all():
             ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side = (
                 a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side))
-    return psi_out, t_out, miss_out, np.isfinite(psi_out)
+    return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out
 
 
 @dataclass
@@ -408,12 +507,13 @@ def solve_bvp(spec, x_from, x_to, opts=None):
 class PairShot:
     i: int
     j: int
-    time: float
+    time: float          # exit time less the first-variation correction
     miss: float          # arc-length units
     branch_count: int
     converged: bool
     angle: float = math.nan   # converged inward shooting angle
     path: GeodesicPath | None = None
+    correction: float = 0.0   # first-variation term subtracted from the ray's exit time
 
 
 def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
@@ -421,13 +521,17 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
 
     ``angles`` is the boundary angle table, ``pairs`` an iterable of ordered
     index pairs (i, j).  One sweep fan is integrated per distinct start and
-    shared across its targets.  A pair counts one branch per sweep ray within
-    tolerance of its target and per bracket; a pair with such a ray takes the
-    first one, every other pair its first converged bracket in sweep order,
-    with all brackets refined in a single batch.  Results are deterministic
-    and independent of pair order and grouping.  With ``record_paths`` the
-    converged single-branch rays are re-integrated once as a recorded batch
-    and each shot carries its GeodesicPath.
+    shared across its targets (see ``_sweep``).  A pair counts one branch
+    per sweep ray within tolerance of its target and per bracket; a pair
+    with such a ray takes the first one, every other pair its first
+    converged bracket in sweep order, with all brackets refined in a single
+    batch.  Each converged shot's time carries the first-variation
+    correction for its miss, which is also reported as ``correction``.
+    Branch counts and flags are independent of pair order and grouping, and
+    so are times up to the correction's second-order remainder.  With
+    ``record_paths`` the converged single-branch rays are re-integrated once
+    as a recorded batch and each shot carries its GeodesicPath, whose
+    ``exit_time`` is the uncorrected time of that ray.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
@@ -436,45 +540,47 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     if not len(pairs):
         return []
     starts = np.unique(pairs[:, 0])
+    rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
+    targets = [angles[pairs[rows, 1]] for rows in rows_of]
 
     psi = _sweep_angles(opts.angle_samples)
-    K = len(psi)
-    exit_th, exit_t, ok, _ = _exit_fan(spec, np.repeat(angles[starts], K),
-                                       np.tile(psi, len(starts)), opts)
-    exit_th, exit_t, ok = (a.reshape(len(starts), K) for a in (exit_th, exit_t, ok))
+    exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], psi, targets, opts)
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
+    state = np.full((P, 5), np.nan)
     count = np.zeros(P, dtype=int)
     converged = np.zeros(P, dtype=bool)
     fp = []   # per start: (pair rows, sweep index, miss at k and k+1) of brackets
-    for si, i in enumerate(starts):
-        rows = np.flatnonzero(pairs[:, 0] == i)
-        m = _wrap(exit_th[si] - angles[pairs[rows, 1], None])
+    for si, (rows, tg) in enumerate(zip(rows_of, targets)):
+        m = _wrap(exit_th[si] - tg[:, None])
         node, bracket = _bracket_roots(m, ok[si], opts.miss_rtol)
         count[rows] = node.sum(axis=1) + bracket.sum(axis=1)
         hit = node.any(axis=1)
         k = node.argmax(axis=1)[hit]
         r = rows[hit]
-        time[r], miss[r], angle[r] = exit_t[si, k], m[hit, k], psi[k]
+        time[r], miss[r], angle[r], state[r] = exit_t[si, k], m[hit, k], psi[k], exit_u[si, k]
         converged[r] = True
         q, kb = np.nonzero(bracket & ~hit[:, None])
         fp.append((rows[q], kb, m[q, kb], m[q, kb + 1]))
 
     owner, kb, m_lo, m_hi = (np.concatenate(c) for c in zip(*fp))
     if len(owner):
-        p, tt, mm, good = _false_position(
+        p, tt, mm, good, uu = _false_position(
             spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], psi[kb], psi[kb + 1],
             m_lo, m_hi, opts)
         # rows of one pair are contiguous and in sweep order
         won, first = np.unique(owner[good], return_index=True)
         sel = np.flatnonzero(good)[first]
-        time[won], miss[won], angle[won] = tt[sel], mm[sel], p[sel]
+        time[won], miss[won], angle[won], state[won] = tt[sel], mm[sel], p[sel], uu[sel]
         converged[won] = True
 
+    correction = np.zeros(P)
+    correction[converged] = _first_variation(spec, state[converged]) * miss[converged]
+    time -= correction
     miss *= spec.domain.radius
     out = [PairShot(int(i), int(j), float(time[q]), float(miss[q]), int(count[q]),
-                    bool(converged[q]), angle=float(angle[q]))
+                    bool(converged[q]), angle=float(angle[q]), correction=float(correction[q]))
            for q, (i, j) in enumerate(pairs)]
     if record_paths:
         rec = [s for s in out if s.converged and s.branch_count == 1]

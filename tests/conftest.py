@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from randers import (ConformalMetric, ConstantField, ConstantForm, Domain,
-                     EuclideanMetric, ExactForm, MediumModel, PotentialBump,
-                     RadialProfile, RandersSpec, SolverOptions,
-                     zermelo_construct)
+                     EuclideanMetric, ExactForm, ExprField, MediumModel,
+                     PotentialBump, RadialProfile, RandersSpec, RotationalForm,
+                     SolverOptions, zermelo_construct)
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +55,30 @@ def smooth_bump_spec(dom, smooth_alpha, bump):
 @pytest.fixture(scope="session")
 def kink_profile():
     return RadialProfile("2 - r")
+
+
+@pytest.fixture(scope="session")
+def kink_spec(dom, kink_profile):
+    return RandersSpec(dom, ConformalMetric(kink_profile))
+
+
+@pytest.fixture(scope="session")
+def rot_zermelo_spec(dom):
+    # rotational wind on 2 - r^2: a non-closed beta on a curved metric
+    return zermelo_construct(MediumModel(dom, speed=RadialProfile("2 - r^2"),
+                                         wind=RotationalForm(0.4)))
+
+
+# low-velocity lenses: three geodesics join some boundary pairs, so both lie
+# outside the paper's hypotheses and a distance matrix build must abort
+@pytest.fixture(scope="session")
+def lens_spec(dom):
+    return RandersSpec(dom, ConformalMetric(RadialProfile("1 - 0.5*exp(-10*r^2)")))
+
+
+@pytest.fixture(scope="session")
+def offcentre_lens_spec(dom):
+    return RandersSpec(dom, ConformalMetric(ExprField("1 - 0.5*exp(-20*((x1-0.3)^2 + x2^2))")))
 
 
 @pytest.fixture(scope="session")

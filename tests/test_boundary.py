@@ -487,6 +487,22 @@ class TestAdmissibilityAbort:
             bd.distance_matrix(euclid_spec, 3)
 
 
+    @pytest.mark.parametrize("medium,pair", [("lens_spec", (0, 5)),
+                                             ("offcentre_lens_spec", (0, 4))])
+    def test_real_lens_aborts_with_pair(self, request, medium, pair):
+        from randers import NonAdmissibleError, solve_bvp
+
+        spec = request.getfixturevalue(medium)
+        i, j = pair
+        with pytest.raises(NonAdmissibleError,
+                           match=rf"^3 geodesic branches for boundary pair \({i}, {j}\);"):
+            distance_matrix(spec, 12)
+        # the named pair alone, through the one-pair solver
+        points = sample_boundary(spec.domain, 12).points
+        with pytest.raises(NonAdmissibleError, match="^3 geodesic branches connect"):
+            solve_bvp(spec, points[i], points[j])
+
+
 class TestExclusion:
     def test_nearly_adjacent_pairs_excluded(self, euclid_spec, dom):
         angles = np.array([0.0, 5e-4, math.pi / 2, math.pi])

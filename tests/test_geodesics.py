@@ -6,10 +6,12 @@ import pytest
 from randers import (ConformalMetric, ConnectivityError, ConstantField,
                      ConstantForm, DegenerateInputError, Domain, DomainError,
                      EuclideanMetric, ExactForm, NonAdmissibleError,
-                     PotentialBump, RadialProfile, RandersSpec, RotationalForm,
-                     SolverOptions, SumForm, conjugate_point_scan, curve_length,
+                     PotentialBump, RadialProfile, RandersError, RandersSpec,
+                     RotationalForm, SolverOptions, SumForm,
+                     conjugate_point_scan, curve_length, distance_matrix,
                      integrate_geodesic, polyline_hausdorff,
                      reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
+from randers import boundary as bd
 from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
 
@@ -313,6 +315,151 @@ class TestShootPairs:
         # recorded re-integration caps the step size, so times agree only
         # to solver accuracy
         assert abs(path.exit_time - shots[0].time) < 1e-9
+
+
+_MEDIA = ("smooth_bump_spec", "wind_spec", "rot_zermelo_spec", "lens_spec",
+          "offcentre_lens_spec")
+
+
+def _all_pairs(n):
+    return 2.0 * math.pi * np.arange(n) / n, [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def _build_error(monkeypatch, spec, shots, n):
+    """The error distance_matrix raises for these shots, or None."""
+    with monkeypatch.context() as mp:
+        mp.setattr(bd, "shoot_pairs", lambda *args, **kwargs: shots)
+        try:
+            bd.distance_matrix(spec, n)
+        except RandersError as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class TestLooseSweep:
+    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "rot_zermelo_spec", "kink_spec",
+                                        "lens_spec", "offcentre_lens_spec"])
+    def test_loose_error_within_guard_margin(self, request, medium):
+        # the guard band holds only while the loose sweep's exit angles stay
+        # well inside it: a tenth of the band is the self-check's trigger
+        spec = request.getfixturevalue(medium)
+        psi, starts = _sweep_angles(720), np.array([0.0, 1.9, 3.3, 4.2])
+        th0, ps = np.repeat(starts, 720), np.tile(psi, len(starts))
+        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
+        th_l, _, ok_l, _ = geo._exit_fan(spec, th0, ps, loose)
+        th_t, _, ok_t, _ = geo._exit_fan(spec, th0, ps, SolverOptions())
+        assert ok_t.all() and np.array_equal(ok_l, ok_t)
+        assert np.abs(geo._wrap(th_l - th_t)).max() < 0.1 * geo._GUARD
+
+    @pytest.mark.parametrize("medium,opts", [(m, SolverOptions()) for m in _MEDIA] + [
+        # loose rays take about a quarter of the steps: some exit only loosely
+        ("smooth_bump_spec", SolverOptions(max_steps=60))],
+        ids=[*_MEDIA, "bump-max_steps60"])
+    def test_matches_single_pass(self, request, monkeypatch, medium, opts):
+        # with the sweep constants at the solver tolerance there is one pass
+        spec, n = request.getfixturevalue(medium), 12
+        angles, pairs = _all_pairs(n)
+        two = shoot_pairs(spec, angles, pairs, opts)
+        monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
+        monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
+        one = shoot_pairs(spec, angles, pairs, opts)
+        for a, b in zip(two, one):
+            assert (a.i, a.j, a.branch_count, a.converged) == (b.i, b.j, b.branch_count, b.converged)
+            if a.converged:
+                assert abs(a.time - b.time) <= 1e-12
+        assert _build_error(monkeypatch, spec, two, n) == _build_error(monkeypatch, spec, one, n)
+
+    def test_target_between_loose_and_tight_exit(self, monkeypatch, smooth_bump_spec):
+        # the loose and the tight ray miss this target on opposite sides: a
+        # bracket taken from the loose sweep would not contain the root
+        spec, psi = smooth_bump_spec, _sweep_angles(720)
+        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
+        th_t, _, _, _ = geo._exit_fan(spec, np.zeros(720), psi, SolverOptions())
+        th_l, _, _, _ = geo._exit_fan(spec, np.zeros(720), psi, loose)
+        k = int(np.argmax(np.abs(geo._wrap(th_l - th_t))))
+        target = 0.5 * (th_l[k] + th_t[k])
+        assert abs(geo._wrap(th_t[k] - target)) > SolverOptions().miss_rtol
+        two, = shoot_pairs(spec, [0.0, target], [(0, 1)])
+        monkeypatch.setattr(geo, "_SWEEP_RTOL", SolverOptions().rtol)
+        monkeypatch.setattr(geo, "_SWEEP_ATOL", SolverOptions().atol)
+        one, = shoot_pairs(spec, [0.0, target], [(0, 1)])
+        assert (two.branch_count, two.converged) == (one.branch_count, one.converged) == (1, True)
+        assert abs(two.time - one.time) <= 1e-12
+
+    def test_ray_straddling_time_budget(self, monkeypatch, smooth_bump_spec):
+        # t_max between a ray's loose and tight exit times: it exits only in
+        # the loose sweep, and with a shorter neighbour it would bracket a
+        # target that lies outside the miss band
+        spec, psi = smooth_bump_spec, _sweep_angles(720)
+        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
+        th, t_t, _, _ = geo._exit_fan(spec, np.zeros(720), psi, SolverOptions())
+        _, t_l, _, _ = geo._exit_fan(spec, np.zeros(720), psi, loose)
+        k = next(k for k in range(360, 719) if t_l[k] < t_t[k] and t_t[k + 1] < t_l[k])
+        target = 0.5 * (th[k] + th[k + 1])
+        assert abs(geo._wrap(th[k] - target)) > SolverOptions().miss_rtol + geo._GUARD
+        opts = SolverOptions(trap_time_factor=0.5 * (t_l[k] + t_t[k]) / geo._time_scale(spec))
+        two, = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
+        monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
+        monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
+        one, = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
+        assert (two.branch_count, two.converged) == (one.branch_count, one.converged) == (0, False)
+
+    def test_self_check_retraces_whole_fans(self, monkeypatch, smooth_bump_spec):
+        # a sweep far too loose for the band: the re-integrated rays show it,
+        # and their starts' fans are integrated again at the solver tolerance
+        spec, n = smooth_bump_spec, 8
+        angles, pairs = _all_pairs(n)
+        ref = shoot_pairs(spec, angles, pairs)
+        fans = []
+        exit_fan = geo._exit_fan
+
+        def counted(spec, theta0, psi, opts, record=False):
+            fans.append((len(psi), opts.rtol))
+            return exit_fan(spec, theta0, psi, opts, record)
+
+        monkeypatch.setattr(geo, "_exit_fan", counted)
+        monkeypatch.setattr(geo, "_SWEEP_RTOL", 3e-3)
+        monkeypatch.setattr(geo, "_SWEEP_ATOL", 1e-5)
+        got = shoot_pairs(spec, angles, pairs)
+        tight = SolverOptions().rtol
+        assert fans[0] == (n * 720, 3e-3) and fans[1][1] == tight
+        assert fans[2][0] % 720 == 0 and fans[2][0] > 0 and fans[2][1] == tight
+        for a, b in zip(got, ref):
+            assert (a.branch_count, a.converged) == (b.branch_count, b.converged)
+            assert abs(a.time - b.time) <= 1e-12
+
+
+class TestFirstVariation:
+    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "rot_zermelo_spec"])
+    def test_independent_of_stopping_point(self, request, medium):
+        # false position stops at different rays; the corrected times agree
+        # to the second-order remainder
+        spec = request.getfixturevalue(medium)
+        d8 = distance_matrix(spec, 12, SolverOptions(miss_rtol=1e-8))
+        d11 = distance_matrix(spec, 12, SolverOptions(miss_rtol=1e-11))
+        off = ~np.eye(12, dtype=bool)
+        assert np.abs(d8.matrix - d11.matrix)[off].max() <= 1e-13
+        raw8, raw11 = (d.matrix + d.diagnostics.correction for d in (d8, d11))
+        assert np.abs(raw8 - raw11)[off].max() > 1e-12   # the raw times do depend on it
+
+    def test_closer_to_tight_reference(self, smooth_bump_spec):
+        n = 32
+        data = distance_matrix(smooth_bump_spec, n)
+        ref = distance_matrix(smooth_bump_spec, n,
+                              SolverOptions(rtol=1e-12, atol=1e-15, miss_rtol=1e-13)).matrix
+        off = ~np.eye(n, dtype=bool)
+        raw = data.matrix + data.diagnostics.correction
+        assert np.abs(data.matrix - ref)[off].max() < np.abs(raw - ref)[off].max()
+
+    def test_first_variation_is_boundary_rate(self, rot_zermelo_spec):
+        # <dF/dy, tau> matches a central difference of the exit time in the
+        # target angle on a non-reversible, curved medium
+        spec, h = rot_zermelo_spec, 1e-4
+        angles = np.array([0.3, 2.4 - h, 2.4, 2.4 + h])
+        lo, mid, hi = shoot_pairs(spec, angles, [(0, 1), (0, 2), (0, 3)])
+        _, _, _, res = geo._exit_fan(spec, np.array([0.3]), np.array([mid.angle]), SolverOptions())
+        rate = geo._first_variation(spec, res.u_end)[0]
+        assert rate == pytest.approx((hi.time - lo.time) / (2 * h), abs=1e-7)
 
 
 class TestProjectiveEquivalence:
