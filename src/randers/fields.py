@@ -4,7 +4,7 @@ Every scenario is assembled from a small set of named field families
 (constants, radial profiles, expression fields, potential bumps, constant
 or gradient winds, rotational forms) so runs are exactly reproducible from
 a short textual description.  All fields evaluate on batches of points:
-``x`` may be a single point of shape (n,) or a stack of shape (m, n), and
+``x`` may be a single point of shape (2,) or a stack of shape (m, 2), and
 derivatives are analytic: closed forms for the fixed families, and
 symbolic derivative trees of the expression (see
 :meth:`randers.expressions.Expression.diff`) for expression fields, never
@@ -45,12 +45,12 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 def _pts(x):
-    """Normalize to an (m, n) batch; second return flags single-point input."""
+    """Normalize planar input to an (m, 2) batch; second return flags a single point."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,) or x.ndim > 2:
+        raise ValueError(f"points must have shape (2,) or (m, 2), got {x.shape}")
     if x.ndim == 1:
         return x[None, :], True
-    if x.ndim != 2:
-        raise ValueError(f"points must have shape (n,) or (m, n), got {x.shape}")
     return x, False
 
 
@@ -269,6 +269,8 @@ class RadialProfile(ScalarField):
     Herglotz condition check and curvature evaluations need; the derivative
     trees are built once at construction.  In the plane, the unit vector
     x / r is taken as zero at the origin, and so are the gradient and Hessian.
+    A profile with c'(0) != 0, such as 2 - r, is not smooth at the origin,
+    and distances between diametral boundary points reproduce only to ~1e-7.
     """
 
     def __init__(self, expr):

@@ -52,7 +52,7 @@ from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      SpecMismatchError, TrappedGeodesicError)
 from .fields import (ConformalMetric, Domain, _pts, _unbatch, circle_directions,
                      disk_grid)
-from .norms import RandersSpec
+from .norms import RandersSpec, _alpha_at, _beta_at, _dF_dy
 from .zermelo import herglotz_check
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShot",
@@ -150,8 +150,6 @@ def spray(spec, x, y):
     spec.require_valid()
     X, single = _pts(x)
     Y, _ = _pts(y)
-    if X.shape[1] != 2 or Y.shape[1] != 2:
-        raise ValueError("spray takes planar points and directions")
     Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
     if np.any(np.linalg.norm(Y, axis=1) == 0.0):
         raise DegenerateInputError("spray is undefined at y = 0")
@@ -393,17 +391,11 @@ def _first_variation(spec, u):
     """<dF/dy(x, y), tau> at exit states u (m, 5), tau = dx/dtheta at the exit point.
 
     This is the rate at which the travel time to the boundary point at angle
-    theta changes with theta.  For Randers dF/dy = a y / alpha + b, and
-    tau = R (-sin theta, cos theta).
+    theta changes with theta, with tau = R (-sin theta, cos theta).
     """
-    x0, x1, y0, y1 = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
-    (a00, a01, a11), _ = spec.alpha.jet(x0, x1)
-    ay0, ay1 = a00 * y0 + a01 * y1, a01 * y0 + a11 * y1
-    al = np.sqrt(ay0 * y0 + ay1 * y1)
-    p0, p1 = ay0 / al, ay1 / al
-    if not spec.beta.is_zero:
-        (b0, b1), _ = spec.beta.jet(x0, x1)
-        p0, p1 = p0 + b0, p1 + b1
+    X = u[:, 0:2]
+    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, X), _beta_at(spec.beta, X), u[:, 2], u[:, 3])
+    x0, x1 = u[:, 0], u[:, 1]
     return spec.domain.radius * (x0 * p1 - x1 * p0) / np.hypot(x0, x1)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidNormError
-from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _unbatch,
+from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _sym, _unbatch,
                      circle_directions, disk_grid)
 
 __all__ = [
@@ -28,6 +28,44 @@ __all__ = [
 MARGIN_GRID_SIZE = 1000  # fixed interior probe grid for |b|_a* certification
 
 
+# ---------------------------------------------------------------------------
+# planar component algebra: every pointwise quantity of a Randers norm is
+# computed here from the planar jets of alpha and beta, with a = (a00, a01,
+# a11) and b = (b0, b1) one (m,) array per component
+
+
+def _alpha_at(alpha, X):
+    """Components (a00, a01, a11) of a metric field at the points X (m, 2)."""
+    return alpha.jet(X[:, 0], X[:, 1])[0]
+
+
+def _beta_at(beta, X):
+    """Components (b0, b1) of a 1-form or wind at the points X (m, 2); None when zero."""
+    return None if beta.is_zero else beta.jet(X[:, 0], X[:, 1])[0]
+
+
+def _quad(a, y0, y1):
+    """a(y, y)."""
+    a00, a01, a11 = a
+    return (a00 * y0 + a01 * y1) * y0 + (a01 * y0 + a11 * y1) * y1
+
+
+def _inv_form(a, v, w):
+    """a^-1(v, w) through the explicit 2x2 inverse."""
+    a00, a01, a11 = a
+    (v0, v1), (w0, w1) = v, w
+    return (v0 * (a11 * w0 - a01 * w1) + v1 * (a00 * w1 - a01 * w0)) / (a00 * a11 - a01 * a01)
+
+
+def _dF_dy(a, b, y0, y1):
+    """(alpha, ell, dF/dy) along y: alpha = sqrt(a(y, y)), ell = a y / alpha, dF/dy = ell + b."""
+    a00, a01, a11 = a
+    ay0, ay1 = a00 * y0 + a01 * y1, a01 * y0 + a11 * y1
+    al = np.sqrt(ay0 * y0 + ay1 * y1)
+    ell = (ay0 / al, ay1 / al)
+    return al, ell, ell if b is None else (ell[0] + b[0], ell[1] + b[1])
+
+
 class RandersSpec:
     """A Randers norm on a closed ball, with a grid-certified validity margin."""
 
@@ -36,10 +74,9 @@ class RandersSpec:
         self.alpha = alpha
         self.beta = beta if beta is not None else ZeroForm()
         grid = disk_grid(domain, margin_grid)
-        a = alpha.value(grid)
-        b = self.beta.value(grid)
-        cov = np.einsum("mi,mi->m", b, np.linalg.solve(a, b[:, :, None])[:, :, 0])
-        self.sup_beta = float(np.sqrt(max(cov.max(), 0.0)))
+        b = _beta_at(self.beta, grid)
+        cov = 0.0 if b is None else _inv_form(_alpha_at(alpha, grid), b, b).max()
+        self.sup_beta = float(np.sqrt(max(cov, 0.0)))
         self.margin = 1.0 - self.sup_beta
         self._hash = hashlib.sha256(self.describe().encode()).hexdigest()[:12]
 
@@ -70,13 +107,11 @@ class RandersSpec:
     # -- evaluation ---------------------------------------------------------
 
     def _raw_norm(self, x, y):
-        """F without validity or domain checks; x, y batched (m, n)."""
-        a = self.alpha.value(x)
-        quad = np.einsum("mij,mi,mj->m", a, y, y)
-        out = np.sqrt(np.maximum(quad, 0.0))
-        if not self.beta.is_zero:
-            out = out + np.einsum("mi,mi->m", self.beta.value(x), y)
-        return out
+        """F without validity or domain checks; x, y batched (m, 2)."""
+        y0, y1 = y[:, 0], y[:, 1]
+        out = np.sqrt(np.maximum(_quad(_alpha_at(self.alpha, x), y0, y1), 0.0))
+        b = _beta_at(self.beta, x)
+        return out if b is None else out + (b[0] * y0 + b[1] * y1)
 
     def norm(self, x, y):
         """Evaluate F(x, y); accepts single points or batches."""
@@ -84,8 +119,7 @@ class RandersSpec:
         X, single = _pts(x)
         Y, _ = _pts(y)
         self.domain.require_inside(X)
-        Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
-        return _unbatch(self._raw_norm(X, np.ascontiguousarray(Y)), single)
+        return _unbatch(self._raw_norm(X, Y), single)
 
     def spray_terms(self, x0, x1, y0, y1):
         """(alpha.spray_terms, beta.jet) at the points (x0, x1) along (y0, y1).
@@ -113,8 +147,7 @@ def riemannian_norm(metric, x, y, domain=None):
     Y, _ = _pts(y)
     if domain is not None:
         domain.require_inside(X)
-    g = metric.value(X)
-    quad = np.einsum("mij,mi,mj->m", g, Y, Y)
+    quad = _quad(_alpha_at(metric, X), Y[:, 0], Y[:, 1])
     return _unbatch(np.sqrt(np.maximum(quad, 0.0)), single)
 
 
@@ -130,15 +163,15 @@ def dual_norm(obj, x, omega):
     X, single = _pts(x)
     W, _ = _pts(omega)
     if isinstance(obj, MetricField):
-        a, b = obj.value(X), np.zeros_like(X)
+        a, b = _alpha_at(obj, X), (0.0, 0.0)
     else:
         obj.require_valid()
         obj.domain.require_inside(X)
-        a, b = obj.alpha.value(X), obj.beta.value(X)
-    w_sharp = np.linalg.solve(a, W[:, :, None])[:, :, 0]
-    ww = np.einsum("mi,mi->m", W, w_sharp)
-    bw = np.einsum("mi,mi->m", b, w_sharp)
-    lam = 1.0 - np.einsum("mi,mi->m", b, np.linalg.solve(a, b[:, :, None])[:, :, 0])
+        a, b = _alpha_at(obj.alpha, X), _beta_at(obj.beta, X) or (0.0, 0.0)
+    w = (W[:, 0], W[:, 1])
+    ww = _inv_form(a, w, w)
+    bw = _inv_form(a, b, w)
+    lam = 1.0 - _inv_form(a, b, b)
     if np.any(lam <= 0.0):
         k = int(np.argmax(lam <= 0.0))
         raise InvalidNormError(
@@ -150,49 +183,45 @@ def dual_norm(obj, x, omega):
 # -- fundamental tensor ------------------------------------------------------
 
 
-def _fd_fundamental_batch(spec, X, Y):
-    """Central-difference fundamental tensor, batched.
+def _fundamental(spec, X, Y):
+    """Closed-form fundamental tensor (g00, g01, g11) and its smallest eigenvalue.
 
-    The y-stencil arithmetic runs in extended precision so the second
-    differences sit well below the required tolerances; metric and 1-form
-    values at x enter every stencil point identically, so their float64
-    rounding cancels in the differences.
+    g = (F / alpha)(a - ell ell^T) + (ell + b)(ell + b)^T with ell = a y / alpha
+    (Bao, Chern and Shen, section 11.1), and det g = (F / alpha)^3 det a.  The
+    eigenvalue 2 det g / (tr g + sqrt((g00 - g11)^2 + 4 g01^2)) keeps its
+    precision when it is small and when it is nearly double.
     """
-    m, n = X.shape
-    a = spec.alpha.value(X).astype(np.longdouble)
-    b = spec.beta.value(X).astype(np.longdouble)
-    y0 = Y.astype(np.longdouble)
-    h = (1e-4 * np.maximum(np.linalg.norm(Y, axis=1), 1.0)).astype(np.longdouble)
+    a, b = _alpha_at(spec.alpha, X), _beta_at(spec.beta, X)
+    y0, y1 = Y[:, 0], Y[:, 1]
+    al, (l0, l1), (p0, p1) = _dF_dy(a, b, y0, y1)
+    k = 1.0 if b is None else (al + (b[0] * y0 + b[1] * y1)) / al   # F / alpha
+    a00, a01, a11 = a
+    g00 = k * (a00 - l0 * l0) + p0 * p0
+    g01 = k * (a01 - l0 * l1) + p0 * p1
+    g11 = k * (a11 - l1 * l1) + p1 * p1
+    det = k ** 3 * (a00 * a11 - a01 * a01)
+    den = (g00 + g11) + np.hypot(g00 - g11, 2.0 * g01)
+    # den = 0 only where g = 0 (F = 0 and dF/dy = 0 on the validity boundary)
+    eigmin = np.divide(2.0 * det, den, out=np.zeros_like(den), where=den > 0.0)
+    return (g00, g01, g11), eigmin
 
-    def f2(y):
-        quad = np.einsum("mij,mi,mj->m", a, y, y)
-        lin = np.einsum("mi,mi->m", b, y)
-        return (np.sqrt(quad) + lin) ** 2
 
-    e = np.eye(n, dtype=np.longdouble)
-    g = np.empty((m, n, n), dtype=np.longdouble)
-    f0 = f2(y0)
-    for i in range(n):
-        hi = h[:, None] * e[i]
-        g[:, i, i] = (f2(y0 + hi) - 2.0 * f0 + f2(y0 - hi)) / h ** 2
-        for j in range(i + 1, n):
-            hj = h[:, None] * e[j]
-            gij = (f2(y0 + hi + hj) - f2(y0 + hi - hj)
-                   - f2(y0 - hi + hj) + f2(y0 - hi - hj)) / (4.0 * h ** 2)
-            g[:, i, j] = gij
-            g[:, j, i] = gij
-    g = 0.5 * g.astype(float)
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
+def _nonzero_directions(Y):
+    """Reject zero directions (F is not smooth at y = 0), naming the first one."""
+    zero = ~Y.any(axis=1)
+    if zero.any():
+        raise DegenerateInputError(f"direction {int(np.argmax(zero))} is zero; the fundamental "
+                                   "tensor is undefined at y = 0 (F is not smooth there)")
 
 
 def fundamental_tensor(spec, x, y):
-    """Local metric g_ij(x, y) = 1/2 d^2(F^2)/dy_i dy_j by central differences."""
+    """Local metric g_ij(x, y) = 1/2 d^2(F^2)/dy_i dy_j, in closed form."""
     X, single = _pts(x)
     Y, _ = _pts(y)
-    if np.any(np.linalg.norm(Y, axis=1) == 0.0):
-        raise DegenerateInputError("fundamental tensor is undefined at y = 0 (F is not smooth there)")
+    _nonzero_directions(Y)
     spec.domain.require_inside(X)
-    return _unbatch(_fd_fundamental_batch(spec, X, np.broadcast_to(Y, X.shape)), single)
+    g, _ = _fundamental(spec, X, np.broadcast_to(Y, X.shape))
+    return _unbatch(_sym(g), single)
 
 
 # -- validity ----------------------------------------------------------------
@@ -232,14 +261,11 @@ def validate_norm(spec, probes=None):
     invalid specs too (that is the point of the check).
     """
     if probes is None:
-        points = disk_grid(spec.domain, 100)
-        dirs = circle_directions(16)
-    else:
-        points, dirs = probes
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        probes = disk_grid(spec.domain, 100), circle_directions(16)
+    points, dirs = (_pts(p)[0] for p in probes)
     if len(points) == 0 or len(dirs) == 0:
         raise ValueError("probe set must be nonempty")
+    _nonzero_directions(dirs)
 
     p, q = len(points), len(dirs)
     X = np.repeat(points, q, axis=0)
@@ -254,22 +280,12 @@ def validate_norm(spec, probes=None):
         rel = np.abs(fl - lam * f1) / np.maximum(np.abs(lam * f1), 1e-300)
         hom = max(hom, float(rel.max()))
 
-    g = _fd_fundamental_batch(spec, X, Y)
-    tr = g[:, 0, 0] + g[:, 1, 1]
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    disc = np.sqrt(np.maximum(tr ** 2 - 4.0 * det, 0.0))
-    eigmin = 0.5 * (tr - disc)
+    _, eigmin = _fundamental(spec, X, Y)
     convexity_min = float(eigmin.min())
 
-    flagged = []
-    bad = (f1 <= 0.0) | (eigmin <= 0.0)
-    for idx in np.nonzero(bad)[0]:
-        flagged.append({
-            "point": X[idx].tolist(),
-            "direction": Y[idx].tolist(),
-            "norm": float(f1[idx]),
-            "convexity": float(eigmin[idx]),
-        })
+    flagged = [{"point": X[i].tolist(), "direction": Y[i].tolist(),
+                "norm": float(f1[i]), "convexity": float(eigmin[i])}
+               for i in np.nonzero((f1 <= 0.0) | (eigmin <= 0.0))[0]]
 
     passed = (spec.margin > 0.0 and positivity_min > 0.0
               and convexity_min > 0.0 and hom <= 1e-10)
@@ -300,13 +316,11 @@ def curve_length(spec, curve):
     Gauss-Legendre quadrature per segment accumulated with exact rounding.
     """
     spec.require_valid()
-    verts = np.asarray(getattr(curve, "x", curve), dtype=float)
-    if verts.ndim != 2 or verts.shape[0] < 2:
+    verts, _ = _pts(getattr(curve, "x", curve))
+    if verts.shape[0] < 2:
         raise ValueError("curve must have at least two vertices")
-    seg_a = verts[:-1]
-    seg_b = verts[1:]
+    seg_a, seg_b = verts[:-1], verts[1:]
     seg_v = seg_b - seg_a
-    s, n = seg_a.shape
 
     # orientation-canonical quadrature nodes: node positions depend only on
     # the segment as a set, so reversing the polyline evaluates the fields
@@ -315,7 +329,7 @@ def curve_length(spec, curve):
     lo = np.where(swap[:, None], seg_b, seg_a)
     hi = np.where(swap[:, None], seg_a, seg_b)
     Xq = lo[:, None, :] + _GL_T[None, :, None] * (hi - lo)[:, None, :]
-    Xf = Xq.reshape(s * 4, n)
+    Xf = Xq.reshape(-1, 2)
     inside = spec.domain.contains(Xf, rtol=1e-9)
     if not inside.all():
         k = int(np.nonzero(~inside)[0][0])
@@ -323,17 +337,12 @@ def curve_length(spec, curve):
         raise DomainError(f"curve exits the domain near parameter {t_param:.6g} "
                           f"(segment {k // 4}, point {Xf[k]})")
 
-    a = spec.alpha.value(Xf)
-    Vf = np.repeat(seg_v, 4, axis=0)
-    riem_terms = np.sqrt(np.maximum(np.einsum("mij,mi,mj->m", a, Vf, Vf), 0.0))
-    w = np.tile(_GL_W, s)
+    v0, v1 = np.repeat(seg_v[:, 0], 4), np.repeat(seg_v[:, 1], 4)
+    riem_terms = np.sqrt(np.maximum(_quad(_alpha_at(spec.alpha, Xf), v0, v1), 0.0))
+    w = np.tile(_GL_W, len(seg_v))
     riem = math.fsum((w * riem_terms).tolist())
-    if spec.beta.is_zero:
-        one = 0.0
-    else:
-        b = spec.beta.value(Xf)
-        one_terms = np.einsum("mi,mi->m", b, Vf)
-        one = math.fsum((w * one_terms).tolist())
+    b = _beta_at(spec.beta, Xf)
+    one = 0.0 if b is None else math.fsum((w * (b[0] * v0 + b[1] * v1)).tolist())
     return LengthParts(riem + one, riem, one)
 
 
@@ -348,7 +357,6 @@ def closedness_residual(beta, probes):
     In the plane this is max |d beta_2/d x1 - d beta_1/d x2|, i.e. the sup
     norm of the exterior derivative.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    J = beta.jacobian(probes)
-    anti = J - np.swapaxes(J, -1, -2)
-    return float(np.abs(anti).max())
+    X, _ = _pts(probes)
+    _, ((_, J01), (J10, _)) = beta.jet(X[:, 0], X[:, 1])
+    return float(np.abs(J01 - J10).max())

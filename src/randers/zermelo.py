@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
 from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
-                     ScaledForm, VectorValuedField, disk_grid, jet_spray_terms)
-from .norms import RandersSpec
+                     ScaledForm, VectorValuedField, ZeroForm, disk_grid, jet_spray_terms)
+from .norms import RandersSpec, _alpha_at, _beta_at, _quad
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
            "linearize", "herglotz_check", "HerglotzReport",
@@ -38,8 +38,6 @@ class MediumModel:
     """
 
     def __init__(self, domain, speed=None, wind=None, metric=None, grid=1000):
-        from .fields import ZeroForm
-
         self.domain = domain
         self.wind = wind if wind is not None else ZeroForm()
         if metric is not None:
@@ -53,10 +51,9 @@ class MediumModel:
             self.metric = ConformalMetric(speed)
             self.flavor = self.metric.flavor
         pts = disk_grid(domain, grid)
-        g = self.metric.value(pts)
-        W = self.wind.value(pts)
-        drift = np.sqrt(np.maximum(np.einsum("mij,mi,mj->m", g, W, W), 0.0))
-        self.max_drift = float(drift.max())
+        W = _beta_at(self.wind, pts)
+        drift = 0.0 if W is None else _quad(_alpha_at(self.metric, pts), *W).max()
+        self.max_drift = float(np.sqrt(max(drift, 0.0)))
         if self.max_drift >= 1.0:
             raise InvalidMediumError(
                 f"drift speed reaches |W|_g = {self.max_drift:.4g} >= 1 on the probe grid; "
