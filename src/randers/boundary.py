@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -92,14 +93,14 @@ class BoundaryDistanceData:
 def distance_matrix(spec, samples, opts=None, threads=1):
     """Assemble D[i][j] = travel time of the unique i -> j geodesic.
 
-    ``samples`` may be a BoundarySamples or a sample count.  Pairs whose
-    angular separation is below ``opts.exclude_separation`` are excluded
-    (NaN entries, flagged in diagnostics).  Any pair with zero or multiple
-    shooting branches aborts the build with the pair identified.
+    ``samples`` may be a BoundarySamples or an integral sample count.  Pairs
+    whose angular separation is below ``opts.exclude_separation`` are
+    excluded (NaN entries, flagged in diagnostics).  The first pair, in
+    i-major order, with zero or multiple shooting branches aborts the build.
     """
     opts = opts or SolverOptions()
-    if isinstance(samples, int):
-        samples = sample_boundary(spec.domain, samples)
+    if isinstance(samples, numbers.Integral):
+        samples = sample_boundary(spec.domain, int(samples))
     if samples.radius != spec.domain.radius:
         raise ValueError("boundary samples were taken on a different radius than the spec domain")
     angles = samples.angles
@@ -109,43 +110,35 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     off = ~np.eye(n, dtype=bool)
     excluded = off & (sep < opts.exclude_separation)
     keep = off & ~excluded
-    pairs = [tuple(p) for p in np.argwhere(keep).tolist()]   # i-major
+    pairs = np.argwhere(keep)   # i-major
 
     if threads <= 1:
-        shots = shoot_pairs(spec, angles, pairs, opts)
+        parts = [shoot_pairs(spec, angles, pairs, opts)]
     else:
-        by_start = {}
-        for p in pairs:
-            by_start.setdefault(p[0], []).append(p)
-        groups = [[] for _ in range(threads)]
-        for k, i in enumerate(sorted(by_start)):
-            groups[k % threads].extend(by_start[i])
-        groups = [g for g in groups if g]
+        # whole starts go round-robin to the workers: each sweep is the serial one
+        starts = np.unique(pairs[:, 0])
+        groups = [pairs[np.isin(pairs[:, 0], starts[k::threads])] for k in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda g: shoot_pairs(spec, angles, g, opts), groups))
-        flat = {}
-        for grp, res in zip(groups, parts):
-            for p, s in zip(grp, res):
-                flat[p] = s
-        shots = [flat[p] for p in pairs]
 
     D = np.zeros((n, n))
     D[excluded] = np.nan
     miss = np.zeros((n, n))
     correction = np.zeros((n, n))
     branches = np.zeros((n, n), dtype=int)
-    for shot in shots:
-        if shot.branch_count == 0 or not shot.converged:
-            raise ConnectivityError(
-                f"no shooting branch found for boundary pair ({shot.i}, {shot.j})")
-        if shot.branch_count > 1:
-            raise NonAdmissibleError(
-                f"{shot.branch_count} geodesic branches for boundary pair "
-                f"({shot.i}, {shot.j}); distance matrix build aborted")
-        D[shot.i, shot.j] = shot.time
-        miss[shot.i, shot.j] = shot.miss
-        correction[shot.i, shot.j] = shot.correction
-        branches[shot.i, shot.j] = shot.branch_count
+    converged = np.zeros((n, n), dtype=bool)
+    for shots in parts:
+        i, j = shots.pairs.T
+        D[i, j], miss[i, j], correction[i, j] = shots.time, shots.miss, shots.correction
+        branches[i, j], converged[i, j] = shots.branch_count, shots.converged
+    bad = keep & ((branches != 1) | ~converged)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        if branches[i, j] == 0 or not converged[i, j]:
+            raise ConnectivityError(f"no shooting branch found for boundary pair ({i}, {j})")
+        raise NonAdmissibleError(
+            f"{branches[i, j]} geodesic branches for boundary pair "
+            f"({i}, {j}); distance matrix build aborted")
 
     if not (D[keep] > 0.0).all():
         raise RandersError("non-positive distance computed; solver failure")

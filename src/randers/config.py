@@ -163,7 +163,9 @@ def parse_config(text):
         seen.add((section, key))
         val = _parse_value(rawval, ln)
         typ = _SCHEMA[section][key][0]
-        if typ == "float" and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if typ == "float":
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"key {key!r} expects a number", line=ln)
             val = float(val)
         elif typ == "int":
             if isinstance(val, bool) or not isinstance(val, int):
@@ -179,8 +181,6 @@ def parse_config(text):
                 raise ConfigError(f"key {key!r} expects a preset string or expression list", line=ln)
             if isinstance(val, list) and not all(isinstance(v, str) for v in val):
                 raise ConfigError(f"list entries for {key!r} must be quoted expressions", line=ln)
-        if not isinstance(val, (bool,)) and typ == "float" and not isinstance(val, float):
-            raise ConfigError(f"key {key!r} expects a number", line=ln)
         blocks[section][key] = val
 
     cfg = ScenarioConfig(**blocks)

@@ -54,6 +54,15 @@ def _pts(x):
     return x, False
 
 
+def _pts_pair(x, y):
+    """Points and directions as (m, 2) batches, a single one broadcast against
+    the other; the third return flags that both are single."""
+    (X, x_single), (Y, y_single) = _pts(x), _pts(y)
+    if len(X) != len(Y) and not (x_single or y_single):
+        raise ValueError(f"point batch {X.shape} and direction batch {Y.shape} differ in length")
+    return *np.broadcast_arrays(X, Y), x_single and y_single
+
+
 def _unbatch(arr, single):
     return arr[0] if single else arr
 

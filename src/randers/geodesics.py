@@ -50,12 +50,12 @@ from . import integrators as ivp
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      SpecMismatchError, TrappedGeodesicError)
-from .fields import (ConformalMetric, Domain, _pts, _unbatch, circle_directions,
+from .fields import (ConformalMetric, Domain, _pts_pair, _unbatch, circle_directions,
                      disk_grid)
 from .norms import RandersSpec, _alpha_at, _beta_at, _dF_dy
 from .zermelo import herglotz_check
 
-__all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShot",
+__all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShots",
            "spray", "integrate_geodesic", "solve_bvp", "shoot_pairs",
            "conjugate_point_scan", "reversed_geodesic_check",
            "polyline_hausdorff", "ConjugateScanReport", "ReversalReport"]
@@ -66,6 +66,7 @@ _TWO_PI = 2.0 * math.pi
 # inside which a sweep ray is re-integrated at the solver tolerance
 _SWEEP_RTOL, _SWEEP_ATOL = 1e-6, 1e-9
 _GUARD = 1e-3
+_REFINE_MAX_ITER = 80   # false-position iterations per bracket
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class SolverOptions:
     trap_time_factor: float = 50.0
     angle_samples: int = 720
     miss_rtol: float = 1e-8          # target |angular miss| (arc length / R)
-    refine_max_iter: int = 80
     exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
 
     def controls(self, t_max, record=False):
@@ -148,9 +148,7 @@ def spray(spec, x, y):
     Degree-2 positively homogeneous in y; requires y != 0.
     """
     spec.require_valid()
-    X, single = _pts(x)
-    Y, _ = _pts(y)
-    Y = np.broadcast_to(Y, X.shape) if Y.shape[0] == 1 and X.shape[0] > 1 else Y
+    X, Y, single = _pts_pair(x, y)
     if np.any(np.linalg.norm(Y, axis=1) == 0.0):
         raise DegenerateInputError("spray is undefined at y = 0")
     spec.domain.require_inside(X)
@@ -271,14 +269,14 @@ def integrate_geodesic(spec, x0, y0, opts=None):
     return _path_from(res, 0, spec)
 
 
-def _path_from(res, i, spec):
+def _path_from(res, i, spec, label="geodesic"):
     st = res.status[i]
     if st == ivp.TRAPPED or st == ivp.MAXSTEPS:
         raise TrappedGeodesicError(
-            f"geodesic did not reach the boundary within the budget "
+            f"{label} did not reach the boundary within the budget "
             f"(t={res.t_end[i]:.4g}, steps={res.steps[i]}); the medium may be trapping")
     if st != ivp.EXITED:
-        raise RandersError("geodesic integration failed (nonfinite state); check the spec fields")
+        raise RandersError(f"{label} integration failed (nonfinite state); check the spec fields")
     ts, us = res.history[i]
     return GeodesicPath(t=ts, x=us[:, 0:2], y=us[:, 2:4],
                         f_length=float(res.u_end[i, 4]),
@@ -414,7 +412,7 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
     u_out = np.full((q, 5), np.nan)
     ids, side = np.arange(q), np.zeros(q, dtype=np.int8)
 
-    for it in range(opts.refine_max_iter):
+    for it in range(_REFINE_MAX_ITER):
         if not ids.size:
             break
         width = hi - lo
@@ -476,19 +474,16 @@ def solve_bvp(spec, x_from, x_to, opts=None):
     if abs(_wrap(th0 - th1)) < 1e-12:
         raise DomainError("boundary points must be distinct")
 
-    shot, = shoot_pairs(spec, [th0, th1], [(0, 1)], opts)
-    if not shot.converged:
+    shots = shoot_pairs(spec, [th0, th1], [(0, 1)], opts, record_paths=True)
+    if not shots.converged[0]:
         raise ConnectivityError(
             f"no geodesic branch connects boundary angles {th0:.4f} -> {th1:.4f}")
-    if shot.branch_count > 1:
+    if shots.branch_count[0] > 1:
         raise NonAdmissibleError(
-            f"{shot.branch_count} geodesic branches connect boundary angles "
+            f"{shots.branch_count[0]} geodesic branches connect boundary angles "
             f"{th0:.4f} -> {th1:.4f}; the norm is not admissible for this pair")
-
-    _, _, _, res = _exit_fan(spec, np.array([th0]), np.array([shot.angle]), opts, record=True)
-    path = _path_from(res, 0, spec)
-    return ShootingResult(path=path, initial_angle=shot.angle, miss=shot.miss,
-                          branch_count=1)
+    return ShootingResult(path=shots.paths[0], initial_angle=float(shots.angle[0]),
+                          miss=float(shots.miss[0]), branch_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,41 +491,46 @@ def solve_bvp(spec, x_from, x_to, opts=None):
 
 
 @dataclass
-class PairShot:
-    i: int
-    j: int
-    time: float          # exit time less the first-variation correction
-    miss: float          # arc-length units
-    branch_count: int
-    converged: bool
-    angle: float = math.nan   # converged inward shooting angle
-    path: GeodesicPath | None = None
-    correction: float = 0.0   # first-variation term subtracted from the ray's exit time
+class PairShots:
+    """Shooting results of ordered boundary pairs, one array entry per pair."""
+
+    pairs: np.ndarray         # (P, 2) ordered sample index pairs (i, j)
+    time: np.ndarray          # exit time less the first-variation correction
+    miss: np.ndarray          # arc-length units
+    branch_count: np.ndarray
+    converged: np.ndarray
+    angle: np.ndarray         # converged inward shooting angle, nan otherwise
+    correction: np.ndarray    # first-variation term subtracted from the ray's exit time
+    paths: list | None = None   # with record_paths: GeodesicPath or None per pair
 
 
 def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     """Solve many ordered boundary pairs sharing per-start sweeps.
 
-    ``angles`` is the boundary angle table, ``pairs`` an iterable of ordered
-    index pairs (i, j).  One sweep fan is integrated per distinct start and
-    shared across its targets (see ``_sweep``).  A pair counts one branch
-    per sweep ray within tolerance of its target and per bracket; a pair
-    with such a ray takes the first one, every other pair its first
-    converged bracket in sweep order, with all brackets refined in a single
-    batch.  Each converged shot's time carries the first-variation
-    correction for its miss, which is also reported as ``correction``.
-    Branch counts and flags are independent of pair order and grouping, and
-    so are times up to the correction's second-order remainder.  With
-    ``record_paths`` the converged single-branch rays are re-integrated once
-    as a recorded batch and each shot carries its GeodesicPath, whose
-    ``exit_time`` is the uncorrected time of that ray.
+    ``angles`` is the boundary angle table, ``pairs`` (P, 2) ordered index
+    pairs (i, j); the :class:`PairShots` record returned is aligned with
+    them.  One sweep fan is integrated per distinct start and shared across
+    its targets (see ``_sweep``).  A pair counts one branch per sweep ray
+    within tolerance of its target and per bracket; a pair with such a ray
+    takes the first one, every other pair its first converged bracket in
+    sweep order, with all brackets refined in a single batch.  Each
+    converged shot's time carries the first-variation correction for its
+    miss, also reported as ``correction``.  Branch counts and flags are
+    independent of pair order and grouping, and so are times up to the
+    correction's second-order remainder.  With ``record_paths`` the
+    converged single-branch rays are re-integrated once as a recorded batch:
+    ``paths[q]`` is pair q's GeodesicPath (its ``exit_time`` uncorrected),
+    or None when q has no single converged branch; a recorded ray that
+    does not exit raises TrappedGeodesicError naming its pair.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
     angles = np.asarray(angles, dtype=float)
     pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
     if not len(pairs):
-        return []
+        z = np.zeros(0)
+        return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z,
+                         [] if record_paths else None)
     starts = np.unique(pairs[:, 0])
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
@@ -571,18 +571,15 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     correction[converged] = _first_variation(spec, state[converged]) * miss[converged]
     time -= correction
     miss *= spec.domain.radius
-    out = [PairShot(int(i), int(j), float(time[q]), float(miss[q]), int(count[q]),
-                    bool(converged[q]), angle=float(angle[q]), correction=float(correction[q]))
-           for q, (i, j) in enumerate(pairs)]
+    out = PairShots(pairs, time, miss, count, converged, angle, correction)
     if record_paths:
-        rec = [s for s in out if s.converged and s.branch_count == 1]
-        if rec:
-            th0v = np.array([angles[s.i] for s in rec])
-            psv = np.array([s.angle for s in rec])
-            _, _, _, res = _exit_fan(spec, th0v, psv, opts, record=True)
-            for k, s in enumerate(rec):
-                if res.status[k] == ivp.EXITED:
-                    s.path = _path_from(res, k, spec)
+        out.paths = [None] * P
+        rec = np.flatnonzero(converged & (count == 1))
+        if rec.size:
+            _, _, _, res = _exit_fan(spec, angles[pairs[rec, 0]], angle[rec], opts, record=True)
+            for k, q in enumerate(rec.tolist()):
+                i, j = pairs[q]
+                out.paths[q] = _path_from(res, k, spec, f"geodesic of boundary pair ({i}, {j})")
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidNormError
-from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _sym, _unbatch,
+from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _sym, _unbatch,
                      circle_directions, disk_grid)
 
 __all__ = [
@@ -116,8 +116,7 @@ class RandersSpec:
     def norm(self, x, y):
         """Evaluate F(x, y); accepts single points or batches."""
         self.require_valid()
-        X, single = _pts(x)
-        Y, _ = _pts(y)
+        X, Y, single = _pts_pair(x, y)
         self.domain.require_inside(X)
         return _unbatch(self._raw_norm(X, Y), single)
 
@@ -143,8 +142,7 @@ class RandersSpec:
 
 def riemannian_norm(metric, x, y, domain=None):
     """sqrt(g_ij(x) y^i y^j); zero vectors allowed."""
-    X, single = _pts(x)
-    Y, _ = _pts(y)
+    X, Y, single = _pts_pair(x, y)
     if domain is not None:
         domain.require_inside(X)
     quad = _quad(_alpha_at(metric, X), Y[:, 0], Y[:, 1])
@@ -160,8 +158,7 @@ def dual_norm(obj, x, omega):
     (sqrt(lam |w|_a*^2 + <b, w>_a*^2) - <b, w>_a*) / lam.  A metric field
     is the case b = 0: sqrt(g^ij w_i w_j).
     """
-    X, single = _pts(x)
-    W, _ = _pts(omega)
+    X, W, single = _pts_pair(x, omega)
     if isinstance(obj, MetricField):
         a, b = _alpha_at(obj, X), (0.0, 0.0)
     else:
@@ -216,11 +213,10 @@ def _nonzero_directions(Y):
 
 def fundamental_tensor(spec, x, y):
     """Local metric g_ij(x, y) = 1/2 d^2(F^2)/dy_i dy_j, in closed form."""
-    X, single = _pts(x)
-    Y, _ = _pts(y)
+    X, Y, single = _pts_pair(x, y)
     _nonzero_directions(Y)
     spec.domain.require_inside(X)
-    g, _ = _fundamental(spec, X, np.broadcast_to(Y, X.shape))
+    g, _ = _fundamental(spec, X, Y)
     return _unbatch(_sym(g), single)
 
 

@@ -119,20 +119,20 @@ def test_criterion_03_projective_equivalence():
         beta2 = (ExactForm(PotentialBump(amp, 1.0)) if beta1 is None
                  else SumForm(beta1, ExactForm(PotentialBump(amp, 1.0))))
         s2 = RandersSpec(DOM, alpha, beta2)
-        shots1 = shoot_pairs(s1, angles, pairs, record_paths=True)
-        shots2 = shoot_pairs(s2, angles, pairs, record_paths=True)
-        for a, b in zip(shots1, shots2):
-            worst = max(worst, polyline_hausdorff(a.path.resample(), b.path.resample()))
+        paths1 = shoot_pairs(s1, angles, pairs, record_paths=True).paths
+        paths2 = shoot_pairs(s2, angles, pairs, record_paths=True).paths
+        for a, b in zip(paths1, paths2):
+            worst = max(worst, polyline_hausdorff(a.resample(), b.resample()))
     ok_gauge = worst <= 1e-6 * DOM.radius
 
     rot = RandersSpec(DOM, EUCLID, RotationalForm(0.3))
     base = RandersSpec(DOM, EUCLID)
     sep = 0.0
     sub = pairs[:6]
-    shots1 = shoot_pairs(base, angles, sub, record_paths=True)
-    shots2 = shoot_pairs(rot, angles, sub, record_paths=True)
-    for a, b in zip(shots1, shots2):
-        sep = max(sep, polyline_hausdorff(a.path.resample(), b.path.resample()))
+    paths1 = shoot_pairs(base, angles, sub, record_paths=True).paths
+    paths2 = shoot_pairs(rot, angles, sub, record_paths=True).paths
+    for a, b in zip(paths1, paths2):
+        sep = max(sep, polyline_hausdorff(a.resample(), b.resample()))
     ok_rot = sep > 1e-3 * DOM.radius
     report(3, ok_gauge and ok_rot,
            f"5 scenarios x 28 pairs agree (worst {worst:.2e} <= 1e-6 R); "

@@ -125,10 +125,20 @@ class TestDistanceMatrix:
         off = ~np.eye(4, dtype=bool)
         assert (D[off] > 0).all()
 
-    def test_parallel_matches_serial(self, wind_spec):
-        serial = distance_matrix(wind_spec, 6, threads=1)
-        parallel = distance_matrix(wind_spec, 6, threads=2)
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_parallel_matches_serial(self, wind_spec, threads):
+        # with 8 threads and 5 starts, three workers get no pairs
+        serial = distance_matrix(wind_spec, 5, threads=1)
+        parallel = distance_matrix(wind_spec, 5, threads=threads)
         assert np.array_equal(serial.matrix, parallel.matrix)
+        for field in ("branch_counts", "miss", "correction"):
+            assert np.array_equal(getattr(serial.diagnostics, field),
+                                  getattr(parallel.diagnostics, field))
+
+    def test_numpy_integer_sample_count(self, euclid_spec):
+        a = distance_matrix(euclid_spec, np.int64(4))
+        b = distance_matrix(euclid_spec, 4)
+        assert a.n == 4 and np.array_equal(a.matrix, b.matrix)
 
     def test_repeat_build_bitwise_identical(self, euclid_spec):
         a = distance_matrix(euclid_spec, 5)
@@ -460,32 +470,68 @@ class TestCsvRoundTrip:
             b"2,1,4.1887902047863905,2.0943951023931953,1e+300\n")
 
 
+def _fake_shots(pairs, time, miss, branch_count, converged):
+    """A shooting record giving every pair the same result."""
+    from randers.geodesics import PairShots
+
+    pairs = np.asarray(pairs)
+    full = lambda v: np.full(len(pairs), v)
+    return PairShots(pairs, full(time), full(miss), full(branch_count), full(converged),
+                     full(math.nan), full(0.0))
+
+
 class TestAdmissibilityAbort:
     def test_multi_branch_aborts_with_pair(self, euclid_spec, monkeypatch):
         import randers.boundary as bd
         from randers import NonAdmissibleError
-        from randers.geodesics import PairShot
 
         def fake_shoot(spec, angles, pairs, opts=None, record_paths=False):
-            return [PairShot(i, j, 1.0, 0.0, 2, True) for i, j in pairs]
+            return _fake_shots(pairs, 1.0, 0.0, 2, True)
 
         monkeypatch.setattr(bd, "shoot_pairs", fake_shoot)
-        with pytest.raises(NonAdmissibleError, match=r"\(0, 1\)"):
+        with pytest.raises(NonAdmissibleError, match=r"^2 geodesic branches for boundary pair "
+                                                     r"\(0, 1\); distance matrix build aborted$"):
             bd.distance_matrix(euclid_spec, 3)
 
     def test_missing_branch_aborts(self, euclid_spec, monkeypatch):
         import randers.boundary as bd
         from randers import ConnectivityError
-        from randers.geodesics import PairShot
 
         def fake_shoot(spec, angles, pairs, opts=None, record_paths=False):
-            return [PairShot(i, j, float("nan"), float("nan"), 0, False)
-                    for i, j in pairs]
+            return _fake_shots(pairs, math.nan, math.nan, 0, False)
 
         monkeypatch.setattr(bd, "shoot_pairs", fake_shoot)
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError,
+                           match=r"^no shooting branch found for boundary pair \(0, 1\)$"):
             bd.distance_matrix(euclid_spec, 3)
 
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad, expected", [
+        # (2, 0) would come first in j-major order
+        ({(2, 0): (0, False), (1, 2): (3, True)},
+         "NonAdmissibleError: 3 geodesic branches for boundary pair (1, 2); "
+         "distance matrix build aborted"),
+        # branches found but none converged
+        ({(2, 0): (0, False), (1, 2): (2, False)},
+         "ConnectivityError: no shooting branch found for boundary pair (1, 2)"),
+    ], ids=["multi", "unconverged"])
+    def test_first_bad_pair_in_i_major_order(self, euclid_spec, monkeypatch, threads, bad,
+                                             expected):
+        import randers.boundary as bd
+        from randers import RandersError
+
+        def fake_shoot(spec, angles, pairs, opts=None, record_paths=False):
+            shots = _fake_shots(pairs, 1.0, 0.0, 1, True)
+            for pair, (count, converged) in bad.items():
+                q = (shots.pairs == pair).all(axis=1)
+                shots.branch_count[q], shots.converged[q] = count, converged
+            return shots
+
+        monkeypatch.setattr(bd, "shoot_pairs", fake_shoot)
+        with pytest.raises(RandersError) as exc:
+            bd.distance_matrix(euclid_spec, 3, threads=threads)
+        assert f"{type(exc.value).__name__}: {exc.value}" == expected
 
     @pytest.mark.parametrize("medium,pair", [("lens_spec", (0, 5)),
                                              ("offcentre_lens_spec", (0, 4))])

@@ -80,6 +80,11 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
             parse_config("[domain]\nboundary_samples = 2.5\n")
         with pytest.raises(ConfigError, match="true/false"):
             parse_config("[pipeline]\ninvert_profile = 1\n")
+        # a boolean is not a number
+        for text in ("[solver]\nrtol = true\n", "[domain]\nradius = true\n"):
+            with pytest.raises(ConfigError, match="expects a number") as exc:
+                parse_config("# booleans\n" + text)
+            assert exc.value.line == 3
 
     def test_bad_expression_located(self):
         with pytest.raises(ConfigError, match="sound speed"):

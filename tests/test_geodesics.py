@@ -7,7 +7,7 @@ from randers import (ConformalMetric, ConnectivityError, ConstantField,
                      ConstantForm, DegenerateInputError, Domain, DomainError,
                      EuclideanMetric, ExactForm, NonAdmissibleError,
                      PotentialBump, RadialProfile, RandersError, RandersSpec,
-                     RotationalForm, SolverOptions, SumForm,
+                     RotationalForm, SolverOptions, SumForm, TrappedGeodesicError,
                      conjugate_point_scan, curve_length, distance_matrix,
                      integrate_geodesic, polyline_hausdorff,
                      reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
@@ -276,11 +276,12 @@ class TestShootPairs:
         angles = np.array([0.0, 1.3, 2.7, 4.4])
         pairs = [(0, 2), (1, 3), (3, 0)]
         shots = shoot_pairs(smooth_bump_spec, angles, pairs)
-        for shot in shots:
-            ref = solve_bvp(smooth_bump_spec, dom.boundary_point(angles[shot.i]),
-                            dom.boundary_point(angles[shot.j]))
-            assert shot.converged and shot.branch_count == 1
-            assert shot.time == pytest.approx(ref.path.exit_time, abs=1e-9)
+        assert shots.pairs.tolist() == [list(p) for p in pairs]
+        assert shots.converged.all() and (shots.branch_count == 1).all()
+        for (i, j), time in zip(pairs, shots.time):
+            ref = solve_bvp(smooth_bump_spec, dom.boundary_point(angles[i]),
+                            dom.boundary_point(angles[j]))
+            assert time == pytest.approx(ref.path.exit_time, abs=1e-9)
 
     def test_independent_of_pair_order(self, wind_spec, rng):
         # straight wind rays from a 32-point sampling hit odd separations
@@ -289,13 +290,14 @@ class TestShootPairs:
         angles = 2.0 * math.pi * np.arange(n) / n
         pairs = [(i, j) for i in starts for j in range(n) if i != j]
         shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
-        per_start = [s for i in starts
-                     for s in shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])]
-        runs = [shoot_pairs(wind_spec, angles, pairs),
-                shoot_pairs(wind_spec, angles, shuffled), per_start]
+        per_start = [shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])
+                     for i in starts]
+        runs = [[shoot_pairs(wind_spec, angles, pairs)],
+                [shoot_pairs(wind_spec, angles, shuffled)], per_start]
 
-        def table(shots, field):
-            by_pair = {(s.i, s.j): getattr(s, field) for s in shots}
+        def table(records, field):
+            by_pair = {(int(i), int(j)): v for shots in records
+                       for (i, j), v in zip(shots.pairs, getattr(shots, field))}
             return np.array([by_pair[p] for p in pairs])
 
         # both result paths are compared: sweep nodes and false position
@@ -309,12 +311,36 @@ class TestShootPairs:
     def test_recorded_paths(self, dom, smooth_bump_spec):
         angles = np.array([0.0, 2.0])
         shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)], record_paths=True)
-        path = shots[0].path
+        path, = shots.paths
         assert path is not None
         assert np.allclose(path.x[-1], dom.boundary_point(2.0), atol=1e-7)
         # recorded re-integration caps the step size, so times agree only
         # to solver accuracy
-        assert abs(path.exit_time - shots[0].time) < 1e-9
+        assert abs(path.exit_time - shots.time[0]) < 1e-9
+
+    def test_recorded_ray_that_does_not_exit_names_pair(self, smooth_bump_spec):
+        # the sweep and false-position rays exit within 100 steps; the
+        # recorded re-run caps its step size and needs more
+        opts, angles = SolverOptions(max_steps=100), [0.0, 2.0]
+        shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts)
+        assert shots.converged[0] and shots.branch_count[0] == 1
+        with pytest.raises(TrappedGeodesicError, match=r"^geodesic of boundary pair \(0, 1\) "):
+            shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts, record_paths=True)
+
+    def test_paths_only_for_single_converged_branch(self, lens_spec):
+        # pair (0, 5) of the 12-point lens sampling has three branches
+        angles = 2.0 * math.pi * np.arange(12) / 12
+        shots = shoot_pairs(lens_spec, angles, [(0, 5), (0, 1)], record_paths=True)
+        assert shots.branch_count.tolist() == [3, 1]
+        assert shots.paths[0] is None and shots.paths[1] is not None
+
+    @pytest.mark.parametrize("record_paths", [False, True])
+    def test_no_pairs_give_empty_record(self, wind_spec, record_paths):
+        shots = shoot_pairs(wind_spec, [0.0, 1.0], [], record_paths=record_paths)
+        assert shots.pairs.shape == (0, 2)
+        for field in ("time", "miss", "branch_count", "converged", "angle", "correction"):
+            assert getattr(shots, field).shape == (0,)
+        assert shots.paths == ([] if record_paths else None)
 
 
 _MEDIA = ("smooth_bump_spec", "wind_spec", "rot_zermelo_spec", "lens_spec",
@@ -363,10 +389,11 @@ class TestLooseSweep:
         monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
         monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
         one = shoot_pairs(spec, angles, pairs, opts)
-        for a, b in zip(two, one):
-            assert (a.i, a.j, a.branch_count, a.converged) == (b.i, b.j, b.branch_count, b.converged)
-            if a.converged:
-                assert abs(a.time - b.time) <= 1e-12
+        assert np.array_equal(two.pairs, one.pairs)
+        assert np.array_equal(two.branch_count, one.branch_count)
+        assert np.array_equal(two.converged, one.converged)
+        c = two.converged
+        assert (np.abs(two.time[c] - one.time[c]) <= 1e-12).all()
         assert _build_error(monkeypatch, spec, two, n) == _build_error(monkeypatch, spec, one, n)
 
     def test_target_between_loose_and_tight_exit(self, monkeypatch, smooth_bump_spec):
@@ -379,12 +406,13 @@ class TestLooseSweep:
         k = int(np.argmax(np.abs(geo._wrap(th_l - th_t))))
         target = 0.5 * (th_l[k] + th_t[k])
         assert abs(geo._wrap(th_t[k] - target)) > SolverOptions().miss_rtol
-        two, = shoot_pairs(spec, [0.0, target], [(0, 1)])
+        two = shoot_pairs(spec, [0.0, target], [(0, 1)])
         monkeypatch.setattr(geo, "_SWEEP_RTOL", SolverOptions().rtol)
         monkeypatch.setattr(geo, "_SWEEP_ATOL", SolverOptions().atol)
-        one, = shoot_pairs(spec, [0.0, target], [(0, 1)])
-        assert (two.branch_count, two.converged) == (one.branch_count, one.converged) == (1, True)
-        assert abs(two.time - one.time) <= 1e-12
+        one = shoot_pairs(spec, [0.0, target], [(0, 1)])
+        assert (two.branch_count[0], two.converged[0]) == (one.branch_count[0],
+                                                           one.converged[0]) == (1, True)
+        assert abs(two.time[0] - one.time[0]) <= 1e-12
 
     def test_ray_straddling_time_budget(self, monkeypatch, smooth_bump_spec):
         # t_max between a ray's loose and tight exit times: it exits only in
@@ -398,11 +426,12 @@ class TestLooseSweep:
         target = 0.5 * (th[k] + th[k + 1])
         assert abs(geo._wrap(th[k] - target)) > SolverOptions().miss_rtol + geo._GUARD
         opts = SolverOptions(trap_time_factor=0.5 * (t_l[k] + t_t[k]) / geo._time_scale(spec))
-        two, = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
+        two = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
         monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
         monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
-        one, = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
-        assert (two.branch_count, two.converged) == (one.branch_count, one.converged) == (0, False)
+        one = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
+        assert (two.branch_count[0], two.converged[0]) == (one.branch_count[0],
+                                                           one.converged[0]) == (0, False)
 
     def test_self_check_retraces_whole_fans(self, monkeypatch, smooth_bump_spec):
         # a sweep far too loose for the band: the re-integrated rays show it,
@@ -424,9 +453,9 @@ class TestLooseSweep:
         tight = SolverOptions().rtol
         assert fans[0] == (n * 720, 3e-3) and fans[1][1] == tight
         assert fans[2][0] % 720 == 0 and fans[2][0] > 0 and fans[2][1] == tight
-        for a, b in zip(got, ref):
-            assert (a.branch_count, a.converged) == (b.branch_count, b.converged)
-            assert abs(a.time - b.time) <= 1e-12
+        assert np.array_equal(got.branch_count, ref.branch_count)
+        assert np.array_equal(got.converged, ref.converged)
+        assert (np.abs(got.time - ref.time) <= 1e-12).all()
 
 
 class TestFirstVariation:
@@ -456,10 +485,11 @@ class TestFirstVariation:
         # target angle on a non-reversible, curved medium
         spec, h = rot_zermelo_spec, 1e-4
         angles = np.array([0.3, 2.4 - h, 2.4, 2.4 + h])
-        lo, mid, hi = shoot_pairs(spec, angles, [(0, 1), (0, 2), (0, 3)])
-        _, _, _, res = geo._exit_fan(spec, np.array([0.3]), np.array([mid.angle]), SolverOptions())
+        shots = shoot_pairs(spec, angles, [(0, 1), (0, 2), (0, 3)])
+        lo, _, hi = shots.time
+        _, _, _, res = geo._exit_fan(spec, np.array([0.3]), shots.angle[1:2], SolverOptions())
         rate = geo._first_variation(spec, res.u_end)[0]
-        assert rate == pytest.approx((hi.time - lo.time) / (2 * h), abs=1e-7)
+        assert rate == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
 
 
 class TestProjectiveEquivalence:

@@ -10,7 +10,7 @@ from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm
                      RandersSpec, RotationalForm, circle_directions,
                      closedness_residual, conformal_specialize, curve_length,
                      disk_grid, dual_norm, fundamental_tensor, reverse_norm,
-                     riemannian_norm, validate_norm)
+                     riemannian_norm, spray, validate_norm)
 from randers.norms import MARGIN_GRID_SIZE, _fundamental
 
 
@@ -311,6 +311,49 @@ class TestPlanarInput:
         # a third column used to be dropped without a word
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             self.CALLS[call](wind_spec, np.zeros(shape))
+
+
+class TestPointDirectionBroadcast:
+    # a single point or direction is broadcast against the other's batch
+    CALLS = {
+        "norm": lambda spec, x, y: spec.norm(x, y),
+        "riemannian_norm": lambda spec, x, y: riemannian_norm(spec.alpha, x, y),
+        "dual_norm": lambda spec, x, y: dual_norm(spec, x, y),
+        "spray": lambda spec, x, y: spray(spec, x, y),
+        "fundamental_tensor": lambda spec, x, y: fundamental_tensor(spec, x, y),
+    }
+    X = np.array([[0.1, -0.2], [0.0, 0.3], [-0.4, 0.1]])
+    Y = np.array([[1.0, 0.0], [0.3, -0.8], [-0.5, 0.5]])
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_single_point_with_directions(self, rot_zermelo_spec, call):
+        # a single point with a batch of directions used to return the first value
+        f, x = self.CALLS[call], self.X[1]
+        got = f(rot_zermelo_spec, x, self.Y)
+        ref = np.array([f(rot_zermelo_spec, x, y) for y in self.Y])
+        assert got.shape == ref.shape and got.shape[0] == len(self.Y)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_points_with_single_direction(self, rot_zermelo_spec, call):
+        f, y = self.CALLS[call], self.Y[2]
+        got = f(rot_zermelo_spec, self.X, y)
+        ref = np.array([f(rot_zermelo_spec, x, y) for x in self.X])
+        assert got.shape == ref.shape and got.shape[0] == len(self.X)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_unbatched_only_when_both_single(self, rot_zermelo_spec, call):
+        f = self.CALLS[call]
+        one = np.asarray(f(rot_zermelo_spec, self.X[0], self.Y[0]))
+        batch = f(rot_zermelo_spec, self.X[0], self.Y[:1])
+        assert batch.shape == (1,) + one.shape
+        np.testing.assert_allclose(batch[0], one, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_batch_lengths_must_match(self, rot_zermelo_spec, call):
+        with pytest.raises(ValueError, match=re.escape("(2, 2)") + ".*" + re.escape("(3, 2)")):
+            self.CALLS[call](rot_zermelo_spec, self.X[:2], self.Y)
 
 
 class TestCurveLength:
