@@ -51,6 +51,8 @@ class BoundarySamples:
 
 def sample_boundary(domain, n):
     """n equally spaced boundary samples starting at angle 0; deterministic."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"boundary sample count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("at least two boundary samples are required")
     return BoundarySamples(angles=2.0 * math.pi * np.arange(n) / n,
@@ -162,8 +164,8 @@ def decompose(data):
 
 def add_noise(data, sigma, seed):
     """Gaussian perturbation of scale sigma on off-diagonal entries."""
-    if sigma < 0.0:
-        raise ValueError("noise scale must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"noise scale must be finite and >= 0, got {sigma!r}")
     n = data.n
     rng = np.random.default_rng(seed)
     bump = sigma * rng.standard_normal((n, n))

@@ -10,6 +10,7 @@ medium, and solver options.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -188,9 +189,16 @@ def parse_config(text):
     return cfg
 
 
+# solver key -> SolverOptions field; SolverOptions checks each value
+_SOLVER_FIELDS = {"rtol": "rtol", "atol": "atol", "angle_samples": "angle_samples",
+                  "miss_tol": "miss_rtol", "max_steps": "max_steps",
+                  "trap_time_factor": "trap_time_factor",
+                  "exclude_separation": "exclude_separation"}
+
+
 def _validate(cfg):
-    if cfg.domain["radius"] <= 0:
-        raise ConfigError("domain radius must be positive")
+    if not (math.isfinite(cfg.domain["radius"]) and cfg.domain["radius"] > 0):
+        raise ConfigError("domain radius must be finite and positive")
     if cfg.domain["boundary_samples"] < 2:
         raise ConfigError("boundary_samples must be >= 2")
     kind = cfg.medium["kind"]
@@ -198,14 +206,15 @@ def _validate(cfg):
         raise ConfigError(f"unknown medium kind {kind!r}")
     if cfg.medium["alpha"] not in ("euclidean", "conformal"):
         raise ConfigError(f"unknown alpha {cfg.medium['alpha']!r}")
-    for key in ("rtol", "atol", "miss_tol", "angle_samples", "max_steps",
-                "trap_time_factor", "threads"):
-        if cfg.solver[key] <= 0:
-            raise ConfigError(f"solver {key} must be positive")
-    if cfg.solver["exclude_separation"] < 0:
-        raise ConfigError("solver exclude_separation must be >= 0")
-    if cfg.pipeline["noise_sigma"] < 0:
-        raise ConfigError("noise_sigma must be >= 0")
+    for key, name in _SOLVER_FIELDS.items():
+        try:
+            SolverOptions(**{name: cfg.solver[key]})
+        except ValueError as exc:
+            raise ConfigError(f"solver {key}: {exc}") from None
+    if cfg.solver["threads"] <= 0:
+        raise ConfigError("solver threads must be positive")
+    if not (math.isfinite(cfg.pipeline["noise_sigma"]) and cfg.pipeline["noise_sigma"] >= 0):
+        raise ConfigError("noise_sigma must be finite and >= 0")
 
 
 def _fmt(val):
@@ -309,12 +318,7 @@ def build_scenario(cfg):
     from .zermelo import MediumModel, conformal_specialize, linearize, zermelo_construct
 
     dom = Domain(radius=cfg.domain["radius"], dimension=2)
-    sol = cfg.solver
-    opts = SolverOptions(rtol=sol["rtol"], atol=sol["atol"],
-                         angle_samples=sol["angle_samples"],
-                         miss_rtol=sol["miss_tol"], max_steps=sol["max_steps"],
-                         trap_time_factor=sol["trap_time_factor"],
-                         exclude_separation=sol["exclude_separation"])
+    opts = SolverOptions(**{name: cfg.solver[key] for key, name in _SOLVER_FIELDS.items()})
 
     kind = cfg.medium["kind"]
     speed = _parse_speed(cfg.medium["c"])

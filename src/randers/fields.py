@@ -11,12 +11,21 @@ symbolic derivative trees of the expression (see
 finite differences.
 
 A field family implements one primitive, its planar component jet
-``jet(x0, x1)`` on the coordinate arrays of m points, which returns one
-(m,) array per component (tuples nest as described on each base class);
-scalar fields also implement ``gradient_jet``, the jet of their exact form.
+``jet(x0, x1)`` on the coordinate arrays of m points (tuples nest as
+described on each base class); scalar fields also implement
+``gradient_jet``, the jet of their exact form.  Each component and
+derivative of a jet is a C-contiguous (m,) array, or an ``np.float64``
+scalar where the family's formula (or a folded expression tree) makes it
+constant over the batch: a constant wind, a Euclidean metric, a zero
+derivative.  Arithmetic on a jet therefore runs once per batch on what is
+constant and per row only on what varies.  NumPy scalars, unlike Python
+floats, follow the caller's ``np.errstate`` exactly as arrays do; powers
+of jet components go through ``np.power``, which gives a scalar the bits an
+array element gets, where a scalar's ``**`` may differ in the last place.
 The base classes assemble every family's batch-first tensors (``value``,
 ``gradient``, ``hessian``, ``jacobian``, ``partials``) from that jet, in one
-place each, so a jet and the tensor calls agree bit for bit.
+place each, broadcasting scalars against the batch, so a jet and the tensor
+calls agree bit for bit.
 
 The geodesic spray reads a metric through :meth:`MetricField.spray_terms`
 (the quadratic form, its Riemannian spray and its inverse along planar
@@ -67,24 +76,41 @@ def _unbatch(arr, single):
     return arr[0] if single else arr
 
 
-def _mat(rows):
+_ZERO = np.float64(0.0)   # a jet component that is zero over the batch
+
+
+def _rows(v, m):
+    """A jet component as an (m,) array: a scalar is repeated, an array passed through."""
+    return np.full(m, v) if np.ndim(v) == 0 else v
+
+
+def _vec(comps, m):
+    """(m, 2) array from planar components (t0, t1), each an (m,) array or a scalar."""
+    out = np.empty((m, 2))
+    out[:, 0], out[:, 1] = comps
+    return out
+
+
+def _mat(rows, m):
     """(m, 2, 2) tensor from planar component rows ((t00, t01), (t10, t11))."""
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    out = np.empty((m, 2, 2))
+    (out[:, 0, 0], out[:, 0, 1]), (out[:, 1, 0], out[:, 1, 1]) = rows
+    return out
 
 
-def _sym(a):
+def _sym(a, m):
     """(m, 2, 2) symmetric tensor from planar components (a00, a01, a11)."""
     a00, a01, a11 = a
-    return _mat(((a00, a01), (a01, a11)))
+    return _mat(((a00, a01), (a01, a11)), m)
 
 
-def _full(v, shape):
-    """A fresh float array of the given shape from an evaluated expression tree.
+def _full(v):
+    """A jet component from an evaluated expression tree.
 
-    A tree may fold to a plain number or return one of its input arrays, so
-    the result is always broadcast and copied.
+    A tree may fold to a plain number, which becomes an ``np.float64``, or
+    return one of its input arrays, so an array result is always copied.
     """
-    return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+    return np.float64(v) if np.ndim(v) == 0 else np.array(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -95,8 +121,8 @@ class Domain:
     dimension: int = 2
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("domain radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"domain radius must be finite and positive, got {self.radius!r}")
         if self.dimension != 2:
             raise ValueError("domain dimension must be 2; only planar disks are supported")
 
@@ -165,15 +191,15 @@ class ScalarField:
 
     def value(self, x):
         x, single = _pts(x)
-        return _unbatch(self.jet(x[:, 0], x[:, 1])[0], single)
+        return _unbatch(_rows(self.jet(x[:, 0], x[:, 1])[0], len(x)), single)
 
     def gradient(self, x):
         x, single = _pts(x)
-        return _unbatch(np.stack(self.jet(x[:, 0], x[:, 1])[1], axis=-1), single)
+        return _unbatch(_vec(self.jet(x[:, 0], x[:, 1])[1], len(x)), single)
 
     def hessian(self, x):
         x, single = _pts(x)
-        return _unbatch(_mat(self.gradient_jet(x[:, 0], x[:, 1])[1]), single)
+        return _unbatch(_mat(self.gradient_jet(x[:, 0], x[:, 1])[1], len(x)), single)
 
     def describe(self):
         raise NotImplementedError
@@ -184,12 +210,10 @@ class ConstantField(ScalarField):
     c: float
 
     def jet(self, x0, x1):
-        zero = np.zeros(np.shape(x0))
-        return np.full(np.shape(x0), self.c), (zero, zero)
+        return np.float64(self.c), (_ZERO, _ZERO)
 
     def gradient_jet(self, x0, x1):
-        zero = np.zeros(np.shape(x0))
-        return (zero, zero), ((zero, zero), (zero, zero))
+        return (_ZERO, _ZERO), ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
     def profile(self, r):
         """The constant as a radial profile; its radial derivatives are zero."""
@@ -235,15 +259,15 @@ class ExprField(ScalarField):
         safe = np.where(r > 0.0, r, np.inf)   # zero unit vector at the origin
         return env, (x0 / safe, x1 / safe, 1.0 / safe)
 
-    def _grad(self, env, radial, shape):
+    def _grad(self, env, radial):
         g0, g1 = self.d1["x1"](**env), self.d1["x2"](**env)
         if radial is not None:
             gr = self.d1["r"](**env)
             u0, u1, _ = radial
             g0, g1 = g0 + gr * u0, g1 + gr * u1
-        return _full(g0, shape), _full(g1, shape)
+        return _full(g0), _full(g1)
 
-    def _hess(self, env, radial, shape):
+    def _hess(self, env, radial):
         """Planar Hessian components (h00, h01, h11)."""
         d2 = {k: e(**env) for k, e in self.d2.items()}
         h00, h01, h11 = d2["x1", "x1"], d2["x1", "x2"], d2["x2", "x2"]
@@ -254,18 +278,16 @@ class ExprField(ScalarField):
             h00 = h00 + 2.0 * f0 * u0 + frr * u0 * u0 + fr_r * (1.0 - u0 * u0)
             h01 = h01 + f0 * u1 + f1 * u0 + (frr - fr_r) * u0 * u1
             h11 = h11 + 2.0 * f1 * u1 + frr * u1 * u1 + fr_r * (1.0 - u1 * u1)
-        return _full(h00, shape), _full(h01, shape), _full(h11, shape)
+        return _full(h00), _full(h01), _full(h11)
 
     def jet(self, x0, x1):
         env, radial = self._env(x0, x1)
-        shape = np.shape(x0)
-        return _full(self.expr(**env), shape), self._grad(env, radial, shape)
+        return _full(self.expr(**env)), self._grad(env, radial)
 
     def gradient_jet(self, x0, x1):
         env, radial = self._env(x0, x1)
-        shape = np.shape(x0)
-        h00, h01, h11 = self._hess(env, radial, shape)
-        return self._grad(env, radial, shape), ((h00, h01), (h01, h11))
+        h00, h01, h11 = self._hess(env, radial)
+        return self._grad(env, radial), ((h00, h01), (h01, h11))
 
     def describe(self):
         return f"expr({self.expr.source})"
@@ -291,22 +313,24 @@ class RadialProfile(ScalarField):
         self.d1 = expr.diff("r")
         self.d2 = self.d1.diff("r")
 
+    # the profile calls return fresh arrays shaped like r, also where a
+    # derivative tree folds to a number
+
     def profile(self, r):
         r = np.asarray(r, dtype=float)
-        return _full(self.expr(r=r), r.shape)
+        return np.full(r.shape, self.expr(r=r), dtype=float)
 
     def profile_pair(self, r):
         """(c, dc/dr) at the radii r."""
-        r = np.asarray(r, dtype=float)
-        return _full(self.expr(r=r), r.shape), _full(self.d1(r=r), r.shape)
+        return self.profile(r), self.profile_d1(r)
 
     def profile_d1(self, r):
         r = np.asarray(r, dtype=float)
-        return _full(self.d1(r=r), r.shape)
+        return np.full(r.shape, self.d1(r=r), dtype=float)
 
     def profile_d2(self, r):
         r = np.asarray(r, dtype=float)
-        return _full(self.d2(r=r), r.shape)
+        return np.full(r.shape, self.d2(r=r), dtype=float)
 
     def jet(self, x0, x1):
         r = np.sqrt(x0 * x0 + x1 * x1)
@@ -337,15 +361,18 @@ class PotentialBump(ScalarField):
     amplitude: float
     radius: float
 
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError(f"bump radius must be positive, got {self.radius!r}")
+
     def jet(self, x0, x1):
         k = -2.0 * self.amplitude / self.radius ** 2
         c = self.amplitude * (1.0 - (x0 * x0 + x1 * x1) / self.radius ** 2)
         return c, (k * x0, k * x1)
 
     def gradient_jet(self, x0, x1):
-        k = -2.0 * self.amplitude / self.radius ** 2
-        diag, zero = np.full(np.shape(x0), k), np.zeros(np.shape(x0))
-        return (k * x0, k * x1), ((diag, zero), (zero, diag))
+        k = np.float64(-2.0 * self.amplitude / self.radius ** 2)
+        return (k * x0, k * x1), ((k, _ZERO), (_ZERO, k))
 
     def describe(self):
         return f"bump(A={self.amplitude!r},R={self.radius!r})"
@@ -370,11 +397,11 @@ class VectorValuedField:
 
     def value(self, x):
         x, single = _pts(x)
-        return _unbatch(np.stack(self.jet(x[:, 0], x[:, 1])[0], axis=-1), single)
+        return _unbatch(_vec(self.jet(x[:, 0], x[:, 1])[0], len(x)), single)
 
     def jacobian(self, x):
         x, single = _pts(x)
-        return _unbatch(_mat(self.jet(x[:, 0], x[:, 1])[1]), single)
+        return _unbatch(_mat(self.jet(x[:, 0], x[:, 1])[1], len(x)), single)
 
     def describe(self):
         raise NotImplementedError
@@ -387,8 +414,7 @@ class VectorValuedField:
 @dataclass(frozen=True)
 class ZeroForm(VectorValuedField):
     def jet(self, x0, x1):
-        zero = np.zeros(np.shape(x0))
-        return (zero, zero), ((zero, zero), (zero, zero))
+        return (_ZERO, _ZERO), ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
     @property
     def is_zero(self):
@@ -405,10 +431,8 @@ class ConstantForm(VectorValuedField):
             raise ValueError(f"ConstantForm needs 2 components, got {self.components.tolist()!r}")
 
     def jet(self, x0, x1):
-        m = np.shape(x0)
-        zero = np.zeros(m)
         b0, b1 = self.components
-        return (np.full(m, b0), np.full(m, b1)), ((zero, zero), (zero, zero))
+        return (b0, b1), ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
     @property
     def is_zero(self):
@@ -438,10 +462,8 @@ class RotationalForm(VectorValuedField):
     strength: float
 
     def jet(self, x0, x1):
-        h = 0.5 * self.strength
-        m = np.shape(x0)
-        zero = np.zeros(m)
-        return (h * -x1, h * x0), ((zero, np.full(m, -h)), (np.full(m, h), zero))
+        h = np.float64(0.5 * self.strength)
+        return (h * -x1, h * x0), ((_ZERO, -h), (h, _ZERO))
 
     def describe(self):
         return f"rot({self.strength!r})"
@@ -545,12 +567,12 @@ class MetricField:
 
     def value(self, x):
         x, single = _pts(x)
-        return _unbatch(_sym(self.jet(x[:, 0], x[:, 1])[0]), single)
+        return _unbatch(_sym(self.jet(x[:, 0], x[:, 1])[0], len(x)), single)
 
     def partials(self, x):
         x, single = _pts(x)
         d0, d1 = self.jet(x[:, 0], x[:, 1])[1]
-        return _unbatch(np.stack([_sym(d0), _sym(d1)], axis=1), single)
+        return _unbatch(np.stack([_sym(d0, len(x)), _sym(d1, len(x))], axis=1), single)
 
     def spray_terms(self, x0, x1, y0, y1):
         """(A, (G0, G1), (i00, i01, i11)) at the points (x0, x1) along (y0, y1).
@@ -571,8 +593,8 @@ class EuclideanMetric(MetricField):
     flavor: str = field(default="euclidean", init=False)
 
     def jet(self, x0, x1):
-        one, zero = np.ones(np.shape(x0)), np.zeros(np.shape(x0))
-        return (one, zero, one), ((zero, zero, zero), (zero, zero, zero))
+        one = np.float64(1.0)
+        return (one, _ZERO, one), ((_ZERO, _ZERO, _ZERO), (_ZERO, _ZERO, _ZERO))
 
     def describe(self):
         return "euclidean(dim=2)"
@@ -593,11 +615,10 @@ class ConformalMetric(MetricField):
 
     def jet(self, x0, x1):
         c, (c_0, c_1) = self.speed.jet(x0, x1)
-        lam = c ** -2
-        dfac = -2.0 * c ** -3  # d(c^-2)/dc
+        lam = np.power(c, -2)
+        dfac = -2.0 * np.power(c, -3)  # d(c^-2)/dc
         lam_0, lam_1 = dfac * c_0, dfac * c_1
-        zero = np.zeros_like(lam)
-        return (lam, zero, lam), ((lam_0, zero, lam_0), (lam_1, zero, lam_1))
+        return (lam, _ZERO, lam), ((lam_0, _ZERO, lam_0), (lam_1, _ZERO, lam_1))
 
     def spray_terms(self, x0, x1, y0, y1):
         c, (c_0, c_1) = self.speed.jet(x0, x1)
@@ -605,7 +626,7 @@ class ConformalMetric(MetricField):
         yy = y0 * y0 + y1 * y1
         sy = s_0 * y0 + s_1 * y1
         c2 = c * c
-        return yy / c2, (sy * y0 - 0.5 * yy * s_0, sy * y1 - 0.5 * yy * s_1), (c2, 0.0, c2)
+        return yy / c2, (sy * y0 - 0.5 * yy * s_0, sy * y1 - 0.5 * yy * s_1), (c2, _ZERO, c2)
 
     def describe(self):
         return f"conformal({self.speed.describe()})"

@@ -36,7 +36,8 @@ decomposition): a closed beta adds a multiple of y, so its geodesics are
 alpha's traced at another speed, and only a curl of beta turns them.  The
 right-hand side copies the batch's positions and velocities once into four
 contiguous component arrays and makes one field call per batch,
-:meth:`RandersSpec.spray_terms`, so its arithmetic runs on (m,) arrays only.
+:meth:`RandersSpec.spray_terms`, so its arithmetic runs on (m,) arrays, and
+on NumPy scalars for what the medium keeps constant over the batch.
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ class SolverOptions:
     angle_samples: int = 720
     miss_rtol: float = 1e-8          # target |angular miss| (arc length / R)
     exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
+
+    def __post_init__(self):
+        for name in ("rtol", "atol", "miss_rtol", "trap_time_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
+        if not self.angle_samples >= 2:
+            raise ValueError(f"angle_samples must be >= 2, got {self.angle_samples!r}")
+        if not (math.isfinite(self.exclude_separation) and self.exclude_separation >= 0.0):
+            raise ValueError(f"exclude_separation must be finite and >= 0, "
+                             f"got {self.exclude_separation!r}")
 
     def controls(self, t_max, record=False):
         # recorded paths cap the step so stored samples resolve the curve

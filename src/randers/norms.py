@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidNormError
-from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _sym, _unbatch,
-                     circle_directions, disk_grid)
+from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _rows, _sym,
+                     _unbatch, circle_directions, disk_grid)
 
 __all__ = [
     "RandersSpec", "ValidityReport", "LengthParts",
@@ -31,17 +31,20 @@ MARGIN_GRID_SIZE = 1000  # fixed interior probe grid for |b|_a* certification
 # ---------------------------------------------------------------------------
 # planar component algebra: every pointwise quantity of a Randers norm is
 # computed here from the planar jets of alpha and beta, with a = (a00, a01,
-# a11) and b = (b0, b1) one (m,) array per component
+# a11) and b = (b0, b1) one (m,) array per component; a jet component that
+# is a scalar (constant over the batch) is repeated to the batch length
 
 
 def _alpha_at(alpha, X):
     """Components (a00, a01, a11) of a metric field at the points X (m, 2)."""
-    return alpha.jet(X[:, 0], X[:, 1])[0]
+    return tuple(_rows(v, len(X)) for v in alpha.jet(X[:, 0], X[:, 1])[0])
 
 
 def _beta_at(beta, X):
     """Components (b0, b1) of a 1-form or wind at the points X (m, 2); None when zero."""
-    return None if beta.is_zero else beta.jet(X[:, 0], X[:, 1])[0]
+    if beta.is_zero:
+        return None
+    return tuple(_rows(v, len(X)) for v in beta.jet(X[:, 0], X[:, 1])[0])
 
 
 def _quad(a, y0, y1):
@@ -217,7 +220,7 @@ def fundamental_tensor(spec, x, y):
     _nonzero_directions(Y)
     spec.domain.require_inside(X)
     g, _ = _fundamental(spec, X, Y)
-    return _unbatch(_sym(g), single)
+    return _unbatch(_sym(g, len(X)), single)
 
 
 # -- validity ----------------------------------------------------------------

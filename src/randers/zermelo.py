@@ -8,8 +8,11 @@ the non-trapping condition check for radial profiles.
 
 Both navigation algebras (general Zermelo and conformal) are written in
 planar components: each evaluates the metric (or speed) and wind jets once
-and returns the planar jets of alpha and beta, one (m,) array per
-component.  The public alpha and beta tensors are assembled from that jet.
+and returns the planar jets of alpha and beta, each component an (m,) array
+or, where every input it depends on is constant over the batch, an
+``np.float64`` scalar.  A constant medium (c = "1" under a constant wind)
+thus runs its algebra on scalars, once per call.  The public alpha and beta
+tensors are assembled from that jet.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class _ZermeloAlgebra:
         g00, g01, g11 = g
         w = (g00 * V0 + g01 * V1, g01 * V0 + g11 * V1)    # W_i = g_ij W^j
         lam = 1.0 - (w[0] * V0 + w[1] * V1)
-        lam2, lam3 = lam ** 2, lam ** 3
+        lam2, lam3 = np.power(lam, 2), np.power(lam, 3)
         dw, dlam = [], []                                  # d_k W_i, d_k lam
         for k, (p00, p01, p11) in enumerate(dg):
             v0, v1 = dV[0][k], dV[1][k]                    # d_k W^0, d_k W^1
@@ -132,12 +135,12 @@ class _ConformalAlgebra:
     def jet(self, x0, x1):
         c, dc = self.speed.jet(x0, x1)
         W, dV = self.wind.jet(x0, x1)
-        c2 = c ** -2
-        c4 = c2 ** 2
-        dc2_dc, dc4_dc = -2.0 * c ** -3, -4.0 * c ** -5
+        c2 = np.power(c, -2)
+        c4 = np.power(c2, 2)
+        dc2_dc, dc4_dc = -2.0 * np.power(c, -3), -4.0 * np.power(c, -5)
         w2 = W[0] * W[0] + W[1] * W[1]
         D = 1.0 - c2 * w2
-        D2, D3 = D ** 2, D ** 3
+        D2, D3 = np.power(D, 2), np.power(D, 3)
         e, f = c2 / D, c4 / D2                  # alpha = e delta + f W W
         alpha = tuple(e * (i == j) + f * (W[i] * W[j]) for i, j in _PAIRS)
         beta = (-e * W[0], -e * W[1])
@@ -240,7 +243,8 @@ class LinearizedOneForm(VectorValuedField):
     def jet(self, x0, x1):
         c, dc = self.speed.jet(x0, x1)
         W, dW = self.wind.jet(x0, x1)
-        k2, k3 = -(c ** -2), 2.0 * c ** -3     # d_k beta_i = k2 d_k W_i + k3 W_i d_k c
+        # d_k beta_i = k2 d_k W_i + k3 W_i d_k c
+        k2, k3 = -np.power(c, -2), 2.0 * np.power(c, -3)
         dbeta = tuple(tuple(k2 * dW[i][k] + k3 * W[i] * dc[k] for k in (0, 1)) for i in (0, 1))
         return (k2 * W[0], k2 * W[1]), dbeta
 

@@ -89,3 +89,11 @@ def opts():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+def assert_jet_component(comp, m):
+    """The jet contract: a C-contiguous (m,) float array, or an np.float64 scalar
+    (never a Python float) for a component that is constant over the batch."""
+    if type(comp) is not np.float64:
+        assert isinstance(comp, np.ndarray), type(comp)
+        assert comp.shape == (m,) and comp.dtype == np.float64 and comp.flags.c_contiguous

@@ -95,6 +95,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_boundary(dom, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"])
+    def test_count_must_be_an_integer(self, dom, n):
+        # 2.5 used to give 3 samples spaced 2 pi / 2.5, leaving a 1.26 rad last gap
+        with pytest.raises(ValueError, match="boundary sample count must be an integer"):
+            sample_boundary(dom, n)
+
+    def test_numpy_integer_count(self, dom):
+        ref = sample_boundary(dom, 6).angles
+        assert np.array_equal(sample_boundary(dom, np.int64(6)).angles, ref)
+
 
 class TestDistanceMatrix:
     def test_euclid_chords(self, euclid4):
@@ -192,6 +202,12 @@ class TestNoise:
     def test_negative_sigma_rejected(self, euclid4):
         with pytest.raises(ValueError):
             add_noise(euclid4, -1.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_nonfinite_sigma_rejected(self, euclid4, sigma):
+        # nan gave an all-NaN matrix and inf gave inf entries
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            add_noise(euclid4, sigma, seed=1)
 
 
 class TestCsv:

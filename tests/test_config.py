@@ -102,10 +102,19 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
         with pytest.raises(ConfigError, match="radius"):
             parse_config("[domain]\nradius = -1.0\n")
 
+    @pytest.mark.parametrize("text", ["[domain]\nradius = nan\n", "[domain]\nradius = inf\n",
+                                      "[pipeline]\nnoise_sigma = nan\n",
+                                      "[pipeline]\nnoise_sigma = inf\n"])
+    def test_nonfinite_value_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text)
+
     @pytest.mark.parametrize("key, value", [
         ("angle_samples", "0"), ("angle_samples", "-4"), ("max_steps", "0"),
         ("threads", "0"), ("threads", "-3"), ("trap_time_factor", "0"),
         ("trap_time_factor", "-1"), ("exclude_separation", "-0.001"),
+        ("angle_samples", "1"), ("rtol", "nan"), ("atol", "inf"), ("miss_tol", "nan"),
+        ("miss_tol", "0"), ("exclude_separation", "inf"),
     ])
     def test_bad_solver_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):

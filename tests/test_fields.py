@@ -10,6 +10,7 @@ from randers import (ComponentForm, ConfigError, ConformalMetric, ConstantField,
                      ConstantForm, Domain, DomainError, EuclideanMetric, ExactForm,
                      ExprField, PotentialBump, RadialProfile, RotationalForm,
                      ScaledForm, SumForm, ZeroForm, disk_grid)
+from conftest import assert_jet_component
 from randers.expressions import compile_expression
 from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
                              _ConformalAlgebra, _ZermeloAlgebra)
@@ -172,6 +173,11 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(radius=1.0, dimension=3)
 
+    @pytest.mark.parametrize("radius", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="domain radius must be finite and positive"):
+            Domain(radius)
+
     def test_boundary_defect_sign(self, dom):
         assert dom.boundary_defect([0.0, 0.0]) < 0
         assert dom.boundary_defect([2.0, 0.0]) > 0
@@ -244,6 +250,11 @@ class TestScalarFields:
             (g0, g1), ((h00, h01), (h10, h11)) = p.gradient_jet(np.zeros(1), np.zeros(1))
         assert all(np.array_equal(v, [0.0]) for v in (g0, g1, h00, h01, h10, h11))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_bump_radius_checked_at_construction(self, radius):
+        with pytest.raises(ValueError, match="bump radius must be positive"):
+            PotentialBump(0.3, radius)
+
     def test_bump_vanishes_on_boundary(self, dom):
         bump = PotentialBump(0.3, 1.0)
         theta = np.linspace(0, 2 * math.pi, 17)
@@ -256,9 +267,13 @@ class TestScalarFields:
             x0, x1 = np.ascontiguousarray(x.T)
             v, (g0, g1) = f.jet(x0, x1)
             (h0, h1), _ = f.gradient_jet(x0, x1)
-            assert np.array_equal(v, f.value(x))
-            assert np.array_equal(np.column_stack([g0, g1]), f.gradient(x))
-            assert np.array_equal(h0, g0) and np.array_equal(h1, g1)
+            for comp in (v, g0, g1, h0, h1):
+                assert_jet_component(comp, 5)
+            assert np.array_equal(np.broadcast_to(v, (5,)), f.value(x))
+            g = np.column_stack(np.broadcast_arrays(g0, g1, x0)[:2])
+            assert np.array_equal(g, f.gradient(x))
+            assert type(h0) is type(g0) and np.array_equal(h0, g0)
+            assert type(h1) is type(g1) and np.array_equal(h1, g1)
 
 
 class TestForms:
@@ -383,8 +398,8 @@ def test_tensor_calls_equal_jet(rng, kind, name):
     x[0] = 0.0                                   # the origin
     for pts in (x, x[:1], x[3:4]):
         for comp, ref in _jet_pairs(kind, f, pts):
-            assert comp.shape == (len(pts),) and comp.flags.c_contiguous
-            assert np.array_equal(comp, ref)
+            assert_jet_component(comp, len(pts))
+            assert np.array_equal(np.broadcast_to(comp, ref.shape), ref)
     for p in (x[0], x[3]):                       # single-point input, origin included
         for method in TENSORS[kind]:
             t = getattr(f, method)

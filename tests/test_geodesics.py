@@ -16,6 +16,24 @@ from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("rtol", 0.0), ("atol", 0.0), ("rtol", -1e-9), ("atol", float("nan")),
+        ("miss_rtol", float("nan")), ("miss_rtol", 0.0), ("trap_time_factor", float("inf")),
+        ("trap_time_factor", 0.0), ("max_steps", 0), ("angle_samples", 1),
+        ("angle_samples", 0), ("exclude_separation", -1e-3),
+        ("exclude_separation", float("nan")), ("exclude_separation", float("inf")),
+    ])
+    def test_bad_value_names_field(self, field, value):
+        # rtol = atol = 0 used to raise ZeroDivisionError in the sweep, and
+        # miss_rtol = nan or angle_samples = 1 to report "no shooting branch"
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverOptions(**{field: value})
+
+    def test_edge_values_accepted(self):
+        SolverOptions(max_steps=1, angle_samples=2, exclude_separation=0.0)
+
+
 class TestSpray:
     def test_constant_coefficients_vanish(self, wind_spec, rng):
         for _ in range(5):
