@@ -21,8 +21,7 @@ from . import boundary as bd
 from .config import build_scenario, emit_config, parse_config
 from .errors import RandersError
 from .fields import ExactForm, PotentialBump, RadialProfile, ConstantField, SumForm, disk_grid
-from .geodesics import (integrate_geodesic, reversed_geodesic_check,
-                        polyline_hausdorff, solve_bvp)
+from .geodesics import integrate_geodesic, polyline_hausdorff, shoot_pairs
 from .norms import RandersSpec, closedness_residual
 from .recovery import recover_boundary_potential, rigidity_report
 
@@ -90,6 +89,13 @@ def cmd_recover(scenarios, out, threads):
     return 0
 
 
+def _chord_paths(spec, chords, opts):
+    """Paths of the boundary chords (angle pairs) from one batch; raises as solve_bvp does."""
+    angles = np.unique(chords)
+    shots = shoot_pairs(spec, angles, np.searchsorted(angles, chords), opts, record_paths=True)
+    return [shots.single_path(q, angles) for q in range(len(chords))]
+
+
 def cmd_verify(scenarios, out, threads):
     scn = scenarios[0]
     spec = scn.spec
@@ -103,28 +109,28 @@ def cmd_verify(scenarios, out, threads):
     bug = False
     lemma1_failures = 0
 
-    # reversible geodesics: reversed endpoints retrace the path iff d(beta)=0
+    # reversible geodesics: reversed endpoints retrace the path iff d(beta)=0;
+    # shared geodesics under an added exact form (holds for any base 1-form)
     chords = [(0.0, 2.0), (1.0, 3.6), (2.5, 5.4)]
-    for a, b in chords:
-        fwd = solve_bvp(spec, dom.boundary_point(a), dom.boundary_point(b), scn.solver)
-        rel = reversed_geodesic_check(spec, fwd.path, scn.solver).relative
+    bumped = RandersSpec(dom, spec.alpha, SumForm(spec.beta, ExactForm(PotentialBump(0.05 * R * R, R))))
+    pairs_ang = [(0.0, 2.4), (0.8, 3.9), (1.7, 5.2), (3.1, 0.4)] if bumped.margin > 0.0 else []
+    wanted = [c for a, b in chords for c in ((a, b), (b, a))] + pairs_ang
+    paths = _chord_paths(spec, wanted, scn.solver)
+    for k, (a, b) in enumerate(chords):
+        fwd, back = paths[2 * k], paths[2 * k + 1]
+        rel = polyline_hausdorff(fwd.resample()[::-1], back.resample()) / R
         passed = rel <= _LEMMA_TOL
         lines.append(f"reversal chord ({a:.1f} -> {b:.1f}): rel distance {rel:.3e} "
                      f"{'OK' if passed else 'SEPARATED'}")
         if not passed:
             lemma1_failures += 1
 
-    # shared geodesics under an added exact form (holds for any base 1-form)
-    bumped = RandersSpec(dom, spec.alpha, SumForm(spec.beta, ExactForm(PotentialBump(0.05 * R * R, R))))
-    if bumped.margin <= 0.0:
+    if not pairs_ang:
         lines.append("projective check skipped: bumped spec not a norm")
     else:
-        pairs_ang = [(0.0, 2.4), (0.8, 3.9), (1.7, 5.2), (3.1, 0.4)]
-        worst = 0.0
-        for a, b in pairs_ang:
-            p1 = solve_bvp(spec, dom.boundary_point(a), dom.boundary_point(b), scn.solver).path
-            p2 = solve_bvp(bumped, dom.boundary_point(a), dom.boundary_point(b), scn.solver).path
-            worst = max(worst, polyline_hausdorff(p1.resample(), p2.resample()) / R)
+        bumped_paths = _chord_paths(bumped, pairs_ang, scn.solver)
+        worst = max(polyline_hausdorff(p1.resample(), p2.resample()) / R
+                    for p1, p2 in zip(paths[2 * len(chords):], bumped_paths))
         ok = worst <= _LEMMA_TOL
         lines.append(f"projective equivalence under +d(phi): worst rel {worst:.3e} "
                      f"{'OK' if ok else 'FAIL'}")

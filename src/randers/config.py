@@ -317,7 +317,7 @@ def build_scenario(cfg):
     """Instantiate fields, medium, and solver options from a parsed config."""
     from .zermelo import MediumModel, conformal_specialize, linearize, zermelo_construct
 
-    dom = Domain(radius=cfg.domain["radius"], dimension=2)
+    dom = Domain(radius=cfg.domain["radius"])
     opts = SolverOptions(**{name: cfg.solver[key] for key, name in _SOLVER_FIELDS.items()})
 
     kind = cfg.medium["kind"]

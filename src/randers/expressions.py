@@ -163,7 +163,8 @@ def _eval(node, env):
     if tag == "/":
         return _eval(node[1], env) / _eval(node[2], env)
     if tag == "pow":
-        return _eval(node[1], env) ** node[2]
+        # a scalar's ** may differ from the array power in the last place
+        return np.power(_eval(node[1], env), node[2])
     if tag == "call":
         return getattr(np, node[1])(_eval(node[2], env))
     raise AssertionError(f"bad node {tag}")

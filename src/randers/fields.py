@@ -113,45 +113,42 @@ def _full(v):
     return np.float64(v) if np.ndim(v) == 0 else np.array(v, dtype=float)
 
 
+_INSIDE_RTOL = 1e-9   # relative slack on the radius for points counted inside
+
+
 @dataclass(frozen=True)
 class Domain:
-    """Closed disk of given radius; ``dimension`` is always 2 (the pipeline is planar)."""
+    """Closed planar disk of the given radius."""
 
     radius: float
-    dimension: int = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"domain radius must be finite and positive, got {self.radius!r}")
-        if self.dimension != 2:
-            raise ValueError("domain dimension must be 2; only planar disks are supported")
 
     def boundary_defect(self, x):
         """Signed boundary function |x|^2 - R^2 (negative inside)."""
         x, single = _pts(x)
         return _unbatch(np.einsum("mi,mi->m", x, x) - self.radius ** 2, single)
 
-    def contains(self, x, rtol=1e-9):
+    def contains(self, x):
         x, single = _pts(x)
-        ok = np.linalg.norm(x, axis=1) <= self.radius * (1.0 + rtol)
+        ok = np.linalg.norm(x, axis=1) <= self.radius * (1.0 + _INSIDE_RTOL)
         return _unbatch(ok, single)
 
-    def require_inside(self, x, rtol=1e-9, what="point"):
-        inside = np.atleast_1d(self.contains(x, rtol))
+    def require_inside(self, x):
+        inside = np.atleast_1d(self.contains(x))
         if not inside.all():
             bad = np.atleast_2d(np.asarray(x, dtype=float))[~inside][0]
-            raise DomainError(f"{what} {bad} lies outside the closed domain (R={self.radius})")
+            raise DomainError(f"point {bad} lies outside the closed domain (R={self.radius})")
 
     def boundary_point(self, theta):
         theta = np.asarray(theta, dtype=float)
         return self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
-    def boundary_angle(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.arctan2(x[..., 1], x[..., 0]) % (2.0 * math.pi)
-
     def describe(self):
-        return f"ball(R={self.radius!r},dim={self.dimension})"
+        # "dim=2" stays in the description, which every spec hash covers
+        return f"ball(R={self.radius!r},dim=2)"
 
 
 def disk_grid(domain, count=1000):

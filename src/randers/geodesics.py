@@ -53,7 +53,8 @@ from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      SpecMismatchError, TrappedGeodesicError)
 from .fields import (ConformalMetric, Domain, _pts_pair, _unbatch, circle_directions,
                      disk_grid)
-from .norms import RandersSpec, _alpha_at, _beta_at, _dF_dy
+from .norms import (RandersSpec, _alpha_at, _beta_at, _dF_dy, _fundamental,
+                    _nonzero_directions)
 from .zermelo import herglotz_check
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShots",
@@ -68,6 +69,7 @@ _TWO_PI = 2.0 * math.pi
 _SWEEP_RTOL, _SWEEP_ATOL = 1e-6, 1e-9
 _GUARD = 1e-3
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
+_RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def _time_scale(spec):
 # spray
 
 
-def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
+def _spray_and_norm(spec, x0, x1, y0, y1):
     """Planar spray (G0, G1) and norm F on component arrays; no domain checks (hot path).
 
     G = G_alpha + P y + alpha S (Shen's decomposition of a Randers spray),
@@ -145,14 +147,6 @@ def _spray_and_norm(spec, x0, x1, y0, y1, check=False):
         with np.errstate(divide="ignore", invalid="ignore"):
             P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
         G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
-    if check:
-        # Randers identity det g = (F / alpha)^3 det a
-        i00, i01, i11 = inv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            det = (F / al) ** 3 / (i00 * i11 - i01 * i01)
-        if not np.all(np.isfinite(det)) or np.any(det <= 0.0):
-            raise ConvexityError("fundamental tensor is singular or indefinite; "
-                                 "the spec should have been rejected by validate_norm")
     return G0, G1, F
 
 
@@ -163,10 +157,12 @@ def spray(spec, x, y):
     """
     spec.require_valid()
     X, Y, single = _pts_pair(x, y)
-    if np.any(np.linalg.norm(Y, axis=1) == 0.0):
-        raise DegenerateInputError("spray is undefined at y = 0")
+    _nonzero_directions(Y)
     spec.domain.require_inside(X)
-    G0, G1, _ = _spray_and_norm(spec, X[:, 0], X[:, 1], Y[:, 0], Y[:, 1], check=True)
+    if not np.all(_fundamental(spec, X, Y)[1] > 0.0):
+        raise ConvexityError("fundamental tensor is singular or indefinite; "
+                             "the spec should have been rejected by validate_norm")
+    G0, G1, _ = _spray_and_norm(spec, X[:, 0], X[:, 1], Y[:, 0], Y[:, 1])
     return _unbatch(np.column_stack([G0, G1]), single)
 
 
@@ -213,7 +209,7 @@ class GeodesicPath:
         f = spec._raw_norm(self.x, self.y)
         return float(np.abs(f - 1.0).max())
 
-    def resample(self, step=5e-4):
+    def resample(self):
         """Densified positions via cubic Hermite interpolation of the samples.
 
         The stored velocities make each interval a cubic with O(h^4) error,
@@ -221,7 +217,7 @@ class GeodesicPath:
         the solver's accepted steps are much coarser.
         """
         T = self.t[-1]
-        npts = max(int(math.ceil(T / step)), 2)
+        npts = max(int(math.ceil(T / _RESAMPLE_STEP)), 2)
         tq = np.linspace(0.0, T, npts)
         k = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
         h = self.t[k + 1] - self.t[k]
@@ -489,14 +485,8 @@ def solve_bvp(spec, x_from, x_to, opts=None):
         raise DomainError("boundary points must be distinct")
 
     shots = shoot_pairs(spec, [th0, th1], [(0, 1)], opts, record_paths=True)
-    if not shots.converged[0]:
-        raise ConnectivityError(
-            f"no geodesic branch connects boundary angles {th0:.4f} -> {th1:.4f}")
-    if shots.branch_count[0] > 1:
-        raise NonAdmissibleError(
-            f"{shots.branch_count[0]} geodesic branches connect boundary angles "
-            f"{th0:.4f} -> {th1:.4f}; the norm is not admissible for this pair")
-    return ShootingResult(path=shots.paths[0], initial_angle=float(shots.angle[0]),
+    return ShootingResult(path=shots.single_path(0, [th0, th1]),
+                          initial_angle=float(shots.angle[0]),
                           miss=float(shots.miss[0]), branch_count=1)
 
 
@@ -516,6 +506,19 @@ class PairShots:
     angle: np.ndarray         # converged inward shooting angle, nan otherwise
     correction: np.ndarray    # first-variation term subtracted from the ray's exit time
     paths: list | None = None   # with record_paths: GeodesicPath or None per pair
+
+    def single_path(self, q, angles):
+        """Pair q's recorded path, or the error for no branch or several (``angles``
+        is the boundary angle table the pairs index)."""
+        th0, th1 = (float(angles[i]) for i in self.pairs[q])
+        if not self.converged[q]:
+            raise ConnectivityError(
+                f"no geodesic branch connects boundary angles {th0:.4f} -> {th1:.4f}")
+        if self.branch_count[q] > 1:
+            raise NonAdmissibleError(
+                f"{self.branch_count[q]} geodesic branches connect boundary angles "
+                f"{th0:.4f} -> {th1:.4f}; the norm is not admissible for this pair")
+        return self.paths[q]
 
 
 def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
@@ -642,8 +645,7 @@ def conjugate_point_scan(metric, radius, angles=None, opts=None):
         angles = np.concatenate([-half[::-1], half])
     angles = np.asarray(angles, dtype=float)
 
-    domain = Domain(radius=radius, dimension=2)
-    spec = RandersSpec(domain, metric)
+    spec = RandersSpec(Domain(radius), metric)
     hz = herglotz_check(metric.speed, radius)
     Kfn = _gauss_curvature_fn(metric.speed)
 

@@ -329,7 +329,7 @@ def curve_length(spec, curve):
     hi = np.where(swap[:, None], seg_a, seg_b)
     Xq = lo[:, None, :] + _GL_T[None, :, None] * (hi - lo)[:, None, :]
     Xf = Xq.reshape(-1, 2)
-    inside = spec.domain.contains(Xf, rtol=1e-9)
+    inside = spec.domain.contains(Xf)
     if not inside.all():
         k = int(np.nonzero(~inside)[0][0])
         t_param = k // 4 + _GL_T[k % 4]

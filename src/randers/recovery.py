@@ -21,7 +21,6 @@ from scipy.interpolate import PchipInterpolator
 from .boundary import BoundaryDistanceData, decompose, distance_matrix
 from .errors import NonAdmissibleError, RecoveryError, TriplicationError
 from .fields import disk_grid
-from .geodesics import SolverOptions
 from .norms import closedness_residual
 
 __all__ = ["recover_beta_integrals", "recover_symmetric_data",
@@ -29,6 +28,14 @@ __all__ = ["recover_beta_integrals", "recover_symmetric_data",
            "herglotz_invert", "ProfileRecovery",
            "verify_gauge", "GaugeReport",
            "rigidity_report", "RecoveryReport"]
+
+_PROFILE_POINTS = 240       # turning-radius samples of the recovered profile
+_SPREAD_TOL = 1e-6          # same-separation spread accepted as radial
+_INTERIOR_PROBES = 500      # disk points where the gauge identity is checked
+_BOUNDARY_PROBES = 256      # boundary points where phi must vanish
+_DATA_TOL = 2e-8            # distance agreement counted as equal data
+_POTENTIAL_TOL = 1e-6       # pairwise residual counted as a constant potential
+_CLOSED_TOL = 1e-8          # exterior-derivative residual counted as closed
 
 
 def _require_complete(data):
@@ -99,7 +106,7 @@ class ProfileRecovery:
     p_margin: float               # max increase of p(sep); <= 0 when monotone
 
 
-def herglotz_invert(data, *, profile_points=240, spread_tol=1e-6):
+def herglotz_invert(data):
     """Recover a radial sound speed from symmetric travel-time data.
 
     Builds travel time vs boundary separation, differentiates a monotone
@@ -109,12 +116,11 @@ def herglotz_invert(data, *, profile_points=240, spread_tol=1e-6):
     c(r1) = r1 / p1.  Interpolation runs against the chord abscissa
     sin(Sep/2), which keeps the antipodal endpoint regular.
     """
-    if isinstance(data, BoundaryDistanceData):
-        _require_complete(data)
-        sym = 0.5 * (data.matrix + data.matrix.T)
-        n, R, angles = data.n, data.radius, data.angles
-    else:
+    if not isinstance(data, BoundaryDistanceData):
         raise TypeError("herglotz_invert expects BoundaryDistanceData")
+    _require_complete(data)
+    sym = 0.5 * (data.matrix + data.matrix.T)
+    n, R = data.n, data.radius
     if n < 16:
         raise RecoveryError("profile inversion needs a dense boundary sampling (n >= 16; 64 recommended)")
     if n % 2:
@@ -131,7 +137,7 @@ def herglotz_invert(data, *, profile_points=240, spread_tol=1e-6):
         T[k - 1] = vals.mean()
         spread[k - 1] = vals.max() - vals.min()
     spread_rel = float((spread / T).max())
-    consistent = spread_rel <= spread_tol
+    consistent = spread_rel <= _SPREAD_TOL
 
     # monotone fit of T against the chord abscissa, then p by the chain rule
     xs = np.concatenate([[0.0], np.sin(0.5 * seps)])
@@ -153,7 +159,7 @@ def herglotz_invert(data, *, profile_points=240, spread_tol=1e-6):
             "triplication or conjugate points: inversion hypotheses violated")
 
     # turning-radius integral on a separation grid
-    sep1 = np.linspace(seps[0] / 4.0, math.pi, profile_points)
+    sep1 = np.linspace(seps[0] / 4.0, math.pi, _PROFILE_POINTS)
     p1 = p_of(sep1)
     keep = p1 > 1e-8 * pf[0]
     sep1, p1 = sep1[keep], p1[keep]
@@ -195,18 +201,17 @@ class GaugeReport:
     profile_deviation: float | None = None
 
 
-def verify_gauge(beta1, beta2, phi, domain, *, profile1=None, profile2=None,
-                 interior_probes=500, boundary_probes=256):
+def verify_gauge(beta1, beta2, phi, domain, *, profile1=None, profile2=None):
     """Residuals of beta2 = beta1 + d(phi) with phi vanishing on the boundary.
 
     When radial sound-speed profiles are supplied, additionally reports
     their pointwise deviation (the conformal-radial case has identity
     repositioning, which the flag records).
     """
-    X = disk_grid(domain, interior_probes)
+    X = disk_grid(domain, _INTERIOR_PROBES)
     diff = beta2.value(X) - beta1.value(X) - phi.gradient(X)
     gauge_res = float(np.linalg.norm(diff, axis=1).max())
-    theta = 2.0 * math.pi * np.arange(boundary_probes) / boundary_probes
+    theta = 2.0 * math.pi * np.arange(_BOUNDARY_PROBES) / _BOUNDARY_PROBES
     Xb = domain.boundary_point(theta)
     boundary_res = float(np.abs(phi.value(Xb)).max())
     prof_dev = None
@@ -291,9 +296,7 @@ class RecoveryReport:
 
 
 def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
-                    phi_truth=None, profile1=None, profile2=None,
-                    invert_profile=False, data_tol=2e-8, potential_tol=1e-6,
-                    closed_tol=1e-8):
+                    phi_truth=None, invert_profile=False):
     """Run the full forward + inverse pipeline on a scenario pair.
 
     Simulates the two distance matrices unless provided, decomposes them,
@@ -303,14 +306,13 @@ def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
     admissibility failures during simulation poison the verdicts with a
     hypothesis tag instead of raising.
     """
-    opts = opts or SolverOptions()
     domain = spec1.domain
     if spec2.domain.radius != domain.radius:
         raise RecoveryError("scenario domains differ")
     probes = disk_grid(domain, 200)
     closed1 = closedness_residual(spec1.beta, probes)
     closed2 = closedness_residual(spec2.beta, probes)
-    if max(closed1, closed2) > closed_tol:
+    if max(closed1, closed2) > _CLOSED_TOL:
         raise RecoveryError(
             f"1-forms must be closed (residuals {closed1:.3g}, {closed2:.3g}); "
             "recovery up to a potential requires closed forms")
@@ -354,13 +356,12 @@ def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
 
     gauge = None
     if phi_truth is not None:
-        gauge = verify_gauge(spec1.beta, spec2.beta, phi_truth, domain,
-                             profile1=profile1, profile2=profile2)
+        gauge = verify_gauge(spec1.beta, spec2.beta, phi_truth, domain)
 
     verdicts = {
-        "boundary_data_equal": bool(data_diff <= data_tol),
-        "gauge_equivalent": bool(potential.constancy_deviation <= potential_tol
-                                 and sym_diff <= data_tol),
+        "boundary_data_equal": bool(data_diff <= _DATA_TOL),
+        "gauge_equivalent": bool(potential.constancy_deviation <= _POTENTIAL_TOL
+                                 and sym_diff <= _DATA_TOL),
     }
     if conformal_radial:
         notes.append("conformal-radial case: boundary-fixing repositioning is the identity")

@@ -24,36 +24,30 @@ import numpy as np
 from .errors import InvalidMediumError, SpecMismatchError
 from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
                      ScaledForm, VectorValuedField, ZeroForm, disk_grid, jet_spray_terms)
-from .norms import RandersSpec, _alpha_at, _beta_at, _quad
+from .norms import MARGIN_GRID_SIZE, RandersSpec, _alpha_at, _beta_at, _quad
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
            "linearize", "herglotz_check", "HerglotzReport",
            "travel_time_consistency"]
 
+_HERGLOTZ_RADII = 1000   # radii in [0, R] where the non-trapping condition is evaluated
+
 
 @dataclass
 class MediumModel:
-    """Physical scenario: domain, wave speed, and drift field.
+    """Physical scenario: domain, sound speed c, and drift field W.
 
-    The drift must be subcritical, |W|_g < 1 (equivalently |W|_e < c in the
-    conformal case); this is certified on the standard interior probe grid
-    at construction.
+    The metric is conformal, g = c^-2 e, and the drift must be subcritical,
+    |W|_g < 1 (equivalently |W|_e < c); this is certified on the standard
+    interior probe grid at construction.
     """
 
-    def __init__(self, domain, speed=None, wind=None, metric=None, grid=1000):
+    def __init__(self, domain, speed, wind=None):
         self.domain = domain
         self.wind = wind if wind is not None else ZeroForm()
-        if metric is not None:
-            self.metric = metric
-            self.speed = speed
-            self.flavor = "general-g"
-        else:
-            if speed is None:
-                raise ValueError("either a sound speed or an explicit metric is required")
-            self.speed = speed
-            self.metric = ConformalMetric(speed)
-            self.flavor = self.metric.flavor
-        pts = disk_grid(domain, grid)
+        self.speed = speed
+        self.metric = ConformalMetric(speed)
+        pts = disk_grid(domain, MARGIN_GRID_SIZE)
         W = _beta_at(self.wind, pts)
         drift = 0.0 if W is None else _quad(_alpha_at(self.metric, pts), *W).max()
         self.max_drift = float(np.sqrt(max(drift, 0.0)))
@@ -61,10 +55,6 @@ class MediumModel:
             raise InvalidMediumError(
                 f"drift speed reaches |W|_g = {self.max_drift:.4g} >= 1 on the probe grid; "
                 "the medium must satisfy |W|_g < 1 everywhere")
-
-    def describe(self):
-        return (f"medium(domain={self.domain.describe()},metric={self.metric.describe()},"
-                f"wind={self.wind.describe()})")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +273,11 @@ class HerglotzReport:
     r_argmin: float
 
 
-def herglotz_check(speed, radius, grid=1000):
+def herglotz_check(speed, radius):
     """Evaluate d/dr (r / c(r)) on [0, R]; positivity keeps rays non-trapped."""
     if not isinstance(speed, (RadialProfile, ConstantField)):
         raise ValueError("herglotz check needs a radial profile or constant speed")
-    r = np.linspace(0.0, radius, grid)
+    r = np.linspace(0.0, radius, _HERGLOTZ_RADII)
     c, d1 = speed.profile_pair(r)
     val = (c - r * d1) / c ** 2
     k = int(np.argmin(val))

@@ -259,6 +259,22 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 1"):
             load(p)
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("", "empty file", 1),
+        ("# n=2 R=1.0 spec=abc units=time\n", "missing column header 'i,j,angle_i,angle_j,d'", 2),
+        ("# n=2 R=1.0 spec=abc units=time\ni,j,d\n", "missing column header", 2),
+        # one sample has no pairs, so no row gives its angle
+        ("# n=1 R=1.0 spec=abc units=time\ni,j,angle_i,angle_j,d\n",
+         "some samples never appeared in any row", 2),
+    ])
+    def test_rejected_file_names_its_line(self, tmp_path, text, message, line):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^line {line}: {message}") as exc:
+            load(p)
+        assert exc.value.line == line
+        assert _outcome(_reference_load, p) == _outcome(load, p)
+
 
 def _outcome(loader, path):
     """What a loader makes of a file: its data bit for bit, or its error and line."""

@@ -151,6 +151,17 @@ class TestVerify:
         assert "hypothesis violated" in text
         assert "SEPARATED" in text
 
+    def test_chord_with_several_branches_is_an_error(self, cfg_file, tmp_path, capsys):
+        # on this lens three geodesics join the second chord's endpoints
+        cfg = cfg_file("l.cfg", '[domain]\nboundary_samples = 6\n\n[medium]\nkind = "conformal"\n'
+                                'c = "1 - 0.5*exp(-10*r^2)"\nwind = "zero"\n')
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "NonAdmissibleError"
+        assert err["message"].startswith("3 geodesic branches connect boundary angles "
+                                         "1.0000 -> 3.6000;")
+
 
 class TestPlotdata:
     def test_writes_paths_and_profile(self, cfg_file, tmp_path):

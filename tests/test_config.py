@@ -120,6 +120,28 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
         with pytest.raises(ConfigError, match=key):
             parse_config(f"[solver]\n{key} = {value}\n")
 
+    # (config text, message, line or None when the check is not tied to a line)
+    @pytest.mark.parametrize("text, message, line", [
+        ('[medium]\nbeta = ["0.1*x2", "0.1*x1"\n', "unterminated list", 2),
+        ("[domain]\nradius = one\n", "cannot parse value 'one'", 2),
+        ("[domain]\n\nradius\n", "expected 'key = value', got 'radius'", 3),
+        ('[medium]\nbeta = ["0.1*x2", 3]\n', "list entries for 'beta' must be quoted", 2),
+        ('[medium]\nkind = "magic"\n', "unknown medium kind 'magic'", None),
+        ('[medium]\nalpha = "riemann"\n', "unknown alpha 'riemann'", None),
+        ('[medium]\nkind = "zermelo"\nwind = ["0.1"]\n',
+         "wind expression list must have exactly 2 components", None),
+        ('[medium]\nkind = "zermelo"\nwind = "swirl"\n', "unknown wind preset 'swirl'", None),
+        ('[medium]\nkind = "zermelo"\nwind = "const(0.1)"\n',
+         r"const\(\.\.\) wind needs two components", None),
+        ('[medium]\nkind = "direct"\nbeta = "bump(0.2)"\n',
+         r"bump\(A, R\) needs amplitude and radius", None),
+        ('[medium]\nc = "r - 0.5"\n', "sound speed must be positive on the domain", None),
+    ])
+    def test_rejected_input_names_its_fault(self, text, message, line):
+        with pytest.raises(ConfigError, match=message) as exc:
+            build_scenario(parse_config(text))
+        assert exc.value.line == line
+
 
 class TestEmit:
     def test_round_trip_identity(self):

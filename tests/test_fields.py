@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randers import (ComponentForm, ConfigError, ConformalMetric, ConstantField,
@@ -108,6 +108,26 @@ def complex_step(expr, env, var):
     return np.broadcast_to(np.imag(expr(**shifted)) / CS_STEP, env[var].shape)
 
 
+def complex_step_jacobian(fn, x):
+    """d fn / dx at the planar point x by the complex step; entry [..., j] is along x_j."""
+    x = x.astype(complex)
+    return np.stack([np.imag(fn(x + 1j * CS_STEP * e)) / CS_STEP for e in np.eye(2)], axis=-1)
+
+
+def chained_env(x):
+    """Expression variables at a planar point, r = |x| included (complex points allowed)."""
+    return {"x1": x[0], "x2": x[1], "r": np.sqrt(x[0] * x[0] + x[1] * x[1])}
+
+
+def chained_gradient(f, x):
+    """Gradient of an ExprField away from the origin by the chain d/dx_i = f_xi + f_r x_i / r,
+    built from its first-order trees only, so it is independent of its Hessian code."""
+    env = chained_env(x)
+    fr = f.d1["r"](**env)
+    return np.array([f.d1["x1"](**env) + fr * env["x1"] / env["r"],
+                     f.d1["x2"](**env) + fr * env["x2"] / env["r"]])
+
+
 class TestSymbolicDerivatives:
     @settings(max_examples=40, deadline=None)
     @given(src=expression_sources(VARS),
@@ -134,18 +154,28 @@ class TestSymbolicDerivatives:
     @settings(max_examples=30, deadline=None)
     @given(src=expression_sources(VARS), radius=st.floats(0.2, 0.9),
            angle=st.floats(0.0, 2.0 * math.pi))
-    def test_expr_field_with_r_matches_central_differences(self, src, radius, angle):
+    # a central difference missed this Hessian by 7e-4: the step-size error
+    # grows with the third derivative, which no curvature filter bounds
+    @example(src="sqrt(1.5 + sin(x1)) * exp(-sin(x1)) / (1.5 + cos(sqrt(1.5 + sin(((1.5 + "
+                 "sin(x1))^(2.5))^3)))) - (x1)^3 + x1 * 0.5", radius=0.25, angle=0.0)
+    def test_expr_field_with_r_matches_complex_step(self, src, radius, angle):
         f = ExprField(src)
         x = radius * np.array([math.cos(angle), math.sin(angle)])
         g, H = f.gradient(x), f.hessian(x)
-        assume(np.abs(H).max() <= FD_MAX_CURVATURE)
         scale = 1.0 + np.abs(f.value(x))
-        assert np.allclose(g, fd_gradient(f, x), rtol=1e-6, atol=1e-6 * scale), src
-        assert np.allclose(H, fd_hessian(f, x), rtol=1e-5, atol=1e-5 * (1.0 + np.abs(g).max())), src
+        g_ref = complex_step_jacobian(lambda z: f.expr(**chained_env(z)), x)
+        H_ref = complex_step_jacobian(lambda z: chained_gradient(f, z), x)
+        assert np.allclose(g, g_ref, rtol=1e-6, atol=1e-6 * scale), src
+        assert np.allclose(H, H_ref, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(g).max())), src
         assert np.array_equal(H, H.T)
 
     @settings(max_examples=30, deadline=None)
     @given(src=expression_sources(VARS))
+    # a constant power folded with a scalar's ** differed from the array power here
+    @example(src="sqrt(1.5 + sin((x1) - (((r) + (0.99))^3))) * exp(-sin(x1)) "
+                 "/ (1.5 + cos(x1)) - (x1)^3 + x1 * 0.5")
+    @example(src="sqrt(1.5 + sin(x1)) * exp(-sin((x1) * ((1.5 + sin((r) + (0.26)))^(2.5)))) "
+                 "/ (1.5 + cos(x1)) - (x1)^3 + x1 * 0.5")
     def test_expr_field_r_chain_vanishes_at_origin(self, src):
         # r = |x| has no derivative at 0, where a central difference of the
         # field converges only at first order.  By convention the r-chain
@@ -168,10 +198,6 @@ class TestDomain:
     def test_invariants(self):
         with pytest.raises(ValueError):
             Domain(radius=-1.0)
-        with pytest.raises(ValueError):
-            Domain(radius=1.0, dimension=1)
-        with pytest.raises(ValueError):
-            Domain(radius=1.0, dimension=3)
 
     @pytest.mark.parametrize("radius", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_radius_must_be_finite_and_positive(self, radius):

@@ -351,6 +351,10 @@ class TestShootPairs:
         shots = shoot_pairs(lens_spec, angles, [(0, 5), (0, 1)], record_paths=True)
         assert shots.branch_count.tolist() == [3, 1]
         assert shots.paths[0] is None and shots.paths[1] is not None
+        with pytest.raises(NonAdmissibleError, match=r"^3 geodesic branches connect boundary "
+                                                     r"angles 0\.0000 -> 2\.6180;"):
+            shots.single_path(0, angles)
+        assert shots.single_path(1, angles) is shots.paths[1]
 
     @pytest.mark.parametrize("record_paths", [False, True])
     def test_no_pairs_give_empty_record(self, wind_spec, record_paths):
