@@ -70,8 +70,9 @@ class DistanceDiagnostics:
     branch_counts: np.ndarray
     miss: np.ndarray            # arc-length units
     excluded: np.ndarray        # nearly-adjacent pairs left out
-    angle_samples: int
+    angle_samples: int          # coarse sweep fan per start
     correction: np.ndarray      # first-variation term subtracted from each exit time
+    sweep_nodes: np.ndarray     # (n,) sweep rays shot per start, refinement included
 
 
 @dataclass
@@ -129,10 +130,12 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     correction = np.zeros((n, n))
     branches = np.zeros((n, n), dtype=int)
     converged = np.zeros((n, n), dtype=bool)
+    nodes = np.zeros(n, dtype=int)
     for shots in parts:
         i, j = shots.pairs.T
         D[i, j], miss[i, j], correction[i, j] = shots.time, shots.miss, shots.correction
         branches[i, j], converged[i, j] = shots.branch_count, shots.converged
+        nodes[i] = shots.sweep_nodes
     bad = keep & ((branches != 1) | ~converged)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -146,7 +149,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
         raise RandersError("non-positive distance computed; solver failure")
     diag = DistanceDiagnostics(branch_counts=branches, miss=miss,
                                excluded=excluded, angle_samples=opts.angle_samples,
-                               correction=correction)
+                               correction=correction, sweep_nodes=nodes)
     return BoundaryDistanceData(angles=angles.copy(), radius=samples.radius,
                                 matrix=D, spec_hash=spec.spec_hash, diagnostics=diag)
 

@@ -23,9 +23,9 @@ from .errors import RandersError
 from .fields import ExactForm, PotentialBump, RadialProfile, ConstantField, SumForm, disk_grid
 from .geodesics import integrate_geodesic, polyline_hausdorff, shoot_pairs
 from .norms import RandersSpec, closedness_residual
-from .recovery import recover_boundary_potential, rigidity_report
+from .recovery import (_CLOSED_TOL, _DATA_TOL, _POTENTIAL_TOL, recover_boundary_potential,
+                       rigidity_report)
 
-_CLOSED_TOL = 1e-8
 _LEMMA_TOL = 1e-6
 
 
@@ -143,11 +143,12 @@ def cmd_verify(scenarios, out, threads):
     d2 = bd.distance_matrix(bumped, n, scn.solver, threads=workers) if bumped.margin > 0 else None
     if d2 is not None:
         diff = float(np.abs(d1.matrix - d2.matrix)[~np.eye(n, dtype=bool)].max())
-        ok = diff <= 2e-8
+        ok = diff <= _DATA_TOL
         lines.append(f"gauge invisibility: max |D - D_bumped| = {diff:.3e} {'OK' if ok else 'FAIL'}")
         bug |= not ok
         pot = recover_boundary_potential(d1, d2)
-        ok = float(np.abs(pot.values).max()) <= 1e-6 and pot.constancy_deviation <= 1e-6
+        ok = (float(np.abs(pot.values).max()) <= _POTENTIAL_TOL
+              and pot.constancy_deviation <= _POTENTIAL_TOL)
         lines.append(f"recovered boundary potential: max {np.abs(pot.values).max():.3e}, "
                      f"deviation {pot.constancy_deviation:.3e} {'OK' if ok else 'FAIL'}")
         bug |= not ok

@@ -44,7 +44,7 @@ _SCHEMA = {
     "solver": {
         "rtol": ("float", "dimensionless", 1e-9),
         "atol": ("float", "dimensionless", 1e-12),
-        "angle_samples": ("int", "count", 720),
+        "angle_samples": ("int", "count", 180),
         "miss_tol": ("float", "fraction of R", 1e-8),
         "max_steps": ("int", "count", 100_000),
         "trap_time_factor": ("float", "dimensionless", 50.0),

@@ -10,18 +10,40 @@ brackets of all pairs to convergence in one guarded false-position batch.
 A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
 one-pair case.
 
+The sweep adapts to the exit map theta(psi) of each start.  A coarse fan of
+``angle_samples`` rays comes first; then every interval where the map is not
+safely monotone is bisected, in one batch per level over all starts, at
+most ``_REFINE_DEPTH`` levels deep.  An interval is not safely monotone
+when exactly one of its ends exits, or when its slope d/h (exit-angle step
+d over the interval width h) and a neighbour's differ by more than
+``_REFINE_RHO`` times the smaller of the two; with the ratio at one this
+includes every sign change.  A fold of the exit map,
+d theta / d psi = 0, is a caustic; where the map has none the coarse fan is
+all the sweep shoots, and where it has one the refined nodes resolve it to
+pi / (2**_REFINE_DEPTH * angle_samples).
+
 The sweep only makes decisions (which rays hit, where the miss changes
-sign, which rays exit), so it runs at the loose tolerances ``_SWEEP_RTOL``
-and ``_SWEEP_ATOL``.  Every sweep ray that could change a decision is then
+sign, which rays exit, where to refine), so it runs at the loose
+tolerances ``_SWEEP_RTOL`` and ``_SWEEP_ATOL``.  After each level, every
+ray that could change a hit, bracket, exit or refinement decision is
 re-integrated at the solver tolerance in one batch: rays within the guard
 band ``_GUARD`` (radians) of a target, rays that did not exit or came near
 their time or step budget, and both rays of a sweep interval whose
 exit-angle step could put a miss jump within the band of the wrap cut.
 Outside the band a decision needs the exit angle only to ``_GUARD``, so
-masks, branch counts and errors are those of a sweep at the solver
+masks, branch counts and errors are those of the same nodes at the solver
 tolerance.  The guard checks itself: the re-integrated rays measure the
-loose error, and a start where it exceeds a tenth of the band has its whole
-fan re-integrated.
+loose error, and a start where it exceeds a tenth of the band has all its
+nodes re-integrated, and its later refinements shot, at the solver
+tolerance.
+
+False position starts each bracket from the inverse cubic through the four
+sweep nodes around it (Lagrange interpolation of psi in the miss, evaluated
+at zero), then takes a Newton step with that cubic's slope, wherever those
+nodes exited and their misses are strictly monotone; elsewhere it starts
+from the secant.  An interpolated start is already near the root, so its
+bracket is clipped only at ``_CUBIC_CLIP`` of its width rather than the
+secant's 2%.
 
 A converged ray still misses its target by an angle delta, and where it
 stops depends on the root finder and on the loose bracket values it starts
@@ -68,6 +90,10 @@ _TWO_PI = 2.0 * math.pi
 # inside which a sweep ray is re-integrated at the solver tolerance
 _SWEEP_RTOL, _SWEEP_ATOL = 1e-6, 1e-9
 _GUARD = 1e-3
+# fold-aware refinement of the coarse fan: levels of bisection, and the
+# relative slope change between neighbouring intervals that flags both
+_REFINE_DEPTH, _REFINE_RHO = 4, 1.0
+_CUBIC_CLIP = 1e-9      # share of a bracket kept clear after an interpolated start
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
@@ -80,7 +106,7 @@ class SolverOptions:
     atol: float = 1e-12
     max_steps: int = 100_000
     trap_time_factor: float = 50.0
-    angle_samples: int = 720
+    angle_samples: int = 180          # coarse sweep fan per start
     miss_rtol: float = 1e-8          # target |angular miss| (arc length / R)
     exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
 
@@ -343,56 +369,105 @@ def _bracket_roots(miss, ok, angle_tol):
     return node, bracket
 
 
-def _sweep(spec, theta0, psi, targets, opts):
-    """Shooting fans from the starts ``theta0`` (s,) over the angles ``psi`` (K,).
+def _refine_intervals(start, psi, th, ok, min_width):
+    """Intervals (k, k+1) of the flat sweep nodes where the exit map is not
+    safely monotone and wider than ``min_width`` (see the module docstring).
 
-    ``targets[si]`` holds the target angles of start si.  Returns the exit
-    angle, exit time, exit flag and exit state, shaped (s, K) and (s, K, 5).
-    The fans run at the loose sweep tolerance and every ray that could
-    change a decision is re-integrated at ``opts`` (see the module
-    docstring); when ``opts`` is as loose as the sweep there is one pass.
+    ``start`` labels each node with its start; a start's nodes are adjacent
+    and sorted in ``psi``, and no interval joins two starts.
     """
-    S, K = len(theta0), len(psi)
-    th0, ps = np.repeat(theta0, K), np.tile(psi, S)
+    same = start[1:] == start[:-1]
+    flag = same & (ok[1:] != ok[:-1])
+    both = same & ok[1:] & ok[:-1]
+    h = np.diff(psi)
+    slope = _wrap(np.diff(th)) / h
+    a, b = slope[:-1], slope[1:]
+    # at _REFINE_RHO = 1 a sign change, |b - a| = |a| + |b|, is always flagged
+    bent = both[:-1] & both[1:] & (np.abs(b - a) > _REFINE_RHO * np.minimum(np.abs(a), np.abs(b)))
+    flag[:-1] |= bent
+    flag[1:] |= bent
+    return np.flatnonzero(flag & (h > min_width))
+
+
+def _sweep(spec, theta0, targets, opts):
+    """Adaptive shooting fans from the starts ``theta0`` (s,).
+
+    ``targets[si]`` holds the target angles of start si.  Returns per-start
+    lists of the node angles psi and their exit angle, exit time, exit flag
+    and exit state ((K_si,) and (K_si, 5) arrays, sorted in psi).  Each
+    level of the sweep, the coarse fan and then each refinement, runs at the
+    loose sweep tolerance, and its rays that could change a decision are
+    re-integrated at ``opts`` before the next level is chosen (see the
+    module docstring); when ``opts`` is as loose as the sweep there is one
+    pass.
+    """
+    K = opts.angle_samples
     loose = replace(opts, rtol=max(opts.rtol, _SWEEP_RTOL), atol=max(opts.atol, _SWEEP_ATOL))
-    th, t, ok, res = _exit_fan(spec, th0, ps, loose)
-    u = res.u_end
-    if loose != opts:
-        # a ray that exits within a relative _GUARD of its time budget, or
-        # near its step budget, may not exit at the solver tolerance; an
-        # order-5 pair takes steps ~ tol^(-1/5), and the guard is twice that
-        step_ratio = 2.0 * max(loose.rtol / opts.rtol, loose.atol / opts.atol) ** 0.2
-        t_max = opts.trap_time_factor * _time_scale(spec)
-        redo = (~ok | (t >= (1.0 - _GUARD) * t_max)
-                | (res.steps * step_ratio >= opts.max_steps)).reshape(S, K)
+    start = np.repeat(np.arange(len(theta0)), K)
+    ps = np.tile(_sweep_angles(K), len(theta0))
+    th, t, ok, res = _exit_fan(spec, theta0[start], ps, loose)
+    u, steps, tight = res.u_end, res.steps, np.zeros(len(ps), dtype=bool)
+    strict = np.zeros(len(theta0), dtype=bool)   # starts that failed the self-check
+    finest = math.pi / (K * 2 ** _REFINE_DEPTH)
+    # a ray that exits within a relative _GUARD of its time budget, or near
+    # its step budget, may not exit at the solver tolerance; an order-5 pair
+    # takes steps ~ tol^(-1/5), and the guard is twice that
+    step_ratio = 2.0 * max(loose.rtol / opts.rtol, loose.atol / opts.atol) ** 0.2
+    t_max = opts.trap_time_factor * _time_scale(spec)
+    band = opts.miss_rtol + _GUARD
+    for level in range(_REFINE_DEPTH + 1):
+        if level:
+            k = _refine_intervals(start, ps, th, ok, 1.5 * finest)
+            if not k.size:
+                break
+            mid, sharp = 0.5 * (ps[k] + ps[k + 1]), strict[start[k]]
+            th_m, t_m, ok_m = np.empty(k.size), np.empty(k.size), np.empty(k.size, dtype=bool)
+            u_m, steps_m = np.empty((k.size, 5)), np.empty(k.size, dtype=steps.dtype)
+            for sel, o in ((~sharp, loose), (sharp, opts)):
+                if sel.any():
+                    th_m[sel], t_m[sel], ok_m[sel], res_m = _exit_fan(
+                        spec, theta0[start[k[sel]]], mid[sel], o)
+                    u_m[sel], steps_m[sel] = res_m.u_end, res_m.steps
+            start, ps, th, t, ok, u, steps, tight = (
+                np.insert(a, k + 1, b, axis=0) for a, b in
+                ((start, start[k]), (ps, mid), (th, th_m), (t, t_m), (ok, ok_m), (u, u_m),
+                 (steps, steps_m), (tight, sharp)))
+        if loose == opts:
+            continue
+        redo = ~ok | (t >= (1.0 - _GUARD) * t_max) | (steps * step_ratio >= opts.max_steps)
         # whatever the target, a miss jump |m1 - m0| is |d| or 2 pi - |d| for
         # the exit-angle step d; either one near the wrap cut can flip a bracket
-        d = np.abs(np.diff(th.reshape(S, K), axis=1))
-        cut = np.minimum(np.abs(d - 0.9 * math.pi), np.abs(1.1 * math.pi - d)) <= _GUARD
-        redo[:, :-1] |= cut
-        redo[:, 1:] |= cut
-        band = opts.miss_rtol + _GUARD
+        d = np.abs(np.diff(th))
+        cut = (start[1:] == start[:-1]) & (
+            np.minimum(np.abs(d - 0.9 * math.pi), np.abs(1.1 * math.pi - d)) <= _GUARD)
+        redo[:-1] |= cut
+        redo[1:] |= cut
+        first = np.searchsorted(start, np.arange(len(theta0) + 1))
         for si, tg in enumerate(targets):
             # distance to the nearest target around the circle: the targets
             # repeated one turn either side always enclose an exit angle
-            x, tg = th[si * K:(si + 1) * K], tg % _TWO_PI
+            x, tg = th[first[si]:first[si + 1]], tg % _TWO_PI
             ring = np.sort(np.concatenate([tg - _TWO_PI, tg, tg + _TWO_PI]))
-            k = np.searchsorted(ring, x)
-            redo[si] |= np.minimum(x - ring[k - 1], ring[k] - x) <= band
-        redo = np.flatnonzero(redo)
+            j = np.searchsorted(ring, x)
+            redo[first[si]:first[si + 1]] |= np.minimum(x - ring[j - 1], ring[j] - x) <= band
+        redo = np.flatnonzero(redo & ~tight)
         if redo.size:
-            th_r, t_r, ok_r, res_r = _exit_fan(spec, th0[redo], ps[redo], opts)
+            th_r, t_r, ok_r, res_r = _exit_fan(spec, theta0[start[redo]], ps[redo], opts)
             err = np.where(ok[redo] & ok_r, np.abs(_wrap(th[redo] - th_r)),
                            np.where(ok[redo] == ok_r, 0.0, np.inf))
             th[redo], t[redo], ok[redo], u[redo] = th_r, t_r, ok_r, res_r.u_end
+            tight[redo] = True
             # self-check: a start whose loose error leaves the guard's margin
-            # gets its whole fan at the solver tolerance
-            bad = np.unique(redo[err > 0.1 * _GUARD] // K)
+            # gets all its nodes, and its later refinements, at the solver tolerance
+            bad = np.unique(start[redo[err > 0.1 * _GUARD]])
+            strict[bad] = True
             if bad.size:
-                full = (bad[:, None] * K + np.arange(K)).ravel()
-                th_f, t_f, ok_f, res_f = _exit_fan(spec, th0[full], ps[full], opts)
+                full = np.flatnonzero(np.isin(start, bad))
+                th_f, t_f, ok_f, res_f = _exit_fan(spec, theta0[start[full]], ps[full], opts)
                 th[full], t[full], ok[full], u[full] = th_f, t_f, ok_f, res_f.u_end
-    return th.reshape(S, K), t.reshape(S, K), ok.reshape(S, K), u.reshape(S, K, 5)
+                tight[full] = True
+    cuts = np.flatnonzero(np.diff(start)) + 1
+    return tuple(np.split(a, cuts) for a in (ps, th, t, ok, u))
 
 
 def _first_variation(spec, u):
@@ -407,11 +482,43 @@ def _first_variation(spec, u):
     return spec.domain.radius * (x0 * p1 - x1 * p0) / np.hypot(x0, x1)
 
 
-def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
+def _inverse_cubic(psi, miss, valid):
+    """psi and d psi / d miss at zero miss on the inverse cubic through four nodes.
+
+    Rows of ``psi``, ``miss`` and ``valid`` (q, 4) hold the sweep nodes
+    k-1 .. k+2 around a bracket (k, k+1).  The cubic is the Lagrange
+    interpolant of psi in the miss, which needs distinct but not uniform
+    nodes.  A row with an invalid node or misses that are not strictly
+    monotone gives nan for both, which ``_false_position`` reads as a
+    secant start.
+    """
+    dm = np.diff(miss, axis=1)
+    mono = valid.all(axis=1) & ((dm > 0.0).all(axis=1) | (dm < 0.0).all(axis=1))
+    p, m = psi[mono], miss[mono]
+    root, slope = np.zeros(len(p)), np.zeros(len(p))
+    for i in range(4):
+        a, b, c = (m[:, j] for j in range(4) if j != i)
+        # basis i is (x - a)(x - b)(x - c) / its value at m_i; its value and
+        # derivative at x = 0 are -abc and ab + ac + bc over that
+        w = p[:, i] / ((m[:, i] - a) * (m[:, i] - b) * (m[:, i] - c))
+        root -= w * a * b * c
+        slope += w * (a * b + a * c + b * c)
+    out = np.full((2, len(psi)), np.nan)
+    out[:, mono] = root, slope
+    return out
+
+
+def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None):
     """Guarded Illinois iteration on batches of independent brackets.
 
     Returns (psi, time, miss, ok, state) arrays; each row is one bracket
     problem and ``state`` (q, 5) holds the exit state of its converged ray.
+    ``cubic`` is the (2, q) root and slope of ``_inverse_cubic``.  A bracket
+    with a finite root starts there, takes a Newton step with that slope
+    from the first ray, and is clipped at ``_CUBIC_CLIP`` of its width
+    instead of 2%; the others start from the secant.  The Newton step uses
+    the slope because the sweep nodes' misses are loose: the root carries
+    their error, while the slope, a ratio of their differences, hardly does.
     The iteration holds only its unfinished brackets: a bracket's result is
     written out once, when its ray lands within tolerance, and the live
     arrays shrink only on iterations where some bracket converged or its
@@ -421,6 +528,9 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
     psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
     u_out = np.full((q, 5), np.nan)
     ids, side = np.arange(q), np.zeros(q, dtype=np.int8)
+    start, slope = np.full((2, q), np.nan) if cubic is None else cubic
+    interp = np.isfinite(start)
+    clip = np.where(interp, _CUBIC_CLIP, 0.02)
 
     for it in range(_REFINE_MAX_ITER):
         if not ids.size:
@@ -430,12 +540,16 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
             cand = hi - m_hi * width / (m_hi - m_lo)
         mid = 0.5 * (lo + hi)
         cand = np.where(np.isfinite(cand), cand, mid)
-        cand = np.clip(cand, lo + 0.02 * width, hi - 0.02 * width)
+        if it < 2:
+            cand = np.where(interp, start, cand)
+        cand = np.clip(cand, lo + clip * width, hi - clip * width)
         if it % 6 == 5:
             cand = mid  # periodic bisection keeps the bracket shrinking
 
         th_exit, t_exit, ok, res = _exit_fan(spec, theta0, cand, opts)
         m_new = _wrap(th_exit - theta_tgt)
+        if it == 0:
+            start = cand - m_new * slope   # the Newton step from the first ray
         conv = ok & (np.abs(m_new) <= opts.miss_rtol)
         rows = ids[conv]
         psi_out[rows], t_out[rows], miss_out[rows] = cand[conv], t_exit[conv], m_new[conv]
@@ -449,8 +563,9 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts):
         side = np.where(same_lo, -1, 1)
         live = ok & ~conv
         if not live.all():
-            ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side = (
-                a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side))
+            ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side, clip, interp, start, slope = (
+                a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side, clip, interp,
+                                  start, slope))
     return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out
 
 
@@ -506,6 +621,11 @@ class PairShots:
     angle: np.ndarray         # converged inward shooting angle, nan otherwise
     correction: np.ndarray    # first-variation term subtracted from the ray's exit time
     paths: list | None = None   # with record_paths: GeodesicPath or None per pair
+    sweep_nodes: np.ndarray | None = None   # sweep rays shot from the pair's start
+
+    def __post_init__(self):
+        if self.sweep_nodes is None:   # a record not built by a sweep
+            self.sweep_nodes = np.zeros(len(self.pairs), dtype=int)
 
     def single_path(self, q, angles):
         """Pair q's recorded path, or the error for no branch or several (``angles``
@@ -526,19 +646,20 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
 
     ``angles`` is the boundary angle table, ``pairs`` (P, 2) ordered index
     pairs (i, j); the :class:`PairShots` record returned is aligned with
-    them.  One sweep fan is integrated per distinct start and shared across
-    its targets (see ``_sweep``).  A pair counts one branch per sweep ray
-    within tolerance of its target and per bracket; a pair with such a ray
-    takes the first one, every other pair its first converged bracket in
-    sweep order, with all brackets refined in a single batch.  Each
-    converged shot's time carries the first-variation correction for its
-    miss, also reported as ``correction``.  Branch counts and flags are
-    independent of pair order and grouping, and so are times up to the
-    correction's second-order remainder.  With ``record_paths`` the
-    converged single-branch rays are re-integrated once as a recorded batch:
-    ``paths[q]`` is pair q's GeodesicPath (its ``exit_time`` uncorrected),
-    or None when q has no single converged branch; a recorded ray that
-    does not exit raises TrappedGeodesicError naming its pair.
+    them.  One adaptive sweep is integrated per distinct start and shared
+    across its targets (see ``_sweep``); ``sweep_nodes`` counts its rays.  A
+    pair counts one branch per sweep ray within tolerance of its target and
+    per bracket; a pair with such a ray takes the first one, every other
+    pair its first converged bracket in sweep order, with all brackets
+    refined in a single batch.  Each converged shot's time carries the
+    first-variation correction for its miss, also reported as
+    ``correction``.  Branch counts and flags are independent of pair order
+    and grouping, and so are times up to the correction's second-order
+    remainder.  With ``record_paths`` the converged single-branch rays are
+    re-integrated once as a recorded batch: ``paths[q]`` is pair q's
+    GeodesicPath (its ``exit_time`` uncorrected), or None when q has no
+    single converged branch; a recorded ray that does not exit raises
+    TrappedGeodesicError naming its pair.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
@@ -552,32 +673,38 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
 
-    psi = _sweep_angles(opts.angle_samples)
-    exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], psi, targets, opts)
+    psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], targets, opts)
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
     state = np.full((P, 5), np.nan)
     count = np.zeros(P, dtype=int)
+    nodes = np.zeros(P, dtype=int)
     converged = np.zeros(P, dtype=bool)
-    fp = []   # per start: (pair rows, sweep index, miss at k and k+1) of brackets
+    fp = []   # per start: (pair rows, bracket ends, misses there, cubic root and slope)
     for si, (rows, tg) in enumerate(zip(rows_of, targets)):
+        ps, K = psi[si], len(psi[si])
+        nodes[rows] = K
         m = _wrap(exit_th[si] - tg[:, None])
         node, bracket = _bracket_roots(m, ok[si], opts.miss_rtol)
         count[rows] = node.sum(axis=1) + bracket.sum(axis=1)
         hit = node.any(axis=1)
         k = node.argmax(axis=1)[hit]
         r = rows[hit]
-        time[r], miss[r], angle[r], state[r] = exit_t[si, k], m[hit, k], psi[k], exit_u[si, k]
+        time[r], miss[r], angle[r], state[r] = exit_t[si][k], m[hit, k], ps[k], exit_u[si][k]
         converged[r] = True
         q, kb = np.nonzero(bracket & ~hit[:, None])
-        fp.append((rows[q], kb, m[q, kb], m[q, kb + 1]))
+        four = kb[:, None] + np.arange(-1, 3)   # nodes k-1 .. k+2 around bracket k
+        inside = (four >= 0) & (four < K)
+        four = np.clip(four, 0, K - 1)
+        root, slope = _inverse_cubic(ps[four], m[q[:, None], four], ok[si][four] & inside)
+        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], root, slope))
 
-    owner, kb, m_lo, m_hi = (np.concatenate(c) for c in zip(*fp))
+    owner, lo, hi, m_lo, m_hi, root, slope = (np.concatenate(c) for c in zip(*fp))
     if len(owner):
         p, tt, mm, good, uu = _false_position(
-            spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], psi[kb], psi[kb + 1],
-            m_lo, m_hi, opts)
+            spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], lo, hi, m_lo, m_hi, opts,
+            (root, slope))
         # rows of one pair are contiguous and in sweep order
         won, first = np.unique(owner[good], return_index=True)
         sel = np.flatnonzero(good)[first]
@@ -588,7 +715,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     correction[converged] = _first_variation(spec, state[converged]) * miss[converged]
     time -= correction
     miss *= spec.domain.radius
-    out = PairShots(pairs, time, miss, count, converged, angle, correction)
+    out = PairShots(pairs, time, miss, count, converged, angle, correction, sweep_nodes=nodes)
     if record_paths:
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))

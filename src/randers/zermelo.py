@@ -33,13 +33,12 @@ __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
 _HERGLOTZ_RADII = 1000   # radii in [0, R] where the non-trapping condition is evaluated
 
 
-@dataclass
 class MediumModel:
     """Physical scenario: domain, sound speed c, and drift field W.
 
     The metric is conformal, g = c^-2 e, and the drift must be subcritical,
     |W|_g < 1 (equivalently |W|_e < c); this is certified on the standard
-    interior probe grid at construction.
+    interior probe grid at construction.  Media compare by identity.
     """
 
     def __init__(self, domain, speed, wind=None):
@@ -55,6 +54,10 @@ class MediumModel:
             raise InvalidMediumError(
                 f"drift speed reaches |W|_g = {self.max_drift:.4g} >= 1 on the probe grid; "
                 "the medium must satisfy |W|_g < 1 everywhere")
+
+    def __repr__(self):
+        return (f"MediumModel({self.domain.describe()}, c={self.speed.describe()}, "
+                f"W={self.wind.describe()})")
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def offcentre_lens_spec(dom):
     return RandersSpec(dom, ConformalMetric(ExprField("1 - 0.5*exp(-20*((x1-0.3)^2 + x2^2))")))
 
 
+# a narrow low-velocity spot: its exit maps fold within |psi| < 0.07 of the
+# diametral ray, so diametral pairs have three branches
+@pytest.fixture(scope="session")
+def narrow_lens_spec(dom):
+    return RandersSpec(dom, ConformalMetric(RadialProfile("1 - 0.1*exp(-200*r^2)")))
+
+
 @pytest.fixture(scope="session")
 def opts():
     return SolverOptions()

@@ -302,11 +302,13 @@ class TestShootPairs:
             assert time == pytest.approx(ref.path.exit_time, abs=1e-9)
 
     def test_independent_of_pair_order(self, wind_spec, rng):
-        # straight wind rays from a 32-point sampling hit odd separations
-        # exactly at a sweep node (720 k / 32 is a half-integer for odd k)
+        # straight wind rays from a 32-point sampling hit some separations
+        # exactly at a sweep node (180 k / 32 is a half-integer for k = 4 mod 8)
         n, starts = 32, range(4)
         angles = 2.0 * math.pi * np.arange(n) / n
         pairs = [(i, j) for i in starts for j in range(n) if i != j]
+        nodes = geo._sweep(wind_spec, angles[list(starts)], [angles] * len(starts),
+                           SolverOptions())[0]
         shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
         per_start = [shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])
                      for i in starts]
@@ -319,7 +321,7 @@ class TestShootPairs:
             return np.array([by_pair[p] for p in pairs])
 
         # both result paths are compared: sweep nodes and false position
-        at_node = np.isin(table(runs[0], "angle"), _sweep_angles(720))
+        at_node = np.isin(table(runs[0], "angle"), np.concatenate(nodes))
         assert at_node.any() and not at_node.all()
         for field in ("time", "miss", "angle", "branch_count"):
             ref = table(runs[0], field)
@@ -421,10 +423,11 @@ class TestLooseSweep:
     def test_target_between_loose_and_tight_exit(self, monkeypatch, smooth_bump_spec):
         # the loose and the tight ray miss this target on opposite sides: a
         # bracket taken from the loose sweep would not contain the root
-        spec, psi = smooth_bump_spec, _sweep_angles(720)
+        spec = smooth_bump_spec
+        psi = geo._sweep(spec, np.zeros(1), [np.array([math.pi])], SolverOptions())[0][0]
         loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
-        th_t, _, _, _ = geo._exit_fan(spec, np.zeros(720), psi, SolverOptions())
-        th_l, _, _, _ = geo._exit_fan(spec, np.zeros(720), psi, loose)
+        th_t, _, _, _ = geo._exit_fan(spec, np.zeros(len(psi)), psi, SolverOptions())
+        th_l, _, _, _ = geo._exit_fan(spec, np.zeros(len(psi)), psi, loose)
         k = int(np.argmax(np.abs(geo._wrap(th_l - th_t))))
         target = 0.5 * (th_l[k] + th_t[k])
         assert abs(geo._wrap(th_t[k] - target)) > SolverOptions().miss_rtol
@@ -439,15 +442,22 @@ class TestLooseSweep:
     def test_ray_straddling_time_budget(self, monkeypatch, smooth_bump_spec):
         # t_max between a ray's loose and tight exit times: it exits only in
         # the loose sweep, and with a shorter neighbour it would bracket a
-        # target that lies outside the miss band
-        spec, psi = smooth_bump_spec, _sweep_angles(720)
+        # target that lies outside the miss band; under that budget the
+        # sweep refines beside the ray, so the neighbour is its finest node
+        spec = smooth_bump_spec
+        psi = geo._sweep(spec, np.zeros(1), [np.array([math.pi])], SolverOptions())[0][0]
+        K = len(psi)
         loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
-        th, t_t, _, _ = geo._exit_fan(spec, np.zeros(720), psi, SolverOptions())
-        _, t_l, _, _ = geo._exit_fan(spec, np.zeros(720), psi, loose)
-        k = next(k for k in range(360, 719) if t_l[k] < t_t[k] and t_t[k + 1] < t_l[k])
-        target = 0.5 * (th[k] + th[k + 1])
-        assert abs(geo._wrap(th[k] - target)) > SolverOptions().miss_rtol + geo._GUARD
+        th, t_t, _, _ = geo._exit_fan(spec, np.zeros(K), psi, SolverOptions())
+        _, t_l, _, _ = geo._exit_fan(spec, np.zeros(K), psi, loose)
+        k = next(k for k in range(K // 2, K - 1) if t_l[k] < t_t[k] and t_t[k + 1] < t_l[k])
         opts = SolverOptions(trap_time_factor=0.5 * (t_l[k] + t_t[k]) / geo._time_scale(spec))
+        nodes, exits, _, ok = (a[0] for a in geo._sweep(spec, np.zeros(1), [np.array([th[k]])],
+                                                        opts)[:4])
+        j = int(np.flatnonzero(nodes == psi[k])[0]) + 1
+        assert psi[k] < nodes[j] < psi[k + 1] and ok[j] and not ok[j - 1]
+        target = 0.5 * (th[k] + exits[j])
+        assert abs(geo._wrap(th[k] - target)) > SolverOptions().miss_rtol + geo._GUARD
         two = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
         monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
         monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
@@ -458,7 +468,8 @@ class TestLooseSweep:
     def test_self_check_retraces_whole_fans(self, monkeypatch, smooth_bump_spec):
         # a sweep far too loose for the band: the re-integrated rays show it,
         # and their starts' fans are integrated again at the solver tolerance
-        spec, n = smooth_bump_spec, 8
+        # (from 16 samples on, some fan rays land within the band of a target)
+        spec, n = smooth_bump_spec, 16
         angles, pairs = _all_pairs(n)
         ref = shoot_pairs(spec, angles, pairs)
         fans = []
@@ -472,12 +483,168 @@ class TestLooseSweep:
         monkeypatch.setattr(geo, "_SWEEP_RTOL", 3e-3)
         monkeypatch.setattr(geo, "_SWEEP_ATOL", 1e-5)
         got = shoot_pairs(spec, angles, pairs)
-        tight = SolverOptions().rtol
-        assert fans[0] == (n * 720, 3e-3) and fans[1][1] == tight
-        assert fans[2][0] % 720 == 0 and fans[2][0] > 0 and fans[2][1] == tight
+        tight, K = SolverOptions().rtol, SolverOptions().angle_samples
+        assert fans[0] == (n * K, 3e-3) and fans[1][1] == tight
+        assert fans[2][0] % K == 0 and fans[2][0] > 0 and fans[2][1] == tight
         assert np.array_equal(got.branch_count, ref.branch_count)
         assert np.array_equal(got.converged, ref.converged)
         assert (np.abs(got.time - ref.time) <= 1e-12).all()
+
+
+def _fixed_fan_counts(monkeypatch, spec, angles, pairs, samples):
+    """Branch counts of a fixed fan of ``samples`` rays at the solver tolerance."""
+    with monkeypatch.context() as mp:
+        mp.setattr(geo, "_REFINE_DEPTH", 0)
+        mp.setattr(geo, "_SWEEP_RTOL", SolverOptions().rtol)
+        mp.setattr(geo, "_SWEEP_ATOL", SolverOptions().atol)
+        return shoot_pairs(spec, angles, pairs, SolverOptions(angle_samples=samples)).branch_count
+
+
+class TestAdaptiveSweep:
+    def test_narrow_lens_counts_match_tight_fan(self, monkeypatch, narrow_lens_spec):
+        angles, pairs = _all_pairs(24)
+        shots = shoot_pairs(narrow_lens_spec, angles, pairs)
+        ref = _fixed_fan_counts(monkeypatch, narrow_lens_spec, angles, pairs, 1440)
+        assert np.array_equal(shots.branch_count, ref)
+        diametral = shots.pairs[:, 1] == (shots.pairs[:, 0] + 12) % 24
+        assert (shots.branch_count[diametral] == 3).all()
+        assert (shots.branch_count[~diametral] == 1).all()
+        # the folds are refined: every start shoots more than its coarse fan
+        assert (shots.sweep_nodes > SolverOptions().angle_samples).all()
+
+    def test_refinement_finds_what_a_coarse_fan_misses(self, monkeypatch, offcentre_lens_spec):
+        # a 24-ray fan alone misses branches of the off-centre lens; refined
+        # where its exit maps fold, it counts what the default sweep counts
+        angles, pairs = _all_pairs(12)
+        coarse = SolverOptions(angle_samples=24)
+        ref = shoot_pairs(offcentre_lens_spec, angles, pairs).branch_count
+        assert not np.array_equal(
+            _fixed_fan_counts(monkeypatch, offcentre_lens_spec, angles, pairs, 24), ref)
+        shots = shoot_pairs(offcentre_lens_spec, angles, pairs, coarse)
+        assert np.array_equal(shots.branch_count, ref)
+        assert (shots.sweep_nodes > 24).all()
+        assert shots.sweep_nodes.max() <= 24 * 2 ** geo._REFINE_DEPTH
+
+    def test_refined_nodes_independent_of_grouping(self, offcentre_lens_spec):
+        angles, pairs = _all_pairs(8)
+        together = shoot_pairs(offcentre_lens_spec, angles, pairs)
+        for i in (0, 3):
+            rows = [q for q, p in enumerate(pairs) if p[0] == i]
+            alone = shoot_pairs(offcentre_lens_spec, angles, [pairs[q] for q in rows])
+            for field in ("sweep_nodes", "branch_count", "converged", "time", "angle"):
+                assert np.array_equal(getattr(alone, field), getattr(together, field)[rows],
+                                      equal_nan=True)
+
+    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "wind_spec"])
+    def test_smooth_media_shoot_the_coarse_fan(self, request, medium):
+        data = distance_matrix(request.getfixturevalue(medium), 8)
+        assert data.diagnostics.angle_samples == SolverOptions().angle_samples
+        assert (data.diagnostics.sweep_nodes == SolverOptions().angle_samples).all()
+
+    def test_false_position_rays_per_bracket(self, monkeypatch, smooth_bump_spec):
+        # the cubic start and the Newton step from its slope take about two
+        # full-tolerance rays per bracket; a clip or fallback regression takes more
+        angles, pairs = _all_pairs(24)
+        brackets, rays, inside = [], [], []
+        exit_fan, false_position = geo._exit_fan, geo._false_position
+
+        def counted_fan(spec, theta0, psi, opts, record=False):
+            if inside:
+                rays.append(len(psi))
+            return exit_fan(spec, theta0, psi, opts, record)
+
+        def counted_fp(*args):
+            brackets.append(len(args[3]))
+            inside.append(True)
+            try:
+                return false_position(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(geo, "_exit_fan", counted_fan)
+        monkeypatch.setattr(geo, "_false_position", counted_fp)
+        shots = shoot_pairs(smooth_bump_spec, angles, pairs)
+        assert shots.converged.all() and sum(brackets) > 0.9 * len(pairs)
+        assert sum(rays) <= 2 * sum(brackets)
+
+
+class TestRefineIntervals:
+    # one start, nodes 0.1 apart; intervals are flagged by their index k
+    psi = 0.1 * np.arange(6)
+    start = np.zeros(6, dtype=int)
+    ok = np.ones(6, dtype=bool)
+
+    def flags(self, th, ok=None, min_width=0.01):
+        ok = self.ok if ok is None else ok
+        return geo._refine_intervals(self.start, self.psi, np.asarray(th), ok, min_width).tolist()
+
+    def test_smooth_map_is_kept(self):
+        # slopes 2.0 .. 3.0: no sign change, no relative change above one
+        assert self.flags(2.0 * self.psi + 1.0 * self.psi ** 2) == []
+
+    def test_fold_flags_both_sides(self):
+        # the exit angle turns back after node 3: intervals 2 and 3 differ in sign
+        assert self.flags([0.0, 0.2, 0.4, 0.6, 0.5, 0.4]) == [2, 3]
+
+    def test_slope_jump_flags_both_sides(self):
+        # slope 2 then 4.2: the change 2.2 exceeds the smaller slope; 2 to 3.9 does not
+        assert self.flags([0.0, 0.2, 0.4, 0.82, 1.24, 1.66]) == [1, 2]
+        assert self.flags([0.0, 0.2, 0.4, 0.79, 1.18, 1.57]) == []
+
+    def test_exit_boundary_flagged(self):
+        ok = np.array([True, True, True, False, False, True])
+        assert self.flags(2.0 * self.psi, ok) == [2, 4]
+
+    def test_finest_intervals_and_start_seams_are_kept(self):
+        assert self.flags([0.0, 0.2, 0.4, 0.6, 0.5, 0.4], min_width=0.15) == []
+        start = np.array([0, 0, 0, 1, 1, 1])
+        psi = np.array([0.0, 0.1, 0.2, 0.0, 0.1, 0.2])
+        th = np.array([0.0, 0.2, 0.4, 3.0, 3.2, 3.4])
+        assert geo._refine_intervals(start, psi, th, self.ok, 0.01).tolist() == []
+
+
+class TestInverseCubic:
+    def test_exact_on_a_cubic(self):
+        # psi a cubic in the miss: the interpolant is exact, on uneven nodes too
+        m = np.array([[-0.3, -0.1, 0.05, 0.4], [0.5, 0.2, -0.1, -0.2]])
+        psi = 0.7 + 1.3 * m - 0.4 * m ** 2 + 0.9 * m ** 3
+        root, slope = geo._inverse_cubic(psi, m, np.ones((2, 4), dtype=bool))
+        assert np.allclose(root, 0.7, rtol=0, atol=1e-14)
+        assert np.allclose(slope, 1.3, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("miss, valid", [
+        ([-0.3, -0.1, 0.05, 0.02], [True] * 4),     # not monotone
+        ([-0.3, -0.1, -0.1, 0.4], [True] * 4),      # not strictly monotone
+        ([-0.3, -0.1, 0.05, 0.4], [True, True, True, False]),   # a node did not exit
+    ], ids=["turning", "flat", "invalid"])
+    def test_fallback_rows_are_nan(self, miss, valid):
+        m = np.array([miss, [-0.3, -0.1, 0.05, 0.4]])
+        psi = np.array([[0.0, 0.1, 0.2, 0.3]] * 2)
+        ok = np.array([valid, [True] * 4])
+        root, slope = geo._inverse_cubic(psi, m, ok)
+        assert np.isnan(root[0]) and np.isnan(slope[0])
+        assert np.isfinite(root[1]) and np.isfinite(slope[1])
+
+    def test_nan_start_takes_the_secant_path(self, smooth_bump_spec):
+        # a bracket whose four nodes fall back runs exactly today's secant
+        spec, psi = smooth_bump_spec, _sweep_angles(16)
+        th, _, ok, _ = geo._exit_fan(spec, np.zeros(16), psi, SolverOptions())
+        m = geo._wrap(th - 2.5)
+        k = int(np.argmax(_bracket_roots(m, ok, 1e-8)[1]))
+        four = np.arange(k - 1, k + 3)
+        turned = m[four].copy()
+        turned[0] = turned[2]   # no longer monotone
+        cubic = geo._inverse_cubic(psi[four][None], turned[None], ok[four][None])
+        assert np.isnan(cubic).all()
+        args = (spec, np.zeros(1), np.full(1, 2.5), psi[k:k + 1], psi[k + 1:k + 2],
+                m[k:k + 1], m[k + 1:k + 2], SolverOptions())
+        for got, ref in zip(geo._false_position(*args, cubic), geo._false_position(*args)):
+            assert np.array_equal(got, ref, equal_nan=True)
+        # from the true nodes the cubic start lands on the same root
+        good = geo._inverse_cubic(psi[four][None], m[four][None], ok[four][None])
+        assert np.isfinite(good).all()
+        fast, slow = geo._false_position(*args, good), geo._false_position(*args)
+        assert fast[3][0] and slow[3][0] and abs(fast[0][0] - slow[0][0]) < 1e-8
 
 
 class TestFirstVariation:
@@ -531,6 +698,38 @@ class TestProjectiveEquivalence:
             p2 = solve_bvp(rot, dom.boundary_point(a), dom.boundary_point(b)).path
             worst = max(worst, polyline_hausdorff(p1.resample(), p2.resample()))
         assert worst > 1e-3 * dom.radius
+
+
+def _hausdorff_reference(A, B):
+    """Brute force: every vertex of one polyline against every segment of the other."""
+    def directed(P, Q):
+        best = np.full(len(P), np.inf)
+        for a, b in zip(Q[:-1], Q[1:]):
+            d = b - a
+            s = np.clip(((P - a) @ d) / (d @ d), 0.0, 1.0)
+            best = np.minimum(best, np.hypot(*(P - a - s[:, None] * d).T))
+        return best.max()
+    return max(directed(A, B), directed(B, A))
+
+
+class TestPolylineHausdorff:
+    @pytest.mark.parametrize("na, nb, kd_tree", [(40, 57, False), (1100, 1300, True)],
+                             ids=["dense", "kd-tree"])
+    def test_matches_brute_force(self, monkeypatch, na, nb, kd_tree):
+        # two smooth curves sampled unevenly; the dense branch covers
+        # len(P) * segments <= 1e6, the KD-tree branch larger inputs
+        import scipy.spatial
+        trees = []
+        tree = scipy.spatial.cKDTree
+        monkeypatch.setattr(scipy.spatial, "cKDTree", lambda Q: trees.append(1) or tree(Q))
+        x = 3.0 * np.linspace(0.0, 1.0, na) ** 1.1
+        A = np.column_stack([x, np.sin(x)])
+        x = 3.0 * np.linspace(0.0, 1.0, nb) ** 1.2
+        B = np.column_stack([x, np.sin(x) + 0.01 * np.cos(3.0 * x)])
+        got = polyline_hausdorff(A, B)
+        assert bool(trees) == kd_tree
+        assert got == pytest.approx(_hausdorff_reference(A, B), rel=0, abs=1e-15)
+        assert 0.005 < got < 0.2
 
 
 class TestReversedGeodesics:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randers import (ComponentForm, ConstantField, ConstantForm,
+from randers import (ComponentForm, ConstantField, ConstantForm, Domain,
                      ExactForm, ExprField, InvalidMediumError, MediumModel,
                      RadialProfile, RotationalForm, SpecMismatchError,
                      closedness_residual,
@@ -54,6 +54,13 @@ class TestConstruction:
     def test_supercritical_drift_rejected(self, dom):
         with pytest.raises(InvalidMediumError):
             MediumModel(dom, speed=ConstantField(1.0), wind=ConstantForm([1.0, 0.0]))
+
+    def test_media_compare_by_identity_and_show_their_fields(self, dom):
+        a = MediumModel(dom, speed=ConstantField(1.0))
+        b = MediumModel(Domain(2.0), speed=ConstantField(3.0), wind=ConstantForm([0.5, 0.0]))
+        assert a != b and a == a
+        assert repr(a) == "MediumModel(ball(R=1.0,dim=2), c=const(1.0), W=zero)"
+        assert "R=2.0" in repr(b) and "const(3.0)" in repr(b)
 
 
 def _einsum_reference(metric, wind, X):
