@@ -28,7 +28,7 @@ from .norms import RandersSpec
 __all__ = ["ScenarioConfig", "Scenario", "parse_config", "emit_config",
            "build_scenario", "DEFAULT_CONFIG"]
 
-# schema: section -> key -> (type, unit, default)
+# schema: section -> key -> (type, unit, default); solver defaults are SolverOptions'
 _SCHEMA = {
     "domain": {
         "radius": ("float", "length", 1.0),
@@ -42,13 +42,13 @@ _SCHEMA = {
         "beta": ("field", "one-form preset", "zero"),
     },
     "solver": {
-        "rtol": ("float", "dimensionless", 1e-9),
-        "atol": ("float", "dimensionless", 1e-12),
-        "angle_samples": ("int", "count", 180),
-        "miss_tol": ("float", "fraction of R", 1e-8),
-        "max_steps": ("int", "count", 100_000),
-        "trap_time_factor": ("float", "dimensionless", 50.0),
-        "exclude_separation": ("float", "radians", 1e-3),
+        "rtol": ("float", "dimensionless", SolverOptions.rtol),
+        "atol": ("float", "dimensionless", SolverOptions.atol),
+        "angle_samples": ("int", "count", SolverOptions.angle_samples),
+        "miss_tol": ("float", "fraction of R", SolverOptions.miss_rtol),
+        "max_steps": ("int", "count", SolverOptions.max_steps),
+        "trap_time_factor": ("float", "dimensionless", SolverOptions.trap_time_factor),
+        "exclude_separation": ("float", "radians", SolverOptions.exclude_separation),
         "threads": ("int", "count", 1),
     },
     "pipeline": {

@@ -20,22 +20,8 @@ d over the interval width h) and a neighbour's differ by more than
 includes every sign change.  A fold of the exit map,
 d theta / d psi = 0, is a caustic; where the map has none the coarse fan is
 all the sweep shoots, and where it has one the refined nodes resolve it to
-pi / (2**_REFINE_DEPTH * angle_samples).
-
-The sweep only makes decisions (which rays hit, where the miss changes
-sign, which rays exit, where to refine), so it runs at the loose
-tolerances ``_SWEEP_RTOL`` and ``_SWEEP_ATOL``.  After each level, every
-ray that could change a hit, bracket, exit or refinement decision is
-re-integrated at the solver tolerance in one batch: rays within the guard
-band ``_GUARD`` (radians) of a target, rays that did not exit or came near
-their time or step budget, and both rays of a sweep interval whose
-exit-angle step could put a miss jump within the band of the wrap cut.
-Outside the band a decision needs the exit angle only to ``_GUARD``, so
-masks, branch counts and errors are those of the same nodes at the solver
-tolerance.  The guard checks itself: the re-integrated rays measure the
-loose error, and a start where it exceeds a tenth of the band has all its
-nodes re-integrated, and its later refinements shot, at the solver
-tolerance.
+pi / (2**_REFINE_DEPTH * angle_samples).  Every sweep ray is shot at the
+solver tolerance.
 
 False position starts each bracket from the inverse cubic through the four
 sweep nodes around it (Lagrange interpolation of psi in the miss, evaluated
@@ -46,12 +32,12 @@ bracket is clipped only at ``_CUBIC_CLIP`` of its width rather than the
 secant's 2%.
 
 A converged ray still misses its target by an angle delta, and where it
-stops depends on the root finder and on the loose bracket values it starts
-from.  By the first variation of length, the travel time to the boundary
-point at angle theta changes at the rate <dF/dy(x, y), dx/dtheta> of the
-arriving geodesic (x, y), so each shot reports T minus that rate times
-delta.  This removes the first-order dependence on the stopping point;
-``GeodesicPath.exit_time`` stays the raw exit time of the ray.
+stops depends on the root finder.  By the first variation of length, the
+travel time to the boundary point at angle theta changes at the rate
+<dF/dy(x, y), dx/dtheta> of the arriving geodesic (x, y), so each shot
+reports T minus that rate times delta.  This removes the first-order
+dependence on the stopping point; ``GeodesicPath.exit_time`` stays the raw
+exit time of the ray.
 
 The spray is the Riemannian spray of alpha plus a beta correction (Shen's
 decomposition): a closed beta adds a multiple of y, so its geodesics are
@@ -65,7 +51,7 @@ on NumPy scalars for what the medium keeps constant over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,10 +72,6 @@ __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShots",
 
 _TWO_PI = 2.0 * math.pi
 
-# shooting sweep: its loose tolerances, and the band of angular miss (rad)
-# inside which a sweep ray is re-integrated at the solver tolerance
-_SWEEP_RTOL, _SWEEP_ATOL = 1e-6, 1e-9
-_GUARD = 1e-3
 # fold-aware refinement of the coarse fan: levels of bisection, and the
 # relative slope change between neighbouring intervals that flags both
 _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
@@ -106,7 +88,7 @@ class SolverOptions:
     atol: float = 1e-12
     max_steps: int = 100_000
     trap_time_factor: float = 50.0
-    angle_samples: int = 180          # coarse sweep fan per start
+    angle_samples: int = 90           # coarse sweep fan per start
     miss_rtol: float = 1e-8          # target |angular miss| (arc length / R)
     exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
 
@@ -389,83 +371,29 @@ def _refine_intervals(start, psi, th, ok, min_width):
     return np.flatnonzero(flag & (h > min_width))
 
 
-def _sweep(spec, theta0, targets, opts):
-    """Adaptive shooting fans from the starts ``theta0`` (s,).
+def _sweep(spec, theta0, opts):
+    """Adaptive shooting fans from the starts ``theta0`` (s,), at ``opts``.
 
-    ``targets[si]`` holds the target angles of start si.  Returns per-start
-    lists of the node angles psi and their exit angle, exit time, exit flag
-    and exit state ((K_si,) and (K_si, 5) arrays, sorted in psi).  Each
-    level of the sweep, the coarse fan and then each refinement, runs at the
-    loose sweep tolerance, and its rays that could change a decision are
-    re-integrated at ``opts`` before the next level is chosen (see the
-    module docstring); when ``opts`` is as loose as the sweep there is one
-    pass.
+    Returns per-start lists of the node angles psi and their exit angle,
+    exit time, exit flag and exit state ((K_si,) and (K_si, 5) arrays,
+    sorted in psi): the coarse fan, then each level of refinement (see the
+    module docstring).
     """
     K = opts.angle_samples
-    loose = replace(opts, rtol=max(opts.rtol, _SWEEP_RTOL), atol=max(opts.atol, _SWEEP_ATOL))
     start = np.repeat(np.arange(len(theta0)), K)
     ps = np.tile(_sweep_angles(K), len(theta0))
-    th, t, ok, res = _exit_fan(spec, theta0[start], ps, loose)
-    u, steps, tight = res.u_end, res.steps, np.zeros(len(ps), dtype=bool)
-    strict = np.zeros(len(theta0), dtype=bool)   # starts that failed the self-check
+    th, t, ok, res = _exit_fan(spec, theta0[start], ps, opts)
+    u = res.u_end
     finest = math.pi / (K * 2 ** _REFINE_DEPTH)
-    # a ray that exits within a relative _GUARD of its time budget, or near
-    # its step budget, may not exit at the solver tolerance; an order-5 pair
-    # takes steps ~ tol^(-1/5), and the guard is twice that
-    step_ratio = 2.0 * max(loose.rtol / opts.rtol, loose.atol / opts.atol) ** 0.2
-    t_max = opts.trap_time_factor * _time_scale(spec)
-    band = opts.miss_rtol + _GUARD
-    for level in range(_REFINE_DEPTH + 1):
-        if level:
-            k = _refine_intervals(start, ps, th, ok, 1.5 * finest)
-            if not k.size:
-                break
-            mid, sharp = 0.5 * (ps[k] + ps[k + 1]), strict[start[k]]
-            th_m, t_m, ok_m = np.empty(k.size), np.empty(k.size), np.empty(k.size, dtype=bool)
-            u_m, steps_m = np.empty((k.size, 5)), np.empty(k.size, dtype=steps.dtype)
-            for sel, o in ((~sharp, loose), (sharp, opts)):
-                if sel.any():
-                    th_m[sel], t_m[sel], ok_m[sel], res_m = _exit_fan(
-                        spec, theta0[start[k[sel]]], mid[sel], o)
-                    u_m[sel], steps_m[sel] = res_m.u_end, res_m.steps
-            start, ps, th, t, ok, u, steps, tight = (
-                np.insert(a, k + 1, b, axis=0) for a, b in
-                ((start, start[k]), (ps, mid), (th, th_m), (t, t_m), (ok, ok_m), (u, u_m),
-                 (steps, steps_m), (tight, sharp)))
-        if loose == opts:
-            continue
-        redo = ~ok | (t >= (1.0 - _GUARD) * t_max) | (steps * step_ratio >= opts.max_steps)
-        # whatever the target, a miss jump |m1 - m0| is |d| or 2 pi - |d| for
-        # the exit-angle step d; either one near the wrap cut can flip a bracket
-        d = np.abs(np.diff(th))
-        cut = (start[1:] == start[:-1]) & (
-            np.minimum(np.abs(d - 0.9 * math.pi), np.abs(1.1 * math.pi - d)) <= _GUARD)
-        redo[:-1] |= cut
-        redo[1:] |= cut
-        first = np.searchsorted(start, np.arange(len(theta0) + 1))
-        for si, tg in enumerate(targets):
-            # distance to the nearest target around the circle: the targets
-            # repeated one turn either side always enclose an exit angle
-            x, tg = th[first[si]:first[si + 1]], tg % _TWO_PI
-            ring = np.sort(np.concatenate([tg - _TWO_PI, tg, tg + _TWO_PI]))
-            j = np.searchsorted(ring, x)
-            redo[first[si]:first[si + 1]] |= np.minimum(x - ring[j - 1], ring[j] - x) <= band
-        redo = np.flatnonzero(redo & ~tight)
-        if redo.size:
-            th_r, t_r, ok_r, res_r = _exit_fan(spec, theta0[start[redo]], ps[redo], opts)
-            err = np.where(ok[redo] & ok_r, np.abs(_wrap(th[redo] - th_r)),
-                           np.where(ok[redo] == ok_r, 0.0, np.inf))
-            th[redo], t[redo], ok[redo], u[redo] = th_r, t_r, ok_r, res_r.u_end
-            tight[redo] = True
-            # self-check: a start whose loose error leaves the guard's margin
-            # gets all its nodes, and its later refinements, at the solver tolerance
-            bad = np.unique(start[redo[err > 0.1 * _GUARD]])
-            strict[bad] = True
-            if bad.size:
-                full = np.flatnonzero(np.isin(start, bad))
-                th_f, t_f, ok_f, res_f = _exit_fan(spec, theta0[start[full]], ps[full], opts)
-                th[full], t[full], ok[full], u[full] = th_f, t_f, ok_f, res_f.u_end
-                tight[full] = True
+    for _ in range(_REFINE_DEPTH):
+        k = _refine_intervals(start, ps, th, ok, 1.5 * finest)
+        if not k.size:
+            break
+        mid = 0.5 * (ps[k] + ps[k + 1])
+        th_m, t_m, ok_m, res_m = _exit_fan(spec, theta0[start[k]], mid, opts)
+        start, ps, th, t, ok, u = (
+            np.insert(a, k + 1, b, axis=0) for a, b in
+            ((start, start[k]), (ps, mid), (th, th_m), (t, t_m), (ok, ok_m), (u, res_m.u_end)))
     cuts = np.flatnonzero(np.diff(start)) + 1
     return tuple(np.split(a, cuts) for a in (ps, th, t, ok, u))
 
@@ -516,9 +444,11 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
     ``cubic`` is the (2, q) root and slope of ``_inverse_cubic``.  A bracket
     with a finite root starts there, takes a Newton step with that slope
     from the first ray, and is clipped at ``_CUBIC_CLIP`` of its width
-    instead of 2%; the others start from the secant.  The Newton step uses
-    the slope because the sweep nodes' misses are loose: the root carries
-    their error, while the slope, a ratio of their differences, hardly does.
+    instead of 2%; the others start from the secant.  The Newton step is
+    there because at the coarse sweep spacing h the cubic root still
+    carries the cubic's interpolation error, of order h^4, above the miss
+    tolerance: the first ray measures that error as its miss, and a
+    step with the cubic's slope leaves only the product of the two errors.
     The iteration holds only its unfinished brackets: a bracket's result is
     written out once, when its ray lands within tolerance, and the live
     arrays shrink only on iterations where some bracket converged or its
@@ -673,7 +603,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
 
-    psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], targets, opts)
+    psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], opts)
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)

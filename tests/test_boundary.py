@@ -580,6 +580,17 @@ class TestAdmissibilityAbort:
         with pytest.raises(NonAdmissibleError, match="^3 geodesic branches connect"):
             solve_bvp(spec, points[i], points[j])
 
+    @pytest.mark.parametrize("n,offset", [(12, 0.37), (16, 0.37), (12, 0.5)])
+    def test_narrow_lens_aborts_off_the_axes(self, narrow_lens_spec, n, offset):
+        # samples off the multiples of pi / 2: a diametral pair's folds lie
+        # within |psi| < 0.07 of its central ray, between coarse nodes
+        from randers import NonAdmissibleError
+
+        angles = 2.0 * math.pi * (np.arange(n) + offset) / n
+        with pytest.raises(NonAdmissibleError,
+                           match=rf"^3 geodesic branches for boundary pair \(0, {n // 2}\);"):
+            distance_matrix(narrow_lens_spec, BoundarySamples(angles=angles, radius=1.0))
+
 
 class TestExclusion:
     def test_nearly_adjacent_pairs_excluded(self, euclid_spec, dom):

@@ -6,12 +6,11 @@ import pytest
 from randers import (ConformalMetric, ConnectivityError, ConstantField,
                      ConstantForm, DegenerateInputError, Domain, DomainError,
                      EuclideanMetric, ExactForm, NonAdmissibleError,
-                     PotentialBump, RadialProfile, RandersError, RandersSpec,
+                     PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, SolverOptions, SumForm, TrappedGeodesicError,
                      conjugate_point_scan, curve_length, distance_matrix,
                      integrate_geodesic, polyline_hausdorff,
                      reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
-from randers import boundary as bd
 from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
 
@@ -303,12 +302,11 @@ class TestShootPairs:
 
     def test_independent_of_pair_order(self, wind_spec, rng):
         # straight wind rays from a 32-point sampling hit some separations
-        # exactly at a sweep node (180 k / 32 is a half-integer for k = 4 mod 8)
+        # exactly at a sweep node (90 k / 32 is a half-integer for k = 8 mod 16)
         n, starts = 32, range(4)
         angles = 2.0 * math.pi * np.arange(n) / n
         pairs = [(i, j) for i in starts for j in range(n) if i != j]
-        nodes = geo._sweep(wind_spec, angles[list(starts)], [angles] * len(starts),
-                           SolverOptions())[0]
+        nodes = geo._sweep(wind_spec, angles[list(starts)], SolverOptions())[0]
         shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
         per_start = [shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])
                      for i in starts]
@@ -367,136 +365,14 @@ class TestShootPairs:
         assert shots.paths == ([] if record_paths else None)
 
 
-_MEDIA = ("smooth_bump_spec", "wind_spec", "rot_zermelo_spec", "lens_spec",
-          "offcentre_lens_spec")
-
-
 def _all_pairs(n):
     return 2.0 * math.pi * np.arange(n) / n, [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _build_error(monkeypatch, spec, shots, n):
-    """The error distance_matrix raises for these shots, or None."""
-    with monkeypatch.context() as mp:
-        mp.setattr(bd, "shoot_pairs", lambda *args, **kwargs: shots)
-        try:
-            bd.distance_matrix(spec, n)
-        except RandersError as exc:
-            return f"{type(exc).__name__}: {exc}"
-    return None
-
-
-class TestLooseSweep:
-    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "rot_zermelo_spec", "kink_spec",
-                                        "lens_spec", "offcentre_lens_spec"])
-    def test_loose_error_within_guard_margin(self, request, medium):
-        # the guard band holds only while the loose sweep's exit angles stay
-        # well inside it: a tenth of the band is the self-check's trigger
-        spec = request.getfixturevalue(medium)
-        psi, starts = _sweep_angles(720), np.array([0.0, 1.9, 3.3, 4.2])
-        th0, ps = np.repeat(starts, 720), np.tile(psi, len(starts))
-        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
-        th_l, _, ok_l, _ = geo._exit_fan(spec, th0, ps, loose)
-        th_t, _, ok_t, _ = geo._exit_fan(spec, th0, ps, SolverOptions())
-        assert ok_t.all() and np.array_equal(ok_l, ok_t)
-        assert np.abs(geo._wrap(th_l - th_t)).max() < 0.1 * geo._GUARD
-
-    @pytest.mark.parametrize("medium,opts", [(m, SolverOptions()) for m in _MEDIA] + [
-        # loose rays take about a quarter of the steps: some exit only loosely
-        ("smooth_bump_spec", SolverOptions(max_steps=60))],
-        ids=[*_MEDIA, "bump-max_steps60"])
-    def test_matches_single_pass(self, request, monkeypatch, medium, opts):
-        # with the sweep constants at the solver tolerance there is one pass
-        spec, n = request.getfixturevalue(medium), 12
-        angles, pairs = _all_pairs(n)
-        two = shoot_pairs(spec, angles, pairs, opts)
-        monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
-        monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
-        one = shoot_pairs(spec, angles, pairs, opts)
-        assert np.array_equal(two.pairs, one.pairs)
-        assert np.array_equal(two.branch_count, one.branch_count)
-        assert np.array_equal(two.converged, one.converged)
-        c = two.converged
-        assert (np.abs(two.time[c] - one.time[c]) <= 1e-12).all()
-        assert _build_error(monkeypatch, spec, two, n) == _build_error(monkeypatch, spec, one, n)
-
-    def test_target_between_loose_and_tight_exit(self, monkeypatch, smooth_bump_spec):
-        # the loose and the tight ray miss this target on opposite sides: a
-        # bracket taken from the loose sweep would not contain the root
-        spec = smooth_bump_spec
-        psi = geo._sweep(spec, np.zeros(1), [np.array([math.pi])], SolverOptions())[0][0]
-        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
-        th_t, _, _, _ = geo._exit_fan(spec, np.zeros(len(psi)), psi, SolverOptions())
-        th_l, _, _, _ = geo._exit_fan(spec, np.zeros(len(psi)), psi, loose)
-        k = int(np.argmax(np.abs(geo._wrap(th_l - th_t))))
-        target = 0.5 * (th_l[k] + th_t[k])
-        assert abs(geo._wrap(th_t[k] - target)) > SolverOptions().miss_rtol
-        two = shoot_pairs(spec, [0.0, target], [(0, 1)])
-        monkeypatch.setattr(geo, "_SWEEP_RTOL", SolverOptions().rtol)
-        monkeypatch.setattr(geo, "_SWEEP_ATOL", SolverOptions().atol)
-        one = shoot_pairs(spec, [0.0, target], [(0, 1)])
-        assert (two.branch_count[0], two.converged[0]) == (one.branch_count[0],
-                                                           one.converged[0]) == (1, True)
-        assert abs(two.time[0] - one.time[0]) <= 1e-12
-
-    def test_ray_straddling_time_budget(self, monkeypatch, smooth_bump_spec):
-        # t_max between a ray's loose and tight exit times: it exits only in
-        # the loose sweep, and with a shorter neighbour it would bracket a
-        # target that lies outside the miss band; under that budget the
-        # sweep refines beside the ray, so the neighbour is its finest node
-        spec = smooth_bump_spec
-        psi = geo._sweep(spec, np.zeros(1), [np.array([math.pi])], SolverOptions())[0][0]
-        K = len(psi)
-        loose = SolverOptions(rtol=geo._SWEEP_RTOL, atol=geo._SWEEP_ATOL)
-        th, t_t, _, _ = geo._exit_fan(spec, np.zeros(K), psi, SolverOptions())
-        _, t_l, _, _ = geo._exit_fan(spec, np.zeros(K), psi, loose)
-        k = next(k for k in range(K // 2, K - 1) if t_l[k] < t_t[k] and t_t[k + 1] < t_l[k])
-        opts = SolverOptions(trap_time_factor=0.5 * (t_l[k] + t_t[k]) / geo._time_scale(spec))
-        nodes, exits, _, ok = (a[0] for a in geo._sweep(spec, np.zeros(1), [np.array([th[k]])],
-                                                        opts)[:4])
-        j = int(np.flatnonzero(nodes == psi[k])[0]) + 1
-        assert psi[k] < nodes[j] < psi[k + 1] and ok[j] and not ok[j - 1]
-        target = 0.5 * (th[k] + exits[j])
-        assert abs(geo._wrap(th[k] - target)) > SolverOptions().miss_rtol + geo._GUARD
-        two = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
-        monkeypatch.setattr(geo, "_SWEEP_RTOL", opts.rtol)
-        monkeypatch.setattr(geo, "_SWEEP_ATOL", opts.atol)
-        one = shoot_pairs(spec, [0.0, target], [(0, 1)], opts)
-        assert (two.branch_count[0], two.converged[0]) == (one.branch_count[0],
-                                                           one.converged[0]) == (0, False)
-
-    def test_self_check_retraces_whole_fans(self, monkeypatch, smooth_bump_spec):
-        # a sweep far too loose for the band: the re-integrated rays show it,
-        # and their starts' fans are integrated again at the solver tolerance
-        # (from 16 samples on, some fan rays land within the band of a target)
-        spec, n = smooth_bump_spec, 16
-        angles, pairs = _all_pairs(n)
-        ref = shoot_pairs(spec, angles, pairs)
-        fans = []
-        exit_fan = geo._exit_fan
-
-        def counted(spec, theta0, psi, opts, record=False):
-            fans.append((len(psi), opts.rtol))
-            return exit_fan(spec, theta0, psi, opts, record)
-
-        monkeypatch.setattr(geo, "_exit_fan", counted)
-        monkeypatch.setattr(geo, "_SWEEP_RTOL", 3e-3)
-        monkeypatch.setattr(geo, "_SWEEP_ATOL", 1e-5)
-        got = shoot_pairs(spec, angles, pairs)
-        tight, K = SolverOptions().rtol, SolverOptions().angle_samples
-        assert fans[0] == (n * K, 3e-3) and fans[1][1] == tight
-        assert fans[2][0] % K == 0 and fans[2][0] > 0 and fans[2][1] == tight
-        assert np.array_equal(got.branch_count, ref.branch_count)
-        assert np.array_equal(got.converged, ref.converged)
-        assert (np.abs(got.time - ref.time) <= 1e-12).all()
 
 
 def _fixed_fan_counts(monkeypatch, spec, angles, pairs, samples):
     """Branch counts of a fixed fan of ``samples`` rays at the solver tolerance."""
     with monkeypatch.context() as mp:
         mp.setattr(geo, "_REFINE_DEPTH", 0)
-        mp.setattr(geo, "_SWEEP_RTOL", SolverOptions().rtol)
-        mp.setattr(geo, "_SWEEP_ATOL", SolverOptions().atol)
         return shoot_pairs(spec, angles, pairs, SolverOptions(angle_samples=samples)).branch_count
 
 
@@ -511,6 +387,13 @@ class TestAdaptiveSweep:
         assert (shots.branch_count[~diametral] == 1).all()
         # the folds are refined: every start shoots more than its coarse fan
         assert (shots.sweep_nodes > SolverOptions().angle_samples).all()
+
+    def test_narrow_lens_diametral_counts_are_rotation_equivariant(self, narrow_lens_spec):
+        # the medium is radial, so every diametral pair has the same three
+        # branches, whether or not its start lies on a multiple of pi / 2
+        angles = 2.0 * math.pi * np.arange(12) / 12
+        shots = shoot_pairs(narrow_lens_spec, angles, [(i, (i + 6) % 12) for i in range(12)])
+        assert shots.branch_count.tolist() == [3] * 12
 
     def test_refinement_finds_what_a_coarse_fan_misses(self, monkeypatch, offcentre_lens_spec):
         # a 24-ray fan alone misses branches of the off-centre lens; refined
