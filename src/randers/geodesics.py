@@ -23,13 +23,17 @@ all the sweep shoots, and where it has one the refined nodes resolve it to
 pi / (2**_REFINE_DEPTH * angle_samples).  Every sweep ray is shot at the
 solver tolerance.
 
-False position starts each bracket from the inverse cubic through the four
-sweep nodes around it (Lagrange interpolation of psi in the miss, evaluated
-at zero), then takes a Newton step with that cubic's slope, wherever those
-nodes exited and their misses are strictly monotone; elsewhere it starts
-from the secant.  An interpolated start is already near the root, so its
-bracket is clipped only at ``_CUBIC_CLIP`` of its width rather than the
-secant's 2%.
+Each bracket is then solved by a bracketed secant iteration (Dekker's
+safeguard, as in the exit refinement of ``integrators``).  It starts from
+the inverse cubic through the four sweep nodes around the bracket (Lagrange
+interpolation of psi in the miss, evaluated at zero) wherever those nodes
+exited and their misses are strictly monotone, and from the secant through
+the bracket ends elsewhere; the first step is a Newton step with the
+start's slope, every later one a secant step through the last two rays,
+and an iterate that leaves the bracket becomes its midpoint.  The grazing
+limits psi = -+pi/2, which exit where they start, are nodes of every fan
+without being shot, so a target nearer the start than the fan's outermost
+exit is still bracketed.
 
 A converged ray still misses its target by an angle delta, and where it
 stops depends on the root finder.  By the first variation of length, the
@@ -75,7 +79,6 @@ _TWO_PI = 2.0 * math.pi
 # fold-aware refinement of the coarse fan: levels of bisection, and the
 # relative slope change between neighbouring intervals that flags both
 _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
-_CUBIC_CLIP = 1e-9      # share of a bracket kept clear after an interpolated start
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
@@ -351,9 +354,10 @@ def _bracket_roots(miss, ok, angle_tol):
     return node, bracket
 
 
-def _refine_intervals(start, psi, th, ok, min_width):
+def _refine_intervals(start, psi, th, ok):
     """Intervals (k, k+1) of the flat sweep nodes where the exit map is not
-    safely monotone and wider than ``min_width`` (see the module docstring).
+    safely monotone (see the module docstring), of any width: the depth of
+    refinement is bounded by the caller's number of levels.
 
     ``start`` labels each node with its start; a start's nodes are adjacent
     and sorted in ``psi``, and no interval joins two starts.
@@ -368,7 +372,7 @@ def _refine_intervals(start, psi, th, ok, min_width):
     bent = both[:-1] & both[1:] & (np.abs(b - a) > _REFINE_RHO * np.minimum(np.abs(a), np.abs(b)))
     flag[:-1] |= bent
     flag[1:] |= bent
-    return np.flatnonzero(flag & (h > min_width))
+    return np.flatnonzero(flag)
 
 
 def _sweep(spec, theta0, opts):
@@ -384,9 +388,8 @@ def _sweep(spec, theta0, opts):
     ps = np.tile(_sweep_angles(K), len(theta0))
     th, t, ok, res = _exit_fan(spec, theta0[start], ps, opts)
     u = res.u_end
-    finest = math.pi / (K * 2 ** _REFINE_DEPTH)
     for _ in range(_REFINE_DEPTH):
-        k = _refine_intervals(start, ps, th, ok, 1.5 * finest)
+        k = _refine_intervals(start, ps, th, ok)
         if not k.size:
             break
         mid = 0.5 * (ps[k] + ps[k + 1])
@@ -437,19 +440,21 @@ def _inverse_cubic(psi, miss, valid):
 
 
 def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None):
-    """Guarded Illinois iteration on batches of independent brackets.
+    """Bracketed secant iteration on batches of independent brackets.
 
     Returns (psi, time, miss, ok, state) arrays; each row is one bracket
     problem and ``state`` (q, 5) holds the exit state of its converged ray.
-    ``cubic`` is the (2, q) root and slope of ``_inverse_cubic``.  A bracket
-    with a finite root starts there, takes a Newton step with that slope
-    from the first ray, and is clipped at ``_CUBIC_CLIP`` of its width
-    instead of 2%; the others start from the secant.  The Newton step is
-    there because at the coarse sweep spacing h the cubic root still
-    carries the cubic's interpolation error, of order h^4, above the miss
-    tolerance: the first ray measures that error as its miss, and a
-    step with the cubic's slope leaves only the product of the two errors.
-    The iteration holds only its unfinished brackets: a bracket's result is
+    A row starts from ``cubic``, the (2, q) root and slope d psi / d miss of
+    ``_inverse_cubic``, or where that is nan from the secant through its
+    bracket ends.  Each next iterate is x - m s from the last ray (x, m):
+    s is the start's slope on the first step, and the secant through the
+    last two rays after that.  The first step is Newton's because at the
+    coarse sweep spacing h the cubic root still carries the cubic's
+    interpolation error, of order h^4, above the miss tolerance: the first
+    ray measures that error as its miss, and a step with the cubic's slope
+    leaves only the product of the two errors.  An iterate outside the
+    bracket, and every sixth one, becomes the bracket midpoint.  The
+    iteration holds only its unfinished brackets: a bracket's result is
     written out once, when its ray lands within tolerance, and the live
     arrays shrink only on iterations where some bracket converged or its
     ray failed (which leaves its result nan).
@@ -457,45 +462,36 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
     q = len(lo)
     psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
     u_out = np.full((q, 5), np.nan)
-    ids, side = np.arange(q), np.zeros(q, dtype=np.int8)
-    start, slope = np.full((2, q), np.nan) if cubic is None else cubic
-    interp = np.isfinite(start)
-    clip = np.where(interp, _CUBIC_CLIP, 0.02)
+    ids = np.arange(q)
+    x, s = np.full((2, q), np.nan) if cubic is None else cubic
+    secant = (hi - lo) / (m_hi - m_lo)
+    cold = ~np.isfinite(x)
+    x, s = np.where(cold, hi - m_hi * secant, x), np.where(cold, secant, s)
+    # no earlier ray: the first secant is nan and the start's slope is kept
+    x_prev, m_prev = np.full((2, q), np.nan)
 
     for it in range(_REFINE_MAX_ITER):
         if not ids.size:
             break
-        width = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = hi - m_hi * width / (m_hi - m_lo)
-        mid = 0.5 * (lo + hi)
-        cand = np.where(np.isfinite(cand), cand, mid)
-        if it < 2:
-            cand = np.where(interp, start, cand)
-        cand = np.clip(cand, lo + clip * width, hi - clip * width)
-        if it % 6 == 5:
-            cand = mid  # periodic bisection keeps the bracket shrinking
-
-        th_exit, t_exit, ok, res = _exit_fan(spec, theta0, cand, opts)
-        m_new = _wrap(th_exit - theta_tgt)
-        if it == 0:
-            start = cand - m_new * slope   # the Newton step from the first ray
-        conv = ok & (np.abs(m_new) <= opts.miss_rtol)
+        inside = (x > lo) & (x < hi) & (it % 6 != 5)
+        x = np.where(inside, x, 0.5 * (lo + hi))
+        th_exit, t_exit, ok, res = _exit_fan(spec, theta0, x, opts)
+        m = _wrap(th_exit - theta_tgt)
+        conv = ok & (np.abs(m) <= opts.miss_rtol)
         rows = ids[conv]
-        psi_out[rows], t_out[rows], miss_out[rows] = cand[conv], t_exit[conv], m_new[conv]
+        psi_out[rows], t_out[rows], miss_out[rows] = x[conv], t_exit[conv], m[conv]
         u_out[rows] = res.u_end[conv]
 
-        # replace one endpoint; halve the other side when it stagnates
-        same_lo = np.sign(m_new) == np.sign(m_lo)
-        lo, hi = np.where(same_lo, cand, lo), np.where(same_lo, hi, cand)
-        m_lo, m_hi = (np.where(same_lo, m_new, np.where(side == 1, 0.5 * m_lo, m_lo)),
-                      np.where(same_lo, np.where(side == -1, 0.5 * m_hi, m_hi), m_new))
-        side = np.where(same_lo, -1, 1)
+        same_lo = np.sign(m) == np.sign(m_lo)
+        lo, hi = np.where(same_lo, x, lo), np.where(same_lo, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            last = (x - x_prev) / (m - m_prev)
+        s = np.where(np.isfinite(last), last, s)
+        x_prev, m_prev, x = x, m, x - m * s
         live = ok & ~conv
         if not live.all():
-            ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side, clip, interp, start, slope = (
-                a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, m_hi, side, clip, interp,
-                                  start, slope))
+            ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev = (
+                a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev))
     return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out
 
 
@@ -550,12 +546,8 @@ class PairShots:
     converged: np.ndarray
     angle: np.ndarray         # converged inward shooting angle, nan otherwise
     correction: np.ndarray    # first-variation term subtracted from the ray's exit time
+    sweep_nodes: np.ndarray   # sweep rays shot from the pair's start
     paths: list | None = None   # with record_paths: GeodesicPath or None per pair
-    sweep_nodes: np.ndarray | None = None   # sweep rays shot from the pair's start
-
-    def __post_init__(self):
-        if self.sweep_nodes is None:   # a record not built by a sweep
-            self.sweep_nodes = np.zeros(len(self.pairs), dtype=int)
 
     def single_path(self, q, angles):
         """Pair q's recorded path, or the error for no branch or several (``angles``
@@ -577,9 +569,12 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     ``angles`` is the boundary angle table, ``pairs`` (P, 2) ordered index
     pairs (i, j); the :class:`PairShots` record returned is aligned with
     them.  One adaptive sweep is integrated per distinct start and shared
-    across its targets (see ``_sweep``); ``sweep_nodes`` counts its rays.  A
-    pair counts one branch per sweep ray within tolerance of its target and
-    per bracket; a pair with such a ray takes the first one, every other
+    across its targets (see ``_sweep``); ``sweep_nodes`` counts its rays.
+    The grazing limits psi = -+pi/2 join each start's nodes unshot, with
+    exit angle theta0, which is exact on a strictly convex boundary; they
+    close the brackets of the targets next to the start.  A pair counts one
+    branch per shot sweep ray within tolerance of its target and per
+    bracket; a pair with such a ray takes the first one, every other
     pair its first converged bracket in sweep order, with all brackets
     refined in a single batch.  Each converged shot's time carries the
     first-variation correction for its miss, also reported as
@@ -597,7 +592,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
     if not len(pairs):
         z = np.zeros(0)
-        return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z,
+        return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
                          [] if record_paths else None)
     starts = np.unique(pairs[:, 0])
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
@@ -613,21 +608,28 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     converged = np.zeros(P, dtype=bool)
     fp = []   # per start: (pair rows, bracket ends, misses there, cubic root and slope)
     for si, (rows, tg) in enumerate(zip(rows_of, targets)):
-        ps, K = psi[si], len(psi[si])
-        nodes[rows] = K
-        m = _wrap(exit_th[si] - tg[:, None])
-        node, bracket = _bracket_roots(m, ok[si], opts.miss_rtol)
+        nodes[rows] = len(psi[si])
+        # nodes: the shot rays (node k is ray k - 1) between the grazing
+        # limits psi = -+pi/2, which exit where they start and are never hits
+        th0 = angles[starts[si]]
+        ps = np.concatenate(([-0.5 * math.pi], psi[si], [0.5 * math.pi]))
+        valid = np.concatenate(([True], ok[si], [True]))
+        m = _wrap(np.concatenate(([th0], exit_th[si], [th0])) - tg[:, None])
+        K = len(ps)
+        node, bracket = _bracket_roots(m, valid, opts.miss_rtol)
+        node[:, [0, -1]] = False
         count[rows] = node.sum(axis=1) + bracket.sum(axis=1)
         hit = node.any(axis=1)
         k = node.argmax(axis=1)[hit]
         r = rows[hit]
-        time[r], miss[r], angle[r], state[r] = exit_t[si][k], m[hit, k], ps[k], exit_u[si][k]
+        time[r], miss[r], angle[r], state[r] = (exit_t[si][k - 1], m[hit, k], ps[k],
+                                                exit_u[si][k - 1])
         converged[r] = True
         q, kb = np.nonzero(bracket & ~hit[:, None])
         four = kb[:, None] + np.arange(-1, 3)   # nodes k-1 .. k+2 around bracket k
         inside = (four >= 0) & (four < K)
         four = np.clip(four, 0, K - 1)
-        root, slope = _inverse_cubic(ps[four], m[q[:, None], four], ok[si][four] & inside)
+        root, slope = _inverse_cubic(ps[four], m[q[:, None], four], valid[four] & inside)
         fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], root, slope))
 
     owner, lo, hi, m_lo, m_hi, root, slope = (np.concatenate(c) for c in zip(*fp))
@@ -645,7 +647,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     correction[converged] = _first_variation(spec, state[converged]) * miss[converged]
     time -= correction
     miss *= spec.domain.radius
-    out = PairShots(pairs, time, miss, count, converged, angle, correction, sweep_nodes=nodes)
+    out = PairShots(pairs, time, miss, count, converged, angle, correction, nodes)
     if record_paths:
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))

@@ -129,13 +129,10 @@ def herglotz_invert(data):
     # group ordered pairs by angular separation k * 2pi / n
     half = n // 2
     seps = 2.0 * math.pi * np.arange(1, half + 1) / n
-    T = np.empty(half)
-    spread = np.empty(half)
     idx = np.arange(n)
-    for k in range(1, half + 1):
-        vals = sym[idx, (idx + k) % n]
-        T[k - 1] = vals.mean()
-        spread[k - 1] = vals.max() - vals.min()
+    vals = sym[idx, (idx + np.arange(1, half + 1)[:, None]) % n]   # row k - 1: separation k
+    T = vals.mean(axis=1)
+    spread = vals.max(axis=1) - vals.min(axis=1)
     spread_rel = float((spread / T).max())
     consistent = spread_rel <= _SPREAD_TOL
 

@@ -123,6 +123,19 @@ class TestDistanceMatrix:
         assert D[1, 0] == pytest.approx(4.0 / 3.0, abs=1e-7)
         assert D[0, 1] == pytest.approx(4.0, abs=1e-7)
 
+    @pytest.mark.parametrize("medium", ["euclid_spec", "wind_spec"])
+    def test_neighbours_closer_than_the_fan_edge(self, request, medium):
+        # at n = 192 a neighbour lies nearer the start than the exit of the
+        # fan's outermost ray; the grazing limits bracket it.  Straight rays
+        # at speed 1 against the wind W: T solves |d - W T| = T
+        data = distance_matrix(request.getfixturevalue(medium), 192)
+        W = np.array([0.5, 0.0]) if medium == "wind_spec" else np.zeros(2)
+        p = data.points
+        d = p[None, :, :] - p[:, None, :]
+        dw, dd, k = d @ W, (d * d).sum(axis=2), 1.0 - W @ W
+        T = (np.sqrt(dw * dw + k * dd) - dw) / k
+        assert np.abs(data.matrix - T).max() < 1e-9
+
     def test_diagnostics(self, euclid4):
         d = euclid4.diagnostics
         assert (d.branch_counts[~np.eye(4, dtype=bool)] == 1).all()
@@ -509,7 +522,7 @@ def _fake_shots(pairs, time, miss, branch_count, converged):
     pairs = np.asarray(pairs)
     full = lambda v: np.full(len(pairs), v)
     return PairShots(pairs, full(time), full(miss), full(branch_count), full(converged),
-                     full(math.nan), full(0.0))
+                     full(math.nan), full(0.0), full(0))
 
 
 class TestAdmissibilityAbort:
