@@ -71,8 +71,10 @@ class DistanceDiagnostics:
     miss: np.ndarray            # arc-length units
     excluded: np.ndarray        # nearly-adjacent pairs left out
     angle_samples: int          # coarse sweep fan per start
-    correction: np.ndarray      # first-variation term subtracted from each exit time
+    correction: np.ndarray      # p delta - p' delta^2 / 2, subtracted from each exit time
     sweep_nodes: np.ndarray     # (n,) sweep rays shot per start, refinement included
+    brackets: np.ndarray        # (n,) brackets handed to false position per start
+    bracket_rays: np.ndarray    # (n,) rays false position shot for them
 
 
 @dataclass
@@ -130,12 +132,14 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     correction = np.zeros((n, n))
     branches = np.zeros((n, n), dtype=int)
     converged = np.zeros((n, n), dtype=bool)
-    nodes = np.zeros(n, dtype=int)
+    nodes, brackets, bracket_rays = np.zeros((3, n), dtype=int)
     for shots in parts:
         i, j = shots.pairs.T
         D[i, j], miss[i, j], correction[i, j] = shots.time, shots.miss, shots.correction
         branches[i, j], converged[i, j] = shots.branch_count, shots.converged
         nodes[i] = shots.sweep_nodes
+        np.add.at(brackets, i, shots.brackets)
+        np.add.at(bracket_rays, i, shots.bracket_rays)
     bad = keep & ((branches != 1) | ~converged)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -149,7 +153,8 @@ def distance_matrix(spec, samples, opts=None, threads=1):
         raise RandersError("non-positive distance computed; solver failure")
     diag = DistanceDiagnostics(branch_counts=branches, miss=miss,
                                excluded=excluded, angle_samples=opts.angle_samples,
-                               correction=correction, sweep_nodes=nodes)
+                               correction=correction, sweep_nodes=nodes, brackets=brackets,
+                               bracket_rays=bracket_rays)
     return BoundaryDistanceData(angles=angles.copy(), radius=samples.radius,
                                 matrix=D, spec_hash=spec.spec_hash, diagnostics=diag)
 

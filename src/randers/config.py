@@ -45,7 +45,8 @@ _SCHEMA = {
         "rtol": ("float", "dimensionless", SolverOptions.rtol),
         "atol": ("float", "dimensionless", SolverOptions.atol),
         "angle_samples": ("int", "count", SolverOptions.angle_samples),
-        "miss_tol": ("float", "fraction of R", SolverOptions.miss_rtol),
+        "miss_tol": ("float", "fraction of R; rays above the one-ray cap, recorded paths",
+                     SolverOptions.miss_rtol),
         "max_steps": ("int", "count", SolverOptions.max_steps),
         "trap_time_factor": ("float", "dimensionless", SolverOptions.trap_time_factor),
         "exclude_separation": ("float", "radians", SolverOptions.exclude_separation),

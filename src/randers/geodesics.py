@@ -38,10 +38,16 @@ exit is still bracketed.
 A converged ray still misses its target by an angle delta, and where it
 stops depends on the root finder.  By the first variation of length, the
 travel time to the boundary point at angle theta changes at the rate
-<dF/dy(x, y), dx/dtheta> of the arriving geodesic (x, y), so each shot
-reports T minus that rate times delta.  This removes the first-order
-dependence on the stopping point; ``GeodesicPath.exit_time`` stays the raw
-exit time of the ray.
+p = <dF/dy(x, y), dx/dtheta> of the arriving geodesic (x, y), so each shot
+reports T - p delta + p' delta^2 / 2, the paraxial expansion of the exit
+time about the ray.  p' = dp/dtheta is the derivative at zero miss of the
+cubic through p at the four sweep nodes of the bracket's cubic start, and
+is taken as zero where those nodes have no rate (the grazing limits are
+not shot).  With p' known, the first ray of a bracket is kept when its
+|delta| is at most ``_ONE_RAY_CAP``, so a smooth bracket costs one
+full-tolerance ray; other rays, and every ray of a recorded path, iterate
+to ``miss_rtol``.  ``GeodesicPath.exit_time`` stays the raw exit time of
+the ray.
 
 The spray is the Riemannian spray of alpha plus a beta correction (Shen's
 decomposition): a closed beta adds a multiple of y, so its geodesics are
@@ -80,6 +86,7 @@ _TWO_PI = 2.0 * math.pi
 # relative slope change between neighbouring intervals that flags both
 _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
+_ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kept
 _RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
 
@@ -92,7 +99,9 @@ class SolverOptions:
     max_steps: int = 100_000
     trap_time_factor: float = 50.0
     angle_samples: int = 90           # coarse sweep fan per start
-    miss_rtol: float = 1e-8          # target |angular miss| (arc length / R)
+    # target |angular miss| (arc length / R) of a ray that the second-order
+    # correction does not absorb: rays above _ONE_RAY_CAP and recorded paths
+    miss_rtol: float = 1e-8
     exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
 
     def __post_init__(self):
@@ -439,12 +448,13 @@ def _inverse_cubic(psi, miss, valid):
     return out
 
 
-def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None):
+def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None, cap=None):
     """Bracketed secant iteration on batches of independent brackets.
 
-    Returns (psi, time, miss, ok, state) arrays; each row is one bracket
-    problem and ``state`` (q, 5) holds the exit state of its converged ray.
-    A row starts from ``cubic``, the (2, q) root and slope d psi / d miss of
+    Returns (psi, time, miss, ok, state, rays) arrays; each row is one
+    bracket problem, ``state`` (q, 5) holds the exit state of its converged
+    ray and ``rays`` counts the rays shot for it.  A row starts from
+    ``cubic``, the (2, q) root and slope d psi / d miss of
     ``_inverse_cubic``, or where that is nan from the secant through its
     bracket ends.  Each next iterate is x - m s from the last ray (x, m):
     s is the start's slope on the first step, and the secant through the
@@ -452,16 +462,21 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
     coarse sweep spacing h the cubic root still carries the cubic's
     interpolation error, of order h^4, above the miss tolerance: the first
     ray measures that error as its miss, and a step with the cubic's slope
-    leaves only the product of the two errors.  An iterate outside the
-    bracket, and every sixth one, becomes the bracket midpoint.  The
-    iteration holds only its unfinished brackets: a bracket's result is
-    written out once, when its ray lands within tolerance, and the live
-    arrays shrink only on iterations where some bracket converged or its
-    ray failed (which leaves its result nan).
+    leaves only the product of the two errors.  A row's first ray is also
+    accepted when its |miss| is within ``cap`` (q,), where the caller
+    absorbs the miss to second order; every later ray must land within
+    ``opts.miss_rtol``.  An iterate outside the bracket, and every sixth
+    one, becomes the bracket midpoint.  The iteration holds only its
+    unfinished brackets: a bracket's result is written out once, when its
+    ray lands within tolerance, and the live arrays shrink only on
+    iterations where some bracket converged, its ray failed or its bracket
+    closed to a few ulps of psi without a root (an exit map with a jump);
+    the last two leave its result nan.
     """
     q = len(lo)
     psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
     u_out = np.full((q, 5), np.nan)
+    rays = np.zeros(q, dtype=int)
     ids = np.arange(q)
     x, s = np.full((2, q), np.nan) if cubic is None else cubic
     secant = (hi - lo) / (m_hi - m_lo)
@@ -476,23 +491,26 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
         inside = (x > lo) & (x < hi) & (it % 6 != 5)
         x = np.where(inside, x, 0.5 * (lo + hi))
         th_exit, t_exit, ok, res = _exit_fan(spec, theta0, x, opts)
+        rays[ids] += 1
         m = _wrap(th_exit - theta_tgt)
-        conv = ok & (np.abs(m) <= opts.miss_rtol)
+        tol = opts.miss_rtol if it or cap is None else np.maximum(cap, opts.miss_rtol)
+        conv = ok & (np.abs(m) <= tol)
         rows = ids[conv]
         psi_out[rows], t_out[rows], miss_out[rows] = x[conv], t_exit[conv], m[conv]
         u_out[rows] = res.u_end[conv]
 
         same_lo = np.sign(m) == np.sign(m_lo)
         lo, hi = np.where(same_lo, x, lo), np.where(same_lo, hi, x)
+        jump = hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         with np.errstate(divide="ignore", invalid="ignore"):
             last = (x - x_prev) / (m - m_prev)
         s = np.where(np.isfinite(last), last, s)
         x_prev, m_prev, x = x, m, x - m * s
-        live = ok & ~conv
+        live = ok & ~conv & ~jump
         if not live.all():
             ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev = (
                 a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev))
-    return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out
+    return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out, rays
 
 
 @dataclass
@@ -540,13 +558,15 @@ class PairShots:
     """Shooting results of ordered boundary pairs, one array entry per pair."""
 
     pairs: np.ndarray         # (P, 2) ordered sample index pairs (i, j)
-    time: np.ndarray          # exit time less the first-variation correction
+    time: np.ndarray          # exit time less ``correction``
     miss: np.ndarray          # arc-length units
     branch_count: np.ndarray
     converged: np.ndarray
     angle: np.ndarray         # converged inward shooting angle, nan otherwise
-    correction: np.ndarray    # first-variation term subtracted from the ray's exit time
+    correction: np.ndarray    # p delta - p' delta^2 / 2, subtracted from the ray's exit time
     sweep_nodes: np.ndarray   # sweep rays shot from the pair's start
+    brackets: np.ndarray      # brackets handed to false position
+    bracket_rays: np.ndarray  # rays false position shot for them
     paths: list | None = None   # with record_paths: GeodesicPath or None per pair
 
     def single_path(self, q, angles):
@@ -577,14 +597,17 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     bracket; a pair with such a ray takes the first one, every other
     pair its first converged bracket in sweep order, with all brackets
     refined in a single batch.  Each converged shot's time carries the
-    first-variation correction for its miss, also reported as
-    ``correction``.  Branch counts and flags are independent of pair order
-    and grouping, and so are times up to the correction's second-order
-    remainder.  With ``record_paths`` the converged single-branch rays are
-    re-integrated once as a recorded batch: ``paths[q]`` is pair q's
-    GeodesicPath (its ``exit_time`` uncorrected), or None when q has no
-    single converged branch; a recorded ray that does not exit raises
-    TrappedGeodesicError naming its pair.
+    first- and second-order correction for its miss (see the module
+    docstring), also reported as ``correction``; a smooth bracket keeps its
+    first ray when its miss is within ``_ONE_RAY_CAP``.  ``brackets`` and
+    ``bracket_rays`` count each pair's brackets and the rays false position
+    shot for them.  Branch counts, flags and times are independent of pair
+    order and grouping.  With ``record_paths`` every bracket iterates to
+    ``miss_rtol`` and the converged single-branch rays are re-integrated
+    once as a recorded batch: ``paths[q]`` is pair q's GeodesicPath (its
+    ``exit_time`` uncorrected), or None when q has no single converged
+    branch; a recorded ray that does not exit raises TrappedGeodesicError
+    naming its pair.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
@@ -593,27 +616,35 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     if not len(pairs):
         z = np.zeros(0)
         return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
-                         [] if record_paths else None)
+                         z.astype(int), z.astype(int), [] if record_paths else None)
     starts = np.unique(pairs[:, 0])
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
 
     psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], opts)
+    # first-variation rates of all exited sweep rays in one call
+    flat_ok = np.concatenate(ok)
+    flat_rate = np.full(len(flat_ok), np.nan)
+    flat_rate[flat_ok] = _first_variation(spec, np.concatenate(exit_u)[flat_ok])
+    rate = np.split(flat_rate, np.cumsum([len(a) for a in ok])[:-1])
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
     state = np.full((P, 5), np.nan)
+    bend = np.zeros(P)   # d rate / d theta at the accepted ray, where known
     count = np.zeros(P, dtype=int)
     nodes = np.zeros(P, dtype=int)
     converged = np.zeros(P, dtype=bool)
-    fp = []   # per start: (pair rows, bracket ends, misses there, cubic root and slope)
+    fp = []   # per start: pair rows, bracket ends, misses there, and the four nodes around
     for si, (rows, tg) in enumerate(zip(rows_of, targets)):
         nodes[rows] = len(psi[si])
         # nodes: the shot rays (node k is ray k - 1) between the grazing
-        # limits psi = -+pi/2, which exit where they start and are never hits
+        # limits psi = -+pi/2, which exit where they start, are never hits
+        # and have no rate
         th0 = angles[starts[si]]
         ps = np.concatenate(([-0.5 * math.pi], psi[si], [0.5 * math.pi]))
         valid = np.concatenate(([True], ok[si], [True]))
+        pv = np.concatenate(([np.nan], rate[si], [np.nan]))
         m = _wrap(np.concatenate(([th0], exit_th[si], [th0])) - tg[:, None])
         K = len(ps)
         node, bracket = _bracket_roots(m, valid, opts.miss_rtol)
@@ -629,25 +660,39 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
         four = kb[:, None] + np.arange(-1, 3)   # nodes k-1 .. k+2 around bracket k
         inside = (four >= 0) & (four < K)
         four = np.clip(four, 0, K - 1)
-        root, slope = _inverse_cubic(ps[four], m[q[:, None], four], valid[four] & inside)
-        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], root, slope))
+        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], ps[four],
+                   m[q[:, None], four], valid[four] & inside, pv[four]))
 
-    owner, lo, hi, m_lo, m_hi, root, slope = (np.concatenate(c) for c in zip(*fp))
-    if len(owner):
-        p, tt, mm, good, uu = _false_position(
-            spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], lo, hi, m_lo, m_hi, opts,
-            (root, slope))
-        # rows of one pair are contiguous and in sweep order
-        won, first = np.unique(owner[good], return_index=True)
-        sel = np.flatnonzero(good)[first]
-        time[won], miss[won], angle[won], state[won] = tt[sel], mm[sel], p[sel], uu[sel]
-        converged[won] = True
+    owner, lo, hi, m_lo, m_hi, ps4, m4, v4, p4 = (np.concatenate(c) for c in zip(*fp))
+    # the cubic through the nodes' rates, differentiated at zero miss, is the
+    # rate's derivative in the exit angle; where it is known the first ray's
+    # miss is absorbed to second order, except on recorded paths, which must
+    # end at their targets
+    dp = _inverse_cubic(p4, m4, v4 & np.isfinite(p4))[1]
+    smooth = np.isfinite(dp)
+    cap = None if record_paths else np.where(smooth, _ONE_RAY_CAP, 0.0)
+    p, tt, mm, good, uu, rays = _false_position(
+        spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], lo, hi, m_lo, m_hi, opts,
+        _inverse_cubic(ps4, m4, v4), cap)
+    brackets = np.bincount(owner, minlength=P)
+    bracket_rays = np.bincount(owner, weights=rays, minlength=P).astype(int)
+    # rows of one pair are contiguous and in sweep order
+    won, first = np.unique(owner[good], return_index=True)
+    sel = np.flatnonzero(good)[first]
+    time[won], miss[won], angle[won], state[won] = tt[sel], mm[sel], p[sel], uu[sel]
+    bend[won] = np.where(smooth[sel], dp[sel], 0.0)
+    converged[won] = True
 
+    # T(theta_tgt) = T - p delta + p' delta^2 / 2 for a ray that exits at
+    # theta_tgt + delta (paraxial expansion of the exit time about the ray)
     correction = np.zeros(P)
-    correction[converged] = _first_variation(spec, state[converged]) * miss[converged]
+    d = miss[converged]
+    correction[converged] = (_first_variation(spec, state[converged]) * d
+                             - 0.5 * bend[converged] * d * d)
     time -= correction
     miss *= spec.domain.radius
-    out = PairShots(pairs, time, miss, count, converged, angle, correction, nodes)
+    out = PairShots(pairs, time, miss, count, converged, angle, correction, nodes, brackets,
+                    bracket_rays)
     if record_paths:
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel,
                      add_noise, decompose, distance_matrix, load,
-                     sample_boundary, save, zermelo_construct)
+                     sample_boundary, save, shoot_pairs, zermelo_construct)
 from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
                               NoiseDescriptor)
 
@@ -141,6 +141,14 @@ class TestDistanceMatrix:
         assert (d.branch_counts[~np.eye(4, dtype=bool)] == 1).all()
         assert np.abs(d.miss).max() <= 1e-8
         assert not d.excluded.any()
+
+    def test_bracket_counts_summed_per_start(self, smooth_bump_spec):
+        data = distance_matrix(smooth_bump_spec, 6)
+        shots = shoot_pairs(smooth_bump_spec, data.angles, np.argwhere(~np.eye(6, dtype=bool)))
+        for field in ("brackets", "bracket_rays"):
+            per_start = np.bincount(shots.pairs[:, 0], getattr(shots, field), minlength=6)
+            assert np.array_equal(getattr(data.diagnostics, field), per_start)
+        assert data.diagnostics.brackets.sum() > 0
 
     def test_diagonal_zero_offdiag_positive(self, euclid4):
         D = euclid4.matrix
@@ -522,7 +530,7 @@ def _fake_shots(pairs, time, miss, branch_count, converged):
     pairs = np.asarray(pairs)
     full = lambda v: np.full(len(pairs), v)
     return PairShots(pairs, full(time), full(miss), full(branch_count), full(converged),
-                     full(math.nan), full(0.0), full(0))
+                     full(math.nan), full(0.0), full(0), full(0), full(0))
 
 
 class TestAdmissibilityAbort:

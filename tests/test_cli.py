@@ -151,6 +151,39 @@ class TestVerify:
         assert "hypothesis violated" in text
         assert "SEPARATED" in text
 
+    def test_closed_form_whose_reversal_separates_is_a_bug(self, cfg_file, tmp_path,
+                                                           monkeypatch):
+        import randers.cli as cli
+
+        monkeypatch.setattr(cli, "polyline_hausdorff", lambda a, b: 1.0)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg_file("b.cfg", BUMP_CFG), "--out", str(out)])
+        assert rc == 1
+        lines = (out / "verify.txt").read_text().splitlines()
+        assert sum("SEPARATED" in line for line in lines) == 3
+        assert lines[-1] == "RESULT: bug (closed 1-form but reversal separated)"
+
+    def test_failed_projective_check_is_a_bug(self, cfg_file, tmp_path, monkeypatch):
+        # the three reversal chords are compared first and pass; the
+        # projective comparison after them fails
+        import randers.cli as cli
+
+        calls = []
+
+        def hausdorff(a, b):
+            calls.append(None)
+            return 0.0 if len(calls) <= 3 else 1.0
+
+        monkeypatch.setattr(cli, "polyline_hausdorff", hausdorff)
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", cfg_file("b.cfg", BUMP_CFG), "--out", str(out)])
+        assert rc == 1
+        lines = (out / "verify.txt").read_text().splitlines()
+        assert not any("SEPARATED" in line for line in lines)
+        assert any(line.startswith("projective equivalence") and line.endswith("FAIL")
+                   for line in lines)
+        assert lines[-1] == "RESULT: bug"
+
     def test_chord_with_several_branches_is_an_error(self, cfg_file, tmp_path, capsys):
         # on this lens three geodesics join the second chord's endpoints
         cfg = cfg_file("l.cfg", '[domain]\nboundary_samples = 6\n\n[medium]\nkind = "conformal"\n'

@@ -258,3 +258,18 @@ class TestRigidityReport:
         assert (tmp_path / "rec" / "report.txt").exists()
         assert (tmp_path / "rec" / "potential.csv").exists()
         assert "verdict boundary_data_equal: True" in rep.summary()
+
+    def test_report_write_gauge_and_profiles(self, tmp_path, smooth_spec, smooth_bump_spec, bump):
+        data = analytic_constant_c_data(n=32)
+        rep = rigidity_report(smooth_spec, smooth_bump_spec, n=32, data1=data, data2=data,
+                              phi_truth=bump, invert_profile=True)
+        rep.write(tmp_path / "rec")
+        text = (tmp_path / "rec" / "report.txt").read_text()
+        assert f"  gauge residual         = {rep.gauge.gauge_residual:.3e}\n" in text
+        assert f"  boundary phi residual  = {rep.gauge.boundary_residual:.3e}\n" in text
+        assert len(rep.profiles) == 2
+        for k, prof in enumerate(rep.profiles, start=1):
+            lines = (tmp_path / "rec" / f"profile_{k}.csv").read_text().splitlines()
+            assert lines[:2] == ["# recovered radial sound speed units=length,speed", "r,c"]
+            table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+            assert np.array_equal(table, np.column_stack([prof.r, prof.c]))
