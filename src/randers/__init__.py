@@ -20,9 +20,8 @@ from .fields import (ComponentForm, ConformalMetric, ConstantField,
                      ExactForm, ExprField, PotentialBump, RadialProfile,
                      RotationalForm, ScaledForm, SumForm, ZeroForm,
                      circle_directions, disk_grid)
-from .geodesics import (ConjugateScanReport, GeodesicPath, ReversalReport,
-                        ShootingResult, SolverOptions, conjugate_point_scan,
-                        integrate_geodesic, polyline_hausdorff,
+from .geodesics import (GeodesicPath, ReversalReport, ShootingResult,
+                        SolverOptions, integrate_geodesic, polyline_hausdorff,
                         reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
 from .norms import (LengthParts, RandersSpec, ValidityReport,
                     closedness_residual, curve_length, dual_norm,

@@ -69,16 +69,13 @@ from . import integrators as ivp
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      SpecMismatchError, TrappedGeodesicError)
-from .fields import (ConformalMetric, Domain, _pts_pair, _unbatch, circle_directions,
-                     disk_grid)
+from .fields import Domain, _pts_pair, _unbatch, circle_directions, disk_grid
 from .norms import (RandersSpec, _alpha_at, _beta_at, _dF_dy, _fundamental,
                     _nonzero_directions)
-from .zermelo import herglotz_check
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShots",
            "spray", "integrate_geodesic", "solve_bvp", "shoot_pairs",
-           "conjugate_point_scan", "reversed_geodesic_check",
-           "polyline_hausdorff", "ConjugateScanReport", "ReversalReport"]
+           "reversed_geodesic_check", "polyline_hausdorff", "ReversalReport"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -702,89 +699,6 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
                 i, j = pairs[q]
                 out.paths[q] = _path_from(res, k, spec, f"geodesic of boundary pair ({i}, {j})")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Jacobi fields along conformal-radial geodesics
-
-
-@dataclass
-class ConjugateScanReport:
-    angles: np.ndarray
-    exit_times: np.ndarray
-    first_conjugate: np.ndarray   # parameter of first Jacobi zero, nan if none
-    min_jacobi: np.ndarray        # min of J past the initial instant
-    herglotz_margin: float
-    any_conjugate: bool
-    note: str = ("finite fan scan: absence of zeros is evidence for "
-                 "admissibility, not a certificate")
-
-
-def _gauss_curvature_fn(profile):
-    """K(r) for g = c^-2(r) * euclidean: K = c^2 * laplacian(ln c)."""
-    def K(r):
-        r = np.maximum(r, 1e-9)
-        c = profile.profile(r)
-        d1 = profile.profile_d1(r)
-        d2 = profile.profile_d2(r)
-        lc1 = d1 / c
-        lc2 = d2 / c - lc1 ** 2
-        return c ** 2 * (lc2 + lc1 / r)
-    return K
-
-
-def conjugate_point_scan(metric, radius, angles=None, opts=None):
-    """Integrate Jacobi fields along a fan and report zero crossings.
-
-    ``metric`` must be a conformal-radial metric field (flat-profile sound
-    speed); the scan starts rays from one boundary point across a fan of
-    inward angles, excluding exactly-radial shots where the conformal factor
-    need not be smooth.
-    """
-    if not isinstance(metric, ConformalMetric) or metric.flavor != "conformal-radial":
-        raise ValueError("conjugate point scan expects a conformal-radial metric")
-    opts = opts or SolverOptions()
-    if angles is None:
-        half = np.linspace(0.06, 1.45, 12)
-        angles = np.concatenate([-half[::-1], half])
-    angles = np.asarray(angles, dtype=float)
-
-    spec = RandersSpec(Domain(radius), metric)
-    hz = herglotz_check(metric.speed, radius)
-    Kfn = _gauss_curvature_fn(metric.speed)
-
-    base = _geodesic_rhs(spec)
-
-    def rhs(u):
-        core = base(u[:, :5])
-        r = np.linalg.norm(u[:, 0:2], axis=1)
-        jac = np.column_stack([u[:, 6], -Kfn(r) * u[:, 5]])
-        return np.concatenate([core, jac], axis=1)
-
-    x0 = _fan_states(spec, np.zeros_like(angles), angles)
-    u0 = np.concatenate([x0, np.zeros((len(angles), 1)), np.ones((len(angles), 1))], axis=1)
-    res = ivp.integrate_batch(rhs, u0, _boundary_stop(spec),
-                              opts.controls(opts.trap_time_factor * _time_scale(spec), record=True),
-                              record=True)
-
-    first = np.full(len(angles), np.nan)
-    minj = np.full(len(angles), np.nan)
-    for k in range(len(angles)):
-        if res.status[k] != ivp.EXITED:
-            continue
-        ts, us = res.history[k]
-        j = us[:, 5]
-        late = ts > 1e-6 * res.t_end[k]
-        minj[k] = j[late].min() if late.any() else j[-1]
-        sign_flip = np.nonzero((j[:-1] > 0.0) & (j[1:] <= 0.0) & late[1:])[0]
-        if sign_flip.size:
-            a = sign_flip[0]
-            frac = j[a] / (j[a] - j[a + 1])
-            first[k] = ts[a] + frac * (ts[a + 1] - ts[a])
-    return ConjugateScanReport(angles=angles, exit_times=res.t_end.copy(),
-                               first_conjugate=first, min_jacobi=minj,
-                               herglotz_margin=hz.margin,
-                               any_conjugate=bool(np.isfinite(first).any()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .boundary import BoundaryDistanceData, decompose, distance_matrix
 from .errors import NonAdmissibleError, RecoveryError, TriplicationError
@@ -106,6 +105,50 @@ class ProfileRecovery:
     p_margin: float               # max increase of p(sep); <= 0 when monotone
 
 
+def _end_slope(h0, h1, m0, m1):
+    """Moler's three-point end slope, clamped to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_derivative(x, y):
+    """Derivative of the monotone cubic Hermite interpolant through (x, y).
+
+    The interpolant is scipy's ``PchipInterpolator`` (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 1980): at an interior node the slope is the
+    weighted harmonic mean of the two secants, or zero where they change
+    sign or one is flat; the end slopes follow Moler (Numerical Computing
+    with MATLAB, sec. 3.6).  ``x`` must increase strictly and hold at least
+    three nodes.  The returned function evaluates dy/dx with the end cubics
+    extended past [x[0], x[-1]], in scipy's order of operations.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    m0, m1 = m[:-1], m[1:]
+    inner = np.sign(m0) * np.sign(m1) > 0.0
+    w1 = (2.0 * h[1:] + h[:-1])[inner]
+    w2 = (h[1:] + 2.0 * h[:-1])[inner]
+    d[1:-1][inner] = 1.0 / ((w1 / m0[inner] + w2 / m1[inner]) / (w1 + w2))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+
+    # slope on segment k at s = q - x[k]: d[k] + c2[k] s + c3[k] s^2
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c2 = ((m - d[:-1]) / h - t) * 2.0
+    c3 = t / h * 3.0
+
+    def slope(q):
+        k = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(h) - 1)
+        s = q - x[k]
+        return d[k] + c2[k] * s + c3[k] * (s * s)
+    return slope
+
+
 def herglotz_invert(data):
     """Recover a radial sound speed from symmetric travel-time data.
 
@@ -114,7 +157,11 @@ def herglotz_invert(data):
     monotone (no triplication), and applies the classical turning-radius
     integral r(p1) = R exp(-(1/pi) * int_0^{Sep1} arccosh(p/p1) dSep),
     c(r1) = r1 / p1.  Interpolation runs against the chord abscissa
-    sin(Sep/2), which keeps the antipodal endpoint regular.
+    sin(Sep/2), which keeps the antipodal endpoint regular.  The interpolant
+    is the piecewise-cubic Hermite one of Fritsch & Carlson (scipy's
+    ``PchipInterpolator``): node slopes are weighted harmonic means of the
+    neighbouring secants, zero at a sign change or a flat secant, and
+    Moler's clamped three-point rule at the two ends (``_pchip_derivative``).
     """
     if not isinstance(data, BoundaryDistanceData):
         raise TypeError("herglotz_invert expects BoundaryDistanceData")
@@ -140,8 +187,7 @@ def herglotz_invert(data):
     xs = np.concatenate([[0.0], np.sin(0.5 * seps)])
     Ts = np.concatenate([[0.0], T])
     order = np.argsort(xs)
-    interp = PchipInterpolator(xs[order], Ts[order])
-    dTdx = interp.derivative()
+    dTdx = _pchip_derivative(xs[order], Ts[order])
 
     def p_of(sep):
         half_sep = 0.5 * np.asarray(sep, dtype=float)

@@ -277,7 +277,14 @@ class HerglotzReport:
 
 
 def herglotz_check(speed, radius):
-    """Evaluate d/dr (r / c(r)) on [0, R]; positivity keeps rays non-trapped."""
+    """Evaluate d/dr (r / c(r)) on [0, R]; positivity keeps rays non-trapped.
+
+    This is the radial special case of boundary convexity: for a
+    conformal-radial metric the circle of radius r is strictly convex
+    exactly where r / c(r) increases, so a positive margin makes every
+    circle r <= R, the boundary included, strictly convex and no geodesic
+    is trapped inside.  ``herglotz_invert`` assumes it.
+    """
     if not isinstance(speed, (RadialProfile, ConstantField)):
         raise ValueError("herglotz check needs a radial profile or constant speed")
     r = np.linspace(0.0, radius, _HERGLOTZ_RADII)

@@ -4,14 +4,14 @@ import types
 import numpy as np
 import pytest
 
-from randers import (ConformalMetric, ConnectivityError, ConstantField,
-                     ConstantForm, DegenerateInputError, Domain, DomainError,
+from randers import (ConformalMetric, ConnectivityError, ConstantForm,
+                     DegenerateInputError, Domain, DomainError,
                      EuclideanMetric, ExactForm, NonAdmissibleError,
                      PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, SolverOptions, SumForm, TrappedGeodesicError,
-                     conjugate_point_scan, curve_length, distance_matrix,
-                     integrate_geodesic, polyline_hausdorff,
-                     reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
+                     curve_length, distance_matrix, integrate_geodesic,
+                     polyline_hausdorff, reversed_geodesic_check, shoot_pairs,
+                     solve_bvp, spray)
 from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
 
@@ -644,35 +644,3 @@ class TestReversedGeodesics:
         path = solve_bvp(rot, dom.boundary_point(0.0), dom.boundary_point(2.5)).path
         rep = reversed_geodesic_check(rot, path)
         assert rep.relative > 1e-3
-
-
-class TestConjugateScan:
-    def test_euclidean_fan_positive(self, dom):
-        scan = conjugate_point_scan(ConformalMetric(ConstantField(1.0)), 1.0)
-        assert not scan.any_conjugate
-        assert np.nanmin(scan.min_jacobi) > 0.0
-
-    def test_herglotz_linear_profile(self, kink_profile):
-        scan = conjugate_point_scan(ConformalMetric(kink_profile), 1.0)
-        assert scan.herglotz_margin == pytest.approx(0.5, abs=1e-6)
-        # negative curvature: no conjugate points, consistent with unique BVP branches
-        assert not scan.any_conjugate
-        assert np.nanmin(scan.min_jacobi) > 0.0
-
-    def test_constant_curvature_oracle(self):
-        # c = (1 + 4 r^2)/2 is the conformal factor of a curvature-4 sphere
-        # patch: every geodesic meets its first conjugate point at exactly
-        # pi/sqrt(4), giving a sharp quantitative check of the Jacobi solve
-        scan = conjugate_point_scan(ConformalMetric(RadialProfile("(1 + 4*r^2)/2")), 1.0)
-        assert scan.herglotz_margin < 0.0
-        assert scan.any_conjugate
-        expected = math.pi / 2.0
-        for T, fc in zip(scan.exit_times, scan.first_conjugate):
-            if T > expected:
-                assert abs(fc - expected) <= 1e-5
-            else:
-                assert not np.isfinite(fc)
-
-    def test_requires_radial(self, dom):
-        with pytest.raises(ValueError):
-            conjugate_point_scan(EuclideanMetric(), 1.0)

@@ -12,6 +12,7 @@ from randers import (BoundaryDistanceData, ConstantField, ConformalMetric,
                      distance_matrix, herglotz_invert, recover_beta_integrals,
                      recover_boundary_potential, recover_symmetric_data,
                      rigidity_report, verify_gauge)
+from randers import recovery
 
 
 def analytic_constant_c_data(n=64, c0=1.0, R=1.0):
@@ -165,6 +166,64 @@ class TestHerglotzInvert:
             herglotz_invert(analytic_constant_c_data(n=8))
 
 
+def _scipy_pchip_derivative(x, y):
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y).derivative()
+
+
+class TestPchipDerivative:
+    # scipy's PchipInterpolator is the oracle; probes are every breakpoint
+    # (both ends included), every segment midpoint and points just past
+    # either end, where both extend the end cubics
+    @pytest.mark.parametrize("x, y, pinned", [
+        # uneven spacing, increasing data
+        ([0.0, 0.1, 0.35, 0.4, 1.0, 1.7], [0.0, 0.3, 0.5, 0.9, 1.0, 2.2], {}),
+        # a flat segment: both its nodes get slope 0
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 3.0], {1: 0.0, 2: 0.0}),
+        # a local extremum: the secants change sign, so the slope there is 0
+        ([0.0, 0.5, 1.2, 2.0, 2.5], [0.0, 1.0, 3.0, 1.0, 0.0], {2: 0.0}),
+        # end rule d = (3 m0 - m1) / 2 on unit spacing: m0 = 1, m1 = 4 gives
+        # d = -0.5, of the opposite sign to m0, so 0; m0 = 1, m1 = -4 gives
+        # d = 3.5 > 3 |m0| with secants of opposite signs, so 3 m0; the last
+        # case is the mirror image at the right end
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 5.0, 6.0], {0: 0.0}),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -3.0, -2.0], {0: 3.0}),
+        ([0.0, 1.0, 2.0, 3.0], [-2.0, -3.0, 1.0, 0.0], {3: -3.0}),
+    ])
+    def test_matches_scipy(self, x, y, pinned):
+        x, y = np.array(x), np.array(y)
+        mids = 0.5 * (x[:-1] + x[1:])
+        q = np.concatenate([x, mids, [x[0] - 0.3, x[-1] + 0.3]])
+        got = recovery._pchip_derivative(x, y)(q)
+        ref = _scipy_pchip_derivative(x, y)(q)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for node, slope in pinned.items():
+            assert got[node] == slope
+
+    def test_random_data_matches_scipy(self, rng):
+        for _ in range(50):
+            x = np.cumsum(rng.uniform(0.05, 1.0, 12))
+            y = np.round(rng.normal(size=12), 1)
+            q = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 40)])
+            got = recovery._pchip_derivative(x, y)(q)
+            ref = _scipy_pchip_derivative(x, y)(q)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.fixture(scope="class")
+    def smooth_data_64(self, smooth_spec):
+        return distance_matrix(smooth_spec, 64)
+
+    @pytest.mark.parametrize("source", ["analytic", "smooth_64"])
+    def test_inversion_matches_scipy_interpolant(self, source, smooth_data_64, monkeypatch):
+        data = analytic_constant_c_data() if source == "analytic" else smooth_data_64
+        got = herglotz_invert(data)
+        monkeypatch.setattr(recovery, "_pchip_derivative", _scipy_pchip_derivative)
+        ref = herglotz_invert(data)
+        for field in ("r", "c"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 class TestVerifyGauge:
     def test_exact_gauge(self, dom, smooth_spec, smooth_bump_spec, bump):
         rep = verify_gauge(smooth_spec.beta, smooth_bump_spec.beta, bump, dom)
@@ -201,6 +260,13 @@ class TestRigidityReport:
         assert rep.hypothesis["admissible"] is True
         assert rep.psi_identity
         assert rep.gauge.gauge_residual <= 1e-12
+
+    def test_simulated_data_equal_explicit_data(self, smooth_spec, smooth_bump_spec, bump_pair):
+        rep = rigidity_report(smooth_spec, smooth_bump_spec, n=8)
+        ref = rigidity_report(smooth_spec, smooth_bump_spec, n=8,
+                              data1=bump_pair[0], data2=bump_pair[1])
+        assert rep.verdicts == ref.verdicts
+        assert np.array_equal(rep.potential.values, ref.potential.values)
 
     def test_different_profiles_fail_clause(self, dom, smooth_spec, kink_profile):
         other = RandersSpec(dom, ConformalMetric(kink_profile))
