@@ -73,8 +73,9 @@ class DistanceDiagnostics:
     angle_samples: int          # coarse sweep fan per start
     correction: np.ndarray      # p delta - p' delta^2 / 2, subtracted from each exit time
     sweep_nodes: np.ndarray     # (n,) sweep rays shot per start, refinement included
-    brackets: np.ndarray        # (n,) brackets handed to false position per start
+    brackets: np.ndarray        # (n,) brackets per start, interpolated or shot
     bracket_rays: np.ndarray    # (n,) rays false position shot for them
+    interpolated: np.ndarray    # (n,) brackets closed without a ray
 
 
 @dataclass
@@ -132,7 +133,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     correction = np.zeros((n, n))
     branches = np.zeros((n, n), dtype=int)
     converged = np.zeros((n, n), dtype=bool)
-    nodes, brackets, bracket_rays = np.zeros((3, n), dtype=int)
+    nodes, brackets, bracket_rays, interpolated = np.zeros((4, n), dtype=int)
     for shots in parts:
         i, j = shots.pairs.T
         D[i, j], miss[i, j], correction[i, j] = shots.time, shots.miss, shots.correction
@@ -140,6 +141,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
         nodes[i] = shots.sweep_nodes
         np.add.at(brackets, i, shots.brackets)
         np.add.at(bracket_rays, i, shots.bracket_rays)
+        np.add.at(interpolated, i, shots.interpolated)
     bad = keep & ((branches != 1) | ~converged)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -154,7 +156,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     diag = DistanceDiagnostics(branch_counts=branches, miss=miss,
                                excluded=excluded, angle_samples=opts.angle_samples,
                                correction=correction, sweep_nodes=nodes, brackets=brackets,
-                               bracket_rays=bracket_rays)
+                               bracket_rays=bracket_rays, interpolated=interpolated)
     return BoundaryDistanceData(angles=angles.copy(), radius=samples.radius,
                                 matrix=D, spec_hash=spec.spec_hash, diagnostics=diag)
 

@@ -311,11 +311,17 @@ class RadialProfile(ScalarField):
         self.d2 = self.d1.diff("r")
 
     # the profile calls return fresh arrays shaped like r, also where a
-    # derivative tree folds to a number
+    # derivative tree folds to a number or is the bare r
+
+    @staticmethod
+    def _fresh(v, r):
+        if isinstance(v, np.ndarray) and v is not r and v.dtype == float and v.shape == r.shape:
+            return v
+        return np.full(r.shape, v, dtype=float)
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
-        return np.full(r.shape, self.expr(r=r), dtype=float)
+        return self._fresh(self.expr(r=r), r)
 
     def profile_pair(self, r):
         """(c, dc/dr) at the radii r."""
@@ -323,11 +329,11 @@ class RadialProfile(ScalarField):
 
     def profile_d1(self, r):
         r = np.asarray(r, dtype=float)
-        return np.full(r.shape, self.d1(r=r), dtype=float)
+        return self._fresh(self.d1(r=r), r)
 
     def profile_d2(self, r):
         r = np.asarray(r, dtype=float)
-        return np.full(r.shape, self.d2(r=r), dtype=float)
+        return self._fresh(self.d2(r=r), r)
 
     def jet(self, x0, x1):
         r = np.sqrt(x0 * x0 + x1 * x1)

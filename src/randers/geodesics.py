@@ -5,8 +5,9 @@ quadrature state accumulating the F-length, so the exit parameter and the
 length agree to solver precision.  Two-point problems have one solver,
 ``shoot_pairs``: it sweeps the inward shooting angle once per start, marks
 the sweep rays that already hit a target and the sign changes of the angular
-endpoint miss with boolean masks over the sweep axis, and drives the
-brackets of all pairs to convergence in one guarded false-position batch.
+endpoint miss with boolean masks over the sweep axis, and closes the
+brackets of all pairs by interpolating the sweep's exit times or, where
+that is not safe, in one guarded false-position batch.
 A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
 one-pair case.
 
@@ -23,17 +24,32 @@ all the sweep shoots, and where it has one the refined nodes resolve it to
 pi / (2**_REFINE_DEPTH * angle_samples).  Every sweep ray is shot at the
 solver tolerance.
 
-Each bracket is then solved by a bracketed secant iteration (Dekker's
-safeguard, as in the exit refinement of ``integrators``).  It starts from
-the inverse cubic through the four sweep nodes around the bracket (Lagrange
-interpolation of psi in the miss, evaluated at zero) wherever those nodes
-exited and their misses are strictly monotone, and from the secant through
-the bracket ends elsewhere; the first step is a Newton step with the
-start's slope, every later one a secant step through the last two rays,
-and an iterate that leaves the bracket becomes its midpoint.  The grazing
-limits psi = -+pi/2, which exit where they start, are nodes of every fan
-without being shot, so a target nearer the start than the fan's outermost
-exit is still bracketed.
+Most brackets are then closed without a ray.  Each exited sweep node
+carries its exit time T and its first-variation rate p (below), which is
+dT/dmiss, so where the six nodes k-2 .. k+3 around a bracket (k, k+1) are
+rated and their misses strictly monotone, the bracket takes the degree-11
+Hermite interpolant of T in the miss at zero miss (the travel-time
+interpolation of wavefront-construction ray tracing).  It is accepted when
+it agrees with the degree-7 one through the inner four nodes to within
+``_HERMITE_TOL`` times the integrator's tolerance at that time,
+atol + rtol * T, so the check scales with the domain and tightens with the
+solver.  Its angle is then the cubic start's root below, which no ray has
+checked against ``miss_rtol``; its miss and correction are zero, since the
+interpolant ends on the target by construction.  The unshot grazing limits
+have no rate, so their brackets never qualify.
+
+Every other bracket, and every bracket of a recorded path, is solved by a
+bracketed secant iteration (Dekker's safeguard, as in the exit refinement
+of ``integrators``).  It starts from the inverse cubic through the four
+sweep nodes around the bracket (Lagrange interpolation of psi in the miss,
+evaluated at zero) wherever those nodes exited and their misses are
+strictly monotone, and from the secant through the bracket ends
+elsewhere; the first step is a Newton step with the start's slope, every
+later one a secant step through the last two rays, and an iterate that
+leaves the bracket becomes its midpoint.  The grazing limits
+psi = -+pi/2, which exit where they start, are nodes of every fan without
+being shot, so a target nearer the start than the fan's outermost exit is
+still bracketed.
 
 A converged ray still misses its target by an angle delta, and where it
 stops depends on the root finder.  By the first variation of length, the
@@ -84,6 +100,7 @@ _TWO_PI = 2.0 * math.pi
 _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kept
+_HERMITE_TOL = 1e-2     # interpolant agreement, in units of atol + rtol * T, to skip the ray
 _RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
 
@@ -445,6 +462,34 @@ def _inverse_cubic(psi, miss, valid):
     return out
 
 
+def _hermite_at_zero(miss, time, rate):
+    """Exit time at zero miss from the sweep nodes k-2 .. k+3 around a bracket.
+
+    Rows of ``miss``, ``time`` and ``rate`` (q, 6) hold the nodes' misses,
+    exit times and first-variation rates dT/dmiss.  Returns (2, q): the
+    degree-11 Hermite interpolant of the time in the miss at zero, and its
+    distance from the degree-7 one through the inner four nodes; both come
+    from one confluent divided-difference table, which takes the inner
+    nodes first.  A row with a nan rate or misses that are not strictly
+    monotone gives nan for both.
+    """
+    dm = np.diff(miss, axis=1)
+    use = np.isfinite(rate).all(axis=1) & ((dm > 0.0).all(axis=1) | (dm < 0.0).all(axis=1))
+    order = [1, 2, 3, 4, 0, 5]
+    z = np.repeat(miss[use][:, order], 2, axis=1)
+    c = np.repeat(time[use][:, order], 2, axis=1)
+    c[:, 2::2] = (c[:, 2::2] - c[:, 1:-1:2]) / (z[:, 2::2] - z[:, 1:-1:2])
+    c[:, 1::2] = rate[use][:, order]
+    for j in range(2, 12):
+        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (z[:, j:] - z[:, :-j])
+    # Newton form at x = 0: term j is c_j times the product of (0 - z_l), l < j
+    terms = c * np.cumprod(np.concatenate([np.ones((len(z), 1)), -z[:, :-1]], axis=1), axis=1)
+    outer = terms[:, 8:].sum(axis=1)
+    out = np.full((2, len(miss)), np.nan)
+    out[:, use] = terms[:, :8].sum(axis=1) + outer, np.abs(outer)
+    return out
+
+
 def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None, cap=None):
     """Bracketed secant iteration on batches of independent brackets.
 
@@ -555,15 +600,19 @@ class PairShots:
     """Shooting results of ordered boundary pairs, one array entry per pair."""
 
     pairs: np.ndarray         # (P, 2) ordered sample index pairs (i, j)
-    time: np.ndarray          # exit time less ``correction``
-    miss: np.ndarray          # arc-length units
+    time: np.ndarray          # exit time less ``correction``, or the interpolated time
+    miss: np.ndarray          # arc-length units; 0 for an interpolated bracket (no ray)
     branch_count: np.ndarray
     converged: np.ndarray
-    angle: np.ndarray         # converged inward shooting angle, nan otherwise
-    correction: np.ndarray    # p delta - p' delta^2 / 2, subtracted from the ray's exit time
+    angle: np.ndarray         # converged inward shooting angle, nan otherwise; for an
+                              # interpolated bracket the cubic start's root, not
+                              # converged to miss_rtol
+    correction: np.ndarray    # p delta - p' delta^2 / 2, subtracted from the ray's exit
+                              # time; 0 for an interpolated bracket
     sweep_nodes: np.ndarray   # sweep rays shot from the pair's start
-    brackets: np.ndarray      # brackets handed to false position
+    brackets: np.ndarray      # brackets, interpolated or handed to false position
     bracket_rays: np.ndarray  # rays false position shot for them
+    interpolated: np.ndarray  # brackets closed without a ray, by Hermite interpolation
     paths: list | None = None   # with record_paths: GeodesicPath or None per pair
 
     def single_path(self, q, angles):
@@ -593,15 +642,19 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     branch per shot sweep ray within tolerance of its target and per
     bracket; a pair with such a ray takes the first one, every other
     pair its first converged bracket in sweep order, with all brackets
-    refined in a single batch.  Each converged shot's time carries the
-    first- and second-order correction for its miss (see the module
-    docstring), also reported as ``correction``; a smooth bracket keeps its
-    first ray when its miss is within ``_ONE_RAY_CAP``.  ``brackets`` and
-    ``bracket_rays`` count each pair's brackets and the rays false position
-    shot for them.  Branch counts, flags and times are independent of pair
-    order and grouping.  With ``record_paths`` every bracket iterates to
-    ``miss_rtol`` and the converged single-branch rays are re-integrated
-    once as a recorded batch: ``paths[q]`` is pair q's GeodesicPath (its
+    closed in a single pass: a bracket whose Hermite exit times agree to
+    ``_HERMITE_TOL`` times the integrator's tolerance is interpolated from
+    the sweep without a ray, and the rest go to one false-position batch
+    (see the module docstring).  Each converged shot's time carries the
+    first- and second-order correction for its miss, also reported as
+    ``correction`` (zero for an interpolated bracket); a smooth bracket
+    keeps its first ray when its miss is within ``_ONE_RAY_CAP``.
+    ``brackets``, ``bracket_rays`` and ``interpolated`` count each pair's
+    brackets, the rays false position shot for them and the brackets
+    closed without a ray.  Branch counts, flags and times are independent
+    of pair order and grouping.  With ``record_paths`` every bracket is
+    shot and iterates to ``miss_rtol``, and the converged single-branch
+    rays are re-integrated once as a recorded batch: ``paths[q]`` is pair q's GeodesicPath (its
     ``exit_time`` uncorrected), or None when q has no single converged
     branch; a recorded ray that does not exit raises TrappedGeodesicError
     naming its pair.
@@ -613,7 +666,8 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     if not len(pairs):
         z = np.zeros(0)
         return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
-                         z.astype(int), z.astype(int), [] if record_paths else None)
+                         z.astype(int), z.astype(int), z.astype(int),
+                         [] if record_paths else None)
     starts = np.unique(pairs[:, 0])
     rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
@@ -632,7 +686,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     count = np.zeros(P, dtype=int)
     nodes = np.zeros(P, dtype=int)
     converged = np.zeros(P, dtype=bool)
-    fp = []   # per start: pair rows, bracket ends, misses there, and the four nodes around
+    fp = []   # per start: pair rows, bracket ends, misses there, and the six nodes around
     for si, (rows, tg) in enumerate(zip(rows_of, targets)):
         nodes[rows] = len(psi[si])
         # nodes: the shot rays (node k is ray k - 1) between the grazing
@@ -642,6 +696,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
         ps = np.concatenate(([-0.5 * math.pi], psi[si], [0.5 * math.pi]))
         valid = np.concatenate(([True], ok[si], [True]))
         pv = np.concatenate(([np.nan], rate[si], [np.nan]))
+        tv = np.concatenate(([np.nan], exit_t[si], [np.nan]))
         m = _wrap(np.concatenate(([th0], exit_th[si], [th0])) - tg[:, None])
         K = len(ps)
         node, bracket = _bracket_roots(m, valid, opts.miss_rtol)
@@ -654,25 +709,35 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
                                                 exit_u[si][k - 1])
         converged[r] = True
         q, kb = np.nonzero(bracket & ~hit[:, None])
-        four = kb[:, None] + np.arange(-1, 3)   # nodes k-1 .. k+2 around bracket k
-        inside = (four >= 0) & (four < K)
-        four = np.clip(four, 0, K - 1)
-        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], ps[four],
-                   m[q[:, None], four], valid[four] & inside, pv[four]))
+        six = kb[:, None] + np.arange(-2, 4)   # nodes k-2 .. k+3 around bracket k
+        inside = (six >= 0) & (six < K)
+        six = np.clip(six, 0, K - 1)
+        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], ps[six],
+                   m[q[:, None], six], valid[six] & inside, pv[six], tv[six]))
 
-    owner, lo, hi, m_lo, m_hi, ps4, m4, v4, p4 = (np.concatenate(c) for c in zip(*fp))
+    owner, lo, hi, m_lo, m_hi, ps6, m6, v6, p6, t6 = (np.concatenate(c) for c in zip(*fp))
+    ps4, m4, v4, p4 = (a[:, 1:5] for a in (ps6, m6, v6, p6))
+    # a bracket whose degree-11 and degree-7 Hermite exit times agree well
+    # within the integrator's own tolerance there takes the former and shoots
+    # no ray (recorded paths must end at their targets)
+    t0, err = _hermite_at_zero(m6, t6, p6)
+    zero = (err <= _HERMITE_TOL * (opts.atol + opts.rtol * np.abs(t0))) & (not record_paths)
+    go = ~zero
     # the cubic through the nodes' rates, differentiated at zero miss, is the
     # rate's derivative in the exit angle; where it is known the first ray's
-    # miss is absorbed to second order, except on recorded paths, which must
-    # end at their targets
+    # miss is absorbed to second order, except on recorded paths
     dp = _inverse_cubic(p4, m4, v4 & np.isfinite(p4))[1]
     smooth = np.isfinite(dp)
-    cap = None if record_paths else np.where(smooth, _ONE_RAY_CAP, 0.0)
-    p, tt, mm, good, uu, rays = _false_position(
-        spec, angles[pairs[owner, 0]], angles[pairs[owner, 1]], lo, hi, m_lo, m_hi, opts,
-        _inverse_cubic(ps4, m4, v4), cap)
+    cap = None if record_paths else np.where(smooth, _ONE_RAY_CAP, 0.0)[go]
+    cubic = _inverse_cubic(ps4, m4, v4)
+    p, tt, mm, good = cubic[0], t0, np.zeros(len(owner)), zero.copy()
+    uu, rays = np.full((len(owner), 5), np.nan), np.zeros(len(owner), dtype=int)
+    p[go], tt[go], mm[go], good[go], uu[go], rays[go] = _false_position(
+        spec, angles[pairs[owner[go], 0]], angles[pairs[owner[go], 1]], lo[go], hi[go],
+        m_lo[go], m_hi[go], opts, cubic[:, go], cap)
     brackets = np.bincount(owner, minlength=P)
     bracket_rays = np.bincount(owner, weights=rays, minlength=P).astype(int)
+    interpolated = np.bincount(owner[zero], minlength=P)
     # rows of one pair are contiguous and in sweep order
     won, first = np.unique(owner[good], return_index=True)
     sel = np.flatnonzero(good)[first]
@@ -683,13 +748,13 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     # T(theta_tgt) = T - p delta + p' delta^2 / 2 for a ray that exits at
     # theta_tgt + delta (paraxial expansion of the exit time about the ray)
     correction = np.zeros(P)
-    d = miss[converged]
-    correction[converged] = (_first_variation(spec, state[converged]) * d
-                             - 0.5 * bend[converged] * d * d)
+    shot = converged & np.isfinite(state[:, 0])   # an interpolated time needs none
+    d = miss[shot]
+    correction[shot] = _first_variation(spec, state[shot]) * d - 0.5 * bend[shot] * d * d
     time -= correction
     miss *= spec.domain.radius
     out = PairShots(pairs, time, miss, count, converged, angle, correction, nodes, brackets,
-                    bracket_rays)
+                    bracket_rays, interpolated)
     if record_paths:
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))

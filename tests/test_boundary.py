@@ -145,10 +145,13 @@ class TestDistanceMatrix:
     def test_bracket_counts_summed_per_start(self, smooth_bump_spec):
         data = distance_matrix(smooth_bump_spec, 6)
         shots = shoot_pairs(smooth_bump_spec, data.angles, np.argwhere(~np.eye(6, dtype=bool)))
-        for field in ("brackets", "bracket_rays"):
+        for field in ("brackets", "bracket_rays", "interpolated"):
             per_start = np.bincount(shots.pairs[:, 0], getattr(shots, field), minlength=6)
             assert np.array_equal(getattr(data.diagnostics, field), per_start)
         assert data.diagnostics.brackets.sum() > 0
+        # every bump bracket is interpolated from the sweep and shoots no ray
+        assert np.array_equal(data.diagnostics.interpolated, data.diagnostics.brackets)
+        assert not data.diagnostics.bracket_rays.any()
 
     def test_diagonal_zero_offdiag_positive(self, euclid4):
         D = euclid4.matrix
@@ -530,7 +533,7 @@ def _fake_shots(pairs, time, miss, branch_count, converged):
     pairs = np.asarray(pairs)
     full = lambda v: np.full(len(pairs), v)
     return PairShots(pairs, full(time), full(miss), full(branch_count), full(converged),
-                     full(math.nan), full(0.0), full(0), full(0), full(0))
+                     full(math.nan), full(0.0), full(0), full(0), full(0), full(0))
 
 
 class TestAdmissibilityAbort:

@@ -258,6 +258,19 @@ class TestScalarFields:
         assert np.allclose(p.profile_d1(r), -2 * r)
         assert np.allclose(p.profile_d2(r), -2.0)
 
+    @pytest.mark.parametrize("src", ["r", "2 - r^2", "r^3"])
+    def test_radial_profile_calls_return_fresh_arrays(self, src):
+        # the bare r and derivatives folded to numbers are copied out; an
+        # expression's own result is passed through
+        p, r = RadialProfile(src), np.linspace(0.1, 1.0, 7)
+        for call in (p.profile, p.profile_d1, p.profile_d2):
+            out = call(r)
+            assert out is not r and out.shape == r.shape and out.dtype == np.float64
+            ref = out.copy()
+            out[:] = np.nan
+            assert np.array_equal(call(r), ref)
+        assert np.array_equal(r, np.linspace(0.1, 1.0, 7))
+
     def test_radial_as_planar_field(self, rng):
         p = RadialProfile("2 - r")
         x = rng.uniform(-0.7, 0.7, 2)

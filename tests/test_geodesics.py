@@ -380,7 +380,8 @@ class TestShootPairs:
     def test_no_pairs_give_empty_record(self, wind_spec, record_paths):
         shots = shoot_pairs(wind_spec, [0.0, 1.0], [], record_paths=record_paths)
         assert shots.pairs.shape == (0, 2)
-        for field in ("time", "miss", "branch_count", "converged", "angle", "correction"):
+        for field in ("time", "miss", "branch_count", "converged", "angle", "correction",
+                      "interpolated"):
             assert getattr(shots, field).shape == (0,)
         assert shots.paths == ([] if record_paths else None)
 
@@ -444,17 +445,20 @@ class TestAdaptiveSweep:
         assert data.diagnostics.angle_samples == SolverOptions().angle_samples
         assert (data.diagnostics.sweep_nodes == SolverOptions().angle_samples).all()
 
-    def test_false_position_rays_per_bracket(self, smooth_bump_spec):
+    def test_false_position_rays_per_bracket(self, monkeypatch, smooth_bump_spec):
         # a smooth bracket keeps the first ray of its cubic start, its miss
         # absorbed to second order; a fallback regression takes about two
+        # (every bracket is shot: interpolated ones would need no ray)
+        monkeypatch.setattr(geo, "_HERMITE_TOL", -1.0)
         diag = distance_matrix(smooth_bump_spec, 24).diagnostics
         assert diag.brackets.sum() > 0.9 * 24 * 23
         assert diag.bracket_rays.sum() <= 1.05 * diag.brackets.sum()
 
     @pytest.mark.parametrize("medium", ["lens_spec", "offcentre_lens_spec"])
-    def test_lens_rays_per_bracket(self, request, medium):
+    def test_lens_rays_per_bracket(self, monkeypatch, request, medium):
         # the lenses' exit maps bend, so some brackets need more rays than the
         # Newton start; the secant through the last two rays keeps them few
+        monkeypatch.setattr(geo, "_HERMITE_TOL", -1.0)   # every bracket is shot
         shots = shoot_pairs(request.getfixturevalue(medium), *_all_pairs(24))
         assert shots.bracket_rays.sum() <= 2.5 * shots.brackets.sum()
 
@@ -544,6 +548,8 @@ class TestFirstVariation:
         # iterated to miss_rtol it stops at another ray, and the corrected
         # times agree to the third-order remainder (a tight integrator keeps
         # its own error between the two rays below that)
+        # (brackets shoot their rays: an interpolated bracket has no raw time)
+        monkeypatch.setattr(geo, "_HERMITE_TOL", -1.0)
         spec, tight = request.getfixturevalue(medium), SolverOptions(rtol=1e-12, atol=1e-15)
         one = distance_matrix(spec, 12, tight)
         monkeypatch.setattr(geo, "_ONE_RAY_CAP", 0.0)
@@ -553,14 +559,21 @@ class TestFirstVariation:
         raw1, raw2 = (d.matrix + d.diagnostics.correction for d in (one, iterated))
         assert np.abs(raw1 - raw2)[off].max() > 1e-12   # the raw times do depend on it
 
-    def test_closer_to_tight_reference(self, smooth_bump_spec):
+    def test_closer_to_tight_reference(self, monkeypatch, smooth_bump_spec):
+        # corrected ray times are closer to a tight reference than raw ones,
+        # and times interpolated without a ray are no farther than corrected
         n = 32
+        fast = distance_matrix(smooth_bump_spec, n)
+        monkeypatch.setattr(geo, "_HERMITE_TOL", -1.0)   # every bracket shoots its rays
         data = distance_matrix(smooth_bump_spec, n)
         ref = distance_matrix(smooth_bump_spec, n,
                               SolverOptions(rtol=1e-12, atol=1e-15, miss_rtol=1e-13)).matrix
         off = ~np.eye(n, dtype=bool)
         raw = data.matrix + data.diagnostics.correction
         assert np.abs(data.matrix - ref)[off].max() < np.abs(raw - ref)[off].max()
+        assert fast.diagnostics.bracket_rays.sum() == 0
+        assert (fast.diagnostics.interpolated == fast.diagnostics.brackets).all()
+        assert np.abs(fast.matrix - ref)[off].max() <= np.abs(data.matrix - ref)[off].max()
 
     def test_first_variation_is_boundary_rate(self, rot_zermelo_spec):
         # <dF/dy, tau> matches a central difference of the exit time in the
@@ -574,6 +587,101 @@ class TestFirstVariation:
         _, _, _, res = geo._exit_fan(spec, np.array([0.3]), psi, SolverOptions())
         rate = geo._first_variation(spec, res.u_end)[0]
         assert rate == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
+
+
+class TestZeroRayBrackets:
+    def test_hermite_exact_on_degree_eleven(self, rng):
+        # values and slopes at six uneven nodes fix a degree-11 polynomial;
+        # the nodes straddle zero between the third and fourth, as a
+        # bracket's do, in rows of increasing and decreasing misses, and
+        # on a degree-7 row the two interpolants agree
+        poly = np.polynomial.polynomial
+        coef = rng.normal(size=(3, 12))
+        coef[2, 8:] = 0.0
+        m = 0.15 * (np.arange(6) - 2.5 + rng.uniform(-0.3, 0.3, (3, 6)))
+        m[1] = -m[1]
+        T = np.array([poly.polyval(mi, ci) for mi, ci in zip(m, coef)])
+        p = np.array([poly.polyval(mi, poly.polyder(ci)) for mi, ci in zip(m, coef)])
+        t0, err = geo._hermite_at_zero(m, T, p)
+        assert np.allclose(t0, coef[:, 0], rtol=0, atol=1e-14)
+        assert np.isfinite(err).all() and err[2] <= 1e-14
+        # a fold among the nodes or a node without a rate gives nan
+        turned, unrated = m[:1].copy(), p[:1].copy()
+        turned[0, 5], unrated[0, 0] = turned[0, 3], np.nan
+        assert np.isnan(geo._hermite_at_zero(turned, T[:1], p[:1])).all()
+        assert np.isnan(geo._hermite_at_zero(m[:1], T[:1], unrated)).all()
+
+    @pytest.mark.parametrize("medium, rtol", [("smooth_bump_spec", 1e-12),
+                                              ("rot_zermelo_spec", 1e-12),
+                                              ("lens_spec", 1e-12),
+                                              ("offcentre_lens_spec", 1e-13)])
+    def test_agrees_with_false_position(self, monkeypatch, request, medium, rtol):
+        # at a tight integrator tolerance the interpolated times are the
+        # converged rays' to that tolerance, on lenses with three branches
+        # too: the agreement check tightens with the solver
+        spec, tight = request.getfixturevalue(medium), SolverOptions(rtol=rtol, atol=1e-3 * rtol)
+        angles, pairs = _all_pairs(24)
+        fast = shoot_pairs(spec, angles, pairs, tight)
+        monkeypatch.setattr(geo, "_HERMITE_TOL", -1.0)
+        ref = shoot_pairs(spec, angles, pairs, tight)
+        assert fast.interpolated.sum() > 0 and ref.interpolated.sum() == 0
+        assert (fast.bracket_rays < ref.bracket_rays).any()
+        for field in ("branch_count", "converged"):
+            assert np.array_equal(getattr(fast, field), getattr(ref, field))
+        assert np.abs(fast.time - ref.time)[ref.converged].max() <= rtol
+
+    @pytest.mark.parametrize("radius", [0.25, 4.0])
+    def test_check_scales_with_the_domain(self, smooth_spec, radius):
+        # c = 2 - (r/R)^2 on radius R is the unit disk's 2 - r^2 scaled by R:
+        # its times scale by R and the same brackets are interpolated
+        angles, pairs = _all_pairs(24)
+        unit = shoot_pairs(smooth_spec, angles, pairs)
+        scaled = RandersSpec(Domain(radius),
+                             ConformalMetric(RadialProfile(f"2 - r^2/{radius * radius!r}")))
+        shots = shoot_pairs(scaled, angles, pairs)
+        assert unit.interpolated.sum() == unit.brackets.sum() > 0
+        assert np.array_equal(shots.interpolated, unit.interpolated)
+        assert np.allclose(shots.time, radius * unit.time, rtol=1e-10, atol=0.0)
+
+    def test_kink_brackets_near_the_origin_are_shot(self, kink_spec):
+        # c = 2 - r is not smooth at the origin: the brackets of the rays
+        # passing near it fail the agreement check and shoot rays
+        angles, pairs = _all_pairs(24)
+        shots = shoot_pairs(kink_spec, angles, pairs)
+        shot = shots.interpolated < shots.brackets
+        sep = (shots.pairs[:, 1] - shots.pairs[:, 0]) % 24
+        assert np.array_equal(shot, (sep >= 10) & (sep <= 14))
+        assert (shots.bracket_rays[shot] >= 1).all() and not shots.bracket_rays[~shot].any()
+        assert shots.converged.all()
+
+    def test_step_inside_a_bracket_leaves_the_pair_unconverged(self, monkeypatch, euclid_spec):
+        # straight chords, whose exit angle and time jump by 0.5 at psi = 0.2:
+        # the nodes on either side are smooth, monotone and rated, but the
+        # Hermite interpolants across the step disagree, so false position
+        # runs and stops at the jump
+        def stepped(spec, theta0, psi, opts, record=False):
+            step = np.where(psi < 0.2, 0.0, 0.5)
+            th, d = theta0 + math.pi + 2.0 * psi + step, theta0 + math.pi + psi
+            u = np.column_stack([np.cos(th), np.sin(th), np.cos(d), np.sin(d), 0.0 * th])
+            return (th % (2.0 * math.pi), 2.0 * np.cos(psi) + step, np.ones(len(psi), dtype=bool),
+                    types.SimpleNamespace(u_end=u))
+
+        monkeypatch.setattr(geo, "_exit_fan", stepped)
+        angles = np.array([0.0, math.pi + 0.65])   # between the step's two sides
+        shots = shoot_pairs(euclid_spec, angles, [(0, 1)])
+        assert shots.branch_count[0] == 1 and shots.interpolated[0] == 0
+        assert not shots.converged[0] and shots.bracket_rays[0] >= 1
+        monkeypatch.setattr(geo, "_HERMITE_TOL", math.inf)
+        assert shoot_pairs(euclid_spec, angles, [(0, 1)]).converged[0]
+
+    def test_recorded_paths_interpolate_nothing(self, smooth_bump_spec):
+        angles, pairs = _all_pairs(6)
+        free = shoot_pairs(smooth_bump_spec, angles, pairs)
+        rec = shoot_pairs(smooth_bump_spec, angles, pairs, record_paths=True)
+        assert free.interpolated.sum() == free.brackets.sum() > 0
+        assert not free.bracket_rays.any() and not free.correction.any()
+        assert not rec.interpolated.any()
+        assert (rec.bracket_rays >= rec.brackets).all() and np.abs(rec.miss).max() > 0.0
 
 
 class TestProjectiveEquivalence:
