@@ -413,6 +413,11 @@ class VectorValuedField:
     def is_zero(self):
         return False
 
+    @property
+    def is_closed(self):
+        """True when the form is closed by construction, d beta = 0 (J01 = J10)."""
+        return False
+
 
 @dataclass(frozen=True)
 class ZeroForm(VectorValuedField):
@@ -421,6 +426,10 @@ class ZeroForm(VectorValuedField):
 
     @property
     def is_zero(self):
+        return True
+
+    @property
+    def is_closed(self):
         return True
 
     def describe(self):
@@ -441,6 +450,10 @@ class ConstantForm(VectorValuedField):
     def is_zero(self):
         return not self.components.any()
 
+    @property
+    def is_closed(self):
+        return True
+
     def describe(self):
         return f"const({tuple(self.components)!r})"
 
@@ -453,6 +466,10 @@ class ExactForm(VectorValuedField):
 
     def jet(self, x0, x1):
         return self.potential.gradient_jet(x0, x1)
+
+    @property
+    def is_closed(self):
+        return True
 
     def describe(self):
         return f"d({self.potential.describe()})"
@@ -502,6 +519,10 @@ class ScaledForm(VectorValuedField):
     def is_zero(self):
         return self.factor == 0.0 or self.base.is_zero
 
+    @property
+    def is_closed(self):
+        return self.base.is_closed
+
     def describe(self):
         return f"scaled({self.factor!r},{self.base.describe()})"
 
@@ -521,6 +542,10 @@ class SumForm(VectorValuedField):
     @property
     def is_zero(self):
         return all(p.is_zero for p in self.parts)
+
+    @property
+    def is_closed(self):
+        return all(p.is_closed for p in self.parts)
 
     def describe(self):
         return "sum(" + ",".join(p.describe() for p in self.parts) + ")"

@@ -67,9 +67,11 @@ the ray.
 
 The spray is the Riemannian spray of alpha plus a beta correction (Shen's
 decomposition): a closed beta adds a multiple of y, so its geodesics are
-alpha's traced at another speed, and only a curl of beta turns them.  The
-right-hand side copies the batch's positions and velocities once into four
-contiguous component arrays and makes one field call per batch,
+alpha's traced at another speed, and only a curl of beta turns them, so a
+beta closed by construction skips the curl terms.  The right-hand side reads
+the positions and velocities of the integrator's column-major batch as four
+contiguous component rows, without a copy, writes its five output
+components into a column-major array, and makes one field call per batch,
 :meth:`RandersSpec.spray_terms`, so its arithmetic runs on (m,) arrays, and
 on NumPy scalars for what the medium keeps constant over the batch.
 """
@@ -164,7 +166,9 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
     with J_il = d b_i / dx^l, s_i0 = w (y1, -y0) for w = (J01 - J10) / 2,
     r00 = y.J.y - 2 <b, G_alpha>, S = a^-1 s_.0, s0 = <b, S> and
     P = (r00 - 2 alpha s0) / (2F).  S is zero where beta has no curl, so a
-    closed beta only rescales the alpha spray along y.
+    closed beta only rescales the alpha spray along y: for a beta that is
+    closed by construction (``is_closed``) w, s and S are not formed and
+    P = r00 / (2F).
     """
     (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
     al = np.sqrt(A)
@@ -174,13 +178,18 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
         (b0, b1), ((J00, J01), (J10, J11)) = bjet
         F = al + (b0 * y0 + b1 * y1)
         r00 = (J00 * y0 + J01 * y1) * y0 + (J10 * y0 + J11 * y1) * y1 - 2.0 * (b0 * G0 + b1 * G1)
-        w = 0.5 * (J01 - J10)
-        i00, i01, i11 = inv
-        s0, s1 = w * y1, -w * y0
-        S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
-        G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
+        if spec.beta.is_closed:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                P = r00 / (2.0 * F)
+            G0, G1 = G0 + P * y0, G1 + P * y1
+        else:
+            w = 0.5 * (J01 - J10)
+            i00, i01, i11 = inv
+            s0, s1 = w * y1, -w * y0
+            S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
+            G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
     return G0, G1, F
 
 
@@ -202,15 +211,15 @@ def spray(spec, x, y):
 
 def _geodesic_rhs(spec):
     def rhs(u):
-        x0, x1, y0, y1 = np.ascontiguousarray(u[:, 0:4].T)
+        x0, x1, y0, y1 = u.T[0:4]
         G0, G1, F = _spray_and_norm(spec, x0, x1, y0, y1)
-        out = np.empty(u.shape)
-        out[:, 0] = y0
-        out[:, 1] = y1
-        out[:, 2] = -2.0 * G0
-        out[:, 3] = -2.0 * G1
-        out[:, 4] = F
-        return out
+        out = np.empty(u.T.shape)
+        out[0] = y0
+        out[1] = y1
+        out[2] = -2.0 * G0
+        out[3] = -2.0 * G1
+        out[4] = F
+        return out.T
     return rhs
 
 

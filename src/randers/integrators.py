@@ -15,6 +15,14 @@ The driver and the exit refinement hold only their live rows, the
 unfinished rays, each with its index in the batch.  A ray's result is written
 to the output arrays once, when it finishes; the live arrays are updated with
 masks and compacted only on iterations where some ray finished.
+
+The live batch is column-major: a (d, m) array with each of the d state
+components contiguous over the m rays.  ``rhs`` and ``stop`` receive its
+transpose, an (m, d) view, and ``rhs`` may return an (m, d) array of any
+layout (one whose columns are contiguous is used without a copy), so a
+right-hand side written for row-major input still works.  Per-ray norms sum
+the components one row at a time, in the order numpy's mean over a short
+row uses, and rays are compacted with ``take`` on the ray axis.
 """
 
 from __future__ import annotations
@@ -62,46 +70,63 @@ class Controls:
 class BatchIntegration:
     status: np.ndarray   # (m,) EXITED/TRAPPED/MAXSTEPS/FAILED
     t_end: np.ndarray    # (m,)
-    u_end: np.ndarray    # (m, d) refined exit state (last state otherwise)
+    u_end: np.ndarray    # (m, d) refined exit state (last state otherwise), column-major
     steps: np.ndarray    # (m,) accepted step counts
     history: list | None  # per ray: (t (k,), u (k, d)) including the exit sample
 
 
+def _eval(rhs, u):
+    """rhs on the batch u (d, m), as a (d, m) C-contiguous array."""
+    return np.ascontiguousarray(rhs(u.T).T)
+
+
+def _rms(a):
+    """Root mean square over the components of a (d, m), per ray.
+
+    The rows are summed left to right, which is the order of numpy's mean
+    over a row shorter than 8, so this is bit for bit
+    ``np.sqrt(np.mean(a.T ** 2, axis=1))`` for the batch's d = 5.
+    """
+    sq = a ** 2
+    s = sq[0]
+    for row in sq[1:]:
+        s = s + row
+    return np.sqrt(s / len(a))
+
+
 def _rk_step(rhs, u, h, f0):
     """Shared DP45 stage arithmetic; returns (u5, k_list)."""
-    hh = h[:, None]
     k = [f0]
     for a in _A:
         du = a[0] * k[0]
         for aj, kj in zip(a[1:], k[1:]):
             du = du + aj * kj
-        k.append(rhs(u + hh * du))
+        k.append(_eval(rhs, u + h * du))
     inc = _B5[0] * k[0]
     for bj, kj in zip(_B5[1:], k[1:]):
         if bj != 0.0:
             inc = inc + bj * kj
-    return u + hh * inc, k
+    return u + h * inc, k
 
 
 def _stages(rhs, u, h, f0):
     """One error-controlled DP45 step. Returns (u5, err, f_new)."""
     u5, k = _rk_step(rhs, u, h, f0)
-    k.append(rhs(u5))
+    k.append(_eval(rhs, u5))
     ev = _E[0] * k[0]
     for ej, kj in zip(_E[1:], k[1:]):
         if ej != 0.0:
             ev = ev + ej * kj
-    return u5, h[:, None] * ev, k[6]
+    return u5, h * ev, k[6]
 
 
 def _initial_step(rhs, u0, f0, ctl):
     scale = ctl.atol + ctl.rtol * np.abs(u0)
-    d0 = np.sqrt(np.mean((u0 / scale) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
+    d0 = _rms(u0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = np.where((d0 > 1e-5) & (d1 > 1e-5), 0.01 * d0 / np.maximum(d1, 1e-300), 1e-6)
-    u1 = u0 + h0[:, None] * f0
-    f1 = rhs(u1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / np.maximum(h0, 1e-300)
+    f1 = _eval(rhs, u0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / np.maximum(h0, 1e-300)
     big = np.maximum(d1, d2)
     h1 = np.where(big > 1e-15, (0.01 / np.maximum(big, 1e-300)) ** 0.2,
                   np.maximum(1e-6, h0 * 1e3))
@@ -111,7 +136,8 @@ def _initial_step(rhs, u0, f0, ctl):
 def _refine_exits(rhs, stop, u0, f0, h, g1):
     """Pin the crossing inside steps that go from stop <= 0 at u0 to g1 > 0.
 
-    Every iterate is a single fixed DP45 step of length tau from u0, so the
+    ``u0`` and ``f0`` are (m, d), the returned exit states too.  Every
+    iterate is a single fixed DP45 step of length tau from u0, so the
     stop value g is a smooth function of tau.  The first iterate is the root
     of the quadratic through g(0), g'(0) and g(h) = g1, which is exact for
     straight rays; each later one is a Newton step with the stop rate as
@@ -121,27 +147,31 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
     bracket is that narrow, and its last iterate (tau, state) is returned as
     it stands.
     """
+    u0, f0 = np.ascontiguousarray(u0.T), np.ascontiguousarray(f0.T)
     tau, u_exit = np.empty_like(h), np.empty_like(u0)
     ids = np.arange(len(h))
     lo, hi, tol = np.zeros_like(h), h, _EXIT_RTOL * h
-    g, dg = stop(u0)
+    g, dg = stop(u0.T)
     curv = (g1 - g - dg * h) / (h * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_new = -2.0 * g / (dg + np.sqrt(np.maximum(dg * dg - 4.0 * curv * g, 0.0)))
     while ids.size:
         t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
         u_new, _ = _rk_step(rhs, u0, t_new, f0)
-        g, dg = stop(u_new)
+        g, dg = stop(u_new.T)
         out = g > 0.0
         hi, lo = np.where(out, t_new, hi), np.where(out, lo, t_new)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = g / dg
         done = (np.abs(step) <= tol) | (g == 0.0) | (hi - lo <= tol)
-        tau[ids[done]], u_exit[ids[done]] = t_new[done], u_new[done]
+        idx = np.flatnonzero(done)
+        tau[ids[idx]], u_exit[:, ids[idx]] = t_new[idx], u_new.take(idx, axis=1)
         t_new = t_new - step
-        if done.any():
-            ids, lo, hi, tol, t_new, u0, f0 = (a[~done] for a in (ids, lo, hi, tol, t_new, u0, f0))
-    return tau, u_exit
+        if idx.size:
+            idx = np.flatnonzero(~done)
+            ids, lo, hi, tol, t_new, u0, f0 = (
+                a.take(idx, axis=-1) for a in (ids, lo, hi, tol, t_new, u0, f0))
+    return tau, u_exit.T
 
 
 def integrate_batch(rhs, u0, stop, ctl=None, record=False):
@@ -150,8 +180,9 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     ``rhs`` maps (k, d) -> (k, d) and must be pure.  ``stop`` maps (k, d) to
     a pair (g, dg) of (k,) arrays: the stop value and its rate dg/dt along
     the flow, which exit refinement uses as a Newton slope (for the disk
-    stop g = |x|^2 - R^2 with x' = y, dg = 2<x, y>).  Rays start with
-    g <= 0 and finish when g first turns positive at the end of an
+    stop g = |x|^2 - R^2 with x' = y, dg = 2<x, y>).  Both receive (k, d)
+    views of the column-major batch (see the module docstring).  Rays start
+    with g <= 0 and finish when g first turns positive at the end of an
     accepted step; the exit is then refined inside that step.
     """
     ctl = ctl or Controls()
@@ -159,15 +190,15 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     m = len(u0)
 
     status = np.full(m, MAXSTEPS, dtype=np.int8)
-    t_end, u_end = np.zeros(m), np.empty_like(u0)
+    t_end, u_end = np.zeros(m), np.empty(u0.T.shape)
     steps = np.zeros(m, dtype=np.int64)
 
-    ids, t, u, n = np.arange(m), np.zeros(m), u0.copy(), np.zeros(m, dtype=np.int64)
-    f = rhs(u)
+    ids, t, u, n = np.arange(m), np.zeros(m), np.array(u0.T, order="C"), np.zeros(m, dtype=np.int64)
+    f = _eval(rhs, u)
     h = _initial_step(rhs, u, f, ctl)
     # recorded samples as (ids, t, u) blocks, split per ray at the end
     blocks = [(ids, t, u)] if record else None
-    # exits waiting for refinement, as row blocks: (ids, t, u, f, h, g(u5))
+    # exits waiting for refinement, as ray blocks: (ids, t, u, f, h, g(u5))
     pending = []
 
     for _ in range(ctl.max_steps * 4):
@@ -178,8 +209,8 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
 
         scale = ctl.atol + ctl.rtol * np.maximum(np.abs(u), np.abs(u5))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            enorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
-        enorm = np.where(np.isfinite(enorm) & np.isfinite(u5).all(axis=1), enorm, np.inf)
+            enorm = _rms(err / scale)
+        enorm = np.where(np.isfinite(enorm) & np.isfinite(u5).all(axis=0), enorm, np.inf)
         accept = enorm <= 1.0
 
         with np.errstate(divide="ignore", over="ignore"):
@@ -189,16 +220,18 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
 
         # stop is evaluated on accepted (finite) states only
         g = np.zeros_like(t)
-        g[accept] = stop(u5[accept])[0]
+        idx = np.flatnonzero(accept)
+        g[idx] = stop(u5.take(idx, axis=1).T)[0]
         crossed = g > 0.0
         stay = accept & ~crossed
         t = np.where(stay, t + hs, t)
-        u = np.where(stay[:, None], u5, u)
-        f = np.where(stay[:, None], fnew, f)
+        u = np.where(stay, u5, u)
+        f = np.where(stay, fnew, f)
         n = n + accept
         h = np.minimum(hs * fac, ctl.h_max)
         if record:
-            blocks.append((ids[stay], t[stay], u[stay]))
+            idx = np.flatnonzero(stay)
+            blocks.append(tuple(a.take(idx, axis=-1) for a in (ids, t, u)))
 
         failed = (h <= 1e-15 * np.maximum(1.0, t)) & ~accept
         trapped = (t >= ctl.t_max * (1.0 - 1e-12)) & ~crossed & ~failed
@@ -206,27 +239,30 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
         ended = failed | trapped | capped
         left = ended | crossed
         if left.any():
-            pending.append(tuple(a[crossed] for a in (ids, t, u, f, hs, g)))
+            idx = np.flatnonzero(crossed)
+            pending.append(tuple(a.take(idx, axis=-1) for a in (ids, t, u, f, hs, g)))
             status[ids[failed]], status[ids[trapped]] = FAILED, TRAPPED
-            t_end[ids[ended]], u_end[ids[ended]] = t[ended], u[ended]
+            idx = np.flatnonzero(ended)
+            t_end[ids[idx]], u_end[:, ids[idx]] = t[idx], u.take(idx, axis=1)
             steps[ids[left]] = n[left]
-            ids, t, u, f, h, n = (a[~left] for a in (ids, t, u, f, h, n))
+            idx = np.flatnonzero(~left)
+            ids, t, u, f, h, n = (a.take(idx, axis=-1) for a in (ids, t, u, f, h, n))
 
     # rays still live at the iteration cap stay MAXSTEPS with their last state
-    t_end[ids], u_end[ids], steps[ids] = t, u, n
+    t_end[ids], u_end[:, ids], steps[ids] = t, u, n
 
     if pending:
-        rays, t0, u0p, f0p, h0p, g1p = (np.concatenate(col) for col in zip(*pending))
-        tau, u_exit = _refine_exits(rhs, stop, u0p, f0p, h0p, g1p)
-        status[rays], t_end[rays], u_end[rays] = EXITED, t0 + tau, u_exit
+        rays, t0, u0p, f0p, h0p, g1p = (np.concatenate(col, axis=-1) for col in zip(*pending))
+        tau, u_exit = _refine_exits(rhs, stop, u0p.T, f0p.T, h0p, g1p)
+        status[rays], t_end[rays], u_end[:, rays] = EXITED, t0 + tau, u_exit.T
         if record:
-            blocks.append((rays, t_end[rays], u_exit))
+            blocks.append((rays, t_end[rays], u_exit.T))
 
     history = None
     if record:
-        rays, ts, us = (np.concatenate(col) for col in zip(*blocks))
+        rays, ts, us = (np.concatenate(col, axis=-1) for col in zip(*blocks))
         order = np.argsort(rays, kind="stable")
         cuts = np.cumsum(np.bincount(rays, minlength=m))[:-1]
         # [:m]: np.split returns one (empty) piece for an empty batch
-        history = list(zip(np.split(ts[order], cuts), np.split(us[order], cuts)))[:m]
-    return BatchIntegration(status, t_end, u_end, steps, history)
+        history = list(zip(np.split(ts[order], cuts), np.split(us.T[order], cuts)))[:m]
+    return BatchIntegration(status, t_end, u_end.T, steps, history)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from randers import (ComponentForm, ConfigError, ConformalMetric, ConstantField,
                      ConstantForm, Domain, DomainError, EuclideanMetric, ExactForm,
                      ExprField, PotentialBump, RadialProfile, RotationalForm,
-                     ScaledForm, SumForm, ZeroForm, disk_grid)
+                     ScaledForm, SumForm, ZeroForm, closedness_residual, disk_grid)
 from conftest import assert_jet_component
 from randers.expressions import compile_expression
 from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
@@ -392,6 +392,16 @@ FORMS = {
     "conformal_navigation": NavigationOneForm(_ConformalAlgebra(_SPEED, _WIND)),
     "linearized": LinearizedOneForm(ExprField("1.5 + 0.1*x1"), _WIND),
 }
+# forms closed by construction; every other family above is not
+CLOSED_FORMS = {
+    "zero": FORMS["zero"],
+    "constant": FORMS["constant"],
+    **{f"exact_{name}": ExactForm(field) for name, field in SCALARS.items()},
+    "scaled_exact": ScaledForm(ExactForm(SCALARS["expr_no_r"]), -0.5),
+    "sum_exact": SumForm(ExactForm(ExprField("0.1*x1*x2 + 0.05*r^2")),
+                         ScaledForm(ExactForm(PotentialBump(0.3, 1.0)), -1.0),
+                         ConstantForm([0.1, 0.0])),
+}
 METRICS = {
     "euclidean": EuclideanMetric(),
     "conformal": ConformalMetric(_SPEED),
@@ -443,3 +453,28 @@ def test_tensor_calls_equal_jet(rng, kind, name):
         for method in TENSORS[kind]:
             t = getattr(f, method)
             assert np.array_equal(t(p), t(p[None, :])[0])
+
+
+@pytest.mark.parametrize("name", FORMS)
+def test_is_closed_per_family(name):
+    assert FORMS[name].is_closed is (name in ("zero", "constant", "exact"))
+
+
+def test_composed_forms_are_closed_when_all_parts_are():
+    exact, rot = ExactForm(PotentialBump(0.3, 1.0)), RotationalForm(0.3)
+    assert ScaledForm(exact, 2.0).is_closed is True
+    assert ScaledForm(rot, 2.0).is_closed is False
+    assert SumForm(exact, ZeroForm(), ConstantForm([0.1, 0.2])).is_closed is True
+    assert SumForm(exact, rot).is_closed is False
+    assert SumForm(exact, ScaledForm(SumForm(exact, rot), -1.0)).is_closed is False
+    # closedness is a property of the construction, not of the values
+    assert ComponentForm(["x1", "x2"]).is_closed is False
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_have_no_curl(dom, name):
+    form = CLOSED_FORMS[name]
+    assert form.is_closed is True
+    # exactly zero: J01 and J10 are the same numbers, which is what lets the
+    # spray drop its curl terms without changing a bit
+    assert closedness_residual(form, disk_grid(dom, 100)) == 0.0

@@ -114,22 +114,25 @@ def _unit_disk_stop(u):
     return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
 
 
+# exiting rays, slow oscillations trapped by t_max, fast ones capped by
+# max_steps, and straight rays that fail at the NaN wall x2 = 0.6
+MIXED_U0 = np.array([
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.1, -0.2, -0.5, 0.3, 0.0],
+    [0.3, 0.0, 0.0, 0.1, 1.0],
+    [0.2, -0.3, 0.0, 0.0, 4000.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [-0.3, 0.2, 0.2, 0.5, 0.0],
+    [0.5, 0.1, 0.0, -0.2, 0.5],
+    [-0.4, -0.1, 0.3, 0.0, 2500.0],
+    [0.4, 0.0, -1.0, -0.2, 0.2],
+])
+MIXED_CTL = ivp.Controls(t_max=20.0, max_steps=400)
+
+
 @pytest.mark.parametrize("record", [False, True])
 def test_mixed_batch_equals_rays_alone(record):
-    # exiting rays, slow oscillations trapped by t_max, fast ones capped by
-    # max_steps, and straight rays that fail at the NaN wall x2 = 0.6
-    u0 = np.array([
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.1, -0.2, -0.5, 0.3, 0.0],
-        [0.3, 0.0, 0.0, 0.1, 1.0],
-        [0.2, -0.3, 0.0, 0.0, 4000.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [-0.3, 0.2, 0.2, 0.5, 0.0],
-        [0.5, 0.1, 0.0, -0.2, 0.5],
-        [-0.4, -0.1, 0.3, 0.0, 2500.0],
-        [0.4, 0.0, -1.0, -0.2, 0.2],
-    ])
-    ctl = ivp.Controls(t_max=20.0, max_steps=400)
+    u0, ctl = MIXED_U0, MIXED_CTL
     res = ivp.integrate_batch(_oscillator_rhs, u0, _unit_disk_stop, ctl, record=record)
     assert set(res.status.tolist()) == {ivp.EXITED, ivp.TRAPPED, ivp.MAXSTEPS, ivp.FAILED}
     assert (res.history is None) == (not record)
@@ -148,3 +151,79 @@ def test_mixed_batch_equals_rays_alone(record):
             assert len(t) == res.steps[k] + 1
             assert t[0] == 0.0 and t[-1] == res.t_end[k]
             assert np.array_equal(u[0], u0[k]) and np.array_equal(u[-1], res.u_end[k])
+
+
+def _layout_spy(fn, calls):
+    """fn, recording for each call whether its (m, d) input has contiguous columns."""
+    def spy(u):
+        calls.append(u.ndim == 2 and u.T.flags.c_contiguous)
+        return fn(u)
+    return spy
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_rhs_and_stop_see_contiguous_columns(smooth_bump_spec, record):
+    # the driver and the exit refinement hand out views of their column-major
+    # batch; a copy into row-major rows would show up here
+    rhs_calls, stop_calls = [], []
+    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
+    res = ivp.integrate_batch(_layout_spy(_geodesic_rhs(smooth_bump_spec), rhs_calls), u0,
+                              _layout_spy(_boundary_stop(smooth_bump_spec), stop_calls),
+                              record=record)
+    assert (res.status == ivp.EXITED).all()
+    assert len(rhs_calls) > 50 and all(rhs_calls)
+    assert len(stop_calls) > 10 and all(stop_calls)
+
+
+def test_refine_exits_sees_contiguous_columns(euclid_spec):
+    # row-major input, as from a caller outside the driver
+    rhs_calls, stop_calls = [], []
+    stop = _boundary_stop(euclid_spec)
+    u0 = np.array([[0.5, 0.4, 0.6, 0.8], [0.0, 0.1, -1.0, 0.0]])
+    h = np.array([4.0, 2.0])
+    g1 = stop(u0 + h[:, None] * _line_rhs(u0))[0]
+    tau, u_exit = ivp._refine_exits(_layout_spy(_line_rhs, rhs_calls), _layout_spy(stop, stop_calls),
+                                    u0, _line_rhs(u0), h, g1)
+    assert np.abs(tau - _line_exit(u0)[0]).max() <= 1e-14
+    assert u_exit.shape == u0.shape
+    assert rhs_calls and all(rhs_calls) and stop_calls and all(stop_calls)
+
+
+def _column_major_oscillator(u):
+    return np.asfortranarray(_oscillator_rhs(u))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_layouts_give_identical_results(record):
+    """C- and F-ordered starts, row- and column-major rhs: the same bits."""
+    ref = ivp.integrate_batch(_oscillator_rhs, MIXED_U0, _unit_disk_stop, MIXED_CTL,
+                              record=record)
+    for fn in (_oscillator_rhs, _column_major_oscillator):
+        for u0 in (np.ascontiguousarray(MIXED_U0), np.asfortranarray(MIXED_U0)):
+            calls = []
+            res = ivp.integrate_batch(_layout_spy(fn, calls), u0, _unit_disk_stop, MIXED_CTL,
+                                      record=record)
+            assert all(calls)
+            for field in ("status", "t_end", "u_end", "steps"):
+                assert _same_bits(getattr(res, field), getattr(ref, field)), field
+            if record:
+                assert len(res.history) == len(ref.history)
+                for (t, u), (t_ref, u_ref) in zip(res.history, ref.history):
+                    assert _same_bits(t, t_ref) and _same_bits(u, u_ref)
+            else:
+                assert res.history is None
+
+
+@pytest.mark.parametrize("m", [1, 3, 8640])
+def test_rms_is_numpys_row_mean(m):
+    # the error norm of the column-major batch: bit for bit the row-major
+    # np.mean over the 5 components it replaced
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((5, m)) * 10.0 ** rng.integers(-9, 9, (5, m))
+    assert _same_bits(ivp._rms(a), np.sqrt(np.mean(a.T ** 2, axis=1)))

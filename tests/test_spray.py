@@ -18,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 from randers import (ComponentForm, ConformalMetric, ConstantForm,
                      ConvexityError, EuclideanMetric, ExactForm, ExprField,
                      MediumModel, PotentialBump, RadialProfile, RandersSpec,
-                     RotationalForm, ScaledForm, SumForm, ZeroForm, spray,
-                     zermelo_construct)
+                     RotationalForm, ScaledForm, SumForm, ZeroForm, shoot_pairs,
+                     spray, zermelo_construct)
 from randers.fields import Domain
 from randers.geodesics import _spray_and_norm
 
@@ -171,6 +171,29 @@ def test_rotational_beta_turns_geodesics(alpha, rng):
     Y = rng.normal(size=(16, 2))
     _, cross = _spray_shift(CONFORMAL[alpha], RotationalForm(0.4), X, Y)
     assert np.abs(cross).max() > 1e-2
+
+
+# an exact beta built from an expression potential and a scaled bump
+EXACT_SUM = SumForm(ExactForm(ExprField("0.1*x1*x2 + 0.05*r^2")), ScaledForm(ExactForm(BUMP), -1.0))
+
+
+@pytest.mark.parametrize("name", ["smooth_bump_spec", "exact_sum"])
+def test_closed_beta_skips_curl_bit_for_bit(request, monkeypatch, name):
+    # a closed beta has J01 = J10 exactly, so its curl terms are exact zeros;
+    # dropping them must leave every solver output unchanged to the bit
+    spec = (RandersSpec(DOM, ConformalMetric(SPEED), EXACT_SUM) if name == "exact_sum"
+            else request.getfixturevalue(name))
+    assert spec.beta.is_closed
+    n = 12
+    angles = 2.0 * np.pi * (np.arange(n) + 0.37) / n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    skipped = shoot_pairs(spec, angles, pairs)
+    monkeypatch.setattr(type(spec.beta), "is_closed", False)
+    full = shoot_pairs(spec, angles, pairs)
+    assert skipped.converged.all()
+    for field in ("time", "angle", "miss", "branch_count", "converged"):
+        a, b = getattr(skipped, field), getattr(full, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 class TestConvexityCheck:
