@@ -44,8 +44,9 @@ print(f"\nBVP 0.0 -> 2.4 rad: travel time {shot.path.exit_time:.6f}, "
 shot.path.to_csv(os.path.join(out, "bvp_path.csv"))
 
 # because the drift form is closed, the reversed endpoints retrace the same
-# curve (with different timing); the report measures the point-set distance
+# curve (with different timing); the report measures the angle between the
+# reversed arrival and the reverse chord's launch at the shared end point
 rep = reversed_geodesic_check(spec, shot.path)
-print(f"reversed-path distance: {rep.relative:.2e} R "
+print(f"reversed-path angle gap: {rep.angle_gap:.2e} rad "
       f"(times {rep.forward_time:.4f} vs {rep.backward_time:.4f})")
 print(f"\nwrote CSVs to {out}/")

@@ -21,8 +21,8 @@ from .fields import (ComponentForm, ConformalMetric, ConstantField,
                      RotationalForm, ScaledForm, SumForm, ZeroForm,
                      circle_directions, disk_grid)
 from .geodesics import (GeodesicPath, ReversalReport, ShootingResult,
-                        SolverOptions, integrate_geodesic, polyline_hausdorff,
-                        reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
+                        SolverOptions, integrate_geodesic, reversed_geodesic_check,
+                        shoot_pairs, solve_bvp, spray)
 from .norms import (LengthParts, RandersSpec, ValidityReport,
                     closedness_residual, curve_length, dual_norm,
                     fundamental_tensor, reverse_norm, riemannian_norm,

@@ -21,12 +21,12 @@ from . import boundary as bd
 from .config import build_scenario, emit_config, parse_config
 from .errors import RandersError
 from .fields import ExactForm, PotentialBump, RadialProfile, ConstantField, SumForm, disk_grid
-from .geodesics import integrate_geodesic, polyline_hausdorff, shoot_pairs
+from .geodesics import _direction_gap, integrate_geodesic, shoot_pairs
 from .norms import RandersSpec, closedness_residual
 from .recovery import (_CLOSED_TOL, _DATA_TOL, _POTENTIAL_TOL, recover_boundary_potential,
                        rigidity_report)
 
-_LEMMA_TOL = 1e-6
+_LEMMA_TOL = 1e-6   # radians between two chords' directions at a shared boundary point
 
 
 def _load_scenarios(paths, seed=None, threads=None):
@@ -118,9 +118,9 @@ def cmd_verify(scenarios, out, threads):
     paths = _chord_paths(spec, wanted, scn.solver)
     for k, (a, b) in enumerate(chords):
         fwd, back = paths[2 * k], paths[2 * k + 1]
-        rel = polyline_hausdorff(fwd.resample()[::-1], back.resample()) / R
-        passed = rel <= _LEMMA_TOL
-        lines.append(f"reversal chord ({a:.1f} -> {b:.1f}): rel distance {rel:.3e} "
+        gap = _direction_gap(fwd, back, reversal=True)
+        passed = gap <= _LEMMA_TOL
+        lines.append(f"reversal chord ({a:.1f} -> {b:.1f}): angle gap {gap:.3e} rad "
                      f"{'OK' if passed else 'SEPARATED'}")
         if not passed:
             lemma1_failures += 1
@@ -129,10 +129,10 @@ def cmd_verify(scenarios, out, threads):
         lines.append("projective check skipped: bumped spec not a norm")
     else:
         bumped_paths = _chord_paths(bumped, pairs_ang, scn.solver)
-        worst = max(polyline_hausdorff(p1.resample(), p2.resample()) / R
+        worst = max(_direction_gap(p1, p2)
                     for p1, p2 in zip(paths[2 * len(chords):], bumped_paths))
         ok = worst <= _LEMMA_TOL
-        lines.append(f"projective equivalence under +d(phi): worst rel {worst:.3e} "
+        lines.append(f"projective equivalence under +d(phi): worst angle gap {worst:.3e} rad "
                      f"{'OK' if ok else 'FAIL'}")
         bug |= not ok
 

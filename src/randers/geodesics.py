@@ -93,7 +93,7 @@ from .norms import (RandersSpec, _alpha_at, _beta_at, _dF_dy, _fundamental,
 
 __all__ = ["SolverOptions", "GeodesicPath", "ShootingResult", "PairShots",
            "spray", "integrate_geodesic", "solve_bvp", "shoot_pairs",
-           "reversed_geodesic_check", "polyline_hausdorff", "ReversalReport"]
+           "reversed_geodesic_check", "ReversalReport"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -103,7 +103,6 @@ _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kept
 _HERMITE_TOL = 1e-2     # interpolant agreement, in units of atol + rtol * T, to skip the ray
-_RESAMPLE_STEP = 5e-4   # parameter spacing of GeodesicPath.resample
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class SolverOptions:
 
     def controls(self, t_max, record=False):
         # recorded paths cap the step so stored samples resolve the curve
-        # (pointwise invariants and Hermite resampling both rely on this)
+        # (pointwise invariants rely on this)
         h_max = t_max / (self.trap_time_factor * 256.0) if record else np.inf
         return ivp.Controls(rtol=self.rtol, atol=self.atol,
                             max_steps=self.max_steps, t_max=t_max, h_max=h_max)
@@ -251,28 +250,6 @@ class GeodesicPath:
     def unit_speed_residual(self, spec):
         f = spec._raw_norm(self.x, self.y)
         return float(np.abs(f - 1.0).max())
-
-    def resample(self):
-        """Densified positions via cubic Hermite interpolation of the samples.
-
-        The stored velocities make each interval a cubic with O(h^4) error,
-        so point-set comparisons at 1e-6 R scales are meaningful even though
-        the solver's accepted steps are much coarser.
-        """
-        T = self.t[-1]
-        npts = max(int(math.ceil(T / _RESAMPLE_STEP)), 2)
-        tq = np.linspace(0.0, T, npts)
-        k = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        h = self.t[k + 1] - self.t[k]
-        h = np.where(h > 0.0, h, 1.0)
-        s = np.clip((tq - self.t[k]) / h, 0.0, 1.0)[:, None]
-        x0, x1 = self.x[k], self.x[k + 1]
-        v0, v1 = self.y[k] * h[:, None], self.y[k + 1] * h[:, None]
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s ** 2 * (3.0 - 2.0 * s)
-        h11 = s ** 2 * (s - 1.0)
-        return h00 * x0 + h10 * v0 + h01 * x1 + h11 * v1
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -779,50 +756,22 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
 # reversibility check
 
 
-def polyline_hausdorff(A, B):
-    """Hausdorff distance between two polylines given by vertex arrays."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
+def _direction_gap(p, q, reversal=False):
+    """Angle in radians between the directions of two paths at a shared boundary point.
 
-
-def _directed_hausdorff(P, Q):
-    """max over P of the distance to polyline Q (point-to-segment).
-
-    A KD-tree narrows each query point to segments adjacent to its nearest
-    vertices, which is exact for the smooth, non-self-approaching curves
-    compared here and keeps dense comparisons linear.
+    Two geodesics through one point are one curve exactly when their
+    directions there agree.  By default p and q start at the same point and
+    their launches are compared; with ``reversal`` p ends where q starts and
+    p's reversed arrival is compared with q's launch.
     """
-    if len(Q) < 2:
-        return float(np.linalg.norm(P - Q[0], axis=1).max())
-    q0, q1 = Q[:-1], Q[1:]
-    d = q1 - q0
-    L2 = np.maximum(np.einsum("si,si->s", d, d), 1e-300)
-    if len(P) * len(q0) <= 1_000_000:
-        w = P[:, None, :] - q0[None, :, :]
-        tproj = np.clip(np.einsum("ksi,si->ks", w, d) / L2, 0.0, 1.0)
-        closest = q0[None] + tproj[..., None] * d[None]
-        dist = np.linalg.norm(P[:, None, :] - closest, axis=2).min(axis=1)
-        return float(dist.max())
-
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(Q)
-    _, nearest = tree.query(P, k=1)
-    best = np.full(len(P), np.inf)
-    for off in (-2, -1, 0, 1):
-        seg = np.clip(nearest + off, 0, len(q0) - 1)
-        w = P - q0[seg]
-        tproj = np.clip(np.einsum("ki,ki->k", w, d[seg]) / L2[seg], 0.0, 1.0)
-        closest = q0[seg] + tproj[:, None] * d[seg]
-        best = np.minimum(best, np.linalg.norm(P - closest, axis=1))
-    return float(best.max())
+    u = -p.y[-1] if reversal else p.y[0]
+    v = q.y[0]
+    return abs(math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]))
 
 
 @dataclass
 class ReversalReport:
-    hausdorff: float
-    relative: float        # hausdorff / R
+    angle_gap: float       # radians, reversed arrival against the reverse chord's launch
     forward_time: float
     backward_time: float
 
@@ -830,14 +779,15 @@ class ReversalReport:
 def reversed_geodesic_check(spec, path, opts=None):
     """Compare the reversed path with the geodesic joining reversed endpoints.
 
-    For closed one-forms the two agree as point sets; a rotational (non
-    closed) perturbation separates them on some chord.
+    Both leave the path's exit point, so they are one curve exactly when the
+    reversed arrival direction and the reverse chord's launch agree.  For
+    closed one-forms they do; a rotational (non closed) perturbation
+    separates them on some chord.
     """
     if path.spec_hash != spec.spec_hash:
         raise SpecMismatchError("path was not produced under the supplied spec")
     opts = opts or SolverOptions()
     back = solve_bvp(spec, path.exit_point, path.x[0], opts)
-    h = polyline_hausdorff(path.resample()[::-1], back.path.resample())
-    return ReversalReport(hausdorff=h, relative=h / spec.domain.radius,
+    return ReversalReport(angle_gap=_direction_gap(path, back.path, reversal=True),
                           forward_time=path.exit_time,
                           backward_time=back.path.exit_time)

@@ -29,8 +29,9 @@ def test_shooting_record_exported():
 
 
 def test_forward_and_inverse_paths_load_no_scipy(tmp_path):
-    # a fresh interpreter, so that scipy imported by other tests cannot mask
-    # an import that reaches randers; polyline_hausdorff alone may load it
+    # a fresh interpreter, so that scipy imported by other tests (the
+    # point-set reference, the PCHIP oracle) cannot mask an import that
+    # reaches randers
     cfg = tmp_path / "wind.cfg"
     cfg.write_text('[domain]\nboundary_samples = 4\n\n'
                    '[medium]\nkind = "zermelo"\nc = "1"\nwind = "const(0.5, 0)"\n')
@@ -39,8 +40,9 @@ def test_forward_and_inverse_paths_load_no_scipy(tmp_path):
         import numpy as np
         import randers, randers.cli
         from randers import BoundaryDistanceData, herglotz_invert
-        assert randers.cli.main(["simulate", "--config", {str(cfg)!r},
-                                 "--out", {str(tmp_path / "out")!r}]) == 0
+        for command in ("simulate", "verify"):
+            assert randers.cli.main([command, "--config", {str(cfg)!r},
+                                     "--out", {str(tmp_path / "out")!r}]) == 0
         ang = 2 * math.pi * np.arange(16) / 16
         sep = np.abs((ang[:, None] - ang[None, :] + math.pi) % (2 * math.pi) - math.pi)
         herglotz_invert(BoundaryDistanceData(angles=ang, radius=1.0,

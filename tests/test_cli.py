@@ -23,6 +23,26 @@ BUMP_CFG = EUCLID_CFG.replace('beta = "zero"', 'beta = "bump(0.2, 1.0)"')
 
 ROT_CFG = EUCLID_CFG.replace('beta = "zero"', 'beta = "rotational(0.4)"')
 
+CURVED_CFG = """
+[domain]
+boundary_samples = 8
+
+[medium]
+kind = "conformal"
+c = "2 - r^2"
+"""
+
+POTENTIAL_CFG = """
+[domain]
+boundary_samples = 8
+
+[medium]
+kind = "direct"
+alpha = "conformal"
+c = "2 - r^2"
+beta = "potential(0.1*x1*x2 + 0.05*r^2)"
+"""
+
 WIND_CFG = """
 [domain]
 boundary_samples = 4
@@ -155,7 +175,7 @@ class TestVerify:
                                                            monkeypatch):
         import randers.cli as cli
 
-        monkeypatch.setattr(cli, "polyline_hausdorff", lambda a, b: 1.0)
+        monkeypatch.setattr(cli, "_direction_gap", lambda p, q, reversal=False: 1.0)
         out = tmp_path / "out"
         rc = main(["verify", "--config", cfg_file("b.cfg", BUMP_CFG), "--out", str(out)])
         assert rc == 1
@@ -164,17 +184,11 @@ class TestVerify:
         assert lines[-1] == "RESULT: bug (closed 1-form but reversal separated)"
 
     def test_failed_projective_check_is_a_bug(self, cfg_file, tmp_path, monkeypatch):
-        # the three reversal chords are compared first and pass; the
-        # projective comparison after them fails
+        # the three reversal chords pass; the projective comparison fails
         import randers.cli as cli
 
-        calls = []
-
-        def hausdorff(a, b):
-            calls.append(None)
-            return 0.0 if len(calls) <= 3 else 1.0
-
-        monkeypatch.setattr(cli, "polyline_hausdorff", hausdorff)
+        monkeypatch.setattr(cli, "_direction_gap",
+                            lambda p, q, reversal=False: 0.0 if reversal else 1.0)
         out = tmp_path / "out"
         rc = main(["verify", "--config", cfg_file("b.cfg", BUMP_CFG), "--out", str(out)])
         assert rc == 1
@@ -183,6 +197,32 @@ class TestVerify:
         assert any(line.startswith("projective equivalence") and line.endswith("FAIL")
                    for line in lines)
         assert lines[-1] == "RESULT: bug"
+
+    @pytest.mark.parametrize("text", [BUMP_CFG, ROT_CFG, CURVED_CFG, POTENTIAL_CFG],
+                             ids=["bump", "rotational", "curved", "potential"])
+    def test_angle_verdicts_match_point_sets(self, cfg_file, tmp_path, monkeypatch, text):
+        # each chord verify compares is also compared as point sets: the
+        # Hausdorff distance of the resampled paths against the 1e-6 R bound
+        # the angle check replaced (every medium here has R = 1); only the
+        # rotational form's reversal chords separate
+        import randers.cli as cli
+        from pointsets import hausdorff, resample
+
+        gap_of = cli._direction_gap
+        verdicts = []
+
+        def spy(p, q, reversal=False):
+            gap = gap_of(p, q, reversal)
+            a = resample(p)[::-1] if reversal else resample(p)
+            by_points = hausdorff(a, resample(q)) <= 1e-6
+            verdicts.append((reversal, gap <= cli._LEMMA_TOL, by_points))
+            return gap
+
+        monkeypatch.setattr(cli, "_direction_gap", spy)
+        main(["verify", "--config", cfg_file("v.cfg", text), "--out", str(tmp_path / "out")])
+        assert len(verdicts) == 7
+        for reversal, by_angle, by_points in verdicts:
+            assert by_angle == by_points == (text is not ROT_CFG or not reversal)
 
     def test_chord_with_several_branches_is_an_error(self, cfg_file, tmp_path, capsys):
         # on this lens three geodesics join the second chord's endpoints

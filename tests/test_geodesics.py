@@ -10,10 +10,10 @@ from randers import (ConformalMetric, ConnectivityError, ConstantForm,
                      PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, SolverOptions, SumForm, TrappedGeodesicError,
                      curve_length, distance_matrix, integrate_geodesic,
-                     polyline_hausdorff, reversed_geodesic_check, shoot_pairs,
-                     solve_bvp, spray)
+                     reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
 from randers import geodesics as geo
 from randers.geodesics import _bracket_roots, _sweep_angles
+from pointsets import hausdorff, resample
 
 
 class TestSolverOptions:
@@ -690,7 +690,7 @@ class TestProjectiveEquivalence:
         for a, b in [(0.0, 2.2), (1.1, 4.0), (2.5, 5.9)]:
             p1 = solve_bvp(smooth_spec, dom.boundary_point(a), dom.boundary_point(b)).path
             p2 = solve_bvp(spec2, dom.boundary_point(a), dom.boundary_point(b)).path
-            h = polyline_hausdorff(p1.resample(), p2.resample())
+            h = hausdorff(resample(p1), resample(p2))
             assert h <= 1e-6 * dom.radius
 
     def test_rotational_breaks_point_sets(self, dom, euclid_spec):
@@ -699,7 +699,7 @@ class TestProjectiveEquivalence:
         for a, b in [(0.0, 2.2), (1.1, 4.0)]:
             p1 = solve_bvp(euclid_spec, dom.boundary_point(a), dom.boundary_point(b)).path
             p2 = solve_bvp(rot, dom.boundary_point(a), dom.boundary_point(b)).path
-            worst = max(worst, polyline_hausdorff(p1.resample(), p2.resample()))
+            worst = max(worst, hausdorff(resample(p1), resample(p2)))
         assert worst > 1e-3 * dom.radius
 
 
@@ -715,40 +715,41 @@ def _hausdorff_reference(A, B):
     return max(directed(A, B), directed(B, A))
 
 
-class TestPolylineHausdorff:
-    @pytest.mark.parametrize("na, nb, kd_tree", [(40, 57, False), (1100, 1300, True)],
-                             ids=["dense", "kd-tree"])
-    def test_matches_brute_force(self, monkeypatch, na, nb, kd_tree):
-        # two smooth curves sampled unevenly; the dense branch covers
-        # len(P) * segments <= 1e6, the KD-tree branch larger inputs
-        import scipy.spatial
-        trees = []
-        tree = scipy.spatial.cKDTree
-        monkeypatch.setattr(scipy.spatial, "cKDTree", lambda Q: trees.append(1) or tree(Q))
-        x = 3.0 * np.linspace(0.0, 1.0, na) ** 1.1
+class TestPointSetReference:
+    def test_hausdorff_matches_brute_force(self):
+        # two smooth curves sampled unevenly
+        x = 3.0 * np.linspace(0.0, 1.0, 40) ** 1.1
         A = np.column_stack([x, np.sin(x)])
-        x = 3.0 * np.linspace(0.0, 1.0, nb) ** 1.2
+        x = 3.0 * np.linspace(0.0, 1.0, 57) ** 1.2
         B = np.column_stack([x, np.sin(x) + 0.01 * np.cos(3.0 * x)])
-        got = polyline_hausdorff(A, B)
-        assert bool(trees) == kd_tree
+        got = hausdorff(A, B)
         assert got == pytest.approx(_hausdorff_reference(A, B), rel=0, abs=1e-15)
         assert 0.005 < got < 0.2
 
 
 class TestReversedGeodesics:
+    def test_direction_gap_is_an_unsigned_angle(self):
+        # launches y[0] by default, p's reversed arrival -y[-1] with reversal;
+        # vector lengths do not matter
+        p = types.SimpleNamespace(y=np.array([[1.0, 0.0], [0.0, 2.0]]))
+        q = types.SimpleNamespace(y=np.array([[0.0, -3.0], [1.0, 1.0]]))
+        assert geo._direction_gap(p, q) == geo._direction_gap(q, p) == pytest.approx(math.pi / 2)
+        assert geo._direction_gap(p, q, reversal=True) == 0.0
+        assert geo._direction_gap(q, p, reversal=True) == pytest.approx(0.75 * math.pi)
+
     def test_reversible_spec(self, dom, smooth_spec):
         path = solve_bvp(smooth_spec, dom.boundary_point(0.4), dom.boundary_point(2.8)).path
         rep = reversed_geodesic_check(smooth_spec, path)
-        assert rep.relative <= 1e-6
+        assert rep.angle_gap <= 1e-6
 
     def test_closed_form_bump(self, dom, smooth_bump_spec):
         path = solve_bvp(smooth_bump_spec, dom.boundary_point(5.8), dom.boundary_point(1.9)).path
         rep = reversed_geodesic_check(smooth_bump_spec, path)
-        assert rep.relative <= 1e-6
+        assert rep.angle_gap <= 1e-6
         assert rep.forward_time != rep.backward_time  # non-reversible parametrization
 
     def test_rotational_counterexample(self, dom):
         rot = RandersSpec(dom, EuclideanMetric(), RotationalForm(0.4))
         path = solve_bvp(rot, dom.boundary_point(0.0), dom.boundary_point(2.5)).path
         rep = reversed_geodesic_check(rot, path)
-        assert rep.relative > 1e-3
+        assert rep.angle_gap > 1e-3
