@@ -20,7 +20,7 @@ import numpy as np
 from . import boundary as bd
 from .config import build_scenario, emit_config, parse_config
 from .errors import RandersError
-from .fields import ExactForm, PotentialBump, RadialProfile, ConstantField, SumForm, disk_grid
+from .fields import ComponentForm, ConstantField, RadialProfile, SumForm, disk_grid
 from .geodesics import _direction_gap, integrate_geodesic, shoot_pairs
 from .norms import RandersSpec, closedness_residual
 from .recovery import (_CLOSED_TOL, _DATA_TOL, _POTENTIAL_TOL, recover_boundary_potential,
@@ -96,11 +96,22 @@ def _chord_paths(spec, chords, opts):
     return [shots.single_path(q, angles) for q in range(len(chords))]
 
 
+def _bumped(spec):
+    """spec + d phi for phi = 0.05 (R^2 - r^2), which vanishes on the boundary.
+
+    d phi = (-0.1 x1, -0.1 x2) for any R, written as components: closed, but
+    not by construction, so the spec has no cotangent fields and its rays run
+    on the spray.  Through a potential its times would shift by phi, and the
+    gauge lines below would hold by construction.
+    """
+    return RandersSpec(spec.domain, spec.alpha,
+                       SumForm(spec.beta, ComponentForm(["-0.1*x1", "-0.1*x2"])))
+
+
 def cmd_verify(scenarios, out, threads):
     scn = scenarios[0]
     spec = scn.spec
     dom = scn.domain
-    R = dom.radius
     probes = disk_grid(dom, 200)
     closed_resid = closedness_residual(spec.beta, probes)
     is_closed = closed_resid <= _CLOSED_TOL
@@ -112,7 +123,7 @@ def cmd_verify(scenarios, out, threads):
     # reversible geodesics: reversed endpoints retrace the path iff d(beta)=0;
     # shared geodesics under an added exact form (holds for any base 1-form)
     chords = [(0.0, 2.0), (1.0, 3.6), (2.5, 5.4)]
-    bumped = RandersSpec(dom, spec.alpha, SumForm(spec.beta, ExactForm(PotentialBump(0.05 * R * R, R))))
+    bumped = _bumped(spec)
     pairs_ang = [(0.0, 2.4), (0.8, 3.9), (1.7, 5.2), (3.1, 0.4)] if bumped.margin > 0.0 else []
     wanted = [c for a, b in chords for c in ((a, b), (b, a))] + pairs_ang
     paths = _chord_paths(spec, wanted, scn.solver)

@@ -29,7 +29,10 @@ calls agree bit for bit.
 
 The geodesic spray reads a metric through :meth:`MetricField.spray_terms`
 (the quadratic form, its Riemannian spray and its inverse along planar
-directions) and a 1-form through its jet.
+directions) and a 1-form through its jet.  A 1-form that is closed by
+construction carries its ``potential``, a scalar field phi with
+d phi = beta (None on every other form), which shooting reads to trace
+alpha's rays and shift their times by phi.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .expressions import compile_expression
 __all__ = [
     "Domain", "disk_grid", "circle_directions",
     "ScalarField", "ConstantField", "ExprField", "RadialProfile", "PotentialBump",
+    "LinearField", "LinearCombination",
     "VectorValuedField", "ZeroForm", "ConstantForm", "ExactForm", "RotationalForm",
     "ComponentForm", "ScaledForm", "SumForm",
     "MetricField", "EuclideanMetric", "ConformalMetric",
@@ -297,8 +301,9 @@ class RadialProfile(ScalarField):
     Herglotz condition check and curvature evaluations need; the derivative
     trees are built once at construction.  In the plane, the unit vector
     x / r is taken as zero at the origin, and so are the gradient and Hessian.
-    A profile with c'(0) != 0, such as 2 - r, is not smooth at the origin,
-    and distances between diametral boundary points reproduce only to ~1e-7.
+    A profile with c'(0) != 0, such as 2 - r, is not smooth at the origin;
+    distances between diametral boundary points, whose rays pass through
+    it, reproduce to about 1e-12 (see the README's scope notes).
     """
 
     def __init__(self, expr):
@@ -381,6 +386,48 @@ class PotentialBump(ScalarField):
         return f"bump(A={self.amplitude!r},R={self.radius!r})"
 
 
+class LinearField(ScalarField):
+    """phi = <b, x>, the potential of a constant 1-form b."""
+
+    def __init__(self, components):
+        self.components = np.asarray(components, dtype=float)
+
+    def jet(self, x0, x1):
+        b0, b1 = self.components
+        return b0 * x0 + b1 * x1, (b0, b1)
+
+    def gradient_jet(self, x0, x1):
+        return tuple(self.components), ((_ZERO, _ZERO), (_ZERO, _ZERO))
+
+    def describe(self):
+        return f"linear({tuple(self.components)!r})"
+
+
+class LinearCombination(ScalarField):
+    """phi = sum k_i phi_i over (k_i, phi_i) terms: the potential of a scaled or summed form."""
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def jet(self, x0, x1):
+        c, g0, g1 = _ZERO, _ZERO, _ZERO
+        for k, f in self.terms:
+            v, (d0, d1) = f.jet(x0, x1)
+            c, g0, g1 = c + k * v, g0 + k * d0, g1 + k * d1
+        return c, (g0, g1)
+
+    def gradient_jet(self, x0, x1):
+        g0, g1, h00, h01, h11 = (_ZERO,) * 5
+        for k, f in self.terms:
+            (d0, d1), ((e00, e01), (_, e11)) = f.gradient_jet(x0, x1)
+            g0, g1 = g0 + k * d0, g1 + k * d1
+            h00, h01, h11 = h00 + k * e00, h01 + k * e01, h11 + k * e11
+        return (g0, g1), ((h00, h01), (h01, h11))
+
+    def describe(self):
+        return "combination(" + ",".join(f"{k!r}*{f.describe()}" for k, f in self.terms) + ")"
+
+
 # ---------------------------------------------------------------------------
 # vector-valued fields (1-forms and winds share the same flat-coordinate data)
 
@@ -409,27 +456,24 @@ class VectorValuedField:
     def describe(self):
         raise NotImplementedError
 
-    @property
-    def is_zero(self):
-        return False
+    # a scalar field phi with d phi = this form when the form is closed by
+    # construction (so J01 = J10 exactly), None for any other form
+    potential = None
 
     @property
-    def is_closed(self):
-        """True when the form is closed by construction, d beta = 0 (J01 = J10)."""
+    def is_zero(self):
         return False
 
 
 @dataclass(frozen=True)
 class ZeroForm(VectorValuedField):
+    potential = ConstantField(0.0)
+
     def jet(self, x0, x1):
         return (_ZERO, _ZERO), ((_ZERO, _ZERO), (_ZERO, _ZERO))
 
     @property
     def is_zero(self):
-        return True
-
-    @property
-    def is_closed(self):
         return True
 
     def describe(self):
@@ -441,6 +485,7 @@ class ConstantForm(VectorValuedField):
         self.components = np.asarray(components, dtype=float)
         if self.components.shape != (2,):
             raise ValueError(f"ConstantForm needs 2 components, got {self.components.tolist()!r}")
+        self.potential = LinearField(self.components)
 
     def jet(self, x0, x1):
         b0, b1 = self.components
@@ -449,10 +494,6 @@ class ConstantForm(VectorValuedField):
     @property
     def is_zero(self):
         return not self.components.any()
-
-    @property
-    def is_closed(self):
-        return True
 
     def describe(self):
         return f"const({tuple(self.components)!r})"
@@ -466,10 +507,6 @@ class ExactForm(VectorValuedField):
 
     def jet(self, x0, x1):
         return self.potential.gradient_jet(x0, x1)
-
-    @property
-    def is_closed(self):
-        return True
 
     def describe(self):
         return f"d({self.potential.describe()})"
@@ -509,6 +546,8 @@ class ScaledForm(VectorValuedField):
     def __init__(self, base, factor):
         self.base = base
         self.factor = float(factor)
+        if base.potential is not None:
+            self.potential = LinearCombination((self.factor, base.potential))
 
     def jet(self, x0, x1):
         (b0, b1), ((J00, J01), (J10, J11)) = self.base.jet(x0, x1)
@@ -519,10 +558,6 @@ class ScaledForm(VectorValuedField):
     def is_zero(self):
         return self.factor == 0.0 or self.base.is_zero
 
-    @property
-    def is_closed(self):
-        return self.base.is_closed
-
     def describe(self):
         return f"scaled({self.factor!r},{self.base.describe()})"
 
@@ -530,6 +565,8 @@ class ScaledForm(VectorValuedField):
 class SumForm(VectorValuedField):
     def __init__(self, *parts):
         self.parts = parts
+        if all(p.potential is not None for p in parts):
+            self.potential = LinearCombination(*((1.0, p.potential) for p in parts))
 
     def jet(self, x0, x1):
         (b0, b1), ((J00, J01), (J10, J11)) = self.parts[0].jet(x0, x1)
@@ -542,10 +579,6 @@ class SumForm(VectorValuedField):
     @property
     def is_zero(self):
         return all(p.is_zero for p in self.parts)
-
-    @property
-    def is_closed(self):
-        return all(p.is_closed for p in self.parts)
 
     def describe(self):
         return "sum(" + ",".join(p.describe() for p in self.parts) + ")"

@@ -22,7 +22,23 @@ includes every sign change.  A fold of the exit map,
 d theta / d psi = 0, is a caustic; where the map has none the coarse fan is
 all the sweep shoots, and where it has one the refined nodes resolve it to
 pi / (2**_REFINE_DEPTH * angle_samples).  Every sweep ray is shot at the
-solver tolerance.
+solver tolerance (a cotangent ray, below, at a fixed fraction of it).
+
+Unrecorded fans (the sweep, its refinement levels and false position) of a
+spec with cotangent fields run as rays of its dual norm H(x, p) = F*(x, p)
+instead of on the spray (Hamiltonian ray tracing).  A navigation spec over
+a conformal speed c with wind W has H = c|p| + <W, p>, in physical time.  A
+conformal or Euclidean (c = 1) alpha under a beta with a ``potential`` phi
+has alpha's geodesics, so its rays are those of H = c|p|, and the travel
+time is the exit parameter plus phi(exit) - phi(start): the gauge fact that
+F and F + d phi share geodesics.  A ray starts at p = dF/dy (dalpha/dy
+under a potential), integrates x' = dH/dp, p' = -dH/dx with the disk stop
+at the rate 2<x, dH/dp>, and ends with the 5-column record of a spray ray,
+(x, dH/dp, T), so everything downstream reads it unchanged.  At one
+tolerance these rays are about 4 times less accurate than the spray, so
+they run at ``_COTANGENT_TOL`` times (rtol, atol); the Hermite check below
+keeps the options' tolerance.  Recorded fans stay on the spray, so a
+:class:`GeodesicPath` stays F-unit-speed.
 
 Most brackets are then closed without a ray.  Each exited sweep node
 carries its exit time T and its first-variation rate p (below), which is
@@ -79,7 +95,7 @@ on NumPy scalars for what the medium keeps constant over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +119,7 @@ _REFINE_DEPTH, _REFINE_RHO = 4, 1.0
 _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kept
 _HERMITE_TOL = 1e-2     # interpolant agreement, in units of atol + rtol * T, to skip the ray
+_COTANGENT_TOL = 0.3    # (rtol, atol) of cotangent rays, as a fraction of the options'
 
 
 @dataclass(frozen=True)
@@ -166,8 +183,8 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
     r00 = y.J.y - 2 <b, G_alpha>, S = a^-1 s_.0, s0 = <b, S> and
     P = (r00 - 2 alpha s0) / (2F).  S is zero where beta has no curl, so a
     closed beta only rescales the alpha spray along y: for a beta that is
-    closed by construction (``is_closed``) w, s and S are not formed and
-    P = r00 / (2F).
+    closed by construction (one with a ``potential``) w, s and S are not
+    formed and P = r00 / (2F).
     """
     (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
     al = np.sqrt(A)
@@ -177,7 +194,7 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
         (b0, b1), ((J00, J01), (J10, J11)) = bjet
         F = al + (b0 * y0 + b1 * y1)
         r00 = (J00 * y0 + J01 * y1) * y0 + (J10 * y0 + J11 * y1) * y1 - 2.0 * (b0 * G0 + b1 * G1)
-        if spec.beta.is_closed:
+        if spec.beta.potential is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 P = r00 / (2.0 * F)
             G0, G1 = G0 + P * y0, G1 + P * y1
@@ -228,6 +245,53 @@ def _boundary_stop(spec):
 
     def stop(u):
         return u[:, 0] ** 2 + u[:, 1] ** 2 - r2, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+    return stop
+
+
+def _cotangent_rhs(speed, wind):
+    """Hamilton's equations of H = c|p| + <W, p> on states (x, p) (hot path).
+
+    x' = dH/dp = c p / |p| + W and p' = -dH/dx = -|p| grad c - (dW)^T p,
+    with (dW)_ik = d_k W^i; ``wind`` None is a zero wind.
+    """
+    def rhs(u):
+        x0, x1, p0, p1 = u.T
+        c, (c_0, c_1) = speed.jet(x0, x1)
+        n = np.sqrt(p0 * p0 + p1 * p1)
+        k = c / n
+        out = np.empty(u.T.shape)
+        if wind is None:
+            out[0] = k * p0
+            out[1] = k * p1
+            out[2] = -n * c_0
+            out[3] = -n * c_1
+        else:
+            (W0, W1), ((J00, J01), (J10, J11)) = wind.jet(x0, x1)
+            out[0] = k * p0 + W0
+            out[1] = k * p1 + W1
+            out[2] = -n * c_0 - (p0 * J00 + p1 * J10)
+            out[3] = -n * c_1 - (p0 * J01 + p1 * J11)
+        return out.T
+    return rhs
+
+
+def _cotangent_velocity(speed, wind, u):
+    """dH/dp = c p / |p| + W at states u (m, 4) of (x, p)."""
+    x0, x1, p0, p1 = u.T
+    k = speed.jet(x0, x1)[0] / np.sqrt(p0 * p0 + p1 * p1)
+    if wind is None:
+        return k * p0, k * p1
+    W0, W1 = wind.jet(x0, x1)[0]
+    return k * p0 + W0, k * p1 + W1
+
+
+def _cotangent_stop(spec, speed, wind):
+    """Disk stop g = |x|^2 - R^2 with its exact rate 2<x, dH/dp> on states (x, p)."""
+    r2 = spec.domain.radius ** 2
+
+    def stop(u):
+        v0, v1 = _cotangent_velocity(speed, wind, u)
+        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2, 2.0 * (u[:, 0] * v0 + u[:, 1] * v1)
     return stop
 
 
@@ -319,24 +383,61 @@ def _path_from(res, i, spec, label="geodesic"):
 # shooting fans
 
 
-def _fan_states(spec, theta0, psi):
-    """Initial states for rays leaving boundary angle theta0 at inward angle psi."""
+def _fan_starts(spec, theta0, psi):
+    """Start points and unit directions of rays leaving boundary angle theta0
+    at inward angle psi."""
     R = spec.domain.radius
     x0 = (R * (1.0 - 1e-13)) * np.column_stack([np.cos(theta0), np.sin(theta0)])
     d_ang = theta0 + math.pi + psi
-    d = np.column_stack([np.cos(d_ang), np.sin(d_ang)])
-    f = spec._raw_norm(x0, d)
-    y0 = d / f[:, None]
+    return x0, np.column_stack([np.cos(d_ang), np.sin(d_ang)])
+
+
+def _fan_states(spec, theta0, psi):
+    """Initial spray states (x, y, 0) of the rays of ``_fan_starts``, y F-unit."""
+    x0, d = _fan_starts(spec, theta0, psi)
+    y0 = d / spec._raw_norm(x0, d)[:, None]
     return np.concatenate([x0, y0, np.zeros((len(psi), 1))], axis=1)
 
 
+def _cotangent_fan(spec, fields, x0, d, ctl):
+    """Rays of the dual norm from x0 along d, as a spray fan would end them.
+
+    ``fields`` is the spec's (speed, wind, potential).  A ray starts at
+    p = dF/dy(x0, d), or dalpha/dy where a potential stands in for beta,
+    and is integrated at ``_COTANGENT_TOL`` times the tolerances of ``ctl``.
+    The result's exit states are the 5-column record of a spray ray: the exit
+    point, the velocity dH/dp and the travel time, which is the exit
+    parameter plus phi(exit) - phi(start) under a potential.
+    """
+    speed, wind, phi = fields
+    beta = None if phi is not None else _beta_at(spec.beta, x0)
+    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
+    ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
+    res = ivp.integrate_batch(_cotangent_rhs(speed, wind), np.column_stack([x0, p0, p1]),
+                              _cotangent_stop(spec, speed, wind), ctl)
+    u = res.u_end
+    t = res.t_end if phi is None else res.t_end + (phi.value(u[:, 0:2]) - phi.value(x0))
+    out = np.empty((5, len(u)))
+    out[0], out[1] = u[:, 0], u[:, 1]
+    out[2], out[3] = _cotangent_velocity(speed, wind, u)
+    out[4] = t
+    return replace(res, t_end=t, u_end=out.T)
+
+
 def _exit_fan(spec, theta0, psi, opts, record=False):
-    """Integrate a fan; returns (exit_theta, exit_time, ok, result)."""
-    u0 = _fan_states(spec, np.asarray(theta0, dtype=float), np.asarray(psi, dtype=float))
-    res = ivp.integrate_batch(_geodesic_rhs(spec), u0, _boundary_stop(spec),
-                              opts.controls(opts.trap_time_factor * _time_scale(spec),
-                                            record=record),
-                              record=record)
+    """Integrate a fan; returns (exit_theta, exit_time, ok, result).
+
+    An unrecorded fan of a spec with cotangent fields runs as rays of its
+    dual norm (see the module docstring), every other fan on the spray.
+    """
+    theta0, psi = np.asarray(theta0, dtype=float), np.asarray(psi, dtype=float)
+    ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=record)
+    fields = None if record else spec._cotangent_fields()
+    if fields is not None:
+        res = _cotangent_fan(spec, fields, *_fan_starts(spec, theta0, psi), ctl)
+    else:
+        res = ivp.integrate_batch(_geodesic_rhs(spec), _fan_states(spec, theta0, psi),
+                                  _boundary_stop(spec), ctl, record=record)
     exit_theta = np.arctan2(res.u_end[:, 1], res.u_end[:, 0]) % _TWO_PI
     ok = res.status == ivp.EXITED
     return exit_theta, res.t_end.copy(), ok, res

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidNormError
-from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _rows, _sym,
-                     _unbatch, circle_directions, disk_grid)
+from .fields import (ConformalMetric, ConstantField, EuclideanMetric, MetricField, ScaledForm,
+                     ZeroForm, _pts, _pts_pair, _rows, _sym, _unbatch, circle_directions,
+                     disk_grid)
 
 __all__ = [
     "RandersSpec", "ValidityReport", "LengthParts",
@@ -132,6 +133,23 @@ class RandersSpec:
         """
         return (self.alpha.spray_terms(x0, x1, y0, y1),
                 None if self.beta.is_zero else self.beta.jet(x0, x1))
+
+    def _cotangent_fields(self):
+        """(speed, wind, potential) of the dual norm H = c|p| + <W, p>, or None.
+
+        F = alpha + d phi over alpha = |y| / c (a conformal metric, or the
+        Euclidean one as c = 1) has alpha's geodesics, whose dual norm is
+        c|p| with no wind, and alpha's lengths shifted by phi: this returns
+        (c, None, phi).  Any other spec gives None.
+        """
+        phi = self.beta.potential
+        if phi is None:
+            return None
+        if isinstance(self.alpha, ConformalMetric):
+            return self.alpha.speed, None, phi
+        if isinstance(self.alpha, EuclideanMetric):
+            return ConstantField(1.0), None, phi
+        return None
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""

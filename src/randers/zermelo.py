@@ -189,6 +189,15 @@ class _NavigationSpec(RandersSpec):
         ajet, bjet = self.algebra.jet(x0, x1)
         return jet_spray_terms(ajet, y0, y1), bjet
 
+    def _cotangent_fields(self):
+        """(c, W, None): the dual norm is c|p| + <W, p>, in physical time, over a conformal g."""
+        algebra = self.algebra
+        if isinstance(algebra, _ConformalAlgebra):
+            return algebra.speed, algebra.wind, None
+        if isinstance(algebra.metric, ConformalMetric):
+            return algebra.metric.speed, algebra.wind, None
+        return None
+
     def reverse(self):
         """The same algebra over the wind -W.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randers import (ConformalMetric, ConstantField, ConstantForm, Domain,
+from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm, Domain,
                      EuclideanMetric, ExactForm, ExprField, MediumModel,
                      PotentialBump, RadialProfile, RandersSpec, RotationalForm,
                      SolverOptions, zermelo_construct)
@@ -96,6 +96,18 @@ def opts():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+def bump_gradient(amp):
+    """d of the bump amp (1 - r^2), written as components.
+
+    The form is closed but not by construction (it has no ``potential``), so
+    shooting integrates it on the spray: a gauge check built with it tests
+    the solver on F + d phi against F, which a potential shift of the travel
+    times would otherwise satisfy by construction.
+    """
+    k = -2.0 * amp
+    return ComponentForm([f"{k!r}*x1", f"{k!r}*x2"])
 
 
 def assert_jet_component(comp, m):

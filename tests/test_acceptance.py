@@ -18,6 +18,7 @@ from randers import (ConformalMetric, ConstantField, ConstantForm, Domain,
                      shoot_pairs, solve_bvp, validate_norm, zermelo_construct)
 from randers.boundary import load, save
 from randers.recovery import recover_symmetric_data
+from conftest import bump_gradient
 from pointsets import hausdorff, resample
 
 DOM = Domain(radius=1.0)
@@ -60,7 +61,8 @@ def catalog_specs():
 def bump_pair_16():
     """Criterion 5/6 scenario: smooth conformal metric, boundary-vanishing bump."""
     base = RandersSpec(DOM, SMOOTH)
-    bumped = RandersSpec(DOM, SMOOTH, ExactForm(PotentialBump(0.3, 1.0)))
+    bumped = RandersSpec(DOM, SMOOTH, bump_gradient(0.3))
+    assert bumped._cotangent_fields() is None
     t0 = time.time()
     d1 = distance_matrix(base, 16)
     d2 = distance_matrix(bumped, 16)
@@ -116,9 +118,9 @@ def test_criterion_03_projective_equivalence():
     worst = 0.0
     for alpha, beta1, amp in _gauge_scenarios():
         s1 = RandersSpec(DOM, alpha, beta1)
-        beta2 = (ExactForm(PotentialBump(amp, 1.0)) if beta1 is None
-                 else SumForm(beta1, ExactForm(PotentialBump(amp, 1.0))))
+        beta2 = bump_gradient(amp) if beta1 is None else SumForm(beta1, bump_gradient(amp))
         s2 = RandersSpec(DOM, alpha, beta2)
+        assert s2._cotangent_fields() is None
         paths1 = shoot_pairs(s1, angles, pairs, record_paths=True).paths
         paths2 = shoot_pairs(s2, angles, pairs, record_paths=True).paths
         for a, b in zip(paths1, paths2):
@@ -150,9 +152,9 @@ def test_criterion_04_reversible_geodesics():
     chords = [(0.4, 2.6), (1.5, 4.9)]
     worst = 0.0
     for alpha, beta1, amp in _gauge_scenarios()[:4]:
-        beta2 = (ExactForm(PotentialBump(amp, 1.0)) if beta1 is None
-                 else SumForm(beta1, ExactForm(PotentialBump(amp, 1.0))))
+        beta2 = bump_gradient(amp) if beta1 is None else SumForm(beta1, bump_gradient(amp))
         spec = RandersSpec(DOM, alpha, beta2)
+        assert spec._cotangent_fields() is None
         for a, b in chords:
             worst = max(worst, _reversal_separation(spec, a, b))
     ok_closed = worst <= 1e-6 * DOM.radius

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randers import Domain
+from randers import Domain, PotentialBump, build_scenario, parse_config
 from randers.boundary import load, sample_boundary
 from randers.cli import main
 
@@ -223,6 +223,24 @@ class TestVerify:
         assert len(verdicts) == 7
         for reversal, by_angle, by_points in verdicts:
             assert by_angle == by_points == (text is not ROT_CFG or not reversal)
+
+    @pytest.mark.parametrize("text", [WIND_CFG, BUMP_CFG, ROT_CFG, CURVED_CFG, POTENTIAL_CFG],
+                             ids=["wind", "bump", "rotational", "curved", "potential"])
+    def test_bumped_spec_runs_on_the_spray(self, text, rng):
+        # the gauge lines compare F with F + d phi; were d phi a potential,
+        # the times of F + d phi would be F's shifted by phi and the lines
+        # would hold by construction
+        import randers.cli as cli
+
+        spec = build_scenario(parse_config(text)).spec
+        bumped = cli._bumped(spec)
+        assert bumped._cotangent_fields() is None
+        # d phi of phi = 0.05 (R^2 - r^2) on any radius R
+        x = rng.uniform(-0.6, 0.6, (8, 2))
+        added = bumped.beta.value(x) - spec.beta.value(x)
+        for R in (1.0, 2.5):
+            assert np.allclose(added, PotentialBump(0.05 * R * R, R).gradient(x),
+                               rtol=0, atol=1e-15)
 
     def test_chord_with_several_branches_is_an_error(self, cfg_file, tmp_path, capsys):
         # on this lens three geodesics join the second chord's endpoints

@@ -10,6 +10,7 @@ from randers import (ComponentForm, ConfigError, ConformalMetric, ConstantField,
                      ConstantForm, Domain, DomainError, EuclideanMetric, ExactForm,
                      ExprField, PotentialBump, RadialProfile, RotationalForm,
                      ScaledForm, SumForm, ZeroForm, closedness_residual, disk_grid)
+from randers.fields import LinearCombination, LinearField
 from conftest import assert_jet_component
 from randers.expressions import compile_expression
 from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
@@ -379,6 +380,9 @@ SCALARS = {
     "expr_no_r": ExprField("0.1*x1*x2 + 0.05*x2^3 - 0.08*x1^2"),
     "radial": RadialProfile("1 + 0.3*exp(-4*r^2) + r^3"),
     "bump": PotentialBump(0.3, 1.0),
+    "linear": LinearField([0.2, -0.1]),
+    "combination": LinearCombination((-0.5, PotentialBump(0.3, 1.0)),
+                                     (2.0, ExprField("0.1*x1*x2 + 0.05*r^2"))),
 }
 FORMS = {
     "zero": ZeroForm(),
@@ -457,24 +461,50 @@ def test_tensor_calls_equal_jet(rng, kind, name):
 
 @pytest.mark.parametrize("name", FORMS)
 def test_is_closed_per_family(name):
-    assert FORMS[name].is_closed is (name in ("zero", "constant", "exact"))
+    # closed by construction means carrying a potential; no other family has one
+    assert (FORMS[name].potential is not None) is (name in ("zero", "constant", "exact"))
 
 
 def test_composed_forms_are_closed_when_all_parts_are():
     exact, rot = ExactForm(PotentialBump(0.3, 1.0)), RotationalForm(0.3)
-    assert ScaledForm(exact, 2.0).is_closed is True
-    assert ScaledForm(rot, 2.0).is_closed is False
-    assert SumForm(exact, ZeroForm(), ConstantForm([0.1, 0.2])).is_closed is True
-    assert SumForm(exact, rot).is_closed is False
-    assert SumForm(exact, ScaledForm(SumForm(exact, rot), -1.0)).is_closed is False
+    assert ScaledForm(exact, 2.0).potential is not None
+    assert ScaledForm(rot, 2.0).potential is None
+    assert SumForm(exact, ZeroForm(), ConstantForm([0.1, 0.2])).potential is not None
+    assert SumForm(exact, rot).potential is None
+    assert SumForm(exact, ScaledForm(SumForm(exact, rot), -1.0)).potential is None
     # closedness is a property of the construction, not of the values
-    assert ComponentForm(["x1", "x2"]).is_closed is False
+    assert ComponentForm(["x1", "x2"]).potential is None
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_potential_is_a_primitive_of_the_form(rng, name):
+    # d phi = beta: a central difference of the potential against the jet
+    form, h = CLOSED_FORMS[name], 1e-5
+    x = rng.uniform(-0.6, 0.6, (12, 2))
+    b = form.value(x)
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        fd = (form.potential.value(x + e) - form.potential.value(x - e)) / (2 * h)
+        assert np.allclose(fd, b[:, k], rtol=0, atol=1e-8)
+
+
+def test_potentials_of_the_closed_families(rng):
+    # 0, <b, x>, the exact form's own field, and the weighted sums of those
+    x = rng.uniform(-0.6, 0.6, (12, 2))
+    bump, expr = PotentialBump(0.3, 1.0), ExprField("0.1*x1*x2 + 0.05*r^2")
+    assert np.array_equal(ZeroForm().potential.value(x), np.zeros(12))
+    assert np.array_equal(ConstantForm([0.2, -0.1]).potential.value(x),
+                          0.2 * x[:, 0] - 0.1 * x[:, 1])
+    assert ExactForm(bump).potential is bump
+    summed = SumForm(ScaledForm(ExactForm(bump), -0.5), ExactForm(expr)).potential
+    assert np.allclose(summed.value(x), -0.5 * bump.value(x) + expr.value(x), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)
 def test_closed_forms_have_no_curl(dom, name):
     form = CLOSED_FORMS[name]
-    assert form.is_closed is True
+    assert form.potential is not None
     # exactly zero: J01 and J10 are the same numbers, which is what lets the
     # spray drop its curl terms without changing a bit
     assert closedness_residual(form, disk_grid(dom, 100)) == 0.0

@@ -4,15 +4,18 @@ import types
 import numpy as np
 import pytest
 
-from randers import (ConformalMetric, ConnectivityError, ConstantForm,
-                     DegenerateInputError, Domain, DomainError,
-                     EuclideanMetric, ExactForm, NonAdmissibleError,
+from randers import (ComponentForm, ConformalMetric, ConnectivityError, ConstantField,
+                     ConstantForm, DegenerateInputError, Domain, DomainError,
+                     EuclideanMetric, ExactForm, ExprField, NonAdmissibleError,
                      PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, SolverOptions, SumForm, TrappedGeodesicError,
-                     curve_length, distance_matrix, integrate_geodesic,
-                     reversed_geodesic_check, shoot_pairs, solve_bvp, spray)
+                     conformal_specialize, curve_length, distance_matrix,
+                     integrate_geodesic, linearize, reversed_geodesic_check,
+                     shoot_pairs, solve_bvp, spray)
 from randers import geodesics as geo
+from randers.zermelo import NavigationMetric, _NavigationSpec, _ZermeloAlgebra
 from randers.geodesics import _bracket_roots, _sweep_angles
+from conftest import bump_gradient
 from pointsets import hausdorff, resample
 
 
@@ -253,6 +256,7 @@ class TestFalsePosition:
     def test_batch_equals_brackets_alone(self, monkeypatch, smooth_bump_spec):
         # chords of different lengths converge at different iterations; under
         # a step cap between their step counts the longest chord's rays fail
+        # (its cotangent rays take 61 steps, the next longest 60)
         spec, psi = smooth_bump_spec, _sweep_angles(16)
         theta0 = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.5])
         theta1 = np.array([3.0, 0.3, 1.6, 4.0, 4.3, 2.2])
@@ -272,7 +276,7 @@ class TestFalsePosition:
             return exit_fan(*args, **kwargs)
 
         monkeypatch.setattr(geo, "_exit_fan", counted)
-        opts = SolverOptions(max_steps=89)
+        opts = SolverOptions(max_steps=60)
         batch = geo._false_position(spec, theta0, theta1, lo, hi, m_lo, m_hi, opts)
         assert fans[0] == 6 and min(fans) < 6   # finished brackets leave the batch
         iterations = []
@@ -357,8 +361,9 @@ class TestShootPairs:
         assert abs(path.exit_time - shots.time[0]) < 1e-9
 
     def test_recorded_ray_that_does_not_exit_names_pair(self, smooth_bump_spec):
-        # the sweep and false-position rays exit within 100 steps; the
-        # recorded re-run caps its step size and needs more
+        # the sweep and false-position rays, cotangent rays, exit within 62
+        # steps; the recorded re-run is a spray ray with a capped step size
+        # and needs 112
         opts, angles = SolverOptions(max_steps=100), [0.0, 2.0]
         shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts)
         assert shots.converged[0] and shots.branch_count[0] == 1
@@ -541,6 +546,84 @@ class TestInverseCubic:
         assert fast[3][0] and slow[3][0] and abs(fast[0][0] - slow[0][0]) < 1e-8
 
 
+def _spray_fan(spec, theta0, psi, opts):
+    """The unrecorded spray fan that ``_exit_fan`` runs for a spec without cotangent fields."""
+    return geo.ivp.integrate_batch(geo._geodesic_rhs(spec), geo._fan_states(spec, theta0, psi),
+                                   geo._boundary_stop(spec),
+                                   opts.controls(opts.trap_time_factor * geo._time_scale(spec)))
+
+
+class TestCotangentRays:
+    # max |cotangent - spray| over two 90-ray fans at rtol 1e-12 / atol 1e-15,
+    # as measured: (exit angle, exit time, first-variation rate)
+    MEASURED = {"smooth_bump_spec": (1.31e-12, 2.54e-13, 2.50e-13),
+                "rot_zermelo_spec": (8.38e-13, 1.74e-13, 3.98e-13),
+                "wind_spec": (7.11e-15, 1.33e-14, 5.55e-15),
+                "smooth_spec": (3.27e-13, 1.61e-13, 2.06e-13),
+                "potential_spec": (2.91e-13, 2.75e-13, 2.75e-13)}
+
+    @pytest.fixture(scope="class")
+    def potential_spec(self, dom, smooth_alpha):
+        # a potential that does not vanish on the boundary: the times shift by
+        # up to 0.38 between the ends of a ray
+        beta = SumForm(ExactForm(ExprField("0.1*x1*x2 + 0.05*r^2")), ConstantForm([0.1, -0.2]))
+        return RandersSpec(dom, smooth_alpha, beta)
+
+    @pytest.mark.parametrize("medium", list(MEASURED))
+    def test_agrees_with_spray(self, request, medium):
+        spec, tight = request.getfixturevalue(medium), SolverOptions(rtol=1e-12, atol=1e-15)
+        assert spec._cotangent_fields() is not None
+        theta0, psi = np.repeat([0.7, 3.9], 90), np.tile(_sweep_angles(90), 2)
+        th, t, ok, res = geo._exit_fan(spec, theta0, psi, tight)
+        ref = _spray_fan(spec, theta0, psi, tight)
+        assert ok.all() and (ref.status == geo.ivp.EXITED).all()
+        th_ref = np.arctan2(ref.u_end[:, 1], ref.u_end[:, 0])
+        gaps = (np.abs(geo._wrap(th - th_ref)).max(), np.abs(t - ref.t_end).max(),
+                np.abs(geo._first_variation(spec, res.u_end)
+                       - geo._first_variation(spec, ref.u_end)).max())
+        for gap, measured in zip(gaps, self.MEASURED[medium]):
+            # the measured value, with room for round-off in other builds
+            assert gap <= min(max(2.0 * measured, 1e-13), 1e-11)
+
+    def test_which_specs_qualify(self, dom, smooth_alpha, smooth_profile, euclid_spec, smooth_spec,
+                                 smooth_bump_spec, kink_spec, wind_spec, rot_zermelo_spec):
+        speed, wind, phi = smooth_bump_spec._cotangent_fields()
+        assert speed is smooth_profile and wind is None and phi is smooth_bump_spec.beta.potential
+        speed, wind, phi = euclid_spec._cotangent_fields()
+        assert speed == ConstantField(1.0) and wind is None and phi is not None
+        for spec in (smooth_spec, kink_spec):
+            assert spec._cotangent_fields() is not None
+        # navigation over a conformal speed, from either algebra: the speed
+        # and the wind, with no potential
+        rot = RotationalForm(0.4)
+        nav = conformal_specialize(smooth_profile, rot, dom)
+        assert nav._cotangent_fields() == (smooth_profile, rot, None)
+        assert rot_zermelo_spec._cotangent_fields()[1:] == (rot_zermelo_spec.algebra.wind, None)
+        assert wind_spec._cotangent_fields() is not None
+        # a beta not closed by construction, or an alpha that is not conformal
+        for spec in (RandersSpec(dom, EuclideanMetric(), RotationalForm(0.3)),
+                     RandersSpec(dom, smooth_alpha, bump_gradient(0.3)),
+                     linearize(smooth_profile, rot, dom)[0],
+                     RandersSpec(dom, NavigationMetric(rot_zermelo_spec.algebra)),
+                     _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), rot))):
+            assert spec._cotangent_fields() is None
+        assert ComponentForm(["0.1", "0"]).potential is None
+
+    def test_recorded_fans_stay_on_the_spray(self, smooth_bump_spec):
+        # an unrecorded fan ends with the alpha-unit velocity dH/dp of the
+        # cotangent ray, a recorded one with the F-unit velocity of the spray
+        spec, opts = smooth_bump_spec, SolverOptions()
+        theta0, psi = np.full(9, 1.0), np.linspace(-1.2, 1.2, 9)
+        plain = geo._exit_fan(spec, theta0, psi, opts)[3]
+        recorded = geo._exit_fan(spec, theta0, psi, opts, record=True)[3]
+        assert plain.history is None and recorded.history is not None
+        alpha = RandersSpec(spec.domain, spec.alpha)
+        for res, unit in ((plain, alpha), (recorded, spec)):
+            X, Y = res.u_end[:, 0:2], res.u_end[:, 2:4]
+            assert np.abs(unit._raw_norm(X, Y) - 1.0).max() < 1e-8
+        assert np.abs(spec._raw_norm(plain.u_end[:, 0:2], plain.u_end[:, 2:4]) - 1.0).max() > 0.1
+
+
 class TestFirstVariation:
     @pytest.mark.parametrize("medium", ["smooth_bump_spec", "rot_zermelo_spec"])
     def test_independent_of_stopping_point(self, monkeypatch, request, medium):
@@ -686,7 +769,8 @@ class TestZeroRayBrackets:
 
 class TestProjectiveEquivalence:
     def test_bump_preserves_point_sets(self, dom, smooth_alpha, smooth_spec):
-        spec2 = RandersSpec(dom, smooth_alpha, ExactForm(PotentialBump(0.25, 1.0)))
+        spec2 = RandersSpec(dom, smooth_alpha, bump_gradient(0.25))
+        assert spec2._cotangent_fields() is None
         for a, b in [(0.0, 2.2), (1.1, 4.0), (2.5, 5.9)]:
             p1 = solve_bvp(smooth_spec, dom.boundary_point(a), dom.boundary_point(b)).path
             p2 = solve_bvp(spec2, dom.boundary_point(a), dom.boundary_point(b)).path
