@@ -48,7 +48,6 @@ from .expressions import compile_expression
 __all__ = [
     "Domain", "disk_grid", "circle_directions",
     "ScalarField", "ConstantField", "ExprField", "RadialProfile", "PotentialBump",
-    "LinearField", "LinearCombination",
     "VectorValuedField", "ZeroForm", "ConstantForm", "ExactForm", "RotationalForm",
     "ComponentForm", "ScaledForm", "SumForm",
     "MetricField", "EuclideanMetric", "ConformalMetric",
@@ -621,6 +620,9 @@ class MetricField:
     """
 
     flavor = "general"
+    # the speed c of a metric g = c^-2 e (a ScalarField), None for any other
+    # metric; shooting reads it to trace rays of the dual norm c|p|
+    conformal_speed = None
 
     def jet(self, x0, x1):
         """Planar component jet at the points (x0, x1)."""
@@ -652,6 +654,7 @@ class MetricField:
 @dataclass(frozen=True)
 class EuclideanMetric(MetricField):
     flavor: str = field(default="euclidean", init=False)
+    conformal_speed = ConstantField(1.0)
 
     def jet(self, x0, x1):
         one = np.float64(1.0)
@@ -673,6 +676,10 @@ class ConformalMetric(MetricField):
     def __init__(self, speed):
         self.speed = speed
         self.flavor = "conformal-radial" if isinstance(speed, (RadialProfile, ConstantField)) else "conformal"
+
+    @property
+    def conformal_speed(self):
+        return self.speed
 
     def jet(self, x0, x1):
         c, (c_0, c_1) = self.speed.jet(x0, x1)

@@ -26,14 +26,16 @@ solver tolerance (a cotangent ray, below, at a fixed fraction of it).
 
 Unrecorded fans (the sweep, its refinement levels and false position) of a
 spec with cotangent fields run as rays of its dual norm H(x, p) = F*(x, p)
-instead of on the spray (Hamiltonian ray tracing).  A navigation spec over
-a conformal speed c with wind W has H = c|p| + <W, p>, in physical time.  A
-conformal or Euclidean (c = 1) alpha under a beta with a ``potential`` phi
-has alpha's geodesics, so its rays are those of H = c|p|, and the travel
-time is the exit parameter plus phi(exit) - phi(start): the gauge fact that
-F and F + d phi share geodesics.  A ray starts at p = dF/dy (dalpha/dy
-under a potential), integrates x' = dH/dp, p' = -dH/dx with the disk stop
-at the rate 2<x, dH/dp>, and ends with the 5-column record of a spray ray,
+instead of on the spray (Hamiltonian ray tracing).  A spec qualifies
+through its metric's ``conformal_speed`` c (1 on the Euclidean metric,
+None on a metric that is not conformal).  A navigation spec over such a
+metric with wind W has H = c|p| + <W, p>, in physical time.  A conformal
+alpha under a beta with a ``potential`` phi has alpha's geodesics, so its
+rays are those of H = c|p|, and the travel time is the exit parameter plus
+phi(exit) - phi(start): the gauge fact that F and F + d phi share
+geodesics.  A ray starts at p = dF/dy (dalpha/dy under a potential),
+integrates x' = dH/dp, p' = -dH/dx with the disk stop at the rate
+2<x, dH/dp>, and ends with the 5-column record of a spray ray,
 (x, dH/dp, T), so everything downstream reads it unchanged.  At one
 tolerance these rays are about 4 times less accurate than the spray, so
 they run at ``_COTANGENT_TOL`` times (rtol, atol); the Hermite check below

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidNormError
-from .fields import (ConformalMetric, ConstantField, EuclideanMetric, MetricField, ScaledForm,
-                     ZeroForm, _pts, _pts_pair, _rows, _sym, _unbatch, circle_directions,
-                     disk_grid)
+from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _rows, _sym,
+                     _unbatch, circle_directions, disk_grid)
 
 __all__ = [
     "RandersSpec", "ValidityReport", "LengthParts",
@@ -142,14 +141,10 @@ class RandersSpec:
         c|p| with no wind, and alpha's lengths shifted by phi: this returns
         (c, None, phi).  Any other spec gives None.
         """
-        phi = self.beta.potential
-        if phi is None:
+        speed, phi = self.alpha.conformal_speed, self.beta.potential
+        if speed is None or phi is None:
             return None
-        if isinstance(self.alpha, ConformalMetric):
-            return self.alpha.speed, None, phi
-        if isinstance(self.alpha, EuclideanMetric):
-            return ConstantField(1.0), None, phi
-        return None
+        return speed, None, phi
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""

@@ -82,6 +82,11 @@ class _ZermeloAlgebra:
     def args(self):
         return f"g={self.metric.describe()},W={self.wind.describe()}"
 
+    @property
+    def speed(self):
+        """c when g = c^-2 e, else None."""
+        return self.metric.conformal_speed
+
     def jet(self, x0, x1):
         g, dg = self.metric.jet(x0, x1)
         (V0, V1), dV = self.wind.jet(x0, x1)
@@ -191,12 +196,8 @@ class _NavigationSpec(RandersSpec):
 
     def _cotangent_fields(self):
         """(c, W, None): the dual norm is c|p| + <W, p>, in physical time, over a conformal g."""
-        algebra = self.algebra
-        if isinstance(algebra, _ConformalAlgebra):
-            return algebra.speed, algebra.wind, None
-        if isinstance(algebra.metric, ConformalMetric):
-            return algebra.metric.speed, algebra.wind, None
-        return None
+        speed = self.algebra.speed
+        return None if speed is None else (speed, self.algebra.wind, None)
 
     def reverse(self):
         """The same algebra over the wind -W.

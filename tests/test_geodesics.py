@@ -560,7 +560,8 @@ class TestCotangentRays:
                 "rot_zermelo_spec": (8.38e-13, 1.74e-13, 3.98e-13),
                 "wind_spec": (7.11e-15, 1.33e-14, 5.55e-15),
                 "smooth_spec": (3.27e-13, 1.61e-13, 2.06e-13),
-                "potential_spec": (2.91e-13, 2.75e-13, 2.75e-13)}
+                "potential_spec": (2.91e-13, 2.75e-13, 2.75e-13),
+                "euclid_zermelo_spec": (6.39e-14, 4.77e-14, 6.25e-14)}
 
     @pytest.fixture(scope="class")
     def potential_spec(self, dom, smooth_alpha):
@@ -568,6 +569,11 @@ class TestCotangentRays:
         # up to 0.38 between the ends of a ray
         beta = SumForm(ExactForm(ExprField("0.1*x1*x2 + 0.05*r^2")), ConstantForm([0.1, -0.2]))
         return RandersSpec(dom, smooth_alpha, beta)
+
+    @pytest.fixture(scope="class")
+    def euclid_zermelo_spec(self, dom):
+        # the general algebra over the Euclidean metric: H = |p| + <W, p>
+        return _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), RotationalForm(0.4)))
 
     @pytest.mark.parametrize("medium", list(MEASURED))
     def test_agrees_with_spray(self, request, medium):
@@ -600,12 +606,14 @@ class TestCotangentRays:
         assert nav._cotangent_fields() == (smooth_profile, rot, None)
         assert rot_zermelo_spec._cotangent_fields()[1:] == (rot_zermelo_spec.algebra.wind, None)
         assert wind_spec._cotangent_fields() is not None
+        # the Euclidean metric counts as c = 1 under a potential and under a wind alike
+        flat = _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), rot))
+        assert flat._cotangent_fields() == (ConstantField(1.0), rot, None)
         # a beta not closed by construction, or an alpha that is not conformal
         for spec in (RandersSpec(dom, EuclideanMetric(), RotationalForm(0.3)),
                      RandersSpec(dom, smooth_alpha, bump_gradient(0.3)),
                      linearize(smooth_profile, rot, dom)[0],
-                     RandersSpec(dom, NavigationMetric(rot_zermelo_spec.algebra)),
-                     _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), rot))):
+                     RandersSpec(dom, NavigationMetric(rot_zermelo_spec.algebra))):
             assert spec._cotangent_fields() is None
         assert ComponentForm(["0.1", "0"]).potential is None
 
