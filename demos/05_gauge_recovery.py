@@ -10,7 +10,7 @@ prints the verdicts.
 Run:  python demos/05_gauge_recovery.py   (writes demo_out/recovery/)
 """
 
-from randers import (ConformalMetric, Domain, ExactForm, ExprField,
+from randers import (ComponentForm, ConformalMetric, Domain, ExactForm,
                      PotentialBump, RadialProfile, RandersSpec, SumForm,
                      distance_matrix, recover_boundary_potential,
                      rigidity_report)
@@ -19,8 +19,13 @@ dom = Domain(radius=1.0)
 alpha = ConformalMetric(RadialProfile("2 - r^2"))
 bump = PotentialBump(0.3, 1.0)            # phi = 0.3 (1 - |x|^2), zero on the rim
 
+# d(phi) written as components: closed, but with no potential, so its rays
+# run on the spray and the equal travel times below are the theorem, not a
+# shift of the times by phi that holds by construction
+k = -2.0 * bump.amplitude
 spec1 = RandersSpec(dom, alpha)
-spec2 = RandersSpec(dom, alpha, ExactForm(bump))
+spec2 = RandersSpec(dom, alpha, ComponentForm([f"{k!r}*x1", f"{k!r}*x2"]))
+assert spec2._cotangent_fields() is None
 
 report = rigidity_report(spec1, spec2, n=12, phi_truth=bump)
 print(report.summary())
@@ -30,7 +35,8 @@ print("\nwrote demo_out/recovery/ (report.txt + CSV attachments)")
 # --- a potential that does NOT vanish on the boundary is visible ------------
 base_beta = ExactForm(bump)
 spec3 = RandersSpec(dom, alpha, base_beta)
-spec4 = RandersSpec(dom, alpha, SumForm(base_beta, ExactForm(ExprField("0.1*x1"))))
+spec4 = RandersSpec(dom, alpha, SumForm(base_beta, ComponentForm(["0.1", "0"])))
+assert spec4._cotangent_fields() is None
 d3 = distance_matrix(spec3, 8)
 d4 = distance_matrix(spec4, 8)
 pot = recover_boundary_potential(d3, d4)

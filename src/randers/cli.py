@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import boundary as bd
+from ._tables import write_table
 from .config import build_scenario, emit_config, parse_config
 from .errors import RandersError
 from .fields import ComponentForm, ConstantField, RadialProfile, SumForm, disk_grid
-from .geodesics import _direction_gap, integrate_geodesic, shoot_pairs
+from .geodesics import _direction_gap, _exit_fan, _path_from, shoot_pairs
 from .norms import RandersSpec, closedness_residual
 from .recovery import (_CLOSED_TOL, _DATA_TOL, _POTENTIAL_TOL, recover_boundary_potential,
                        rigidity_report)
@@ -191,26 +191,21 @@ def cmd_plotdata(scenarios, out, threads):
     spec = scn.spec
     dom = scn.domain
     angles = np.linspace(-1.3, 1.3, 12)
-    for k, psi in enumerate(angles):
-        d_ang = math.pi + psi
-        path = integrate_geodesic(spec, dom.boundary_point(0.0),
-                                  np.array([math.cos(d_ang), math.sin(d_ang)]), scn.solver)
-        path.to_csv(os.path.join(out, f"path_{k:02d}.csv"))
+    # one recorded fan from boundary angle 0
+    res = _exit_fan(spec, np.zeros(len(angles)), angles, scn.solver, record=True)[3]
+    for k in range(len(angles)):
+        _path_from(res, k, spec).to_csv(os.path.join(out, f"path_{k:02d}.csv"))
     speed = getattr(scn.medium, "speed", None)
     if speed is None and hasattr(spec.alpha, "speed"):
         speed = spec.alpha.speed
     if isinstance(speed, (RadialProfile, ConstantField)):
         r = np.linspace(0.0, dom.radius, 256)
-        c = speed.profile(r)
-        with open(os.path.join(out, "profile.csv"), "w") as fh:
-            fh.write("# radial sound speed units=length,speed\nr,c\n")
-            for rr, cc in zip(r, c):
-                fh.write(f"{float(rr)!r},{float(cc)!r}\n")
+        write_table(os.path.join(out, "profile.csv"), "radial sound speed units=length,speed",
+                    ["r", "c"], r, speed.profile(r))
     smp = bd.sample_boundary(dom, scn.n_boundary)
-    with open(os.path.join(out, "boundary.csv"), "w") as fh:
-        fh.write("# boundary samples units=radians,length\ni,angle,x1,x2\n")
-        for i, (a, p) in enumerate(zip(smp.angles, smp.points)):
-            fh.write(f"{i},{float(a)!r},{float(p[0])!r},{float(p[1])!r}\n")
+    pts = smp.points
+    write_table(os.path.join(out, "boundary.csv"), "boundary samples units=radians,length",
+                ["i", "angle", "x1", "x2"], np.arange(len(pts)), smp.angles, pts[:, 0], pts[:, 1])
     print(f"wrote {len(angles)} path files, profile.csv, boundary.csv to {out}")
     return 0
 

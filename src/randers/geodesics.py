@@ -85,13 +85,13 @@ the ray.
 
 The spray is the Riemannian spray of alpha plus a beta correction (Shen's
 decomposition): a closed beta adds a multiple of y, so its geodesics are
-alpha's traced at another speed, and only a curl of beta turns them, so a
-beta closed by construction skips the curl terms.  The right-hand side reads
-the positions and velocities of the integrator's column-major batch as four
-contiguous component rows, without a copy, writes its five output
-components into a column-major array, and makes one field call per batch,
-:meth:`RandersSpec.spray_terms`, so its arithmetic runs on (m,) arrays, and
-on NumPy scalars for what the medium keeps constant over the batch.
+alpha's traced at another speed, and only a curl of beta turns them.  The
+right-hand side reads the positions and velocities of the integrator's
+column-major batch as four contiguous component rows, without a copy,
+writes its five output components into a column-major array, and makes one
+field call per batch, :meth:`RandersSpec.spray_terms`, so its arithmetic
+runs on (m,) arrays, and on NumPy scalars for what the medium keeps
+constant over the batch.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import integrators as ivp
+from ._tables import write_table
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      SpecMismatchError, TrappedGeodesicError)
@@ -184,9 +185,7 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
     with J_il = d b_i / dx^l, s_i0 = w (y1, -y0) for w = (J01 - J10) / 2,
     r00 = y.J.y - 2 <b, G_alpha>, S = a^-1 s_.0, s0 = <b, S> and
     P = (r00 - 2 alpha s0) / (2F).  S is zero where beta has no curl, so a
-    closed beta only rescales the alpha spray along y: for a beta that is
-    closed by construction (one with a ``potential``) w, s and S are not
-    formed and P = r00 / (2F).
+    closed beta only rescales the alpha spray along y.
     """
     (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
     al = np.sqrt(A)
@@ -196,18 +195,13 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
         (b0, b1), ((J00, J01), (J10, J11)) = bjet
         F = al + (b0 * y0 + b1 * y1)
         r00 = (J00 * y0 + J01 * y1) * y0 + (J10 * y0 + J11 * y1) * y1 - 2.0 * (b0 * G0 + b1 * G1)
-        if spec.beta.potential is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                P = r00 / (2.0 * F)
-            G0, G1 = G0 + P * y0, G1 + P * y1
-        else:
-            w = 0.5 * (J01 - J10)
-            i00, i01, i11 = inv
-            s0, s1 = w * y1, -w * y0
-            S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
-            G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
+        w = 0.5 * (J01 - J10)
+        i00, i01, i11 = inv
+        s0, s1 = w * y1, -w * y0
+        S0, S1 = i00 * s0 + i01 * s1, i01 * s0 + i11 * s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            P = (r00 - 2.0 * al * (b0 * S0 + b1 * S1)) / (2.0 * F)
+        G0, G1 = G0 + P * y0 + al * S0, G1 + P * y1 + al * S1
     return G0, G1, F
 
 
@@ -318,12 +312,8 @@ class GeodesicPath:
         return float(np.abs(f - 1.0).max())
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# geodesic samples units=time,length\n")
-            fh.write("t,x1,x2,y1,y2\n")
-            for k in range(len(self.t)):
-                fh.write(f"{float(self.t[k])!r},{float(self.x[k, 0])!r},{float(self.x[k, 1])!r},"
-                         f"{float(self.y[k, 0])!r},{float(self.y[k, 1])!r}\n")
+        write_table(path, "geodesic samples units=time,length", ["t", "x1", "x2", "y1", "y2"],
+                    self.t, self.x[:, 0], self.x[:, 1], self.y[:, 0], self.y[:, 1])
 
 
 def _nudged_start(spec, x0):
@@ -757,8 +747,10 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
         return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
                          z.astype(int), z.astype(int), z.astype(int),
                          [] if record_paths else None)
-    starts = np.unique(pairs[:, 0])
-    rows_of = [np.flatnonzero(pairs[:, 0] == i) for i in starts]
+    # each start's pair rows, ascending: one stable sort split at the starts
+    order = np.argsort(pairs[:, 0], kind="stable")
+    starts, first = np.unique(pairs[order, 0], return_index=True)
+    rows_of = np.split(order, first[1:])
     targets = [angles[pairs[rows, 1]] for rows in rows_of]
 
     psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], opts)

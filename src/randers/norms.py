@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tables import write_table
 from .errors import DegenerateInputError, DomainError, InvalidNormError
 from .fields import (MetricField, ScaledForm, ZeroForm, _pts, _pts_pair, _rows, _sym,
                      _unbatch, circle_directions, disk_grid)
@@ -256,13 +257,10 @@ class ValidityReport:
                 f"flags={len(self.flagged)}/{self.probe_count}")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# validity passed={self.passed} probes={self.probe_count} units=dimensionless\n")
-            fh.write("quantity,value\n")
-            fh.write(f"beta_margin,{self.beta_margin!r}\n")
-            fh.write(f"positivity_min,{self.positivity_min!r}\n")
-            fh.write(f"homogeneity_max_rel,{self.homogeneity_max_rel!r}\n")
-            fh.write(f"convexity_min_eig,{self.convexity_min_eig!r}\n")
+        names = ["beta_margin", "positivity_min", "homogeneity_max_rel", "convexity_min_eig"]
+        write_table(path, f"validity passed={self.passed} probes={self.probe_count} "
+                          "units=dimensionless", ["quantity", "value"],
+                    names, [getattr(self, name) for name in names])
 
 
 def validate_norm(spec, probes=None):

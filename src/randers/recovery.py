@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._tables import write_table
 from .boundary import BoundaryDistanceData, decompose, distance_matrix
 from .errors import NonAdmissibleError, RecoveryError, TriplicationError
 from .fields import disk_grid
@@ -312,30 +313,17 @@ class RecoveryReport:
         with open(os.path.join(outdir, "report.txt"), "w") as fh:
             fh.write(self.summary() + "\n")
 
-        def dump(name, mat):
-            with open(os.path.join(outdir, name), "w") as fh:
-                fh.write("# matrix units=time\n")
-                n = mat.shape[0]
-                fh.write("i,j,value\n")
-                for i in range(n):
-                    for j in range(n):
-                        fh.write(f"{i},{j},{float(mat[i, j])!r}\n")
-
-        dump("beta_integrals_1.csv", self.beta_integrals_1)
-        dump("beta_integrals_2.csv", self.beta_integrals_2)
-        dump("symmetric_1.csv", self.symmetric_1)
-        dump("symmetric_2.csv", self.symmetric_2)
-        with open(os.path.join(outdir, "potential.csv"), "w") as fh:
-            fh.write("# boundary potential units=action\n")
-            fh.write("i,angle,phi\n")
-            for i, (a, v) in enumerate(zip(self.angles, self.potential.values)):
-                fh.write(f"{i},{float(a)!r},{float(v)!r}\n")
+        n = len(self.angles)
+        ij = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        for name in ("beta_integrals_1", "beta_integrals_2", "symmetric_1", "symmetric_2"):
+            write_table(os.path.join(outdir, f"{name}.csv"), "matrix units=time",
+                        ["i", "j", "value"], *ij, getattr(self, name).ravel())
+        write_table(os.path.join(outdir, "potential.csv"), "boundary potential units=action",
+                    ["i", "angle", "phi"], np.arange(n), self.angles, self.potential.values)
         for k, prof in enumerate(self.profiles, start=1):
-            with open(os.path.join(outdir, f"profile_{k}.csv"), "w") as fh:
-                fh.write("# recovered radial sound speed units=length,speed\n")
-                fh.write("r,c\n")
-                for rr, cc in zip(prof.r, prof.c):
-                    fh.write(f"{float(rr)!r},{float(cc)!r}\n")
+            write_table(os.path.join(outdir, f"profile_{k}.csv"),
+                        "recovered radial sound speed units=length,speed", ["r", "c"],
+                        prof.r, prof.c)
 
 
 def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,

@@ -117,6 +117,11 @@ class TestDistanceMatrix:
         assert np.abs(D - expect).max() < 1e-8
         assert np.abs(D - D.T).max() < 2e-8  # reversible spec is symmetric
 
+    def test_samples_on_another_radius_rejected(self, euclid_spec):
+        samples = BoundarySamples(angles=np.array([0.0, math.pi]), radius=2.0)
+        with pytest.raises(ValueError, match="different radius"):
+            distance_matrix(euclid_spec, samples)
+
     def test_wind_oracle(self, wind2):
         D = wind2.matrix
         # sample 0 = (1, 0), sample 1 = (-1, 0)

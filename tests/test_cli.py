@@ -266,6 +266,18 @@ class TestPlotdata:
         first = (out / "path_00.csv").read_text().splitlines()
         assert first[1] == "t,x1,x2,y1,y2"
 
+    def test_direct_conformal_profile_from_metric(self, cfg_file, tmp_path):
+        # a direct spec has no medium: the profile is read from alpha's speed
+        out = tmp_path / "out"
+        cfg = cfg_file("d.cfg", '[domain]\nboundary_samples = 4\n\n[medium]\nkind = "direct"\n'
+                                'alpha = "conformal"\nc = "2 - r^2"\n')
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "profile.csv").read_text().splitlines()
+        assert lines[:2] == ["# radial sound speed units=length,speed", "r,c"]
+        r = np.linspace(0.0, 1.0, 256)
+        want = [f"{a!r},{b!r}" for a, b in zip(r.tolist(), (2.0 - r * r).tolist())]
+        assert lines[2:] == want
+
     def test_boundary_csv_bytes(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         cfg = cfg_file("c.cfg", "[domain]\nradius = 1.5\nboundary_samples = 7\n\n"

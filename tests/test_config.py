@@ -189,6 +189,19 @@ class TestBuild:
         v = scn.spec.beta.value(np.array([0.5, 0.25]))
         assert np.allclose(v, [0.025, 0.05])
 
+    def test_planar_speed_simulates(self):
+        from randers import ExprField, distance_matrix
+
+        scn = build_scenario(parse_config(
+            '[domain]\nboundary_samples = 4\n\n[medium]\nkind = "conformal"\n'
+            'c = "2 - 0.3*x1 + 0.2*x1*x2"\nwind = "zero"\n'))
+        assert isinstance(scn.medium.speed, ExprField)
+        x = np.array([[0.5, -0.4]])
+        assert scn.medium.speed.value(x)[0] == pytest.approx(2.0 - 0.15 - 0.04, abs=1e-15)
+        D = distance_matrix(scn.spec, scn.n_boundary, scn.solver).matrix
+        off = ~np.eye(4, dtype=bool)
+        assert np.isfinite(D[off]).all() and (D[off] > 0.0).all()
+
     def test_invalid_norm_rejected(self):
         with pytest.raises(ConfigError, match="margin"):
             build_scenario(parse_config('[medium]\nkind = "direct"\nbeta = "const(1.1, 0)"\n'))

@@ -505,6 +505,6 @@ def test_potentials_of_the_closed_families(rng):
 def test_closed_forms_have_no_curl(dom, name):
     form = CLOSED_FORMS[name]
     assert form.potential is not None
-    # exactly zero: J01 and J10 are the same numbers, which is what lets the
-    # spray drop its curl terms without changing a bit
+    # exactly zero: J01 and J10 are the same numbers, so the spray's curl
+    # terms are exact zeros on every form with a potential
     assert closedness_residual(form, disk_grid(dom, 100)) == 0.0

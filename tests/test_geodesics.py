@@ -124,6 +124,15 @@ class TestInitialValue:
         assert path.unit_speed_residual(spec) <= 1e-6
         assert abs(path.exit_point @ path.exit_point - 1.0) <= 2e-9
 
+    def test_interior_start(self, dom):
+        spec = RandersSpec(dom, ConformalMetric(RadialProfile("2 - r^2")), RotationalForm(0.2))
+        x0 = np.array([0.2, -0.3])
+        path = integrate_geodesic(spec, x0, [0.5, 0.8])
+        assert np.array_equal(path.x[0], x0)   # an interior start is not nudged
+        assert path.unit_speed_residual(spec) <= 1e-6
+        assert abs(path.exit_time - path.f_length) <= 1e-8 * path.exit_time
+        assert abs(np.linalg.norm(path.exit_point) - 1.0) <= 1e-9
+
     def test_exit_on_boundary(self, smooth_bump_spec, dom):
         path = integrate_geodesic(smooth_bump_spec, dom.boundary_point(1.2), [-0.2, -0.9])
         assert abs(np.linalg.norm(path.exit_point) - 1.0) <= 1e-9

@@ -136,6 +136,16 @@ class TestPotentialRecovery:
         with pytest.raises(RecoveryError):
             recover_boundary_potential(bump_pair[0], other)
 
+    @pytest.mark.parametrize("recover", [
+        recover_beta_integrals, recover_symmetric_data, herglotz_invert,
+        lambda data: recover_boundary_potential(data, data)],
+        ids=["beta_integrals", "symmetric_data", "herglotz", "boundary_potential"])
+    def test_excluded_pair_rejected(self, recover):
+        data = analytic_constant_c_data(n=8)
+        data.matrix[0, 1] = np.nan   # an excluded pair
+        with pytest.raises(RecoveryError, match="excluded/missing pairs"):
+            recover(data)
+
 
 class TestHerglotzInvert:
     def test_constant_speed_analytic(self):

@@ -20,9 +20,8 @@ from randers import (ComponentForm, ConformalMetric, ConstantForm,
                      MediumModel, PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, ScaledForm, SumForm, ZeroForm, spray,
                      zermelo_construct)
-from randers import geodesics as geo
-from randers.fields import Domain, VectorValuedField
-from randers.geodesics import SolverOptions, _spray_and_norm
+from randers.fields import Domain
+from randers.geodesics import _spray_and_norm
 
 
 def reference_spray_and_norm(spec, x0, x1, y0, y1, check=False):
@@ -172,47 +171,6 @@ def test_rotational_beta_turns_geodesics(alpha, rng):
     Y = rng.normal(size=(16, 2))
     _, cross = _spray_shift(CONFORMAL[alpha], RotationalForm(0.4), X, Y)
     assert np.abs(cross).max() > 1e-2
-
-
-# an exact beta built from an expression potential and a scaled bump
-EXACT_SUM = SumForm(ExactForm(ExprField("0.1*x1*x2 + 0.05*r^2")), ScaledForm(ExactForm(BUMP), -1.0))
-
-
-class _Unflagged(VectorValuedField):
-    """A form with its base's jet bit for bit, but no potential: the spray forms its curl."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def jet(self, x0, x1):
-        return self.base.jet(x0, x1)
-
-    def describe(self):
-        return self.base.describe()
-
-
-@pytest.mark.parametrize("name", ["smooth_bump_spec", "exact_sum"])
-def test_closed_beta_skips_curl_bit_for_bit(request, name):
-    # a closed beta has J01 = J10 exactly, so its curl terms are exact zeros;
-    # dropping them must leave every spray output unchanged to the bit.
-    # Shooting fans of a closed beta run as cotangent rays, so the spray is
-    # compared where it still runs: on recorded fans
-    spec = (RandersSpec(DOM, ConformalMetric(SPEED), EXACT_SUM) if name == "exact_sum"
-            else request.getfixturevalue(name))
-    assert spec.beta.potential is not None
-    full = RandersSpec(DOM, spec.alpha, _Unflagged(spec.beta))
-    assert full.beta.potential is None
-    n = 12
-    theta0 = np.repeat(2.0 * np.pi * (np.arange(n) + 0.37) / n, 5)
-    psi = np.tile(np.linspace(-1.3, 1.3, 5), n)
-    fans = [geo._exit_fan(s, theta0, psi, SolverOptions(), record=True)[3] for s in (spec, full)]
-    assert (fans[0].status == 0).all()
-    for a, b in zip(fans[0].history, fans[1].history):
-        for u, v in zip(a, b):
-            assert u.dtype == v.dtype and u.shape == v.shape
-            assert np.array_equal(u, v)
-    for field in ("t_end", "u_end", "steps"):
-        assert getattr(fans[0], field).tobytes() == getattr(fans[1], field).tobytes(), field
 
 
 class TestConvexityCheck:

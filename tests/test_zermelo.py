@@ -145,6 +145,11 @@ class TestConformalSpecialization:
         assert spec.alpha.value(x)[0, 0] == pytest.approx(64.0 / 225.0, abs=1e-15)
         assert spec.beta.value(x)[0] == pytest.approx(-2.0 / 15.0, abs=1e-15)
 
+    @pytest.mark.parametrize("wind", [[1.0, 0.0], [0.0, -1.3]])
+    def test_wind_at_or_above_speed_rejected(self, dom, wind):
+        with pytest.raises(InvalidMediumError, match=r"\|W\|_e >= c"):
+            conformal_specialize(ConstantField(1.0), ConstantForm(wind), dom)
+
     def test_agrees_with_general_construction(self, dom, rng):
         speed = RadialProfile("2 - r^2")
         wind = ComponentForm(["0.2 - 0.1*x2", "0.1*x1*x2"])
