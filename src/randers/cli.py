@@ -91,7 +91,9 @@ def cmd_recover(scenarios, out, threads):
 
 def _chord_paths(spec, chords, opts):
     """Paths of the boundary chords (angle pairs) from one batch; raises as solve_bvp does."""
-    angles = np.unique(chords)
+    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
+    angles = np.sort(np.ravel(chords))
+    angles = angles[np.diff(angles, prepend=-np.inf) != 0.0]
     shots = shoot_pairs(spec, angles, np.searchsorted(angles, chords), opts, record_paths=True)
     return [shots.single_path(q, angles) for q in range(len(chords))]
 

@@ -3,13 +3,21 @@
 Geodesics are integrated in F-unit-speed parametrization with an extra
 quadrature state accumulating the F-length, so the exit parameter and the
 length agree to solver precision.  Two-point problems have one solver,
-``shoot_pairs``: it sweeps the inward shooting angle once per start, marks
+``shoot_pairs``: it sweeps the inward shooting angle once per start, finds
 the sweep rays that already hit a target and the sign changes of the angular
-endpoint miss with boolean masks over the sweep axis, and closes the
-brackets of all pairs by interpolating the sweep's exit times or, where
-that is not safe, in one guarded false-position batch.
-A pair's branch count is its number of marked roots.  ``solve_bvp`` is the
-one-pair case.
+endpoint miss in one sorted join over all starts, and closes the brackets
+of all pairs by interpolating the sweep's exit times or, where that is not
+safe, in one guarded false-position batch.  A pair's branch count is its
+number of roots found.  ``solve_bvp`` is the one-pair case.
+
+The join sorts the targets once, by start and then by angle from the start.
+A segment, two neighbouring exited nodes of one start whose exit angles
+differ by less than 0.9 pi, covers an arc of exit angle, and a shot node a
+window of ``miss_rtol`` around its exit; two ``np.searchsorted`` calls find
+the targets in each (interval stabbing, as wavefront construction places
+receivers between neighbouring rays).  Each candidate is then held to the
+exact rules on its own misses, so the join finds what a scan of every target
+against every node finds, in O((P + N) log P) for P pairs and N nodes.
 
 The sweep adapts to the exit map theta(psi) of each start.  A coarse fan of
 ``angle_samples`` rays comes first; then every interval where the map is not
@@ -123,6 +131,7 @@ _REFINE_MAX_ITER = 80   # false-position iterations per bracket
 _ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kept
 _HERMITE_TOL = 1e-2     # interpolant agreement, in units of atol + rtol * T, to skip the ray
 _COTANGENT_TOL = 0.3    # (rtol, atol) of cotangent rays, as a fraction of the options'
+_JOIN_SLACK = 1e-9      # radians by which the pair join widens its search windows
 
 
 @dataclass(frozen=True)
@@ -236,12 +245,15 @@ def _geodesic_rhs(spec):
 
 
 def _boundary_stop(spec):
-    """Disk stop g = |x|^2 - R^2 with its exact rate 2<x, y> (x' = y)."""
+    """Disk stop (value, rate): g = |x|^2 - R^2 and its exact rate 2<x, y> (x' = y)."""
     r2 = spec.domain.radius ** 2
 
-    def stop(u):
-        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
-    return stop
+    def value(u):
+        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2
+
+    def rate(u):
+        return 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+    return value, rate
 
 
 def _cotangent_rhs(speed, wind):
@@ -282,13 +294,14 @@ def _cotangent_velocity(speed, wind, u):
 
 
 def _cotangent_stop(spec, speed, wind):
-    """Disk stop g = |x|^2 - R^2 with its exact rate 2<x, dH/dp> on states (x, p)."""
-    r2 = spec.domain.radius ** 2
+    """Disk stop (value, rate) on states (x, p): g = |x|^2 - R^2 and its exact
+    rate 2<x, dH/dp>, which builds the velocity and so is left to exit refinement."""
+    value = _boundary_stop(spec)[0]
 
-    def stop(u):
+    def rate(u):
         v0, v1 = _cotangent_velocity(speed, wind, u)
-        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2, 2.0 * (u[:, 0] * v0 + u[:, 1] * v1)
-    return stop
+        return 2.0 * (u[:, 0] * v0 + u[:, 1] * v1)
+    return value, rate
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +452,6 @@ def _sweep_angles(n):
     return -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
 
 
-def _bracket_roots(miss, ok, angle_tol):
-    """Root masks of the angular miss along the last (sweep) axis.
-
-    Returns (node, bracket): ``node`` (..., K) marks valid sweep rays whose
-    miss is already within tolerance; ``bracket`` (..., K-1) marks intervals
-    (k, k+1) with valid ends, a sign change and both misses above tolerance.
-    Sign changes across a wrap jump (|dm| >= 0.9 pi) are discarded.  ``ok``
-    broadcasts against ``miss``.
-    """
-    small = np.abs(miss) <= angle_tol
-    node = ok & small
-    m0, m1 = miss[..., :-1], miss[..., 1:]
-    bracket = (ok[..., :-1] & ok[..., 1:] & (np.sign(m0) * np.sign(m1) < 0.0)
-               & (np.abs(m1 - m0) < 0.9 * math.pi) & ~small[..., :-1] & ~small[..., 1:])
-    return node, bracket
-
-
 def _refine_intervals(start, psi, th, ok):
     """Intervals (k, k+1) of the flat sweep nodes where the exit map is not
     safely monotone (see the module docstring), of any width: the depth of
@@ -480,10 +476,11 @@ def _refine_intervals(start, psi, th, ok):
 def _sweep(spec, theta0, opts):
     """Adaptive shooting fans from the starts ``theta0`` (s,), at ``opts``.
 
-    Returns per-start lists of the node angles psi and their exit angle,
-    exit time, exit flag and exit state ((K_si,) and (K_si, 5) arrays,
-    sorted in psi): the coarse fan, then each level of refinement (see the
-    module docstring).
+    Returns the flat node arrays psi, exit angle, exit time, exit flag and
+    exit state ((N,) and (N, 5)), start by start and sorted in psi within a
+    start, and the (s + 1,) offsets of the starts in them: start i's nodes
+    are ``off[i]:off[i + 1]``, the coarse fan and each level of refinement
+    (see the module docstring).
     """
     K = opts.angle_samples
     start = np.repeat(np.arange(len(theta0)), K)
@@ -499,8 +496,7 @@ def _sweep(spec, theta0, opts):
         start, ps, th, t, ok, u = (
             np.insert(a, k + 1, b, axis=0) for a, b in
             ((start, start[k]), (ps, mid), (th, th_m), (t, t_m), (ok, ok_m), (u, res_m.u_end)))
-    cuts = np.flatnonzero(np.diff(start)) + 1
-    return tuple(np.split(a, cuts) for a in (ps, th, t, ok, u))
+    return ps, th, t, ok, u, np.searchsorted(start, np.arange(len(theta0) + 1))
 
 
 def _first_variation(spec, u):
@@ -518,25 +514,25 @@ def _first_variation(spec, u):
 def _inverse_cubic(psi, miss, valid):
     """psi and d psi / d miss at zero miss on the inverse cubic through four nodes.
 
-    Rows of ``psi``, ``miss`` and ``valid`` (q, 4) hold the sweep nodes
+    Columns of ``psi``, ``miss`` and ``valid`` (4, q) hold the sweep nodes
     k-1 .. k+2 around a bracket (k, k+1).  The cubic is the Lagrange
     interpolant of psi in the miss, which needs distinct but not uniform
-    nodes.  A row with an invalid node or misses that are not strictly
+    nodes.  A column with an invalid node or misses that are not strictly
     monotone gives nan for both, which ``_false_position`` reads as a
     secant start.
     """
-    dm = np.diff(miss, axis=1)
-    mono = valid.all(axis=1) & ((dm > 0.0).all(axis=1) | (dm < 0.0).all(axis=1))
-    p, m = psi[mono], miss[mono]
-    root, slope = np.zeros(len(p)), np.zeros(len(p))
+    dm = np.diff(miss, axis=0)
+    mono = valid.all(axis=0) & ((dm > 0.0).all(axis=0) | (dm < 0.0).all(axis=0))
+    p, m = psi[:, mono], miss[:, mono]
+    root, slope = np.zeros(p.shape[1]), np.zeros(p.shape[1])
     for i in range(4):
-        a, b, c = (m[:, j] for j in range(4) if j != i)
+        a, b, c = (m[j] for j in range(4) if j != i)
         # basis i is (x - a)(x - b)(x - c) / its value at m_i; its value and
         # derivative at x = 0 are -abc and ab + ac + bc over that
-        w = p[:, i] / ((m[:, i] - a) * (m[:, i] - b) * (m[:, i] - c))
+        w = p[i] / ((m[i] - a) * (m[i] - b) * (m[i] - c))
         root -= w * a * b * c
         slope += w * (a * b + a * c + b * c)
-    out = np.full((2, len(psi)), np.nan)
+    out = np.full((2, psi.shape[1]), np.nan)
     out[:, mono] = root, slope
     return out
 
@@ -544,28 +540,31 @@ def _inverse_cubic(psi, miss, valid):
 def _hermite_at_zero(miss, time, rate):
     """Exit time at zero miss from the sweep nodes k-2 .. k+3 around a bracket.
 
-    Rows of ``miss``, ``time`` and ``rate`` (q, 6) hold the nodes' misses,
+    Columns of ``miss``, ``time`` and ``rate`` (6, q) hold the nodes' misses,
     exit times and first-variation rates dT/dmiss.  Returns (2, q): the
     degree-11 Hermite interpolant of the time in the miss at zero, and its
     distance from the degree-7 one through the inner four nodes; both come
     from one confluent divided-difference table, which takes the inner
-    nodes first.  A row with a nan rate or misses that are not strictly
+    nodes first.  A column with a nan rate or misses that are not strictly
     monotone gives nan for both.
     """
-    dm = np.diff(miss, axis=1)
-    use = np.isfinite(rate).all(axis=1) & ((dm > 0.0).all(axis=1) | (dm < 0.0).all(axis=1))
+    dm = np.diff(miss, axis=0)
+    use = np.isfinite(rate).all(axis=0) & ((dm > 0.0).all(axis=0) | (dm < 0.0).all(axis=0))
     order = [1, 2, 3, 4, 0, 5]
-    z = np.repeat(miss[use][:, order], 2, axis=1)
-    c = np.repeat(time[use][:, order], 2, axis=1)
-    c[:, 2::2] = (c[:, 2::2] - c[:, 1:-1:2]) / (z[:, 2::2] - z[:, 1:-1:2])
-    c[:, 1::2] = rate[use][:, order]
+    z = np.repeat(miss[order][:, use], 2, axis=0)
+    c = np.repeat(time[order][:, use], 2, axis=0)
+    c[2::2] = (c[2::2] - c[1:-1:2]) / (z[2::2] - z[1:-1:2])
+    c[1::2] = rate[order][:, use]
     for j in range(2, 12):
-        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (z[:, j:] - z[:, :-j])
+        c[j:] = (c[j:] - c[j - 1:-1]) / (z[j:] - z[:-j])
     # Newton form at x = 0: term j is c_j times the product of (0 - z_l), l < j
-    terms = c * np.cumprod(np.concatenate([np.ones((len(z), 1)), -z[:, :-1]], axis=1), axis=1)
-    outer = terms[:, 8:].sum(axis=1)
-    out = np.full((2, len(miss)), np.nan)
-    out[:, use] = terms[:, :8].sum(axis=1) + outer, np.abs(outer)
+    t = c * np.cumprod(np.concatenate([np.ones((1, z.shape[1])), -z[:-1]]), axis=0)
+    # summed in the order of numpy's sum over a row of 8 and of 4 (which adds
+    # to +0.0, so it differs only where every term is -0.0)
+    inner = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    outer = ((t[8] + t[9]) + t[10]) + t[11]
+    out = np.full((2, miss.shape[1]), np.nan)
+    out[:, use] = inner + outer, np.abs(outer)
     return out
 
 
@@ -708,6 +707,74 @@ class PairShots:
         return self.paths[q]
 
 
+def _pair_join(start, target, theta0, off, exit_th, valid, tol):
+    """Hits and brackets of every pair on its start's sweep nodes, by sorted search.
+
+    Pair q runs from start ``start[q]``, at boundary angle
+    ``theta0[start[q]]``, to the angle ``target[q]``.  Start i's nodes are
+    ``off[i]:off[i + 1]`` of the flat ``exit_th`` and ``valid``, its two
+    grazing limits first and last.  With the miss m = _wrap(exit - target),
+    a hit is a valid node other than a grazing limit with |m| <= ``tol``,
+    and a bracket is a segment (k, k + 1) of two valid neighbours whose
+    misses change sign, differ by less than 0.9 pi, and both exceed ``tol``.
+
+    The targets are sorted once, by start and then by angle from the start,
+    and binary search finds those within ``tol`` of each node's exit and on
+    each segment's arc (see the module docstring).  The windows are wider by
+    ``_JOIN_SLACK``, far above the rounding of the keys, and each candidate
+    is held to the exact rules above, so the result is a scan's of every
+    target against every node.  Returns (hit_pair, hit_node, bracket_pair,
+    bracket_node), each sorted by pair and then node.
+    """
+    # start i's keys 8 i + (angle from the start) lie in [8 i, 8 i + 2 pi];
+    # the sorts are stable: numpy's default sort kernels would map about
+    # 0.4 MB more code into a process (peak RSS of randers simulate, n = 32)
+    key = 8.0 * start + (target - theta0[start]) % _TWO_PI
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bound = np.concatenate(([0], np.cumsum(np.bincount(start, minlength=len(theta0)))))
+    node_start = np.repeat(np.arange(len(theta0)), np.diff(off))
+    rel = (exit_th - theta0[node_start]) % _TWO_PI
+
+    def stab(k, lo, hi):
+        """(pair, node k) for each target at an angle in [lo, hi] from node k's start."""
+        # a window that reaches below 0 or above 2 pi also searches a turn on
+        below, above = np.flatnonzero(lo < 0.0), np.flatnonzero(hi > _TWO_PI)
+        w = np.concatenate([np.arange(len(k)), below, above])
+        turn = np.repeat([0.0, _TWO_PI, -_TWO_PI], [len(k), len(below), len(above)])
+        k = k[w]
+        si = node_start[k]
+        first = np.maximum(np.searchsorted(key, 8.0 * si + (lo[w] + turn), "left"), bound[si])
+        last = np.minimum(np.searchsorted(key, 8.0 * si + (hi[w] + turn), "right"),
+                          bound[si + 1])
+        n = np.maximum(last - first, 0)
+        at = np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+        return order[at], np.repeat(k, n)
+
+    def by_pair(pair, node):
+        # a window wider than a turn finds a target twice; one is kept
+        pk = np.sort(pair * len(exit_th) + node, kind="stable")
+        return np.divmod(pk[np.diff(pk, prepend=-1) != 0], len(exit_th))
+
+    limit = np.zeros(len(exit_th), dtype=bool)
+    limit[off[:-1]] = limit[off[1:] - 1] = True
+    k = np.flatnonzero(valid & ~limit)
+    half = tol + _JOIN_SLACK
+    hp, hk = stab(k, rel[k] - half, rel[k] + half)
+    hit = np.abs(_wrap(exit_th[hk] - target[hp])) <= tol
+
+    d = _wrap(np.diff(exit_th))
+    seg = valid[:-1] & valid[1:] & (np.abs(d) < 0.9 * math.pi + _JOIN_SLACK)
+    seg[off[1:-1] - 1] = False   # no segment joins two starts
+    k = np.flatnonzero(seg)
+    bp, bk = stab(k, rel[k] + np.minimum(d[k], 0.0) - _JOIN_SLACK,
+                  rel[k] + np.maximum(d[k], 0.0) + _JOIN_SLACK)
+    m0, m1 = _wrap(exit_th[bk] - target[bp]), _wrap(exit_th[bk + 1] - target[bp])
+    bracket = ((np.sign(m0) * np.sign(m1) < 0.0) & (np.abs(m1 - m0) < 0.9 * math.pi)
+               & ~(np.abs(m0) <= tol) & ~(np.abs(m1) <= tol))
+    return (*by_pair(hp[hit], hk[hit]), *by_pair(bp[bracket], bk[bracket]))
+
+
 def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     """Solve many ordered boundary pairs sharing per-start sweeps.
 
@@ -719,7 +786,8 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     exit angle theta0, which is exact on a strictly convex boundary; they
     close the brackets of the targets next to the start.  A pair counts one
     branch per shot sweep ray within tolerance of its target and per
-    bracket; a pair with such a ray takes the first one, every other
+    bracket, which one join over all starts finds by binary search (see
+    ``_pair_join``); a pair with such a ray takes the first one, every other
     pair its first converged bracket in sweep order, with all brackets
     closed in a single pass: a bracket whose Hermite exit times agree to
     ``_HERMITE_TOL`` times the integrator's tolerance is interpolated from
@@ -747,57 +815,47 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
         return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
                          z.astype(int), z.astype(int), z.astype(int),
                          [] if record_paths else None)
-    # each start's pair rows, ascending: one stable sort split at the starts
-    order = np.argsort(pairs[:, 0], kind="stable")
-    starts, first = np.unique(pairs[order, 0], return_index=True)
-    rows_of = np.split(order, first[1:])
-    targets = [angles[pairs[rows, 1]] for rows in rows_of]
-
-    psi, exit_th, exit_t, ok, exit_u = _sweep(spec, angles[starts], opts)
-    # first-variation rates of all exited sweep rays in one call
-    flat_ok = np.concatenate(ok)
-    flat_rate = np.full(len(flat_ok), np.nan)
-    flat_rate[flat_ok] = _first_variation(spec, np.concatenate(exit_u)[flat_ok])
-    rate = np.split(flat_rate, np.cumsum([len(a) for a in ok])[:-1])
+    starts, start = np.unique(pairs[:, 0], return_inverse=True)
+    theta0, target = angles[starts], angles[pairs[:, 1]]
+    psi, exit_th, exit_t, ok, exit_u, off = _sweep(spec, theta0, opts)
+    rate = np.full(len(ok), np.nan)
+    rate[ok] = _first_variation(spec, exit_u[ok])
+    # each start's nodes: its shot rays between the grazing limits
+    # psi = -+pi/2, which exit where they start and have no rate
+    ends = np.repeat(off, 2)[1:-1]
+    ps = np.insert(psi, ends, np.tile([-0.5 * math.pi, 0.5 * math.pi], len(starts)))
+    th = np.insert(exit_th, ends, np.repeat(theta0, 2))
+    valid = np.insert(ok, ends, True)
+    pv, tv = np.insert(rate, ends, np.nan), np.insert(exit_t, ends, np.nan)
+    node_off = off + 2 * np.arange(len(off))
+    hit_pair, hit_node, owner, kb = _pair_join(start, target, theta0, node_off, th, valid,
+                                               opts.miss_rtol)
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
     state = np.full((P, 5), np.nan)
     bend = np.zeros(P)   # d rate / d theta at the accepted ray, where known
-    count = np.zeros(P, dtype=int)
-    nodes = np.zeros(P, dtype=int)
+    count = np.bincount(hit_pair, minlength=P) + np.bincount(owner, minlength=P)
+    nodes = np.diff(off)[start]
     converged = np.zeros(P, dtype=bool)
-    fp = []   # per start: pair rows, bracket ends, misses there, and the six nodes around
-    for si, (rows, tg) in enumerate(zip(rows_of, targets)):
-        nodes[rows] = len(psi[si])
-        # nodes: the shot rays (node k is ray k - 1) between the grazing
-        # limits psi = -+pi/2, which exit where they start, are never hits
-        # and have no rate
-        th0 = angles[starts[si]]
-        ps = np.concatenate(([-0.5 * math.pi], psi[si], [0.5 * math.pi]))
-        valid = np.concatenate(([True], ok[si], [True]))
-        pv = np.concatenate(([np.nan], rate[si], [np.nan]))
-        tv = np.concatenate(([np.nan], exit_t[si], [np.nan]))
-        m = _wrap(np.concatenate(([th0], exit_th[si], [th0])) - tg[:, None])
-        K = len(ps)
-        node, bracket = _bracket_roots(m, valid, opts.miss_rtol)
-        node[:, [0, -1]] = False
-        count[rows] = node.sum(axis=1) + bracket.sum(axis=1)
-        hit = node.any(axis=1)
-        k = node.argmax(axis=1)[hit]
-        r = rows[hit]
-        time[r], miss[r], angle[r], state[r] = (exit_t[si][k - 1], m[hit, k], ps[k],
-                                                exit_u[si][k - 1])
-        converged[r] = True
-        q, kb = np.nonzero(bracket & ~hit[:, None])
-        six = kb[:, None] + np.arange(-2, 4)   # nodes k-2 .. k+3 around bracket k
-        inside = (six >= 0) & (six < K)
-        six = np.clip(six, 0, K - 1)
-        fp.append((rows[q], ps[kb], ps[kb + 1], m[q, kb], m[q, kb + 1], ps[six],
-                   m[q[:, None], six], valid[six] & inside, pv[six], tv[six]))
-
-    owner, lo, hi, m_lo, m_hi, ps6, m6, v6, p6, t6 = (np.concatenate(c) for c in zip(*fp))
-    ps4, m4, v4, p4 = (a[:, 1:5] for a in (ps6, m6, v6, p6))
+    # a pair with a hit takes its first one (node k is shot ray k - 2 s - 1
+    # of start s), and its brackets are not closed
+    first_hit = np.diff(hit_pair, prepend=-1) != 0
+    r, k = hit_pair[first_hit], hit_node[first_hit]
+    time[r], miss[r], angle[r] = tv[k], _wrap(th[k] - target[r]), ps[k]
+    state[r] = exit_u[k - 2 * start[r] - 1]
+    converged[r] = True
+    unhit = ~converged[owner]
+    owner, kb = owner[unhit], kb[unhit]
+    # the six nodes k-2 .. k+3 around bracket k, clipped to its start's nodes
+    six = kb + np.arange(-2, 4)[:, None]
+    lo_end, hi_end = node_off[start[owner]], node_off[start[owner] + 1] - 1
+    inside = (six >= lo_end) & (six <= hi_end)
+    six = np.clip(six, lo_end, hi_end)
+    ps6, m6 = ps[six], _wrap(th[six] - target[owner])
+    v6, p6, t6 = valid[six] & inside, pv[six], tv[six]
+    lo, hi, m_lo, m_hi = ps6[2], ps6[3], m6[2], m6[3]
+    ps4, m4, v4, p4 = (a[1:5] for a in (ps6, m6, v6, p6))
     # a bracket whose degree-11 and degree-7 Hermite exit times agree well
     # within the integrator's own tolerance there takes the former and shoots
     # no ray (recorded paths must end at their targets)
@@ -814,7 +872,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     p, tt, mm, good = cubic[0], t0, np.zeros(len(owner)), zero.copy()
     uu, rays = np.full((len(owner), 5), np.nan), np.zeros(len(owner), dtype=int)
     p[go], tt[go], mm[go], good[go], uu[go], rays[go] = _false_position(
-        spec, angles[pairs[owner[go], 0]], angles[pairs[owner[go], 1]], lo[go], hi[go],
+        spec, theta0[start[owner[go]]], target[owner[go]], lo[go], hi[go],
         m_lo[go], m_hi[go], opts, cubic[:, go], cap)
     brackets = np.bincount(owner, minlength=P)
     bracket_rays = np.bincount(owner, weights=rays, minlength=P).astype(int)

@@ -7,9 +7,10 @@ crosses the stop surface (sign change of a scalar stop function from <= 0 to
 > 0), the crossing time is pinned afterwards by a bracketed Newton iteration
 on the step length, each iterate one fixed step from the last interior
 state, so the refined exit inherits the integrator's local accuracy; the
-stop function supplies its own time derivative, so Newton costs no extra
-right-hand-side evaluation.  Detection is end-of-step only, which is exact
-for domains whose boundary is strictly convex for the flow being integrated.
+stop supplies its own time derivative, so Newton costs no extra
+right-hand-side evaluation, and only the refinement asks for it.
+Detection is end-of-step only, which is exact for domains whose boundary is
+strictly convex for the flow being integrated.
 
 The driver and the exit refinement hold only their live rows, the
 unfinished rays, each with its index in the batch.  A ray's result is written
@@ -17,12 +18,13 @@ to the output arrays once, when it finishes; the live arrays are updated with
 masks and compacted only on iterations where some ray finished.
 
 The live batch is column-major: a (d, m) array with each of the d state
-components contiguous over the m rays.  ``rhs`` and ``stop`` receive its
-transpose, an (m, d) view, and ``rhs`` may return an (m, d) array of any
-layout (one whose columns are contiguous is used without a copy), so a
-right-hand side written for row-major input still works.  Per-ray norms sum
-the components one row at a time, in the order numpy's mean over a short
-row uses, and rays are compacted with ``take`` on the ray axis.
+components contiguous over the m rays.  ``rhs`` and the stop's callables
+receive its transpose, an (m, d) view, and ``rhs`` may return an (m, d)
+array of any layout (one whose columns are contiguous is used without a
+copy), so a right-hand side written for row-major input still works.
+Per-ray norms sum the components one row at a time, in the order numpy's
+mean over a short row uses, and rays are compacted with ``take`` on the ray
+axis.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
 
     ``u0`` and ``f0`` are (m, d), the returned exit states too.  Every
     iterate is a single fixed DP45 step of length tau from u0, so the
-    stop value g is a smooth function of tau.  The first iterate is the root
+    stop value g is a smooth function of tau; ``stop`` is the pair
+    (value, rate) of ``integrate_batch``.  The first iterate is the root
     of the quadratic through g(0), g'(0) and g(h) = g1, which is exact for
     straight rays; each later one is a Newton step with the stop rate as
     slope.  An iterate outside the bracket g(lo) <= 0 < g(hi), which starts
@@ -151,14 +154,15 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
     tau, u_exit = np.empty_like(h), np.empty_like(u0)
     ids = np.arange(len(h))
     lo, hi, tol = np.zeros_like(h), h, _EXIT_RTOL * h
-    g, dg = stop(u0.T)
+    value, rate = stop
+    g, dg = value(u0.T), rate(u0.T)
     curv = (g1 - g - dg * h) / (h * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_new = -2.0 * g / (dg + np.sqrt(np.maximum(dg * dg - 4.0 * curv * g, 0.0)))
     while ids.size:
         t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
         u_new, _ = _rk_step(rhs, u0, t_new, f0)
-        g, dg = stop(u_new.T)
+        g, dg = value(u_new.T), rate(u_new.T)
         out = g > 0.0
         hi, lo = np.where(out, t_new, hi), np.where(out, lo, t_new)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -177,15 +181,17 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
 def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     """Integrate du/dt = rhs(u) for a batch until each ray crosses stop > 0.
 
-    ``rhs`` maps (k, d) -> (k, d) and must be pure.  ``stop`` maps (k, d) to
-    a pair (g, dg) of (k,) arrays: the stop value and its rate dg/dt along
-    the flow, which exit refinement uses as a Newton slope (for the disk
-    stop g = |x|^2 - R^2 with x' = y, dg = 2<x, y>).  Both receive (k, d)
-    views of the column-major batch (see the module docstring).  Rays start
+    ``rhs`` maps (k, d) -> (k, d) and must be pure.  ``stop`` is a pair
+    (value, rate) of callables mapping (k, d) to (k,) arrays: the stop value
+    g and its rate dg/dt along the flow, which only exit refinement reads,
+    as a Newton slope (for the disk stop g = |x|^2 - R^2 with x' = y,
+    dg = 2<x, y>).  All three receive (k, d) views of the column-major batch
+    (see the module docstring).  Rays start
     with g <= 0 and finish when g first turns positive at the end of an
     accepted step; the exit is then refined inside that step.
     """
     ctl = ctl or Controls()
+    value = stop[0]
     u0 = np.atleast_2d(np.asarray(u0, dtype=float))
     m = len(u0)
 
@@ -221,7 +227,7 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
         # stop is evaluated on accepted (finite) states only
         g = np.zeros_like(t)
         idx = np.flatnonzero(accept)
-        g[idx] = stop(u5.take(idx, axis=1).T)[0]
+        g[idx] = value(u5.take(idx, axis=1).T)
         crossed = g > 0.0
         stay = accept & ~crossed
         t = np.where(stay, t + hs, t)

@@ -14,7 +14,7 @@ from randers import (ComponentForm, ConformalMetric, ConnectivityError, Constant
                      shoot_pairs, solve_bvp, spray)
 from randers import geodesics as geo
 from randers.zermelo import NavigationMetric, _NavigationSpec, _ZermeloAlgebra
-from randers.geodesics import _bracket_roots, _sweep_angles
+from randers.geodesics import _sweep_angles
 from conftest import bump_gradient
 from pointsets import hausdorff, resample
 
@@ -217,48 +217,170 @@ class TestBoundaryValue:
             assert curve_length(smooth_bump_spec, poly).total >= d - 1e-9
 
 
+def _bracket_roots(miss, ok, angle_tol):
+    """Root masks of the angular miss along the last (sweep) axis.
+
+    Returns (node, bracket): ``node`` (..., K) marks valid sweep rays whose
+    miss is already within tolerance; ``bracket`` (..., K-1) marks intervals
+    (k, k+1) with valid ends, a sign change and both misses above tolerance.
+    Sign changes across a wrap jump (|dm| >= 0.9 pi) are discarded.  ``ok``
+    broadcasts against ``miss``.
+    """
+    small = np.abs(miss) <= angle_tol
+    node = ok & small
+    m0, m1 = miss[..., :-1], miss[..., 1:]
+    bracket = (ok[..., :-1] & ok[..., 1:] & (np.sign(m0) * np.sign(m1) < 0.0)
+               & (np.abs(m1 - m0) < 0.9 * math.pi) & ~small[..., :-1] & ~small[..., 1:])
+    return node, bracket
+
+
+def _scan(start, target, theta0, off, exit_th, valid, tol):
+    """``geo._pair_join`` by scanning every target against every node of its start.
+
+    This is the (targets x K) miss array of each start that the join
+    replaced, marked by ``_bracket_roots``; the grazing limits, each start's
+    first and last node, are never hits.
+    """
+    hits, brackets = [], []
+    for si in range(len(theta0)):
+        rows, nodes = np.flatnonzero(start == si), np.arange(off[si], off[si + 1])
+        node, bracket = _bracket_roots(geo._wrap(exit_th[nodes] - target[rows, None]),
+                                       valid[nodes], tol)
+        node[:, [0, -1]] = False
+        q, k = np.nonzero(node)
+        hits.append((rows[q], nodes[k]))
+        q, k = np.nonzero(bracket)
+        brackets.append((rows[q], nodes[k]))
+    out = []
+    for found in (hits, brackets):
+        pair, node = (np.concatenate(c) for c in zip(*found))
+        order = np.lexsort((node, pair))
+        out += [pair[order], node[order]]
+    return out
+
+
+def _join_and_scan(start, target, theta0, off, exit_th, valid, tol=1e-8):
+    """The join's result, checked equal to the scan's."""
+    args = (np.asarray(start), np.asarray(target, dtype=float), np.asarray(theta0, dtype=float),
+            np.asarray(off), np.asarray(exit_th, dtype=float), np.asarray(valid), tol)
+    join = geo._pair_join(*args)
+    for got, ref in zip(join, _scan(*args)):
+        assert got.dtype.kind == "i" and np.array_equal(got, ref)
+    return join
+
+
+def _branch_count(join, pairs):
+    return np.bincount(join[0], minlength=pairs) + np.bincount(join[2], minlength=pairs)
+
+
+def _one_start(miss, ok, target=2.5, theta0=1.0):
+    """Node table of one start whose misses from ``target`` are ``miss``,
+    between grazing limits that did not exit (so that they add no root)."""
+    exit_th = np.concatenate(([theta0], (target + np.asarray(miss)) % (2.0 * math.pi), [theta0]))
+    valid = np.concatenate(([False], np.broadcast_to(ok, len(miss)), [False]))
+    return [0, len(exit_th)], exit_th, valid
+
+
+def _roots(miss, ok):
+    """Hit nodes and brackets of the one-start table of ``_one_start``, as
+    indices into ``miss``."""
+    join = _join_and_scan([0], [2.5], [1.0], *_one_start(miss, ok))
+    return (join[1] - 1).tolist(), (join[3] - 1).tolist()
+
+
 class TestBracketLogic:
+    """The pair join (``geo._pair_join``), always checked against the scan it replaced."""
+
     def test_single_root(self):
-        miss = np.linspace(-1.0, 1.0, 16)
-        ok = np.ones(16, dtype=bool)
-        node, bracket = _bracket_roots(miss, ok, 1e-8)
-        assert bracket.shape == (15,) and node.shape == (16,)
-        assert bracket.sum() == 1 and not node.any()
+        hits, brackets = _roots(np.linspace(-1.0, 1.0, 16), True)
+        assert hits == [] and len(brackets) == 1
 
     def test_wrap_jump_discarded(self):
-        miss = np.array([2.0, 2.8, -2.9, -2.0, -1.0, -0.5, -0.2, -0.1])
-        ok = np.ones(8, dtype=bool)
-        node, bracket = _bracket_roots(miss, ok, 1e-8)
-        assert not bracket.any() and not node.any()
+        hits, brackets = _roots([2.0, 2.8, -2.9, -2.0, -1.0, -0.5, -0.2, -0.1], True)
+        assert hits == [] and brackets == []
 
     def test_node_root_detected(self):
-        miss = np.array([1.0, 0.5, 0.0, -0.5, -1.0, -1.5, -2.0, -2.5])
-        ok = np.ones(8, dtype=bool)
-        node, bracket = _bracket_roots(miss, ok, 1e-8)
-        assert np.flatnonzero(node).tolist() == [2] and not bracket.any()
+        hits, brackets = _roots([1.0, 0.5, 0.0, -0.5, -1.0, -1.5, -2.0, -2.5], True)
+        assert hits == [2] and brackets == []
 
     def test_invalid_rays_break_brackets(self):
-        miss = np.array([1.0, 0.5, -0.5, -1.0, -1.5, -2.0])
-        ok = np.array([True, True, False, True, True, True])
-        _, bracket = _bracket_roots(miss, ok, 1e-8)
-        assert not bracket.any()
+        _, brackets = _roots([1.0, 0.5, -0.5, -1.0, -1.5, -2.0],
+                             [True, True, False, True, True, True])
+        assert brackets == []
 
     def test_multiple_roots_counted(self):
-        miss = np.array([1.0, 0.5, -0.5, -1.0, -0.4, 0.3, 0.8, 0.4, -0.3, -0.8, -1.2, -1.6])
-        ok = np.ones(12, dtype=bool)
-        _, bracket = _bracket_roots(miss, ok, 1e-8)
-        assert bracket.sum() == 3
+        _, brackets = _roots(
+            [1.0, 0.5, -0.5, -1.0, -0.4, 0.3, 0.8, 0.4, -0.3, -0.8, -1.2, -1.6], True)
+        assert len(brackets) == 3
 
     def test_rows_match_single_sweeps(self):
-        # one (targets x K) call marks the same roots as one call per row
-        miss = np.array([[1.0, 0.5, 0.0, -0.5, -1.0, -1.5],
-                         [2.0, 2.8, -2.9, -2.0, -1.0, 0.5],
-                         [1.0, -0.5, -1.0, -0.4, 0.3, 0.8]])
-        ok = np.array([True, True, True, True, False, True])
-        node, bracket = _bracket_roots(miss, ok, 1e-8)
-        for row, m in enumerate(miss):
-            n1, b1 = _bracket_roots(m, ok, 1e-8)
-            assert np.array_equal(node[row], n1) and np.array_equal(bracket[row], b1)
+        # one call for several targets of a start marks the roots of one call per target
+        off, exit_th, valid = _one_start([1.0, 0.5, 0.0, -0.5, -1.0, -1.5], True)
+        valid[5] = False
+        targets = np.array([2.5, 3.1, 1.9, 2.5 - 1e-9])
+        both = _join_and_scan(np.zeros(4, dtype=int), targets, [1.0], off, exit_th, valid)
+        for q in range(len(targets)):
+            one = _join_and_scan([0], targets[q:q + 1], [1.0], off, exit_th, valid)
+            for pair, node, one_pair, one_node in ((both[0], both[1], one[0], one[1]),
+                                                   (both[2], both[3], one[2], one[3])):
+                assert np.array_equal(node[pair == q], one_node) and (one_pair == 0).all()
+
+    # node tables of two starts, as exit angles measured from the start; each
+    # start's first and last node are its grazing limits, which exit at the start
+    FOLD = [0.0, 0.2, 0.5, 1.0, 1.6, 1.3, 1.0, 1.4, 2.0, 2.6, 2.9, 3.2, 4.5, 6.0, 2.0 * math.pi]
+    FAILED = 10   # the ray at 2.9 did not exit: no bracket spans 2.6 .. 3.2
+    # a curve that winds past 2 pi: up across the start (6.0 -> 0.3), a wrap
+    # jump (3.0 -> 0.05, 2.95 >= 0.9 pi), and down across the start (0.05 -> 6.1)
+    WOUND = [0.0, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.0, 0.3, 1.0, 2.0, 3.0, 0.05, 6.1, 5.0, 4.0,
+             2.0 * math.pi]
+    AT_2 = 10   # the node at 2.0 on the second pass
+
+    def test_hand_made_tables(self):
+        theta0 = np.array([0.3, 6.1])
+        rel = [np.array(self.FOLD), np.array(self.WOUND)]
+        exit_th = np.concatenate([(t + r) % (2.0 * math.pi) for t, r in zip(theta0, rel)])
+        off = np.array([0, len(rel[0]), len(rel[0]) + len(rel[1])])
+        exit_th[[0, off[1] - 1]], exit_th[[off[1], off[2] - 1]] = theta0
+        valid = np.ones(len(exit_th), dtype=bool)
+        valid[self.FAILED] = False
+        special = {  # (start, angle from it): branch count
+            (0, 1.2): 3,        # the fold: three segments span it
+            (0, 2.8): 0,        # behind the failed ray
+            (0, 1e-3): 1, (0, -1e-3): 1,   # next to the start
+            (1, 1e-3): 3,       # next to the start, and on both crossings of it
+            (1, -1e-3): 3,      # likewise, on the last segment and both crossings
+            (1, 0.1): 2,        # on the first segment and the upward crossing
+            (1, 6.2): 3,        # on both crossings and the last segment
+            (1, 1.2): 2,        # on both passes, but not on the jump's arc
+            (1, 2.0): 2,        # a hit on the second pass, whose segments do not
+                                # count, and a bracket on the first pass
+            (0, 0.0): 0,        # the start itself
+        }
+        start = [s for s, _ in special]
+        target = [(theta0[s] + r) % (2.0 * math.pi) for s, r in special]
+        target[list(special).index((1, 2.0))] = exit_th[off[1] + self.AT_2]
+        grid = np.linspace(0.0, 2.0 * math.pi, 157, endpoint=False)
+        start += [0] * len(grid) + [1] * len(grid)
+        target = np.concatenate([target, grid, grid])
+        join = _join_and_scan(start, target, theta0, off, exit_th, valid)
+        assert _branch_count(join, len(target))[:len(special)].tolist() == list(special.values())
+        assert (off[1] + self.AT_2) in join[1]
+
+    @pytest.mark.parametrize("medium", [
+        "euclid_spec", "wind_spec", "smooth_spec", "smooth_bump_spec", "kink_spec",
+        "rot_zermelo_spec", "lens_spec", "offcentre_lens_spec", "narrow_lens_spec"])
+    def test_sweeps_of_every_medium(self, request, medium):
+        # the nodes of one sweep from every start at n = 12, as shoot_pairs joins them
+        angles, pairs = _all_pairs(12)
+        pairs = np.array(pairs)
+        _, th, _, ok, _, off = geo._sweep(request.getfixturevalue(medium), angles, SolverOptions())
+        ends = np.repeat(off, 2)[1:-1]
+        join = _join_and_scan(pairs[:, 0], angles[pairs[:, 1]], angles,
+                              off + 2 * np.arange(len(off)),
+                              np.insert(th, ends, np.repeat(angles, 2)), np.insert(ok, ends, True))
+        count = _branch_count(join, len(pairs))
+        assert count.min() >= 1
+        assert (count.max() == 3) == (medium.endswith("lens_spec"))
 
 
 class TestFalsePosition:
@@ -352,7 +474,7 @@ class TestShootPairs:
             return np.array([by_pair[p] for p in pairs])
 
         # both result paths are compared: sweep nodes and false position
-        at_node = np.isin(table(runs[0], "angle"), np.concatenate(nodes))
+        at_node = np.isin(table(runs[0], "angle"), nodes)
         assert at_node.any() and not at_node.all()
         for field in ("time", "miss", "angle", "branch_count"):
             ref = table(runs[0], field)
@@ -516,7 +638,7 @@ class TestInverseCubic:
         # psi a cubic in the miss: the interpolant is exact, on uneven nodes too
         m = np.array([[-0.3, -0.1, 0.05, 0.4], [0.5, 0.2, -0.1, -0.2]])
         psi = 0.7 + 1.3 * m - 0.4 * m ** 2 + 0.9 * m ** 3
-        root, slope = geo._inverse_cubic(psi, m, np.ones((2, 4), dtype=bool))
+        root, slope = geo._inverse_cubic(psi.T, m.T, np.ones((4, 2), dtype=bool))
         assert np.allclose(root, 0.7, rtol=0, atol=1e-14)
         assert np.allclose(slope, 1.3, rtol=0, atol=1e-13)
 
@@ -529,7 +651,7 @@ class TestInverseCubic:
         m = np.array([miss, [-0.3, -0.1, 0.05, 0.4]])
         psi = np.array([[0.0, 0.1, 0.2, 0.3]] * 2)
         ok = np.array([valid, [True] * 4])
-        root, slope = geo._inverse_cubic(psi, m, ok)
+        root, slope = geo._inverse_cubic(psi.T, m.T, ok.T)
         assert np.isnan(root[0]) and np.isnan(slope[0])
         assert np.isfinite(root[1]) and np.isfinite(slope[1])
 
@@ -542,14 +664,14 @@ class TestInverseCubic:
         four = np.arange(k - 1, k + 3)
         turned = m[four].copy()
         turned[0] = turned[2]   # no longer monotone
-        cubic = geo._inverse_cubic(psi[four][None], turned[None], ok[four][None])
+        cubic = geo._inverse_cubic(psi[four][:, None], turned[:, None], ok[four][:, None])
         assert np.isnan(cubic).all()
         args = (spec, np.zeros(1), np.full(1, 2.5), psi[k:k + 1], psi[k + 1:k + 2],
                 m[k:k + 1], m[k + 1:k + 2], SolverOptions())
         for got, ref in zip(geo._false_position(*args, cubic), geo._false_position(*args)):
             assert np.array_equal(got, ref, equal_nan=True)
         # from the true nodes the cubic start lands on the same root
-        good = geo._inverse_cubic(psi[four][None], m[four][None], ok[four][None])
+        good = geo._inverse_cubic(psi[four][:, None], m[four][:, None], ok[four][:, None])
         assert np.isfinite(good).all()
         fast, slow = geo._false_position(*args, good), geo._false_position(*args)
         assert fast[3][0] and slow[3][0] and abs(fast[0][0] - slow[0][0]) < 1e-8
@@ -689,6 +811,24 @@ class TestFirstVariation:
         assert rate == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
 
 
+def _hermite_rows(miss, time, rate):
+    """``geo._hermite_at_zero`` on row-major (q, 6) tables, with numpy's row sums."""
+    dm = np.diff(miss, axis=1)
+    use = np.isfinite(rate).all(axis=1) & ((dm > 0.0).all(axis=1) | (dm < 0.0).all(axis=1))
+    order = [1, 2, 3, 4, 0, 5]
+    z = np.repeat(miss[use][:, order], 2, axis=1)
+    c = np.repeat(time[use][:, order], 2, axis=1)
+    c[:, 2::2] = (c[:, 2::2] - c[:, 1:-1:2]) / (z[:, 2::2] - z[:, 1:-1:2])
+    c[:, 1::2] = rate[use][:, order]
+    for j in range(2, 12):
+        c[:, j:] = (c[:, j:] - c[:, j - 1:-1]) / (z[:, j:] - z[:, :-j])
+    terms = c * np.cumprod(np.concatenate([np.ones((len(z), 1)), -z[:, :-1]], axis=1), axis=1)
+    outer = terms[:, 8:].sum(axis=1)
+    out = np.full((2, len(miss)), np.nan)
+    out[:, use] = terms[:, :8].sum(axis=1) + outer, np.abs(outer)
+    return out
+
+
 class TestZeroRayBrackets:
     def test_hermite_exact_on_degree_eleven(self, rng):
         # values and slopes at six uneven nodes fix a degree-11 polynomial;
@@ -702,14 +842,27 @@ class TestZeroRayBrackets:
         m[1] = -m[1]
         T = np.array([poly.polyval(mi, ci) for mi, ci in zip(m, coef)])
         p = np.array([poly.polyval(mi, poly.polyder(ci)) for mi, ci in zip(m, coef)])
-        t0, err = geo._hermite_at_zero(m, T, p)
+        t0, err = geo._hermite_at_zero(m.T, T.T, p.T)
         assert np.allclose(t0, coef[:, 0], rtol=0, atol=1e-14)
         assert np.isfinite(err).all() and err[2] <= 1e-14
         # a fold among the nodes or a node without a rate gives nan
         turned, unrated = m[:1].copy(), p[:1].copy()
         turned[0, 5], unrated[0, 0] = turned[0, 3], np.nan
-        assert np.isnan(geo._hermite_at_zero(turned, T[:1], p[:1])).all()
-        assert np.isnan(geo._hermite_at_zero(m[:1], T[:1], unrated)).all()
+        assert np.isnan(geo._hermite_at_zero(turned.T, T[:1].T, p[:1].T)).all()
+        assert np.isnan(geo._hermite_at_zero(m[:1].T, T[:1].T, unrated.T)).all()
+
+    def test_columns_sum_as_rows(self, rng):
+        # the column-major table adds its terms in the order of numpy's row
+        # sums, so it is bit for bit the row-major one, on rows of zeros too
+        q = 4000
+        m = np.sort(rng.normal(size=(q, 6)), axis=1) * 10.0 ** rng.integers(-4, 1, (q, 1))
+        m[::2] = -m[::2]
+        T, p = rng.normal(size=(2, q, 6)) * 10.0 ** rng.integers(-3, 3, (2, q, 6))
+        T[::7], p[::11] = rng.choice([0.0, -0.0], size=(2, 6))
+        p[::13, 2] = np.nan
+        ref = _hermite_rows(m, T, p)
+        got = geo._hermite_at_zero(m.T.copy(), T.T.copy(), p.T.copy())
+        assert np.isnan(ref).any() and ref.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("medium, rtol", [("smooth_bump_spec", 1e-12),
                                               ("rot_zermelo_spec", 1e-12),

@@ -54,7 +54,7 @@ def test_overshooting_step_refines_to_root(euclid_spec):
     stop = _boundary_stop(euclid_spec)
     u0 = np.array([[0.5, 0.4, 0.6, 0.8]])
     h = np.array([4.0])
-    g1 = stop(u0 + h[:, None] * _line_rhs(u0))[0]
+    g1 = stop[0](u0 + h[:, None] * _line_rhs(u0))
     assert g1[0] > 20.0
     tau, u_exit = ivp._refine_exits(_line_rhs, stop, u0, _line_rhs(u0), h, g1)
     assert tau[0] == pytest.approx(_line_exit(u0)[0][0], abs=1e-14)
@@ -84,6 +84,31 @@ def _refine_rows(monkeypatch, spec, u0):
     return ivp.integrate_batch(counted, u0, _boundary_stop(spec)), rows["refine"]
 
 
+def test_only_refinement_reads_the_rate(monkeypatch, smooth_bump_spec):
+    # the step loop asks the stop for its value alone; the rate is the
+    # Newton slope of exit refinement
+    value, rate = _boundary_stop(smooth_bump_spec)
+    refining, calls = [False], []
+    refine = ivp._refine_exits
+
+    def refine_phase(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+
+    def checked_rate(u):
+        calls.append(refining[0])
+        return rate(u)
+
+    monkeypatch.setattr(ivp, "_refine_exits", refine_phase)
+    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
+    res = ivp.integrate_batch(_geodesic_rhs(smooth_bump_spec), u0, (value, checked_rate))
+    assert (res.status == ivp.EXITED).all()
+    assert calls and all(calls)
+
+
 def test_refinement_row_budget(monkeypatch, euclid_spec):
     psi = _sweep_angles(720)
     u0 = _fan_states(euclid_spec, np.full(720, 0.4), psi)
@@ -110,8 +135,15 @@ def _oscillator_rhs(u):
     return out
 
 
-def _unit_disk_stop(u):
-    return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0, 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+def _unit_disk_value(u):
+    return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0
+
+
+def _unit_disk_rate(u):
+    return 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+
+
+_UNIT_DISK_STOP = (_unit_disk_value, _unit_disk_rate)
 
 
 # exiting rays, slow oscillations trapped by t_max, fast ones capped by
@@ -133,11 +165,11 @@ MIXED_CTL = ivp.Controls(t_max=20.0, max_steps=400)
 @pytest.mark.parametrize("record", [False, True])
 def test_mixed_batch_equals_rays_alone(record):
     u0, ctl = MIXED_U0, MIXED_CTL
-    res = ivp.integrate_batch(_oscillator_rhs, u0, _unit_disk_stop, ctl, record=record)
+    res = ivp.integrate_batch(_oscillator_rhs, u0, _UNIT_DISK_STOP, ctl, record=record)
     assert set(res.status.tolist()) == {ivp.EXITED, ivp.TRAPPED, ivp.MAXSTEPS, ivp.FAILED}
     assert (res.history is None) == (not record)
     for k in range(len(u0)):
-        one = ivp.integrate_batch(_oscillator_rhs, u0[k:k + 1], _unit_disk_stop, ctl,
+        one = ivp.integrate_batch(_oscillator_rhs, u0[k:k + 1], _UNIT_DISK_STOP, ctl,
                                   record=record)
         assert res.status[k] == one.status[0]
         assert res.t_end[k] == one.t_end[0]
@@ -173,8 +205,8 @@ def test_rhs_and_stop_see_contiguous_columns(smooth_bump_spec, record):
     # batch; a copy into row-major rows would show up here
     rhs_calls, stop_calls = [], []
     u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
-    res = ivp.integrate_batch(_layout_spy(_geodesic_rhs(smooth_bump_spec), rhs_calls), u0,
-                              _layout_spy(_boundary_stop(smooth_bump_spec), stop_calls),
+    stop = tuple(_layout_spy(fn, stop_calls) for fn in _boundary_stop(smooth_bump_spec))
+    res = ivp.integrate_batch(_layout_spy(_geodesic_rhs(smooth_bump_spec), rhs_calls), u0, stop,
                               record=record)
     assert (res.status == ivp.EXITED).all()
     assert len(rhs_calls) > 50 and all(rhs_calls)
@@ -184,11 +216,12 @@ def test_rhs_and_stop_see_contiguous_columns(smooth_bump_spec, record):
 def test_refine_exits_sees_contiguous_columns(euclid_spec):
     # row-major input, as from a caller outside the driver
     rhs_calls, stop_calls = [], []
-    stop = _boundary_stop(euclid_spec)
+    value, rate = _boundary_stop(euclid_spec)
     u0 = np.array([[0.5, 0.4, 0.6, 0.8], [0.0, 0.1, -1.0, 0.0]])
     h = np.array([4.0, 2.0])
-    g1 = stop(u0 + h[:, None] * _line_rhs(u0))[0]
-    tau, u_exit = ivp._refine_exits(_layout_spy(_line_rhs, rhs_calls), _layout_spy(stop, stop_calls),
+    g1 = value(u0 + h[:, None] * _line_rhs(u0))
+    stop = (_layout_spy(value, stop_calls), _layout_spy(rate, stop_calls))
+    tau, u_exit = ivp._refine_exits(_layout_spy(_line_rhs, rhs_calls), stop,
                                     u0, _line_rhs(u0), h, g1)
     assert np.abs(tau - _line_exit(u0)[0]).max() <= 1e-14
     assert u_exit.shape == u0.shape
@@ -202,12 +235,12 @@ def _column_major_oscillator(u):
 @pytest.mark.parametrize("record", [False, True])
 def test_layouts_give_identical_results(record):
     """C- and F-ordered starts, row- and column-major rhs: the same bits."""
-    ref = ivp.integrate_batch(_oscillator_rhs, MIXED_U0, _unit_disk_stop, MIXED_CTL,
+    ref = ivp.integrate_batch(_oscillator_rhs, MIXED_U0, _UNIT_DISK_STOP, MIXED_CTL,
                               record=record)
     for fn in (_oscillator_rhs, _column_major_oscillator):
         for u0 in (np.ascontiguousarray(MIXED_U0), np.asfortranarray(MIXED_U0)):
             calls = []
-            res = ivp.integrate_batch(_layout_spy(fn, calls), u0, _unit_disk_stop, MIXED_CTL,
+            res = ivp.integrate_batch(_layout_spy(fn, calls), u0, _UNIT_DISK_STOP, MIXED_CTL,
                                       record=record)
             assert all(calls)
             for field in ("status", "t_end", "u_end", "steps"):
