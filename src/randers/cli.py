@@ -102,9 +102,9 @@ def _bumped(spec):
     """spec + d phi for phi = 0.05 (R^2 - r^2), which vanishes on the boundary.
 
     d phi = (-0.1 x1, -0.1 x2) for any R, written as components: closed, but
-    not by construction, so the spec has no cotangent fields and its rays run
-    on the spray.  Through a potential its times would shift by phi, and the
-    gauge lines below would hold by construction.
+    with no potential, so the rays integrate it (as the 1-form b of F(c, W) + b).
+    Through a potential its times would shift by phi, and the gauge lines
+    below would hold by construction.
     """
     return RandersSpec(spec.domain, spec.alpha,
                        SumForm(spec.beta, ComponentForm(["-0.1*x1", "-0.1*x2"])))

@@ -1,14 +1,14 @@
 """Geodesic spray, initial-value shooting, and boundary-to-boundary solving.
 
-Geodesics are integrated in F-unit-speed parametrization with an extra
-quadrature state accumulating the F-length, so the exit parameter and the
-length agree to solver precision.  Two-point problems have one solver,
-``shoot_pairs``: it sweeps the inward shooting angle once per start, finds
-the sweep rays that already hit a target and the sign changes of the angular
-endpoint miss in one sorted join over all starts, and closes the brackets
-of all pairs by interpolating the sweep's exit times or, where that is not
-safe, in one guarded false-position batch.  A pair's branch count is its
-number of roots found.  ``solve_bvp`` is the one-pair case.
+Geodesics are integrated as rays of the dual norm, parametrized by F-arc
+length, so a ray's exit parameter is its travel time.  Two-point problems
+have one solver, ``shoot_pairs``: it sweeps the inward shooting angle once
+per start, finds the sweep rays that already hit a target and the sign
+changes of the angular endpoint miss in one sorted join over all starts,
+and closes the brackets of all pairs by interpolating the sweep's exit
+times or, where that is not safe, in one guarded false-position batch.  A
+pair's branch count is its number of roots found.  ``solve_bvp`` is the
+one-pair case.
 
 The join sorts the targets once, by start and then by angle from the start.
 A segment, two neighbouring exited nodes of one start whose exit angles
@@ -29,26 +29,21 @@ d over the interval width h) and a neighbour's differ by more than
 includes every sign change.  A fold of the exit map,
 d theta / d psi = 0, is a caustic; where the map has none the coarse fan is
 all the sweep shoots, and where it has one the refined nodes resolve it to
-pi / (2**_REFINE_DEPTH * angle_samples).  Every sweep ray is shot at the
-solver tolerance (a cotangent ray, below, at a fixed fraction of it).
+pi / (2**_REFINE_DEPTH * angle_samples).
 
-Unrecorded fans (the sweep, its refinement levels and false position) of a
-spec with cotangent fields run as rays of its dual norm H(x, p) = F*(x, p)
-instead of on the spray (Hamiltonian ray tracing).  A spec qualifies
-through its metric's ``conformal_speed`` c (1 on the Euclidean metric,
-None on a metric that is not conformal).  A navigation spec over such a
-metric with wind W has H = c|p| + <W, p>, in physical time.  A conformal
-alpha under a beta with a ``potential`` phi has alpha's geodesics, so its
-rays are those of H = c|p|, and the travel time is the exit parameter plus
-phi(exit) - phi(start): the gauge fact that F and F + d phi share
-geodesics.  A ray starts at p = dF/dy (dalpha/dy under a potential),
-integrates x' = dH/dp, p' = -dH/dx with the disk stop at the rate
-2<x, dH/dp>, and ends with the 5-column record of a spray ray,
-(x, dH/dp, T), so everything downstream reads it unchanged.  At one
-tolerance these rays are about 4 times less accurate than the spray, so
-they run at ``_COTANGENT_TOL`` times (rtol, atol); the Hermite check below
-keeps the options' tolerance.  Recorded fans stay on the spray, so a
-:class:`GeodesicPath` stays F-unit-speed.
+Every ray, recorded or not, integrates Hamilton's equations of the dual
+norm H = F* on states (x, p) (Hamiltonian ray tracing), in F-arc length.
+The spec writes F as F(c, W) + b (``RandersSpec._cotangent_fields``): a
+navigation norm, whose dual is c|p| + <W, p>, plus a 1-form b that moves
+its dual ball, so H has a closed form (``_navigation_dual``).  An unrecorded
+fan of a conformal alpha under a beta with a ``potential`` phi drops b: F
+and F + d phi share geodesics, and the travel time is the exit parameter
+plus phi(exit) - phi(start).  A ray starts at p = dF/dy and ends with the
+record (x, dH/dp, T); dH/dp is F-unit for any p, so a recorded path is
+F-unit-speed by construction.  At one tolerance these rays are about 4
+times less accurate than the geodesic equation of ``spray``, which the
+tests hold them against, so they run at ``_COTANGENT_TOL`` times
+(rtol, atol); the Hermite check below keeps the options' tolerance.
 
 Most brackets are then closed without a ray.  Each exited sweep node
 carries its exit time T and its first-variation rate p (below), which is
@@ -90,16 +85,6 @@ not shot).  With p' known, the first ray of a bracket is kept when its
 full-tolerance ray; other rays, and every ray of a recorded path, iterate
 to ``miss_rtol``.  ``GeodesicPath.exit_time`` stays the raw exit time of
 the ray.
-
-The spray is the Riemannian spray of alpha plus a beta correction (Shen's
-decomposition): a closed beta adds a multiple of y, so its geodesics are
-alpha's traced at another speed, and only a curl of beta turns them.  The
-right-hand side reads the positions and velocities of the integrator's
-column-major batch as four contiguous component rows, without a copy,
-writes its five output components into a column-major array, and makes one
-field call per batch, :meth:`RandersSpec.spray_terms`, so its arithmetic
-runs on (m,) arrays, and on NumPy scalars for what the medium keeps
-constant over the batch.
 """
 
 from __future__ import annotations
@@ -188,7 +173,7 @@ def _time_scale(spec):
 
 
 def _spray_and_norm(spec, x0, x1, y0, y1):
-    """Planar spray (G0, G1) and norm F on component arrays; no domain checks (hot path).
+    """Planar spray (G0, G1) and norm F on component arrays; no domain checks.
 
     G = G_alpha + P y + alpha S (Shen's decomposition of a Randers spray),
     with J_il = d b_i / dx^l, s_i0 = w (y1, -y0) for w = (J01 - J10) / 2,
@@ -230,44 +215,59 @@ def spray(spec, x, y):
     return _unbatch(np.column_stack([G0, G1]), single)
 
 
-def _geodesic_rhs(spec):
-    def rhs(u):
-        x0, x1, y0, y1 = u.T[0:4]
-        G0, G1, F = _spray_and_norm(spec, x0, x1, y0, y1)
-        out = np.empty(u.T.shape)
-        out[0] = y0
-        out[1] = y1
-        out[2] = -2.0 * G0
-        out[3] = -2.0 * G1
-        out[4] = F
-        return out.T
-    return rhs
+# ---------------------------------------------------------------------------
+# rays of the dual norm
 
 
-def _boundary_stop(spec):
-    """Disk stop (value, rate): g = |x|^2 - R^2 and its exact rate 2<x, y> (x' = y)."""
-    r2 = spec.domain.radius ** 2
+def _navigation_dual(c, W, b, p0, p1):
+    """t = H(x, p) of F = F(c, W) + b, v = p - t b, |v|, u = c v / |v| + W, 1 + <u, b>.
 
-    def value(u):
-        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2
+    F's dual ball is F(c, W)'s moved by b, so t > 0 solves c|v| + <W, v> = t:
+    with w = <W, p>, kappa = 1 + <W, b>, m = kappa w - c^2 <b, p> and
+    lam = kappa^2 - c^2 |b|^2 (> 0 where F is a norm), that is
+    t = (m + sqrt(m^2 + lam (c^2 |p|^2 - w^2))) / lam.  W None is zero.
+    """
+    b0, b1 = b
+    c2 = c * c
+    m, lam = -c2 * (b0 * p0 + b1 * p1), -c2 * (b0 * b0 + b1 * b1)
+    q = c2 * (p0 * p0 + p1 * p1)
+    if W is None:   # kappa = 1, w = 0
+        lam = 1.0 + lam
+    else:
+        w, kappa = W[0] * p0 + W[1] * p1, 1.0 + (W[0] * b0 + W[1] * b1)
+        m, lam, q = kappa * w + m, kappa * kappa + lam, q - w * w
+    t = (m + np.sqrt(m * m + lam * q)) / lam
+    v0, v1 = p0 - t * b0, p1 - t * b1
+    n = np.sqrt(v0 * v0 + v1 * v1)
+    k = c / n
+    u0, u1 = (k * v0, k * v1) if W is None else (k * v0 + W[0], k * v1 + W[1])
+    return t, (v0, v1), n, (u0, u1), 1.0 + (u0 * b0 + u1 * b1)
 
-    def rate(u):
-        return 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
-    return value, rate
 
+def _cotangent_rhs(speed, wind, form=None):
+    """Hamilton's equations of the dual norm H of F = F(c, W) + b on states (x, p) (hot path).
 
-def _cotangent_rhs(speed, wind):
-    """Hamilton's equations of H = c|p| + <W, p> on states (x, p) (hot path).
-
-    x' = dH/dp = c p / |p| + W and p' = -dH/dx = -|p| grad c - (dW)^T p,
-    with (dW)_ik = d_k W^i; ``wind`` None is a zero wind.
+    Without b, H = c|p| + <W, p>: x' = dH/dp = c p / |p| + W and
+    p' = -dH/dx = -|p| grad c - (dW)^T p, with (dW)_ik = d_k W^i.  With b
+    (``form``) and ``_navigation_dual``'s t, v, u and delta, x' = u / delta
+    and p'_k = -(d_k c |v| + <d_k W, v> - t <u, d_k b>) / delta.
     """
     def rhs(u):
         x0, x1, p0, p1 = u.T
         c, (c_0, c_1) = speed.jet(x0, x1)
+        out = np.empty(u.T.shape)
+        if form is not None:
+            b, ((B00, B01), (B10, B11)) = form.jet(x0, x1)
+            W, J = (None, None) if wind is None else wind.jet(x0, x1)
+            t, (v0, v1), n, (u0, u1), d = _navigation_dual(c, W, b, p0, p1)
+            g0 = n * c_0 - t * (u0 * B00 + u1 * B10)
+            g1 = n * c_1 - t * (u0 * B01 + u1 * B11)
+            if J is not None:   # (dW)_ik = J[i][k]
+                g0, g1 = g0 + (v0 * J[0][0] + v1 * J[1][0]), g1 + (v0 * J[0][1] + v1 * J[1][1])
+            out[0], out[1], out[2], out[3] = u0 / d, u1 / d, -g0 / d, -g1 / d
+            return out.T
         n = np.sqrt(p0 * p0 + p1 * p1)
         k = c / n
-        out = np.empty(u.T.shape)
         if wind is None:
             out[0] = k * p0
             out[1] = k * p1
@@ -283,25 +283,59 @@ def _cotangent_rhs(speed, wind):
     return rhs
 
 
-def _cotangent_velocity(speed, wind, u):
-    """dH/dp = c p / |p| + W at states u (m, 4) of (x, p)."""
+def _cotangent_velocity(speed, wind, u, form=None):
+    """dH/dp at states u (m, 4) of (x, p): c p / |p| + W without b, u / delta with it."""
     x0, x1, p0, p1 = u.T
-    k = speed.jet(x0, x1)[0] / np.sqrt(p0 * p0 + p1 * p1)
+    c = speed.jet(x0, x1)[0]
+    if form is not None:
+        W = None if wind is None else wind.jet(x0, x1)[0]
+        _, _, _, (u0, u1), d = _navigation_dual(c, W, form.jet(x0, x1)[0], p0, p1)
+        return u0 / d, u1 / d
+    k = c / np.sqrt(p0 * p0 + p1 * p1)
     if wind is None:
         return k * p0, k * p1
     W0, W1 = wind.jet(x0, x1)[0]
     return k * p0 + W0, k * p1 + W1
 
 
-def _cotangent_stop(spec, speed, wind):
+def _cotangent_stop(spec, speed, wind, form=None):
     """Disk stop (value, rate) on states (x, p): g = |x|^2 - R^2 and its exact
     rate 2<x, dH/dp>, which builds the velocity and so is left to exit refinement."""
-    value = _boundary_stop(spec)[0]
+    r2 = spec.domain.radius ** 2
+
+    def value(u):
+        return u[:, 0] ** 2 + u[:, 1] ** 2 - r2
 
     def rate(u):
-        v0, v1 = _cotangent_velocity(speed, wind, u)
+        v0, v1 = _cotangent_velocity(speed, wind, u, form)
         return 2.0 * (u[:, 0] * v0 + u[:, 1] * v1)
     return value, rate
+
+
+def _cotangent_fan(spec, x0, d, ctl, record=False):
+    """Rays of the dual norm H of F from x0 along d, with exit records (x, dH/dp, T).
+
+    The rays start at p = dF/dy(x0, d) and run at ``_COTANGENT_TOL`` times
+    the tolerances of ``ctl``.  An unrecorded fan under a potential phi
+    drops the 1-form b, starts at dalpha/dy and adds phi(exit) - phi(start)
+    to the exit parameter.  A recorded history keeps the states (x, p).
+    """
+    speed, wind, form, phi = spec._cotangent_fields()
+    if record or phi is None:
+        phi, beta = None, _beta_at(spec.beta, x0)
+    else:
+        form = beta = None
+    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
+    ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
+    res = ivp.integrate_batch(_cotangent_rhs(speed, wind, form), np.column_stack([x0, p0, p1]),
+                              _cotangent_stop(spec, speed, wind, form), ctl, record=record)
+    u = res.u_end
+    t = res.t_end if phi is None else res.t_end + (phi.value(u[:, 0:2]) - phi.value(x0))
+    out = np.empty((5, len(u)))
+    out[0], out[1] = u[:, 0], u[:, 1]
+    out[2], out[3] = _cotangent_velocity(speed, wind, u, form)
+    out[4] = t
+    return replace(res, t_end=t, u_end=out.T)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +349,14 @@ class GeodesicPath:
     t: np.ndarray          # (k,) parameter samples
     x: np.ndarray          # (k, 2) positions
     y: np.ndarray          # (k, 2) velocities
-    f_length: float        # accumulated F-length
+    f_length: float        # trapezoidal integral of F(x, y) over the samples
     exit_time: float       # exit parameter T
     exit_point: np.ndarray
     spec_hash: str
 
     def unit_speed_residual(self, spec):
+        """max |F(x, y) - 1| over the samples: y = dH/dp is F-unit for any
+        covector p, so this checks the record's conversion, not the integration."""
         f = spec._raw_norm(self.x, self.y)
         return float(np.abs(f - 1.0).max())
 
@@ -344,8 +380,8 @@ def _nudged_start(spec, x0):
 def integrate_geodesic(spec, x0, y0, opts=None):
     """Trace the F-geodesic from (x0, y0) until it first exits the ball.
 
-    y0 is rescaled to unit F-speed (under F, not the reversed norm); for
-    boundary starts the direction must point into the domain.
+    The path is F-unit-speed, so only y0's direction matters (under F, not
+    the reversed norm); for boundary starts it must point into the domain.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
@@ -356,19 +392,14 @@ def integrate_geodesic(spec, x0, y0, opts=None):
     x0n, on_boundary = _nudged_start(spec, x0)
     if on_boundary and x0 @ y0 >= 0.0:
         raise DomainError("initial direction at a boundary point must point inward")
-    f0 = float(spec._raw_norm(x0n[None], y0[None])[0])
-    if not f0 > 0.0:
+    if not spec._raw_norm(x0n[None], y0[None])[0] > 0.0:
         raise DegenerateInputError("initial direction has non-positive F")
-    u0 = np.concatenate([x0n, y0 / f0, [0.0]])
-
-    res = ivp.integrate_batch(_geodesic_rhs(spec), u0[None],
-                              _boundary_stop(spec),
-                              opts.controls(opts.trap_time_factor * _time_scale(spec), record=True),
-                              record=True)
-    return _path_from(res, 0, spec)
+    ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=True)
+    return _path_from(_cotangent_fan(spec, x0n[None], y0[None], ctl, record=True), 0, spec)
 
 
 def _path_from(res, i, spec, label="geodesic"):
+    """Ray i of a recorded fan as a GeodesicPath, its velocities y = dH/dp."""
     st = res.status[i]
     if st == ivp.TRAPPED or st == ivp.MAXSTEPS:
         raise TrappedGeodesicError(
@@ -377,8 +408,10 @@ def _path_from(res, i, spec, label="geodesic"):
     if st != ivp.EXITED:
         raise RandersError(f"{label} integration failed (nonfinite state); check the spec fields")
     ts, us = res.history[i]
-    return GeodesicPath(t=ts, x=us[:, 0:2], y=us[:, 2:4],
-                        f_length=float(res.u_end[i, 4]),
+    speed, wind, form, _ = spec._cotangent_fields()
+    x, y = us[:, 0:2], np.column_stack(_cotangent_velocity(speed, wind, us, form))
+    return GeodesicPath(t=ts, x=x, y=y,
+                        f_length=float(np.trapezoid(spec._raw_norm(x, y), ts)),
                         exit_time=float(res.t_end[i]),
                         exit_point=res.u_end[i, 0:2].copy(),
                         spec_hash=spec.spec_hash)
@@ -397,52 +430,11 @@ def _fan_starts(spec, theta0, psi):
     return x0, np.column_stack([np.cos(d_ang), np.sin(d_ang)])
 
 
-def _fan_states(spec, theta0, psi):
-    """Initial spray states (x, y, 0) of the rays of ``_fan_starts``, y F-unit."""
-    x0, d = _fan_starts(spec, theta0, psi)
-    y0 = d / spec._raw_norm(x0, d)[:, None]
-    return np.concatenate([x0, y0, np.zeros((len(psi), 1))], axis=1)
-
-
-def _cotangent_fan(spec, fields, x0, d, ctl):
-    """Rays of the dual norm from x0 along d, as a spray fan would end them.
-
-    ``fields`` is the spec's (speed, wind, potential).  A ray starts at
-    p = dF/dy(x0, d), or dalpha/dy where a potential stands in for beta,
-    and is integrated at ``_COTANGENT_TOL`` times the tolerances of ``ctl``.
-    The result's exit states are the 5-column record of a spray ray: the exit
-    point, the velocity dH/dp and the travel time, which is the exit
-    parameter plus phi(exit) - phi(start) under a potential.
-    """
-    speed, wind, phi = fields
-    beta = None if phi is not None else _beta_at(spec.beta, x0)
-    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
-    ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
-    res = ivp.integrate_batch(_cotangent_rhs(speed, wind), np.column_stack([x0, p0, p1]),
-                              _cotangent_stop(spec, speed, wind), ctl)
-    u = res.u_end
-    t = res.t_end if phi is None else res.t_end + (phi.value(u[:, 0:2]) - phi.value(x0))
-    out = np.empty((5, len(u)))
-    out[0], out[1] = u[:, 0], u[:, 1]
-    out[2], out[3] = _cotangent_velocity(speed, wind, u)
-    out[4] = t
-    return replace(res, t_end=t, u_end=out.T)
-
-
 def _exit_fan(spec, theta0, psi, opts, record=False):
-    """Integrate a fan; returns (exit_theta, exit_time, ok, result).
-
-    An unrecorded fan of a spec with cotangent fields runs as rays of its
-    dual norm (see the module docstring), every other fan on the spray.
-    """
+    """Integrate a fan as rays of the dual norm; returns (exit_theta, exit_time, ok, result)."""
     theta0, psi = np.asarray(theta0, dtype=float), np.asarray(psi, dtype=float)
     ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=record)
-    fields = None if record else spec._cotangent_fields()
-    if fields is not None:
-        res = _cotangent_fan(spec, fields, *_fan_starts(spec, theta0, psi), ctl)
-    else:
-        res = ivp.integrate_batch(_geodesic_rhs(spec), _fan_states(spec, theta0, psi),
-                                  _boundary_stop(spec), ctl, record=record)
+    res = _cotangent_fan(spec, *_fan_starts(spec, theta0, psi), ctl, record)
     exit_theta = np.arctan2(res.u_end[:, 1], res.u_end[:, 0]) % _TWO_PI
     ok = res.status == ivp.EXITED
     return exit_theta, res.t_end.copy(), ok, res

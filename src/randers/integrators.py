@@ -87,7 +87,7 @@ def _rms(a):
 
     The rows are summed left to right, which is the order of numpy's mean
     over a row shorter than 8, so this is bit for bit
-    ``np.sqrt(np.mean(a.T ** 2, axis=1))`` for the batch's d = 5.
+    ``np.sqrt(np.mean(a.T ** 2, axis=1))`` for any d < 8, such as a ray's 4.
     """
     sq = a ** 2
     s = sq[0]
@@ -184,11 +184,11 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     ``rhs`` maps (k, d) -> (k, d) and must be pure.  ``stop`` is a pair
     (value, rate) of callables mapping (k, d) to (k,) arrays: the stop value
     g and its rate dg/dt along the flow, which only exit refinement reads,
-    as a Newton slope (for the disk stop g = |x|^2 - R^2 with x' = y,
-    dg = 2<x, y>).  All three receive (k, d) views of the column-major batch
-    (see the module docstring).  Rays start
-    with g <= 0 and finish when g first turns positive at the end of an
-    accepted step; the exit is then refined inside that step.
+    as a Newton slope (for the disk stop g = |x|^2 - R^2 of a ray with
+    x' = dH/dp, dg = 2<x, dH/dp>).  All three receive (k, d) views of the
+    column-major batch (see the module docstring).  Rays start with g <= 0
+    and finish when g first turns positive at the end of an accepted step;
+    the exit is then refined inside that step.
     """
     ctl = ctl or Controls()
     value = stop[0]

@@ -135,17 +135,15 @@ class RandersSpec:
                 None if self.beta.is_zero else self.beta.jet(x0, x1))
 
     def _cotangent_fields(self):
-        """(speed, wind, potential) of the dual norm H = c|p| + <W, p>, or None.
-
-        F = alpha + d phi over alpha = |y| / c (a conformal metric, or the
-        Euclidean one as c = 1) has alpha's geodesics, whose dual norm is
-        c|p| with no wind, and alpha's lengths shifted by phi: this returns
-        (c, None, phi).  Any other spec gives None.
-        """
-        speed, phi = self.alpha.conformal_speed, self.beta.potential
-        if speed is None or phi is None:
-            return None
-        return speed, None, phi
+        """(c, W, b, phi): F = F(c, W) + b, the navigation norm of speed c and
+        wind W plus a 1-form b (None when zero), whose dual norm rays integrate.
+        A conformal alpha = |y| / c (Euclidean: c = 1) gives (c, None, beta) and
+        beta's ``potential`` phi, by which shooting may shift alpha's times; a
+        ``NavigationMetric``, the only other alpha, its ``navigation(beta)``."""
+        speed = self.alpha.conformal_speed
+        if speed is None:
+            return (*self.alpha.navigation(self.beta), None)
+        return speed, None, None if self.beta.is_zero else self.beta, self.beta.potential
 
     def reverse(self):
         """Spec of the reversed norm F(x, -y): same metric, negated 1-form."""

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
 from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
-                     ScaledForm, VectorValuedField, ZeroForm, disk_grid, jet_spray_terms)
+                     ScaledForm, SumForm, VectorValuedField, ZeroForm, disk_grid,
+                     jet_spray_terms)
 from .norms import MARGIN_GRID_SIZE, RandersSpec, _alpha_at, _beta_at, _quad
 
 __all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
@@ -166,6 +167,19 @@ class NavigationMetric(MetricField):
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)[0]
 
+    def navigation(self, beta):
+        """(c, W, b) with alpha + beta = F(c, W) + b: b = beta - beta_nav, in which
+        the algebra's own beta_nav, alone or in a sum, cancels unevaluated (None
+        if nothing is left)."""
+        c, W = self.algebra.speed, self.algebra.wind
+        parts = list(beta.parts) if isinstance(beta, SumForm) else [beta]
+        for k, part in enumerate(parts):
+            if isinstance(part, NavigationOneForm) and part.algebra == self.algebra:
+                rest = parts[:k] + parts[k + 1:]
+                return c, W, SumForm(*rest) if rest else None
+        less = ScaledForm(NavigationOneForm(self.algebra), -1.0)
+        return c, W, less if beta.is_zero else SumForm(beta, less)
+
     def describe(self):
         return f"{self.algebra.name}_alpha({self.algebra.args()})"
 
@@ -193,11 +207,6 @@ class _NavigationSpec(RandersSpec):
     def spray_terms(self, x0, x1, y0, y1):
         ajet, bjet = self.algebra.jet(x0, x1)
         return jet_spray_terms(ajet, y0, y1), bjet
-
-    def _cotangent_fields(self):
-        """(c, W, None): the dual norm is c|p| + <W, p>, in physical time, over a conformal g."""
-        speed = self.algebra.speed
-        return None if speed is None else (speed, self.algebra.wind, None)
 
     def reverse(self):
         """The same algebra over the wind -W.
@@ -308,8 +317,8 @@ def herglotz_check(speed, radius):
 def travel_time_consistency(medium, path):
     """|T - L_F| for a path traced under this medium's navigation norm.
 
-    The exit parameter of a unit-speed geodesic is its travel time; the
-    residual must vanish to solver precision (<= 1e-8 T).
+    L_F integrates F(x, dH/dp) = 1 over the samples, so the residual checks
+    the record's conversion, not the integration; it stays within 1e-8 T.
     """
     spec = zermelo_construct(medium)
     if path.spec_hash != spec.spec_hash:

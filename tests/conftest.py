@@ -102,9 +102,9 @@ def bump_gradient(amp):
     """d of the bump amp (1 - r^2), written as components.
 
     The form is closed but not by construction (it has no ``potential``), so
-    shooting integrates it on the spray: a gauge check built with it tests
-    the solver on F + d phi against F, which a potential shift of the travel
-    times would otherwise satisfy by construction.
+    shooting integrates it as the 1-form b of the dual norm: a gauge check
+    built with it tests the solver on F + d phi against F, which a potential
+    shift of the travel times would otherwise satisfy by construction.
     """
     k = -2.0 * amp
     return ComponentForm([f"{k!r}*x1", f"{k!r}*x2"])

@@ -229,12 +229,12 @@ class TestVerify:
     def test_bumped_spec_runs_on_the_spray(self, text, rng):
         # the gauge lines compare F with F + d phi; were d phi a potential,
         # the times of F + d phi would be F's shifted by phi and the lines
-        # would hold by construction
+        # would hold by construction; without one, its rays integrate it
         import randers.cli as cli
 
         spec = build_scenario(parse_config(text)).spec
         bumped = cli._bumped(spec)
-        assert bumped._cotangent_fields() is None
+        assert bumped._cotangent_fields()[3] is None
         # d phi of phi = 0.05 (R^2 - r^2) on any radius R
         x = rng.uniform(-0.6, 0.6, (8, 2))
         added = bumped.beta.value(x) - spec.beta.value(x)

@@ -129,6 +129,9 @@ class TestInitialValue:
         x0 = np.array([0.2, -0.3])
         path = integrate_geodesic(spec, x0, [0.5, 0.8])
         assert np.array_equal(path.x[0], x0)   # an interior start is not nudged
+        # F(x, dH/dp) = 1 for any covector, so these two bounds check the
+        # record's conversion; test_recorded_fans_agree_with_spray checks
+        # the integration
         assert path.unit_speed_residual(spec) <= 1e-6
         assert abs(path.exit_time - path.f_length) <= 1e-8 * path.exit_time
         assert abs(np.linalg.norm(path.exit_point) - 1.0) <= 1e-9
@@ -492,9 +495,8 @@ class TestShootPairs:
         assert abs(path.exit_time - shots.time[0]) < 1e-9
 
     def test_recorded_ray_that_does_not_exit_names_pair(self, smooth_bump_spec):
-        # the sweep and false-position rays, cotangent rays, exit within 62
-        # steps; the recorded re-run is a spray ray with a capped step size
-        # and needs 112
+        # the sweep and false-position rays exit within 62 steps; the
+        # recorded re-run, with a capped step size, needs 116
         opts, angles = SolverOptions(max_steps=100), [0.0, 2.0]
         shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts)
         assert shots.converged[0] and shots.branch_count[0] == 1
@@ -677,11 +679,42 @@ class TestInverseCubic:
         assert fast[3][0] and slow[3][0] and abs(fast[0][0] - slow[0][0]) < 1e-8
 
 
-def _spray_fan(spec, theta0, psi, opts):
-    """The unrecorded spray fan that ``_exit_fan`` runs for a spec without cotangent fields."""
-    return geo.ivp.integrate_batch(geo._geodesic_rhs(spec), geo._fan_states(spec, theta0, psi),
-                                   geo._boundary_stop(spec),
-                                   opts.controls(opts.trap_time_factor * geo._time_scale(spec)))
+def _spray_rhs(spec):
+    """The spray on states (x, y, L): x' = y, y' = -2 G(x, y) and L' = F(x, y)."""
+    def rhs(u):
+        x0, x1, y0, y1 = u.T[0:4]
+        G0, G1, F = geo._spray_and_norm(spec, x0, x1, y0, y1)
+        return np.column_stack([y0, y1, -2.0 * G0, -2.0 * G1, F])
+    return rhs
+
+
+def _spray_fan(spec, theta0, psi, opts, record=False):
+    """The reference fan of the geodesic spray, from F-unit velocities along
+    ``geo._fan_starts``, at the tolerances of ``opts``; its exit states
+    (x, y, L) are those of ``_exit_fan`` without potential shift."""
+    x0, d = geo._fan_starts(spec, theta0, psi)
+    y0 = d / spec._raw_norm(x0, d)[:, None]
+    r2 = spec.domain.radius ** 2
+    stop = (lambda u: u[:, 0] ** 2 + u[:, 1] ** 2 - r2,
+            lambda u: 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3]))
+    ctl = opts.controls(opts.trap_time_factor * geo._time_scale(spec), record=record)
+    return geo.ivp.integrate_batch(_spray_rhs(spec), np.column_stack([x0, y0, np.zeros(len(psi))]),
+                                   stop, ctl, record=record)
+
+
+def _table_media(dom, smooth_alpha, smooth_profile, rot_zermelo_spec):
+    """The media whose rays integrate a 1-form b in the dual norm (see
+    ``RandersSpec._cotangent_fields``), by name."""
+    import randers.cli as cli
+
+    return {
+        "bump_gradient": RandersSpec(dom, smooth_alpha, bump_gradient(0.3)),
+        "rotational_on_curved": RandersSpec(dom, smooth_alpha, RotationalForm(0.2)),
+        "rotational_on_flat": RandersSpec(dom, EuclideanMetric(), RotationalForm(0.3)),
+        "linearized": linearize(smooth_profile, RotationalForm(0.4), dom)[0],
+        "bumped_zermelo": cli._bumped(rot_zermelo_spec),
+        "navigation_alpha": RandersSpec(dom, NavigationMetric(rot_zermelo_spec.algebra)),
+    }
 
 
 class TestCotangentRays:
@@ -692,7 +725,13 @@ class TestCotangentRays:
                 "wind_spec": (7.11e-15, 1.33e-14, 5.55e-15),
                 "smooth_spec": (3.27e-13, 1.61e-13, 2.06e-13),
                 "potential_spec": (2.91e-13, 2.75e-13, 2.75e-13),
-                "euclid_zermelo_spec": (6.39e-14, 4.77e-14, 6.25e-14)}
+                "euclid_zermelo_spec": (6.39e-14, 4.77e-14, 6.25e-14),
+                "bump_gradient": (1.35e-12, 2.70e-13, 2.52e-13),
+                "rotational_on_curved": (8.06e-13, 7.82e-14, 3.17e-13),
+                "rotational_on_flat": (1.63e-13, 1.64e-13, 1.30e-13),
+                "linearized": (8.02e-13, 1.59e-13, 3.59e-13),
+                "bumped_zermelo": (9.20e-13, 1.16e-13, 3.64e-13),
+                "navigation_alpha": (4.26e-13, 1.77e-13, 2.23e-13)}
 
     @pytest.fixture(scope="class")
     def potential_spec(self, dom, smooth_alpha):
@@ -706,10 +745,17 @@ class TestCotangentRays:
         # the general algebra over the Euclidean metric: H = |p| + <W, p>
         return _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), RotationalForm(0.4)))
 
+    @pytest.fixture(scope="class")
+    def media(self, dom, smooth_alpha, smooth_profile, rot_zermelo_spec):
+        return _table_media(dom, smooth_alpha, smooth_profile, rot_zermelo_spec)
+
+    def _medium(self, request, medium):
+        media = request.getfixturevalue("media")
+        return media[medium] if medium in media else request.getfixturevalue(medium)
+
     @pytest.mark.parametrize("medium", list(MEASURED))
     def test_agrees_with_spray(self, request, medium):
-        spec, tight = request.getfixturevalue(medium), SolverOptions(rtol=1e-12, atol=1e-15)
-        assert spec._cotangent_fields() is not None
+        spec, tight = self._medium(request, medium), SolverOptions(rtol=1e-12, atol=1e-15)
         theta0, psi = np.repeat([0.7, 3.9], 90), np.tile(_sweep_angles(90), 2)
         th, t, ok, res = geo._exit_fan(spec, theta0, psi, tight)
         ref = _spray_fan(spec, theta0, psi, tight)
@@ -722,35 +768,55 @@ class TestCotangentRays:
             # the measured value, with room for round-off in other builds
             assert gap <= min(max(2.0 * measured, 1e-13), 1e-11)
 
-    def test_which_specs_qualify(self, dom, smooth_alpha, smooth_profile, euclid_spec, smooth_spec,
+    def test_which_specs_qualify(self, dom, smooth_alpha, smooth_profile, euclid_spec,
                                  smooth_bump_spec, kink_spec, wind_spec, rot_zermelo_spec):
-        speed, wind, phi = smooth_bump_spec._cotangent_fields()
-        assert speed is smooth_profile and wind is None and phi is smooth_bump_spec.beta.potential
-        speed, wind, phi = euclid_spec._cotangent_fields()
-        assert speed == ConstantField(1.0) and wind is None and phi is not None
-        for spec in (smooth_spec, kink_spec):
-            assert spec._cotangent_fields() is not None
-        # navigation over a conformal speed, from either algebra: the speed
-        # and the wind, with no potential
-        rot = RotationalForm(0.4)
-        nav = conformal_specialize(smooth_profile, rot, dom)
-        assert nav._cotangent_fields() == (smooth_profile, rot, None)
-        assert rot_zermelo_spec._cotangent_fields()[1:] == (rot_zermelo_spec.algebra.wind, None)
-        assert wind_spec._cotangent_fields() is not None
-        # the Euclidean metric counts as c = 1 under a potential and under a wind alike
-        flat = _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), rot))
-        assert flat._cotangent_fields() == (ConstantField(1.0), rot, None)
-        # a beta not closed by construction, or an alpha that is not conformal
+        # (c, W, b, phi) of every family: F = F(c, W) + b, and phi where
+        # shooting may trace alpha's rays and shift their times
+        speed, wind, form, phi = smooth_bump_spec._cotangent_fields()
+        assert speed is smooth_profile and wind is None
+        assert form is smooth_bump_spec.beta and phi is smooth_bump_spec.beta.potential
+        # a zero beta: no form, and a potential that shifts by zero
+        speed, wind, form, phi = euclid_spec._cotangent_fields()
+        assert speed == ConstantField(1.0) and wind is None and form is None
+        assert phi == ConstantField(0.0)
+        assert kink_spec._cotangent_fields()[0] is kink_spec.alpha.speed
+        # a beta not closed by construction is integrated, never shifted
         for spec in (RandersSpec(dom, EuclideanMetric(), RotationalForm(0.3)),
                      RandersSpec(dom, smooth_alpha, bump_gradient(0.3)),
-                     linearize(smooth_profile, rot, dom)[0],
-                     RandersSpec(dom, NavigationMetric(rot_zermelo_spec.algebra))):
-            assert spec._cotangent_fields() is None
+                     linearize(smooth_profile, RotationalForm(0.4), dom)[0]):
+            speed, wind, form, phi = spec._cotangent_fields()
+            assert speed is spec.alpha.conformal_speed and wind is None
+            assert form is spec.beta and phi is None
+        # navigation over a conformal speed, from either algebra: the speed
+        # and the wind, with no form
+        rot = RotationalForm(0.4)
+        nav = conformal_specialize(smooth_profile, rot, dom)
+        assert nav._cotangent_fields() == (smooth_profile, rot, None, None)
+        algebra = rot_zermelo_spec.algebra
+        assert rot_zermelo_spec._cotangent_fields()[1:] == (algebra.wind, None, None)
+        assert wind_spec._cotangent_fields()[1:] == (wind_spec.algebra.wind, None, None)
+        flat = _NavigationSpec(dom, _ZermeloAlgebra(EuclideanMetric(), rot))
+        assert flat._cotangent_fields() == (ConstantField(1.0), rot, None, None)
+        # a navigation alpha under any beta: its (c, W), and beta less the
+        # navigation 1-form, whose part in a sum drops out
+        x = np.array([[0.3, -0.2], [-0.5, 0.1]])
+        nav_beta = rot_zermelo_spec.beta.value(x)
+        for beta, added in ((None, -nav_beta),
+                            (RotationalForm(0.1), RotationalForm(0.1).value(x) - nav_beta),
+                            (SumForm(rot_zermelo_spec.beta, bump_gradient(0.2)),
+                             bump_gradient(0.2).value(x))):
+            spec = RandersSpec(dom, NavigationMetric(algebra), beta)
+            speed, wind, form, phi = spec._cotangent_fields()
+            assert speed is algebra.speed and wind is algebra.wind and phi is None
+            assert np.allclose(form.value(x), added, rtol=0, atol=1e-15)
+        bumped = RandersSpec(dom, NavigationMetric(algebra), SumForm(rot_zermelo_spec.beta))
+        assert bumped._cotangent_fields()[2] is None
         assert ComponentForm(["0.1", "0"]).potential is None
 
-    def test_recorded_fans_stay_on_the_spray(self, smooth_bump_spec):
-        # an unrecorded fan ends with the alpha-unit velocity dH/dp of the
-        # cotangent ray, a recorded one with the F-unit velocity of the spray
+    def test_recorded_fans_take_no_shift(self, smooth_bump_spec):
+        # an unrecorded fan of a potential traces alpha's rays and ends with
+        # their alpha-unit velocity dH/dp; a recorded one integrates beta and
+        # ends with the F-unit velocity, its time unshifted
         spec, opts = smooth_bump_spec, SolverOptions()
         theta0, psi = np.full(9, 1.0), np.linspace(-1.2, 1.2, 9)
         plain = geo._exit_fan(spec, theta0, psi, opts)[3]
@@ -761,6 +827,43 @@ class TestCotangentRays:
             X, Y = res.u_end[:, 0:2], res.u_end[:, 2:4]
             assert np.abs(unit._raw_norm(X, Y) - 1.0).max() < 1e-8
         assert np.abs(spec._raw_norm(plain.u_end[:, 0:2], plain.u_end[:, 2:4]) - 1.0).max() > 0.1
+        # the bump vanishes on the boundary: both times agree, by a shift of
+        # zero on one side and by integrating beta on the other
+        assert np.abs(plain.t_end - recorded.t_end).max() < 1e-8
+        assert np.abs(recorded.u_end[:, 4] - recorded.t_end).max() == 0.0
+
+    # max |recorded cotangent - recorded spray| over a 12-ray fan at rtol
+    # 1e-12 / atol 1e-15, as measured: (exit point, exit time, Hausdorff
+    # distance of the resampled paths)
+    RECORDED = {"smooth_bump_spec": (1.31e-12, 1.91e-13, 8.21e-10),
+                "rot_zermelo_spec": (5.93e-13, 1.33e-13, 3.09e-10),
+                "wind_spec": (5.00e-16, 1.78e-15, 7.55e-16),
+                "kink_spec": (5.05e-13, 8.73e-14, 1.47e-10),
+                "rotational_on_curved": (6.47e-13, 5.84e-14, 2.47e-10),
+                "rotational_on_flat": (2.11e-15, 1.78e-15, 6.79e-13),
+                "bumped_zermelo": (7.61e-13, 9.78e-14, 2.10e-10),
+                "navigation_alpha": (4.26e-13, 1.58e-13, 3.45e-10)}
+
+    @pytest.mark.parametrize("medium", list(RECORDED))
+    def test_recorded_fans_agree_with_spray(self, request, medium):
+        spec, tight = self._medium(request, medium), SolverOptions(rtol=1e-12, atol=1e-15)
+        theta0, psi = np.full(12, 0.7), np.linspace(-1.3, 1.3, 12)
+        res = geo._exit_fan(spec, theta0, psi, tight, record=True)[3]
+        ref = _spray_fan(spec, theta0, psi, tight, record=True)
+        gaps = np.zeros(3)
+        for k in range(12):
+            path = geo._path_from(res, k, spec)
+            ts, us = ref.history[k]
+            spray_path = types.SimpleNamespace(t=ts, x=us[:, 0:2], y=us[:, 2:4])
+            gaps = np.maximum(gaps, (np.abs(path.exit_point - ref.u_end[k, 0:2]).max(),
+                                     abs(path.exit_time - ref.t_end[k]),
+                                     hausdorff(resample(path), resample(spray_path))))
+            # F-unit velocities and a length that is the exit time
+            assert path.unit_speed_residual(spec) <= 1e-12
+            assert abs(path.f_length - path.exit_time) <= 1e-12 * path.exit_time
+        for gap, measured in zip(gaps, self.RECORDED[medium]):
+            # the measured value, with room for round-off in other builds
+            assert gap <= 2.0 * max(measured, 1e-13)
 
 
 class TestFirstVariation:
@@ -940,7 +1043,7 @@ class TestZeroRayBrackets:
 class TestProjectiveEquivalence:
     def test_bump_preserves_point_sets(self, dom, smooth_alpha, smooth_spec):
         spec2 = RandersSpec(dom, smooth_alpha, bump_gradient(0.25))
-        assert spec2._cotangent_fields() is None
+        assert spec2._cotangent_fields()[3] is None
         for a, b in [(0.0, 2.2), (1.1, 4.0), (2.5, 5.9)]:
             p1 = solve_bvp(smooth_spec, dom.boundary_point(a), dom.boundary_point(b)).path
             p2 = solve_bvp(spec2, dom.boundary_point(a), dom.boundary_point(b)).path

@@ -12,9 +12,32 @@ import numpy as np
 import pytest
 
 from randers import integrators as ivp
-from randers.geodesics import _boundary_stop, _fan_states, _geodesic_rhs, _sweep_angles
+from randers.geodesics import _cotangent_rhs, _cotangent_stop, _fan_starts, _sweep_angles
+from randers.norms import _alpha_at, _beta_at, _dF_dy
 
 EPS = np.finfo(float).eps
+
+
+def _fan(spec, theta0, psi):
+    """Start states (x, p = dF/dy) of a fan, with the right-hand side and stop of
+    the dual norm of F, beta integrated as its 1-form b."""
+    speed, wind, form, _ = spec._cotangent_fields()
+    x0, d = _fan_starts(spec, theta0, psi)
+    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), _beta_at(spec.beta, x0), d[:, 0], d[:, 1])
+    return (np.column_stack([x0, p0, p1]), _cotangent_rhs(speed, wind, form),
+            _cotangent_stop(spec, speed, wind, form))
+
+
+def _unit_disk_value(u):
+    return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0
+
+
+def _unit_disk_rate(u):
+    return 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
+
+
+# the stop of a flow x' = (u[:, 2], u[:, 3]) on the unit disk
+_UNIT_DISK_STOP = (_unit_disk_value, _unit_disk_rate)
 
 
 def _line_rhs(u):
@@ -36,22 +59,24 @@ def test_straight_line_exits_match_closed_form(euclid_spec):
     theta = rng.uniform(0.0, 2.0 * math.pi, 6)
     grazing = math.pi / 2 - np.array([1e-6, 1e-7, 1e-8])
     psi = np.concatenate([np.linspace(-1.5, 1.5, 31), grazing, -grazing])
-    u_fan = _fan_states(euclid_spec, np.repeat(theta, len(psi)), np.tile(psi, len(theta)))[:, :4]
+    # (x, y) states: unit-speed straight rays into the unit disk
+    u_fan = np.hstack(_fan_starts(euclid_spec, np.repeat(theta, len(psi)),
+                                  np.tile(psi, len(theta))))
     r = 0.99 * np.sqrt(rng.uniform(size=200))
     phi, ang = rng.uniform(0.0, 2.0 * math.pi, (2, 200))
     u_in = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.cos(ang), np.sin(ang)])
     u0 = np.vstack([u_fan, u_in])
 
-    res = ivp.integrate_batch(_line_rhs, u0, _boundary_stop(euclid_spec))
+    res = ivp.integrate_batch(_line_rhs, u0, _UNIT_DISK_STOP)
     assert (res.status == ivp.EXITED).all()
     t_star, rate = _line_exit(u0)
     assert np.all(np.abs(res.t_end - t_star) <= 1e-14 + 4.0 * EPS / rate)
     assert rate.min() < 1e-5          # the grazing rays are in the batch
 
 
-def test_overshooting_step_refines_to_root(euclid_spec):
+def test_overshooting_step_refines_to_root():
     # one accepted step of h = 4 that ends with g = 20.4 on the unit disk
-    stop = _boundary_stop(euclid_spec)
+    stop = _UNIT_DISK_STOP
     u0 = np.array([[0.5, 0.4, 0.6, 0.8]])
     h = np.array([4.0])
     g1 = stop[0](u0 + h[:, None] * _line_rhs(u0))
@@ -61,11 +86,11 @@ def test_overshooting_step_refines_to_root(euclid_spec):
     assert u_exit[0, :2] @ u_exit[0, :2] == pytest.approx(1.0, abs=1e-14)
 
 
-def _refine_rows(monkeypatch, spec, u0):
-    """Integrate a batch; return (result, RHS rows spent inside exit refinement)."""
+def _refine_rows(monkeypatch, spec, theta0, psi):
+    """Integrate a fan; return (result, RHS rows spent inside exit refinement)."""
     rows = {"step": 0, "refine": 0}
     phase = ["step"]
-    rhs = _geodesic_rhs(spec)
+    u0, rhs, stop = _fan(spec, theta0, psi)
 
     def counted(u):
         rows[phase[0]] += len(u)
@@ -81,13 +106,13 @@ def _refine_rows(monkeypatch, spec, u0):
             phase[0] = "step"
 
     monkeypatch.setattr(ivp, "_refine_exits", refine_phase)
-    return ivp.integrate_batch(counted, u0, _boundary_stop(spec)), rows["refine"]
+    return ivp.integrate_batch(counted, u0, stop), rows["refine"]
 
 
 def test_only_refinement_reads_the_rate(monkeypatch, smooth_bump_spec):
     # the step loop asks the stop for its value alone; the rate is the
     # Newton slope of exit refinement
-    value, rate = _boundary_stop(smooth_bump_spec)
+    u0, rhs, (value, rate) = _fan(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
     refining, calls = [False], []
     refine = ivp._refine_exits
 
@@ -103,25 +128,20 @@ def test_only_refinement_reads_the_rate(monkeypatch, smooth_bump_spec):
         return rate(u)
 
     monkeypatch.setattr(ivp, "_refine_exits", refine_phase)
-    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
-    res = ivp.integrate_batch(_geodesic_rhs(smooth_bump_spec), u0, (value, checked_rate))
+    res = ivp.integrate_batch(rhs, u0, (value, checked_rate))
     assert (res.status == ivp.EXITED).all()
     assert calls and all(calls)
 
 
 def test_refinement_row_budget(monkeypatch, euclid_spec):
-    psi = _sweep_angles(720)
-    u0 = _fan_states(euclid_spec, np.full(720, 0.4), psi)
-    res, rows = _refine_rows(monkeypatch, euclid_spec, u0)
+    res, rows = _refine_rows(monkeypatch, euclid_spec, np.full(720, 0.4), _sweep_angles(720))
     exited = int((res.status == ivp.EXITED).sum())
     assert exited == 720
     assert rows <= 75 * exited
 
 
 def test_curved_exits_land_on_boundary(monkeypatch, smooth_bump_spec):
-    psi = _sweep_angles(90)
-    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), psi)
-    res, rows = _refine_rows(monkeypatch, smooth_bump_spec, u0)
+    res, rows = _refine_rows(monkeypatch, smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
     assert (res.status == ivp.EXITED).all()
     x = res.u_end[:, 0:2]
     assert np.abs((x * x).sum(1) - 1.0).max() <= 1e-13
@@ -133,17 +153,6 @@ def _oscillator_rhs(u):
     out = np.column_stack([u[:, 2:4], -u[:, 4:5] * u[:, 0:2], np.zeros(len(u))])
     out[u[:, 1] > 0.6] = np.nan
     return out
-
-
-def _unit_disk_value(u):
-    return u[:, 0] ** 2 + u[:, 1] ** 2 - 1.0
-
-
-def _unit_disk_rate(u):
-    return 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3])
-
-
-_UNIT_DISK_STOP = (_unit_disk_value, _unit_disk_rate)
 
 
 # exiting rays, slow oscillations trapped by t_max, fast ones capped by
@@ -204,19 +213,18 @@ def test_rhs_and_stop_see_contiguous_columns(smooth_bump_spec, record):
     # the driver and the exit refinement hand out views of their column-major
     # batch; a copy into row-major rows would show up here
     rhs_calls, stop_calls = [], []
-    u0 = _fan_states(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
-    stop = tuple(_layout_spy(fn, stop_calls) for fn in _boundary_stop(smooth_bump_spec))
-    res = ivp.integrate_batch(_layout_spy(_geodesic_rhs(smooth_bump_spec), rhs_calls), u0, stop,
-                              record=record)
+    u0, rhs, stop = _fan(smooth_bump_spec, np.full(90, 2.0), _sweep_angles(90))
+    stop = tuple(_layout_spy(fn, stop_calls) for fn in stop)
+    res = ivp.integrate_batch(_layout_spy(rhs, rhs_calls), u0, stop, record=record)
     assert (res.status == ivp.EXITED).all()
     assert len(rhs_calls) > 50 and all(rhs_calls)
     assert len(stop_calls) > 10 and all(stop_calls)
 
 
-def test_refine_exits_sees_contiguous_columns(euclid_spec):
+def test_refine_exits_sees_contiguous_columns():
     # row-major input, as from a caller outside the driver
     rhs_calls, stop_calls = [], []
-    value, rate = _boundary_stop(euclid_spec)
+    value, rate = _UNIT_DISK_STOP
     u0 = np.array([[0.5, 0.4, 0.6, 0.8], [0.0, 0.1, -1.0, 0.0]])
     h = np.array([4.0, 2.0])
     g1 = value(u0 + h[:, None] * _line_rhs(u0))
@@ -256,7 +264,9 @@ def test_layouts_give_identical_results(record):
 @pytest.mark.parametrize("m", [1, 3, 8640])
 def test_rms_is_numpys_row_mean(m):
     # the error norm of the column-major batch: bit for bit the row-major
-    # np.mean over the 5 components it replaced
+    # np.mean it replaced, over the 4 components of a ray's (x, p) and the
+    # 5 of the oscillator batches above
     rng = np.random.default_rng(m)
-    a = rng.standard_normal((5, m)) * 10.0 ** rng.integers(-9, 9, (5, m))
-    assert _same_bits(ivp._rms(a), np.sqrt(np.mean(a.T ** 2, axis=1)))
+    for d in (4, 5):
+        a = rng.standard_normal((d, m)) * 10.0 ** rng.integers(-9, 9, (d, m))
+        assert _same_bits(ivp._rms(a), np.sqrt(np.mean(a.T ** 2, axis=1)))

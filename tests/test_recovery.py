@@ -29,7 +29,7 @@ def analytic_constant_c_data(n=64, c0=1.0, R=1.0):
 def bump_pair(dom, smooth_alpha, smooth_spec):
     # the bump's gradient as components, so the gauge law is not a potential shift
     bumped = RandersSpec(dom, smooth_alpha, bump_gradient(0.3))
-    assert bumped._cotangent_fields() is None
+    assert bumped._cotangent_fields()[3] is None
     d1 = distance_matrix(smooth_spec, 8)
     d2 = distance_matrix(bumped, 8)
     return d1, d2
@@ -105,10 +105,10 @@ class TestPotentialRecovery:
     def test_linear_potential_recovered(self, dom, smooth_alpha):
         base_beta = ExactForm(PotentialBump(0.2, 1.0))
         s1 = RandersSpec(dom, smooth_alpha, base_beta)
-        # d(0.1 x1) as components: s2 runs on the spray, so the recovered
-        # potential tests the solver rather than a potential shift
+        # d(0.1 x1) as components: s2 has no potential, so its rays integrate
+        # it and the recovered potential tests the solver, not a time shift
         s2 = RandersSpec(dom, smooth_alpha, SumForm(base_beta, ComponentForm(["0.1", "0"])))
-        assert s2._cotangent_fields() is None
+        assert s2._cotangent_fields()[3] is None
         d1 = distance_matrix(s1, 8)
         d2 = distance_matrix(s2, 8)
         pot = recover_boundary_potential(d1, d2)
