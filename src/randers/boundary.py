@@ -5,6 +5,15 @@ from boundary sample i to j; its symmetric part is the reversible-norm
 distance and its antisymmetric part the line integrals of the 1-form, which
 is what the inverse pipeline consumes.  CSV round trips are bit-exact.
 
+A spec declared ``rotation_invariant`` (alpha and beta equal to their own
+rotations about the centre; see ``fields``) at equispaced samples has a
+circulant D, D[i][j] = D[0][(j - i) mod n], since rotating the disk by
+2 pi i / n maps pair (0, j - i) to (i, j).  ``distance_matrix`` then shoots
+the pairs (0, j) alone and rolls that row, and every pair's diagnostics
+with it.  The first bad pair in i-major order is then (0, j) for the least
+bad j, which a build of every pair names too.  Every other spec or sample
+set shoots every pair.
+
 ``load`` parses the body of a distance CSV in one C pass: the open file is
 streamed, blank and whitespace-only lines skipped, through ``np.loadtxt``
 into a structured array, so no line is held as a string.  The range,
@@ -96,6 +105,15 @@ class BoundaryDistanceData:
         return self.radius * np.column_stack([np.cos(self.angles), np.sin(self.angles)])
 
 
+def _equispaced(angles):
+    """True when angles[k] = angles[0] + 2 pi k / n, wrapped to (-pi, pi], for
+    every k to within 1e-12 rad; samples 2 pi (k + offset) / n are off by
+    about 1e-15."""
+    n = len(angles)
+    d = angles - angles[0] - 2.0 * math.pi * np.arange(n) / n
+    return bool((np.abs(math.pi - (math.pi - d) % (2.0 * math.pi)) <= 1e-12).all())
+
+
 def distance_matrix(spec, samples, opts=None, threads=1):
     """Assemble D[i][j] = travel time of the unique i -> j geodesic.
 
@@ -103,6 +121,14 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     whose angular separation is below ``opts.exclude_separation`` are
     excluded (NaN entries, flagged in diagnostics).  The first pair, in
     i-major order, with zero or multiple shooting branches aborts the build.
+
+    When ``spec.rotation_invariant`` holds and the samples are equispaced
+    (``_equispaced``), the pairs (0, j) are shot in one call, whatever
+    ``threads`` is, and D, ``miss``, ``correction``, ``branch_counts`` and
+    ``excluded`` are rolled from row 0.  The per-start counters
+    ``sweep_nodes``, ``brackets``, ``bracket_rays`` and ``interpolated``
+    report the work done, start i's sweep rays and the brackets of the
+    pairs shot from it, so there they are zero for every start but 0.
     """
     opts = opts or SolverOptions()
     if isinstance(samples, numbers.Integral):
@@ -115,10 +141,14 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     sep = np.abs((angles[:, None] - angles[None, :] + math.pi) % (2.0 * math.pi) - math.pi)
     off = ~np.eye(n, dtype=bool)
     excluded = off & (sep < opts.exclude_separation)
+    roll = None
+    if spec.rotation_invariant and _equispaced(angles):
+        roll = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n   # (j - i) mod n
+        excluded = excluded[0][roll]
     keep = off & ~excluded
-    pairs = np.argwhere(keep)   # i-major
+    pairs = np.argwhere(keep if roll is None else keep[:1])   # i-major
 
-    if threads <= 1:
+    if roll is not None or threads <= 1:
         parts = [shoot_pairs(spec, angles, pairs, opts)]
     else:
         # whole starts go round-robin to the workers: each sweep is the serial one
@@ -142,6 +172,9 @@ def distance_matrix(spec, samples, opts=None, threads=1):
         np.add.at(brackets, i, shots.brackets)
         np.add.at(bracket_rays, i, shots.bracket_rays)
         np.add.at(interpolated, i, shots.interpolated)
+    if roll is not None:
+        D, miss, correction, branches, converged = (
+            a[0][roll] for a in (D, miss, correction, branches, converged))
     bad = keep & ((branches != 1) | ~converged)
     if bad.any():
         i, j = np.argwhere(bad)[0]

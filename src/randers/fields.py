@@ -33,6 +33,13 @@ directions) and a 1-form through its jet.  A 1-form that is closed by
 construction carries its ``potential``, a scalar field phi with
 d phi = beta (None on every other form), which shooting reads to trace
 alpha's rays and shift their times by phi.
+
+Every field and metric also declares ``rotation_invariant``: True where the
+family equals its own rotation about the origin (constants, radial profiles
+and expressions in r alone, the bump, the zero and rotational forms, and
+exact, scaled, summed or combined fields of such parts), False elsewhere.
+It is a declaration of the family, never a numerical test; a spec built of
+invariant parts lets ``distance_matrix`` shoot one row of D.
 """
 
 from __future__ import annotations
@@ -178,6 +185,10 @@ class ScalarField:
     jets here, so the tensor calls and the jets agree bit for bit.
     """
 
+    # declared True by a family whose value is a function of |x| alone,
+    # never detected numerically; distance_matrix reads it through the spec
+    rotation_invariant = False
+
     def jet(self, x0, x1):
         """Planar jet (c, (d0 c, d1 c)) at the points (x0, x1)."""
         raise NotImplementedError
@@ -208,6 +219,7 @@ class ScalarField:
 @dataclass(frozen=True)
 class ConstantField(ScalarField):
     c: float
+    rotation_invariant = True
 
     def jet(self, x0, x1):
         return np.float64(self.c), (_ZERO, _ZERO)
@@ -244,6 +256,7 @@ class ExprField(ScalarField):
         if isinstance(expr, str):
             expr = compile_expression(expr, allowed=("x1", "x2", "r"))
         self.expr = expr
+        self.rotation_invariant = expr.variables <= {"r"}
         self.d1 = {v: expr.diff(v) for v in ("x1", "x2", "r")}
         self.d2 = {(a, b): self.d1[a].diff(b)
                    for a, b in (("x1", "x1"), ("x1", "x2"), ("x2", "x2"),
@@ -304,6 +317,8 @@ class RadialProfile(ScalarField):
     distances between diametral boundary points, whose rays pass through
     it, reproduce to about 1e-12 (see the README's scope notes).
     """
+
+    rotation_invariant = True
 
     def __init__(self, expr):
         if isinstance(expr, str):
@@ -367,6 +382,7 @@ class PotentialBump(ScalarField):
 
     amplitude: float
     radius: float
+    rotation_invariant = True
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -407,6 +423,7 @@ class LinearCombination(ScalarField):
 
     def __init__(self, *terms):
         self.terms = terms
+        self.rotation_invariant = all(f.rotation_invariant for _, f in terms)
 
     def jet(self, x0, x1):
         c, g0, g1 = _ZERO, _ZERO, _ZERO
@@ -458,6 +475,9 @@ class VectorValuedField:
     # a scalar field phi with d phi = this form when the form is closed by
     # construction (so J01 = J10 exactly), None for any other form
     potential = None
+    # True for a family declared equal to its own rotation about the origin,
+    # beta(R x)(R y) = beta(x)(y) for every rotation R; never detected numerically
+    rotation_invariant = False
 
     @property
     def is_zero(self):
@@ -467,6 +487,7 @@ class VectorValuedField:
 @dataclass(frozen=True)
 class ZeroForm(VectorValuedField):
     potential = ConstantField(0.0)
+    rotation_invariant = True
 
     def jet(self, x0, x1):
         return (_ZERO, _ZERO), ((_ZERO, _ZERO), (_ZERO, _ZERO))
@@ -503,6 +524,7 @@ class ExactForm(VectorValuedField):
 
     def __init__(self, potential):
         self.potential = potential
+        self.rotation_invariant = potential.rotation_invariant
 
     def jet(self, x0, x1):
         return self.potential.gradient_jet(x0, x1)
@@ -516,6 +538,7 @@ class RotationalForm(VectorValuedField):
     """strength/2 * (-x2, x1); exterior derivative equals strength everywhere."""
 
     strength: float
+    rotation_invariant = True
 
     def jet(self, x0, x1):
         h = np.float64(0.5 * self.strength)
@@ -545,6 +568,7 @@ class ScaledForm(VectorValuedField):
     def __init__(self, base, factor):
         self.base = base
         self.factor = float(factor)
+        self.rotation_invariant = base.rotation_invariant
         if base.potential is not None:
             self.potential = LinearCombination((self.factor, base.potential))
 
@@ -564,6 +588,7 @@ class ScaledForm(VectorValuedField):
 class SumForm(VectorValuedField):
     def __init__(self, *parts):
         self.parts = parts
+        self.rotation_invariant = all(p.rotation_invariant for p in parts)
         if all(p.potential is not None for p in parts):
             self.potential = LinearCombination(*((1.0, p.potential) for p in parts))
 
@@ -623,6 +648,8 @@ class MetricField:
     # the speed c of a metric g = c^-2 e (a ScalarField), None for any other
     # metric; shooting reads it to trace rays of the dual norm c|p|
     conformal_speed = None
+    # True for a metric declared equal to its own rotation about the origin
+    rotation_invariant = False
 
     def jet(self, x0, x1):
         """Planar component jet at the points (x0, x1)."""
@@ -655,6 +682,7 @@ class MetricField:
 class EuclideanMetric(MetricField):
     flavor: str = field(default="euclidean", init=False)
     conformal_speed = ConstantField(1.0)
+    rotation_invariant = True
 
     def jet(self, x0, x1):
         one = np.float64(1.0)
@@ -680,6 +708,10 @@ class ConformalMetric(MetricField):
     @property
     def conformal_speed(self):
         return self.speed
+
+    @property
+    def rotation_invariant(self):
+        return self.speed.rotation_invariant
 
     def jet(self, x0, x1):
         c, (c_0, c_1) = self.speed.jet(x0, x1)

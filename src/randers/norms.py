@@ -99,6 +99,12 @@ class RandersSpec:
         return self.beta.is_zero
 
     @property
+    def rotation_invariant(self):
+        """True when alpha and beta are both declared rotation-invariant about the
+        domain's centre, so D at equispaced samples is circulant."""
+        return self.alpha.rotation_invariant and self.beta.rotation_invariant
+
+    @property
     def is_valid(self):
         return self.margin > 0.0
 

@@ -88,6 +88,10 @@ class _ZermeloAlgebra:
         """c when g = c^-2 e, else None."""
         return self.metric.conformal_speed
 
+    @property
+    def rotation_invariant(self):
+        return self.metric.rotation_invariant and self.wind.rotation_invariant
+
     def jet(self, x0, x1):
         g, dg = self.metric.jet(x0, x1)
         (V0, V1), dV = self.wind.jet(x0, x1)
@@ -131,6 +135,10 @@ class _ConformalAlgebra:
     def args(self):
         return f"c={self.speed.describe()},W={self.wind.describe()}"
 
+    @property
+    def rotation_invariant(self):
+        return self.speed.rotation_invariant and self.wind.rotation_invariant
+
     def jet(self, x0, x1):
         c, dc = self.speed.jet(x0, x1)
         W, dV = self.wind.jet(x0, x1)
@@ -164,6 +172,10 @@ class NavigationMetric(MetricField):
     def __init__(self, algebra):
         self.algebra = algebra
 
+    @property
+    def rotation_invariant(self):
+        return self.algebra.rotation_invariant
+
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)[0]
 
@@ -189,6 +201,10 @@ class NavigationOneForm(VectorValuedField):
 
     def __init__(self, algebra):
         self.algebra = algebra
+
+    @property
+    def rotation_invariant(self):
+        return self.algebra.rotation_invariant
 
     def jet(self, x0, x1):
         return self.algebra.jet(x0, x1)[1]
@@ -251,6 +267,10 @@ class LinearizedOneForm(VectorValuedField):
     def __init__(self, speed, wind):
         self.speed = speed
         self.wind = wind
+
+    @property
+    def rotation_invariant(self):
+        return self.speed.rotation_invariant and self.wind.rotation_invariant
 
     def jet(self, x0, x1):
         c, dc = self.speed.jet(x0, x1)

@@ -4,7 +4,7 @@ import pytest
 from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm, Domain,
                      EuclideanMetric, ExactForm, ExprField, MediumModel,
                      PotentialBump, RadialProfile, RandersSpec, RotationalForm,
-                     SolverOptions, zermelo_construct)
+                     SolverOptions, shoot_pairs, zermelo_construct)
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +108,35 @@ def bump_gradient(amp):
     """
     k = -2.0 * amp
     return ComponentForm([f"{k!r}*x1", f"{k!r}*x2"])
+
+
+def full_build(spec, angles, opts=None):
+    """The matrix build that shoots every ordered pair, the circulant row's reference.
+
+    One ``shoot_pairs`` call over all pairs (i, j), i != j, scattered as
+    ``distance_matrix`` scatters it when it shoots every start.  Returns
+    (shots, D, branch_counts, converged, error), where ``error`` is the
+    "Type: message" that ``distance_matrix`` raises for the first bad pair
+    in i-major order, or None.  No pair is excluded (the callers' samples
+    are far apart).
+    """
+    n = len(angles)
+    shots = shoot_pairs(spec, angles, np.argwhere(~np.eye(n, dtype=bool)), opts)
+    i, j = shots.pairs.T
+    D, branches = np.zeros((n, n)), np.zeros((n, n), dtype=int)
+    converged = np.zeros((n, n), dtype=bool)
+    D[i, j], branches[i, j], converged[i, j] = shots.time, shots.branch_count, shots.converged
+    error = None
+    bad = np.flatnonzero((shots.branch_count != 1) | ~shots.converged)
+    if bad.size:
+        q = bad[0]
+        i, j, count = shots.pairs[q, 0], shots.pairs[q, 1], shots.branch_count[q]
+        if count == 0 or not shots.converged[q]:
+            error = f"ConnectivityError: no shooting branch found for boundary pair ({i}, {j})"
+        else:
+            error = (f"NonAdmissibleError: {count} geodesic branches for boundary pair "
+                     f"({i}, {j}); distance matrix build aborted")
+    return shots, D, branches, converged, error
 
 
 def assert_jet_component(comp, m):

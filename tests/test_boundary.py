@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel,
+from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel, RandersSpec,
                      add_noise, decompose, distance_matrix, load,
                      sample_boundary, save, shoot_pairs, zermelo_construct)
 from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
                               NoiseDescriptor)
+from conftest import bump_gradient
 
 
 def _reference_load(path):
@@ -147,12 +148,19 @@ class TestDistanceMatrix:
         assert np.abs(d.miss).max() <= 1e-8
         assert not d.excluded.any()
 
-    def test_bracket_counts_summed_per_start(self, smooth_bump_spec):
-        data = distance_matrix(smooth_bump_spec, 6)
-        shots = shoot_pairs(smooth_bump_spec, data.angles, np.argwhere(~np.eye(6, dtype=bool)))
-        for field in ("brackets", "bracket_rays", "interpolated"):
-            per_start = np.bincount(shots.pairs[:, 0], getattr(shots, field), minlength=6)
-            assert np.array_equal(getattr(data.diagnostics, field), per_start)
+    def test_bracket_counts_summed_per_start(self, smooth_bump_spec, dom):
+        # a component-form gauge of the bump is not declared rotation-invariant,
+        # so its build shoots every start; the bump's row build shoots start 0
+        # alone, and the other starts count nothing
+        gauged = RandersSpec(dom, smooth_bump_spec.alpha, bump_gradient(0.3))
+        pairs = np.argwhere(~np.eye(6, dtype=bool))
+        for spec, shot_starts in ((gauged, 6), (smooth_bump_spec, 1)):
+            data = distance_matrix(spec, 6)
+            shots = shoot_pairs(spec, data.angles, pairs)
+            for field in ("brackets", "bracket_rays", "interpolated"):
+                per_start = np.bincount(shots.pairs[:, 0], getattr(shots, field), minlength=6)
+                per_start[shot_starts:] = 0
+                assert np.array_equal(getattr(data.diagnostics, field), per_start)
         assert data.diagnostics.brackets.sum() > 0
         # every bump bracket is interpolated from the sweep and shoots no ray
         assert np.array_equal(data.diagnostics.interpolated, data.diagnostics.brackets)
@@ -577,12 +585,41 @@ class TestAdmissibilityAbort:
         ({(2, 0): (0, False), (1, 2): (2, False)},
          "ConnectivityError: no shooting branch found for boundary pair (1, 2)"),
     ], ids=["multi", "unconverged"])
-    def test_first_bad_pair_in_i_major_order(self, euclid_spec, monkeypatch, threads, bad,
+    def test_first_bad_pair_in_i_major_order(self, wind_spec, monkeypatch, threads, bad,
                                              expected):
+        # the constant wind is not rotation-invariant, so every pair is shot
         import randers.boundary as bd
         from randers import RandersError
 
         def fake_shoot(spec, angles, pairs, opts=None, record_paths=False):
+            shots = _fake_shots(pairs, 1.0, 0.0, 1, True)
+            for pair, (count, converged) in bad.items():
+                q = (shots.pairs == pair).all(axis=1)
+                shots.branch_count[q], shots.converged[q] = count, converged
+            return shots
+
+        monkeypatch.setattr(bd, "shoot_pairs", fake_shoot)
+        with pytest.raises(RandersError) as exc:
+            bd.distance_matrix(wind_spec, 3, threads=threads)
+        assert f"{type(exc.value).__name__}: {exc.value}" == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad, expected", [
+        # rolled, (0, 2) is also (1, 0) and (2, 1): (0, 2) comes first
+        ({(0, 2): (3, True)},
+         "NonAdmissibleError: 3 geodesic branches for boundary pair (0, 2); "
+         "distance matrix build aborted"),
+        ({(0, 1): (2, False), (0, 2): (3, True)},
+         "ConnectivityError: no shooting branch found for boundary pair (0, 1)"),
+    ], ids=["multi", "unconverged"])
+    def test_row_build_names_the_first_bad_pair(self, euclid_spec, monkeypatch, threads, bad,
+                                                expected):
+        # Euclidean is rotation-invariant: the row (0, j) alone is shot and rolled
+        import randers.boundary as bd
+        from randers import RandersError
+
+        def fake_shoot(spec, angles, pairs, opts=None, record_paths=False):
+            assert np.asarray(pairs).tolist() == [[0, 1], [0, 2]]
             shots = _fake_shots(pairs, 1.0, 0.0, 1, True)
             for pair, (count, converged) in bad.items():
                 q = (shots.pairs == pair).all(axis=1)
