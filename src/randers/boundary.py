@@ -14,15 +14,18 @@ with it.  The first bad pair in i-major order is then (0, j) for the least
 bad j, which a build of every pair names too.  Every other spec or sample
 set shoots every pair.
 
-``load`` parses the body of a distance CSV in one C pass: the open file is
-streamed, blank and whitespace-only lines skipped, through ``np.loadtxt``
-into a structured array, so no line is held as a string.  The range,
-duplicate-pair and angle checks then run as whole-array operations (first
-occurrences by ``np.unique``), and the matrix is filled by one scatter.
-A row's faults depend only on earlier rows, so the earliest faulty row over
-all checks is the line a row-by-row parse would stop at; errors name that
-line.  Row numbers are mapped to line numbers, by reading the file again,
-only when there is an error to report.
+``load`` streams the body of a distance CSV: blank and whitespace-only
+lines are skipped, and the rest go ``_CHUNK`` lines at a time through
+``np.loadtxt``.  One scanner checks each chunk, range, duplicate pair and
+angle as whole-chunk operations, against what earlier chunks left: each
+sample's first angle and the mask of pairs seen.  It then scatters the
+chunk into D, so memory is D, the mask and one chunk; the two are
+allocated once the first chunk has passed, so a fault in it is reported
+whatever n the header claims.  A row's faults depend only on earlier
+rows, so the first chunk with a fault holds the earliest one, the line a
+row-by-row parse would stop at; errors name that line.  Row numbers are
+mapped to line numbers, by reading the file again, only when there is an
+error to report.
 """
 
 from __future__ import annotations
@@ -198,8 +201,10 @@ def decompose(data):
     """Split D into symmetric and antisymmetric parts (exact arithmetic).
 
     sym[i][j] = (D[i][j] + D[j][i]) / 2 is the reversible-part distance;
-    anti[i][j] = (D[i][j] - D[j][i]) / 2 is the 1-form line integral along
-    the i -> j geodesic.
+    anti[i][j] = (D[i][j] - D[j][i]) / 2 is the mean of the 1-form's line
+    integrals along the i -> j geodesic and along the reversed j -> i
+    geodesic.  The two differ by the flux of d(beta) between the curves, so
+    anti is the integral along the i -> j geodesic only for a closed beta.
     """
     D = data.matrix
     return 0.5 * (D + D.T), 0.5 * (D - D.T)
@@ -223,6 +228,7 @@ _HEADER_RE = re.compile(
 _COLUMNS = "i,j,angle_i,angle_j,d"
 _ROW = np.dtype([("i", np.int64), ("j", np.int64), ("angle_i", np.float64),
                  ("angle_j", np.float64), ("d", np.float64)])
+_CHUNK = 8192              # body lines per np.loadtxt call: bounds the memory of a load
 
 
 def save(data, path):
@@ -264,46 +270,91 @@ def _read_header(fh):
 
 def _parse_rows(lines):
     """Parse non-blank body lines in one np.loadtxt pass; ValueError if it rejects one."""
-    lines = iter(lines)
-    first = next(lines, None)
-    if first is None:        # loadtxt warns on empty input
+    if not lines:            # loadtxt warns on empty input
         return np.zeros(0, dtype=_ROW)
-    return np.loadtxt(itertools.chain([first], lines), delimiter=",", dtype=_ROW,
-                      comments=None, ndmin=1)
+    return np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
 
 
-def _check_rows(rows, n):
-    """The earliest faulty row as (row, message) or None, and each sample's first angle.
+class _Scan:
+    """The body checked and scattered into D a chunk of lines at a time.
 
-    A row is checked for range, then duplicate, then the angle of i, then
-    that of j, each against earlier rows only; so the earliest row any
-    whole-array check flags is the row a line-by-line parse stops at.
+    The checks of a row need only earlier rows, through the state carried
+    here: each sample's first angle (NaN until it is read) and the pairs
+    seen.  The mask and D are allocated at the first scatter.
     """
-    faults = []
-    i, j = rows["i"], rows["j"]
-    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
-    if bad.any():
-        r = int(bad.argmax())
-        faults.append((r, f"pair ({i[r]}, {j[r]}) out of range for n={n}"))
-        rows, i, j = rows[:r], i[:r], j[:r]
-    _, first = np.unique(i * n + j, return_index=True)
-    if len(first) < len(rows):
-        r = int(np.setdiff1d(np.arange(len(rows)), first)[0])
-        faults.append((r, f"duplicate pair ({i[r]}, {j[r]})"))
-    # events in parse order, two per row: (i, angle_i), then (j, angle_j)
-    idx = np.column_stack([i, j]).ravel()
-    val = np.column_stack([rows["angle_i"], rows["angle_j"]]).ravel()
-    _, first = np.unique(idx, return_index=True)
-    angles = np.full(n, np.nan)
-    angles[idx[first]] = val[first]
-    finite = np.isfinite(val)
-    bad = ~finite | (val != angles[idx])
-    if bad.any():
-        e = int(bad.argmax())
-        faults.append((e // 2, f"inconsistent angle for sample {idx[e]}" if finite[e]
-                       else f"angle for sample {idx[e]} is not finite"))
-    # min() keeps the first of equal rows: a duplicate before an angle fault
-    return min(faults, key=lambda f: f[0], default=None), angles
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = 0                                   # body rows before the next chunk
+        self.angles = np.full(n, np.nan)
+        self.seen = self.matrix = None
+
+    def grids(self):
+        """The mask of pairs seen and D, allocated on the first call."""
+        if self.seen is None:
+            self.matrix = np.zeros((self.n, self.n))
+            self.seen = np.zeros((self.n, self.n), dtype=bool)
+        return self.seen, self.matrix
+
+    def chunk(self, lines):
+        """Check and scatter the next lines; the earliest fault as (row, message), or None.
+
+        Where loadtxt rejects a line, the rows before the first rejected
+        line are checked: a fault among them comes first, else the rejection.
+        """
+        try:
+            fault = self._check(_parse_rows(lines))
+        except ValueError:
+            k = next(k for k, raw in enumerate(lines) if _rejected(raw))
+            fault = self._check(_parse_rows(lines[:k])) or (k, _rejection(lines[k]))
+        if fault is None:
+            self.rows += len(lines)
+            return None
+        return self.rows + fault[0], fault[1]
+
+    def _check(self, rows):
+        """The earliest faulty row of a chunk as (row, message); else None, and the rows are kept.
+
+        A row is checked for range, then duplicate, then the angle of i, then
+        that of j, each against earlier rows only; so the earliest row any
+        whole-chunk check flags is the row a line-by-line parse stops at.
+        """
+        n, faults = self.n, []
+        i, j = rows["i"], rows["j"]
+        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+        if bad.any():
+            r = int(bad.argmax())
+            faults.append((r, f"pair ({i[r]}, {j[r]}) out of range for n={n}"))
+            rows, i, j = rows[:r], i[:r], j[:r]
+        _, first = np.unique(i * n + j, return_index=True)
+        dup = np.ones(len(rows), dtype=bool)
+        dup[first] = False
+        if self.seen is not None:
+            dup |= self.seen[i, j]
+        if dup.any():
+            r = int(dup.argmax())
+            faults.append((r, f"duplicate pair ({i[r]}, {j[r]})"))
+        # events in parse order, two per row: (i, angle_i), then (j, angle_j)
+        idx = np.column_stack([i, j]).ravel()
+        val = np.column_stack([rows["angle_i"], rows["angle_j"]]).ravel()
+        _, first = np.unique(idx, return_index=True)
+        first = first[np.isnan(self.angles[idx[first]])]   # samples first read here
+        angles = self.angles.copy()
+        angles[idx[first]] = val[first]
+        finite = np.isfinite(val)
+        bad = ~finite | (val != angles[idx])
+        if bad.any():
+            e = int(bad.argmax())
+            faults.append((e // 2, f"inconsistent angle for sample {idx[e]}" if finite[e]
+                           else f"angle for sample {idx[e]} is not finite"))
+        if faults:
+            # min() keeps the first of equal rows: a duplicate before an angle fault
+            return min(faults, key=lambda f: f[0])
+        self.angles = angles
+        seen, D = self.grids()
+        seen[i, j] = True
+        D[i, j] = rows["d"]
+        return None
 
 
 def _lines(path):
@@ -328,7 +379,7 @@ def _rejected(raw):
 
 def _rejection(raw):
     """Why loadtxt rejected a line, in the words of int() and float() where they reject it too."""
-    cols = raw.split(",")
+    cols = raw.rstrip("\n").split(",")
     if len(cols) != 5:
         return f"expected 5 columns, found {len(cols)}"
     try:
@@ -349,29 +400,20 @@ def load(path):
     """
     with open(path) as fh:
         n, radius, spec_hash, noise = _read_header(fh)
-        try:
-            rows = _parse_rows(ln for ln in fh if not ln.isspace())
-        except ValueError:
-            rows = None
-    if rows is None:
-        body = _body(path)
-        k = next(k for k, (_, raw) in enumerate(body) if _rejected(raw))
-        fault, _ = _check_rows(_parse_rows(raw for _, raw in body[:k]), n)
-        r, msg = fault or (k, _rejection(body[k][1]))
-        raise CsvFormatError(msg, line=body[r][0])
-    fault, angles = _check_rows(rows, n)
+        scan = _Scan(n)
+        body = itertools.filterfalse(str.isspace, fh)
+        fault = None
+        while fault is None and (lines := list(itertools.islice(body, _CHUNK))):
+            fault = scan.chunk(lines)
     if fault is not None:
         raise CsvFormatError(fault[1], line=_body(path)[fault[0]][0])
-
-    D = np.zeros((n, n))
-    D[rows["i"], rows["j"]] = rows["d"]
-    if len(rows) < n * (n - 1):
-        seen = np.eye(n, dtype=bool)
-        seen[rows["i"], rows["j"]] = True
+    seen, D = scan.grids()
+    if scan.rows < n * (n - 1):
+        np.fill_diagonal(seen, True)
         i, j = np.argwhere(~seen)[0]
         raise CsvFormatError(f"missing entry for pair ({i}, {j}); file truncated?",
                              line=len(_lines(path)) + 1)
-    if np.isnan(angles).any():
+    if np.isnan(scan.angles).any():
         raise CsvFormatError("some samples never appeared in any row", line=len(_lines(path)))
-    return BoundaryDistanceData(angles=angles, radius=radius, matrix=D,
+    return BoundaryDistanceData(angles=scan.angles, radius=radius, matrix=D,
                                 spec_hash=spec_hash, noise=noise)

@@ -47,8 +47,11 @@ def _require_complete(data):
 def recover_beta_integrals(data):
     """Line integrals of the 1-form along boundary geodesics.
 
-    int_gamma beta = (d(x, x') - d(x', x)) / 2, entry (i, j) for the i -> j
-    geodesic; zero for reversible norms.
+    Entry (i, j) is (d(x_i, x_j) - d(x_j, x_i)) / 2: the mean of beta's
+    integrals along the i -> j geodesic and along the reversed j -> i
+    geodesic, which differ by the flux of d(beta) between them.  For a
+    closed beta it is the integral along the i -> j geodesic; zero for
+    reversible norms.
     """
     _require_complete(data)
     return decompose(data)[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel, RandersSpec,
-                     add_noise, decompose, distance_matrix, load,
+                     add_noise, boundary, decompose, distance_matrix, load,
                      sample_boundary, save, shoot_pairs, zermelo_construct)
 from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
                               NoiseDescriptor)
@@ -409,6 +410,21 @@ _EDITS = st.one_of(
 )
 
 
+# the load's own chunk size, and sizes that put chunk boundaries between
+# the 20 rows of a small file
+_CHUNKS = [boundary._CHUNK, 2, 3]
+
+
+def _chunked_outcomes(path):
+    """``load``'s outcome at each chunk size of ``_CHUNKS``."""
+    outcomes = []
+    for chunk in _CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boundary, "_CHUNK", chunk)
+            outcomes.append(_outcome(load, path))
+    return outcomes
+
+
 class TestLoadMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(edits=st.lists(_EDITS, min_size=1, max_size=3))
@@ -425,7 +441,7 @@ class TestLoadMatchesReference:
         newline = "\r\n" if ("crlf",) in edits else "\n"
         p = tmp_path_factory.mktemp("mut") / "m.csv"
         p.write_bytes("".join(line + newline for line in lines).encode())
-        assert _outcome(load, p) == _outcome(_reference_load, p)
+        assert _chunked_outcomes(p) == [_outcome(_reference_load, p)] * len(_CHUNKS)
 
     # two faults of different kinds, in either order: the earlier line wins;
     # a duplicate row whose angle also differs is reported as the duplicate
@@ -435,6 +451,16 @@ class TestLoadMatchesReference:
         ({5: "0,9,<a0>,<a1>,1.0", 7: "1,0,0.25,<a0>,1.0"}, 5, "pair (0, 9) out of range for n=5"),
         ({5: "0,3,0.25,<a3>,1.0", 7: "1,1,<a1>,<a1>,1.0"}, 5, "inconsistent angle for sample 0"),
         ({4: "0,1,0.25,<a1>,1.0"}, 4, "duplicate pair (0, 1)"),
+        # across chunks: a pair or an angle first read in an earlier chunk
+        ({9: "0,1,<a0>,<a1>,7.0"}, 9, "duplicate pair (0, 1)"),
+        ({21: "0,4,<a0>,<a4>,7.0"}, 21, "duplicate pair (0, 4)"),
+        ({11: "2,0,<a2>,0.25,1.0"}, 11, "inconsistent angle for sample 0"),
+        ({20: "4,1,<a4>,-0.5,1.0"}, 20, "inconsistent angle for sample 1"),
+        ({10: "0,1,<a0>,<a1>,7.0", 11: "2,0,<a2>,x,1.0"}, 10, "duplicate pair (0, 1)"),
+        ({10: "2,1,<a2>,<a1>,x", 11: "2,1,<a2>,<a1>,1.0"}, 10,
+         "could not convert string to float: 'x'"),
+        ({12: "2,0,<a2>,<a0>,1.0", 13: "2,9,<a2>,<a1>,1.0"}, 12, "duplicate pair (2, 0)"),
+        ({13: "2,9,<a2>,<a1>,1.0", 14: "0,1,<a0>,<a1>,1.0"}, 13, "pair (2, 9) out of range for n=5"),
     ])
     def test_earliest_fault_wins(self, tmp_path, edits, line, message):
         lines = _saved_lines(tmp_path)
@@ -445,10 +471,9 @@ class TestLoadMatchesReference:
             lines[ln - 1] = text
         p = tmp_path / "two.csv"
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CsvFormatError) as err:
-            load(p)
-        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
-        assert _outcome(_reference_load, p) == ("error", str(err.value), line)
+        fault = ("error", f"line {line}: {message}", line)
+        assert _chunked_outcomes(p) == [fault] * len(_CHUNKS)
+        assert _outcome(_reference_load, p) == fault
 
     @pytest.mark.parametrize("text", ["nan", "inf"])
     def test_nonfinite_angle_rejected(self, tmp_path, text):
@@ -472,8 +497,41 @@ class TestLoadMatchesReference:
         with pytest.raises(CsvFormatError, match="^line 6: angle for sample 4 is not finite$"):
             load(p)
 
+    # sample 2's angle text on its last row, line 21, differs from its
+    # others; load must read every text as a float reading would, whether
+    # the two are one value written two ways, longer than any float's repr,
+    # or hold a NUL
+    @pytest.mark.parametrize("first, later, loads", [
+        ("0.5", "0.50", True),
+        ("0.50", "0.5", True),
+        ("0.0", "-0.0", True),
+        ("-0.0", "0.0", True),
+        ("1.25", "125.000000000000000000000e-2", True),
+        ("125.000000000000000000000e-2", "1.25", True),
+        ("125.0", "125.000000000000000000000e-2", False),
+        ("125.000000000000000000000e-2", "125.0", False),
+        ("0.5", "0.5\x00", False),
+        ("0.5\x00", "0.5", False),
+        ("0.5", "0.\x005", False),
+    ])
+    def test_angle_texts_read_as_floats(self, tmp_path, first, later, loads):
+        lines = _saved_lines(tmp_path)
+        for k in range(2, len(lines)):
+            cols = lines[k].split(",")
+            for col in (0, 1):
+                if cols[col] == "2":
+                    cols[2 + col] = first
+            lines[k] = ",".join(cols)
+        lines[20] = _set_col(lines[20], 3, later)
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join(lines) + "\n")
+        outcome = _outcome(_reference_load, p)
+        assert _chunked_outcomes(p) == [outcome] * len(_CHUNKS)
+        assert (outcome[0] == "data") == loads
+
     # forms int() and float() read but np.loadtxt does not; save never writes them
-    @pytest.mark.parametrize("col, text", [(1, "1_0"), (4, "1_0.5"), (4, "١")])
+    @pytest.mark.parametrize("col, text", [(1, "1_0"), (2, "1_0"), (3, "1_0"), (4, "1_0.5"),
+                                           (4, "١")])
     def test_unsupported_number_names_line(self, tmp_path, col, text):
         lines = _saved_lines(tmp_path)
         lines[6] = _set_col(lines[6], col, text)
@@ -481,6 +539,38 @@ class TestLoadMatchesReference:
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="^line 7: unsupported number format"):
             load(p)
+
+
+def test_fault_in_first_chunk_named_whatever_n(tmp_path):
+    # D and the pair mask are allocated after the first chunk passes: a
+    # header n too large to allocate does not hide a fault in it
+    p = tmp_path / "big.csv"
+    p.write_text("# n=1000000 R=1.0 spec=ab units=time\ni,j,angle_i,angle_j,d\n0,0,0.0,0.0,1.0\n")
+    with pytest.raises(CsvFormatError, match=r"^line 3: pair \(0, 0\) out of range for n=1000000$"):
+        load(p)
+
+
+# a load holds D, the n x n mask of pairs seen, and one chunk: measured
+# 2.1-2.2 MB above D and the mask at n = 96 to 1024 (Python 3.11, numpy
+# 2.4); a load that holds the whole body took 19.4 MB above them at n = 384
+_CHUNK_ALLOWANCE = 3e6
+
+
+def test_load_memory_is_the_matrix_and_one_chunk(tmp_path):
+    n = 384
+    D = np.random.default_rng(5).uniform(0.1, 2.0, (n, n))
+    np.fill_diagonal(D, 0.0)
+    p = tmp_path / "m.csv"
+    save(BoundaryDistanceData(angles=2.0 * math.pi * np.arange(n) / n, radius=1.0, matrix=D,
+                              spec_hash="ab"), p)
+    tracemalloc.start()
+    try:
+        back = load(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.matrix, D)
+    assert peak <= D.nbytes + n * n + _CHUNK_ALLOWANCE
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

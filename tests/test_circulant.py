@@ -334,6 +334,19 @@ def test_magnetic_full_build_matches_closed_form(dom):
     assert np.abs(D - _magnetic(0.8, 16)).max() <= MAGNETIC_TOL
 
 
+@pytest.mark.parametrize("n", [24, 48])
+def test_gauge_shifted_magnetic_matrix_matches_closed_form(dom, n):
+    # the constant form w adds <w, x_j> - <w, x_i> to every path from x_i to
+    # x_j, and breaks the rotation invariance: this checks the build of
+    # every pair on rays that integrate a beta that is not closed
+    s, w = 0.8, np.array([0.1, -0.05])
+    spec = RandersSpec(dom, EuclideanMetric(), SumForm(RotationalForm(s), ConstantForm(w)))
+    assert not spec.rotation_invariant and spec.beta.potential is None
+    D = distance_matrix(spec, n).matrix
+    shift = np.column_stack([np.cos(_angles(n)), np.sin(_angles(n))]) @ w
+    assert np.abs(D - (_magnetic(s, n) + shift[None, :] - shift[:, None])).max() <= MAGNETIC_TOL
+
+
 def test_concave_magnetic_boundary_aborts_on_the_first_pair(dom):
     # |s| > 1 turns the boundary concave for clockwise tangents (see the
     # README's scope notes); both builds name the same first pair
