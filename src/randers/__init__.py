@@ -31,8 +31,7 @@ from .recovery import (GaugeReport, PotentialRecovery, ProfileRecovery,
                        RecoveryReport, herglotz_invert,
                        recover_beta_integrals, recover_boundary_potential,
                        recover_symmetric_data, rigidity_report, verify_gauge)
-from .zermelo import (HerglotzReport, MediumModel, conformal_specialize,
-                      herglotz_check, linearize, travel_time_consistency,
-                      zermelo_construct)
+from .zermelo import (HerglotzReport, MediumModel, herglotz_check, linearize,
+                      travel_time_consistency, zermelo_construct)
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ _SCHEMA = {
         "boundary_samples": ("int", "count", 16),
     },
     "medium": {
-        "kind": ("str", "enum:zermelo|conformal|linearized|direct", "direct"),
+        "kind": ("str", "enum:zermelo|linearized|direct", "direct"),
         "c": ("str", "speed expression in x1,x2,r", "1"),
         "wind": ("field", "speed field preset", "zero"),
         "alpha": ("str", "enum:euclidean|conformal", "euclidean"),
@@ -203,7 +203,7 @@ def _validate(cfg):
     if cfg.domain["boundary_samples"] < 2:
         raise ConfigError("boundary_samples must be >= 2")
     kind = cfg.medium["kind"]
-    if kind not in ("zermelo", "conformal", "linearized", "direct"):
+    if kind not in ("zermelo", "linearized", "direct"):
         raise ConfigError(f"unknown medium kind {kind!r}")
     if cfg.medium["alpha"] not in ("euclidean", "conformal"):
         raise ConfigError(f"unknown alpha {cfg.medium['alpha']!r}")
@@ -316,7 +316,7 @@ class Scenario:
 
 def build_scenario(cfg):
     """Instantiate fields, medium, and solver options from a parsed config."""
-    from .zermelo import MediumModel, conformal_specialize, linearize, zermelo_construct
+    from .zermelo import MediumModel, linearize, zermelo_construct
 
     dom = Domain(radius=cfg.domain["radius"])
     opts = SolverOptions(**{name: cfg.solver[key] for key, name in _SOLVER_FIELDS.items()})
@@ -336,8 +336,6 @@ def build_scenario(cfg):
         medium = MediumModel(dom, speed=speed, wind=wind)
         if kind == "zermelo":
             spec = zermelo_construct(medium)
-        elif kind == "conformal":
-            spec = conformal_specialize(speed, wind, dom)
         else:
             spec, rho = linearize(speed, wind, dom)
     if spec.margin <= 0.0:

@@ -41,9 +41,10 @@ def _tokenize(src):
     while i < len(src):
         m = _TOKEN_RE.match(src, i)
         if m is None:
-            if src[i:].strip() == "":
+            j = len(src) - len(src[i:].lstrip())   # the first character that is not blank
+            if j == len(src):
                 break
-            raise ConfigError(f"unexpected character {src[i]!r} in expression", column=i + 1)
+            raise ConfigError(f"unexpected character {src[j]!r} in expression", column=j + 1)
         if m.group("num") is not None:
             toks.append(_Tok("num", m.group("num"), m.start("num")))
         elif m.group("name") is not None:

@@ -27,12 +27,12 @@ The base classes assemble every family's batch-first tensors (``value``,
 place each, broadcasting scalars against the batch, so a jet and the tensor
 calls agree bit for bit.
 
-The geodesic spray reads a metric through :meth:`MetricField.spray_terms`
-(the quadratic form, its Riemannian spray and its inverse along planar
-directions) and a 1-form through its jet.  A 1-form that is closed by
-construction carries its ``potential``, a scalar field phi with
-d phi = beta (None on every other form), which shooting reads to trace
-alpha's rays and shift their times by phi.
+The geodesic spray reads a metric and a 1-form through their jets alone;
+:func:`jet_spray_terms` turns a metric's jet into its quadratic form, its
+Riemannian spray and its inverse along planar directions.  A 1-form that
+is closed by construction carries its ``potential``, a scalar field phi
+with d phi = beta (None on every other form), which shooting reads to
+trace alpha's rays and shift their times by phi.
 
 Every field and metric also declares ``rotation_invariant``: True where the
 family equals its own rotation about the origin (constants, radial profiles
@@ -613,10 +613,13 @@ class SumForm(VectorValuedField):
 
 
 def jet_spray_terms(jet, y0, y1):
-    """Spray terms of a metric from its planar jet (see :meth:`MetricField.spray_terms`).
+    """(A, (G0, G1), (i00, i01, i11)) of a metric from its planar jet, along (y0, y1).
 
-    G = 1/2 a^-1 (Q - A_x / 2) with Q_l = y^k (d_k a y)_l and
-    (A_x)_l = d_l a(y, y), through the explicit 2x2 inverse.
+    A = a(y, y), G is the spray of the metric's own geodesics (x'' + 2G = 0)
+    and i holds the inverse metric components; each entry is an (m,) array
+    or a scalar that broadcasts against one.  G = 1/2 a^-1 (Q - A_x / 2)
+    with Q_l = y^k (d_k a y)_l and (A_x)_l = d_l a(y, y), through the
+    explicit 2x2 inverse.
     """
     (a00, a01, a11), ((p000, p001, p011), (p100, p101, p111)) = jet
     ay0 = a00 * y0 + a01 * y1
@@ -664,16 +667,6 @@ class MetricField:
         d0, d1 = self.jet(x[:, 0], x[:, 1])[1]
         return _unbatch(np.stack([_sym(d0, len(x)), _sym(d1, len(x))], axis=1), single)
 
-    def spray_terms(self, x0, x1, y0, y1):
-        """(A, (G0, G1), (i00, i01, i11)) at the points (x0, x1) along (y0, y1).
-
-        A = a(y, y), G is the spray of the metric's own geodesics
-        (x'' + 2G = 0) and i holds the inverse metric components; each entry
-        is an (m,) array or a scalar that broadcasts against one.  The base
-        class computes them from the planar jet.
-        """
-        return jet_spray_terms(self.jet(x0, x1), y0, y1)
-
     def describe(self):
         raise NotImplementedError
 
@@ -696,9 +689,7 @@ class ConformalMetric(MetricField):
     """g = c^-2 * euclidean for a sound-speed field c.
 
     Every call evaluates the speed's planar jet once: lam = c^-2 and
-    d lam = -2 c^-3 grad c.  The spray terms need no metric components:
-    with s = -ln c, G = <grad s, y> y - |y|^2 grad s / 2 and the inverse is
-    c^2 times the identity.
+    d lam = -2 c^-3 grad c.
     """
 
     def __init__(self, speed):
@@ -719,14 +710,6 @@ class ConformalMetric(MetricField):
         dfac = -2.0 * np.power(c, -3)  # d(c^-2)/dc
         lam_0, lam_1 = dfac * c_0, dfac * c_1
         return (lam, _ZERO, lam), ((lam_0, _ZERO, lam_0), (lam_1, _ZERO, lam_1))
-
-    def spray_terms(self, x0, x1, y0, y1):
-        c, (c_0, c_1) = self.speed.jet(x0, x1)
-        s_0, s_1 = -c_0 / c, -c_1 / c        # grad(-ln c)
-        yy = y0 * y0 + y1 * y1
-        sy = s_0 * y0 + s_1 * y1
-        c2 = c * c
-        return yy / c2, (sy * y0 - 0.5 * yy * s_0, sy * y1 - 0.5 * yy * s_1), (c2, _ZERO, c2)
 
     def describe(self):
         return f"conformal({self.speed.describe()})"

@@ -99,7 +99,8 @@ from ._tables import write_table
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      SpecMismatchError, TrappedGeodesicError)
-from .fields import Domain, _pts_pair, _unbatch, circle_directions, disk_grid
+from .fields import (Domain, _pts_pair, _unbatch, circle_directions, disk_grid,
+                     jet_spray_terms)
 from .norms import (RandersSpec, _alpha_at, _beta_at, _dF_dy, _fundamental,
                     _nonzero_directions)
 
@@ -181,7 +182,8 @@ def _spray_and_norm(spec, x0, x1, y0, y1):
     P = (r00 - 2 alpha s0) / (2F).  S is zero where beta has no curl, so a
     closed beta only rescales the alpha spray along y.
     """
-    (A, (G0, G1), inv), bjet = spec.spray_terms(x0, x1, y0, y1)
+    A, (G0, G1), inv = jet_spray_terms(spec.alpha.jet(x0, x1), y0, y1)
+    bjet = None if spec.beta.is_zero else spec.beta.jet(x0, x1)
     al = np.sqrt(A)
     if bjet is None:
         F = al

@@ -130,16 +130,6 @@ class RandersSpec:
         self.domain.require_inside(X)
         return _unbatch(self._raw_norm(X, Y), single)
 
-    def spray_terms(self, x0, x1, y0, y1):
-        """(alpha.spray_terms, beta.jet) at the points (x0, x1) along (y0, y1).
-
-        The geodesic spray's only field call per batch; None stands for a
-        zero beta.  Specs whose alpha and beta share intermediate quantities
-        override it to compute them once.
-        """
-        return (self.alpha.spray_terms(x0, x1, y0, y1),
-                None if self.beta.is_zero else self.beta.jet(x0, x1))
-
     def _cotangent_fields(self):
         """(c, W, b, phi): F = F(c, W) + b, the navigation norm of speed c and
         wind W plus a 1-form b (None when zero), whose dual norm rays integrate.

@@ -2,17 +2,17 @@
 
 A wave moving at unit self-speed in metric g while drifting with a flow W
 follows geodesics of the Randers norm built here; the curve parameter is
-physical travel time.  The module provides the general construction, the
-conformal (sound-speed) specialization, its small-drift linearization, and
-the non-trapping condition check for radial profiles.
+physical travel time.  The module provides Zermelo's construction, its
+small-drift linearization, and the non-trapping condition check for radial
+profiles.
 
-Both navigation algebras (general Zermelo and conformal) are written in
-planar components: each evaluates the metric (or speed) and wind jets once
-and returns the planar jets of alpha and beta, each component an (m,) array
-or, where every input it depends on is constant over the batch, an
-``np.float64`` scalar.  A constant medium (c = "1" under a constant wind)
-thus runs its algebra on scalars, once per call.  The public alpha and beta
-tensors are assembled from that jet.
+The navigation algebra is written in planar components: it evaluates the
+metric and wind jets once and returns the planar jets of alpha and beta,
+each component an (m,) array or, where every input it depends on is
+constant over the batch, an ``np.float64`` scalar.  A constant medium
+(c = "1" under a constant wind) thus runs it on scalars, once per call.
+The public alpha and beta tensors, and the spray's terms, are assembled
+from that jet.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ import numpy as np
 
 from .errors import InvalidMediumError, SpecMismatchError
 from .fields import (ConformalMetric, ConstantField, MetricField, RadialProfile,
-                     ScaledForm, SumForm, VectorValuedField, ZeroForm, disk_grid,
-                     jet_spray_terms)
+                     ScaledForm, SumForm, VectorValuedField, ZeroForm, disk_grid)
 from .norms import MARGIN_GRID_SIZE, RandersSpec, _alpha_at, _beta_at, _quad
 
-__all__ = ["MediumModel", "zermelo_construct", "conformal_specialize",
-           "linearize", "herglotz_check", "HerglotzReport",
-           "travel_time_consistency"]
+__all__ = ["MediumModel", "zermelo_construct", "linearize", "herglotz_check",
+           "HerglotzReport", "travel_time_consistency"]
 
 _HERGLOTZ_RADII = 1000   # radii in [0, R] where the non-trapping condition is evaluated
 
@@ -63,7 +61,7 @@ class MediumModel:
 
 # ---------------------------------------------------------------------------
 # navigation algebra: stateless planar component arithmetic, evaluated once
-# per batch by the spec's jet
+# per jet call
 
 _PAIRS = ((0, 0), (0, 1), (1, 1))   # (i, j) of the planar metric components
 
@@ -120,52 +118,6 @@ class _ZermeloAlgebra:
         return (alpha, dalpha), (beta, dbeta)
 
 
-@dataclass(frozen=True)
-class _ConformalAlgebra:
-    """g = c^-2 e: alpha_ij = c^-2 d_ij / D + c^-4 W^i W^j / D^2, beta_i = -c^-2 W^i / D.
-
-    Here D = 1 - c^-2 |W|_e^2; an arithmetic path independent of
-    :class:`_ZermeloAlgebra` that gives the same result.
-    """
-
-    speed: object
-    wind: object
-    name = "conformal_zermelo"
-
-    def args(self):
-        return f"c={self.speed.describe()},W={self.wind.describe()}"
-
-    @property
-    def rotation_invariant(self):
-        return self.speed.rotation_invariant and self.wind.rotation_invariant
-
-    def jet(self, x0, x1):
-        c, dc = self.speed.jet(x0, x1)
-        W, dV = self.wind.jet(x0, x1)
-        c2 = np.power(c, -2)
-        c4 = np.power(c2, 2)
-        dc2_dc, dc4_dc = -2.0 * np.power(c, -3), -4.0 * np.power(c, -5)
-        w2 = W[0] * W[0] + W[1] * W[1]
-        D = 1.0 - c2 * w2
-        D2, D3 = np.power(D, 2), np.power(D, 3)
-        e, f = c2 / D, c4 / D2                  # alpha = e delta + f W W
-        alpha = tuple(e * (i == j) + f * (W[i] * W[j]) for i, j in _PAIRS)
-        beta = (-e * W[0], -e * W[1])
-        dalpha, dbeta = [], []                  # per derivative direction k
-        for k in (0, 1):
-            dc2, dc4 = dc2_dc * dc[k], dc4_dc * dc[k]
-            dw2 = 2.0 * (W[0] * dV[0][k] + W[1] * dV[1][k])
-            dD = -(dc2 * w2 + c2 * dw2)
-            t1 = dc2 / D - c2 * dD / D2
-            t2 = dc4 / D2 - 2.0 * c4 * dD / D3
-            dalpha.append(tuple(t1 * (i == j) + t2 * (W[i] * W[j])
-                                + f * (dV[i][k] * W[j] + W[i] * dV[j][k])
-                                for i, j in _PAIRS))
-            dbeta.append(tuple(-(dc2 / D) * W[i] - e * dV[i][k] + (c2 / D2) * W[i] * dD
-                               for i in (0, 1)))
-        return (alpha, tuple(dalpha)), (beta, tuple(zip(*dbeta)))
-
-
 class NavigationMetric(MetricField):
     """The Riemannian part alpha of a navigation algebra."""
 
@@ -214,21 +166,17 @@ class NavigationOneForm(VectorValuedField):
 
 
 class _NavigationSpec(RandersSpec):
-    """Randers spec of a medium with wind; its spray terms run the algebra once per batch."""
+    """Randers spec of a medium with wind: alpha and beta of one navigation algebra."""
 
     def __init__(self, domain, algebra):
         super().__init__(domain, NavigationMetric(algebra), NavigationOneForm(algebra))
         self.algebra = algebra
 
-    def spray_terms(self, x0, x1, y0, y1):
-        ajet, bjet = self.algebra.jet(x0, x1)
-        return jet_spray_terms(ajet, y0, y1), bjet
-
     def reverse(self):
         """The same algebra over the wind -W.
 
-        Both algebras are even in W for alpha and odd for beta, and negation
-        is exact, so alpha is unchanged and beta is exactly negated.
+        The algebra is even in W for alpha and odd for beta, and negation is
+        exact, so alpha is unchanged and beta is exactly negated.
         """
         wind = ScaledForm(self.algebra.wind, -1.0)
         return _NavigationSpec(self.domain, replace(self.algebra, wind=wind))
@@ -239,22 +187,6 @@ def zermelo_construct(medium):
     if medium.wind.is_zero:
         return RandersSpec(medium.domain, medium.metric)
     return _NavigationSpec(medium.domain, _ZermeloAlgebra(medium.metric, medium.wind))
-
-
-def conformal_specialize(speed, wind, domain):
-    """Randers spec for g = c^-2 * euclidean via the specialized formulas.
-
-    Agrees with ``zermelo_construct`` on the same medium to near machine
-    precision; kept as an independent arithmetic path.
-    """
-    pts = disk_grid(domain, 1000)
-    c = speed.value(pts)
-    w = np.linalg.norm(wind.value(pts), axis=1)
-    if (w >= c).any():
-        raise InvalidMediumError("drift speed reaches |W|_e >= c on the probe grid")
-    if wind.is_zero:
-        return RandersSpec(domain, ConformalMetric(speed))
-    return _NavigationSpec(domain, _ConformalAlgebra(speed, wind))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,20 @@ def rot_zermelo_spec(dom):
                                          wind=RotationalForm(0.4)))
 
 
+# the generic medium: neither its sound speed nor its 1-form is rotation
+# invariant, so a matrix build on it shoots every pair, and the 1-form is
+# not closed (d beta = -0.25 + 0.05 x2)
+@pytest.fixture(scope="session")
+def generic_spec(dom):
+    return RandersSpec(dom, ConformalMetric(ExprField("2 - (x1 - 0.3)^2 - 0.8*x2^2")))
+
+
+@pytest.fixture(scope="session")
+def generic_beta_spec(dom, generic_spec):
+    return RandersSpec(dom, generic_spec.alpha,
+                       ComponentForm(["0.15*x2 + 0.05*x1^2", "-0.1*x1 + 0.05*x1*x2"]))
+
+
 # low-velocity lenses: three geodesics join some boundary pairs, so both lie
 # outside the paper's hypotheses and a distance matrix build must abort
 @pytest.fixture(scope="session")

@@ -778,6 +778,50 @@ class TestMetamorphic:
         assert slack[distinct].min() >= -1e-9
 
 
+def _offset_samples(n, offset):
+    return BoundarySamples(angles=2.0 * math.pi * (np.arange(n) + offset) / n, radius=1.0)
+
+
+@pytest.fixture(scope="module", params=["generic_spec", "generic_beta_spec"])
+def generic24(request):
+    """(spec, samples, D) of a generic medium at n = 24, samples offset by 0.37."""
+    spec = request.getfixturevalue(request.param)
+    samples = _offset_samples(24, 0.37)
+    return spec, samples, distance_matrix(spec, samples).matrix
+
+
+class TestFullBuildLaws:
+    """Each pair's time depends only on its own two samples, bit for bit.
+
+    On the generic media every pair is shot (neither medium is declared
+    rotation-invariant), so these laws hold the pair join across starts to
+    exact equality: no pair may read the other targets of its start.
+    """
+
+    def test_generic_media_take_the_full_build(self, generic24):
+        assert not generic24[0].rotation_invariant
+
+    def test_subset_of_a_denser_build(self, generic24):
+        # 2 pi (2i + 0.74) / 48 is 2 pi (i + 0.37) / 24 exactly
+        spec, samples, D = generic24
+        dense = _offset_samples(48, 0.74)
+        assert np.array_equal(dense.angles[::2], samples.angles)
+        assert np.array_equal(distance_matrix(spec, dense).matrix[::2, ::2], D)
+
+    def test_permuted_samples_permute_the_matrix(self, generic24):
+        spec, samples, D = generic24
+        p = np.random.default_rng(2024).permutation(len(D))
+        permuted = BoundarySamples(angles=samples.angles[p], radius=samples.radius)
+        assert np.array_equal(distance_matrix(spec, permuted).matrix, D[np.ix_(p, p)])
+
+    @pytest.mark.parametrize("generic24", ["generic_spec"], indirect=True)
+    def test_reversible_medium_is_symmetric(self, generic24):
+        # within the build's error (measured 1.9e-10 at n = 24)
+        spec, _, D = generic24
+        assert spec.is_reversible
+        assert np.abs(D - D.T).max() <= 5e-10
+
+
 def _rotated_samples(n, delta):
     return BoundarySamples(angles=(2.0 * math.pi * np.arange(n) / n + delta) % (2.0 * math.pi),
                            radius=1.0)

@@ -16,13 +16,12 @@ import pytest
 from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm,
                      EuclideanMetric, ExactForm, ExprField, MediumModel, PotentialBump,
                      RadialProfile, RandersError, RandersSpec, RotationalForm, SolverOptions,
-                     ZeroForm, conformal_specialize, distance_matrix, linearize,
-                     zermelo_construct)
+                     ZeroForm, distance_matrix, linearize, zermelo_construct)
 from randers import boundary as bd
 from randers.boundary import BoundarySamples
 from randers.fields import LinearCombination, LinearField, ScaledForm, SumForm
 from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
-                             _ConformalAlgebra, _ZermeloAlgebra)
+                             _ZermeloAlgebra)
 from conftest import bump_gradient, full_build
 
 TIGHT = SolverOptions(rtol=1e-12, atol=1e-15)
@@ -87,11 +86,10 @@ DECLARED = [
         _ZermeloAlgebra(ConformalMetric(_RADIAL), _ROT)), True),
     ("NavigationMetric zermelo constant wind", lambda: NavigationMetric(
         _ZermeloAlgebra(EuclideanMetric(), _CONST)), False),
-    ("NavigationMetric conformal", lambda: NavigationMetric(_ConformalAlgebra(_RADIAL, _ROT)),
-     True),
     ("NavigationMetric conformal planar speed", lambda: NavigationMetric(
-        _ConformalAlgebra(_PLANAR, _ROT)), False),
-    ("NavigationOneForm", lambda: NavigationOneForm(_ConformalAlgebra(_RADIAL, _ROT)), True),
+        _ZermeloAlgebra(ConformalMetric(_PLANAR), _ROT)), False),
+    ("NavigationOneForm", lambda: NavigationOneForm(
+        _ZermeloAlgebra(ConformalMetric(_RADIAL), _ROT)), True),
     ("NavigationOneForm planar speed", lambda: NavigationOneForm(
         _ZermeloAlgebra(ConformalMetric(_PLANAR), _ROT)), False),
     ("LinearizedOneForm", lambda: LinearizedOneForm(_RADIAL, _ROT), True),
@@ -126,7 +124,6 @@ def test_navigation_specs(dom):
         medium = MediumModel(dom, speed=speed, wind=wind)
         assert zermelo_construct(medium).rotation_invariant is expected
         assert zermelo_construct(medium).reverse().rotation_invariant is expected
-        assert conformal_specialize(speed, wind, dom).rotation_invariant is expected
         assert linearize(speed, wind, dom)[0].rotation_invariant is expected
 
 

@@ -28,7 +28,7 @@ CURVED_CFG = """
 boundary_samples = 8
 
 [medium]
-kind = "conformal"
+kind = "zermelo"
 c = "2 - r^2"
 """
 
@@ -151,6 +151,15 @@ class TestRecover:
         assert "verdict gauge_equivalent: True" in text
         assert (out / "potential.csv").exists()
 
+    def test_requires_shared_boundary_sampling(self, cfg_file, tmp_path, capsys):
+        other = BUMP_CFG.replace("boundary_samples = 6", "boundary_samples = 8")
+        rc = main(["recover", "--config", cfg_file("a.cfg", EUCLID_CFG),
+                   "--config", cfg_file("b.cfg", other), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "RandersError",
+                       "message": "the two scenarios must share boundary sampling and radius"}
+
     def test_requires_two_configs(self, cfg_file, tmp_path, capsys):
         rc = main(["recover", "--config", cfg_file("a.cfg", EUCLID_CFG),
                    "--out", str(tmp_path / "o")])
@@ -246,7 +255,7 @@ class TestVerify:
 
     def test_chord_with_several_branches_is_an_error(self, cfg_file, tmp_path, capsys):
         # on this lens three geodesics join the second chord's endpoints
-        cfg = cfg_file("l.cfg", '[domain]\nboundary_samples = 6\n\n[medium]\nkind = "conformal"\n'
+        cfg = cfg_file("l.cfg", '[domain]\nboundary_samples = 6\n\n[medium]\nkind = "zermelo"\n'
                                 'c = "1 - 0.5*exp(-10*r^2)"\nwind = "zero"\n')
         rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -259,7 +268,7 @@ class TestVerify:
 class TestPlotdata:
     def test_writes_paths_and_profile(self, cfg_file, tmp_path):
         out = tmp_path / "out"
-        cfg = cfg_file("c.cfg", '[medium]\nkind = "conformal"\nc = "2 - r"\nwind = "zero"\n')
+        cfg = cfg_file("c.cfg", '[medium]\nkind = "zermelo"\nc = "2 - r"\nwind = "zero"\n')
         rc = main(["plotdata", "--config", cfg, "--out", str(out)])
         assert rc == 0
         assert (out / "path_00.csv").exists()
@@ -283,7 +292,7 @@ class TestPlotdata:
     def test_boundary_csv_bytes(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         cfg = cfg_file("c.cfg", "[domain]\nradius = 1.5\nboundary_samples = 7\n\n"
-                                '[medium]\nkind = "conformal"\nc = "2 - r"\nwind = "zero"\n')
+                                '[medium]\nkind = "zermelo"\nc = "2 - r"\nwind = "zero"\n')
         assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 0
         # the rows as written when each row read its point from a fresh smp.points
         smp = sample_boundary(Domain(radius=1.5), 7)

@@ -13,7 +13,7 @@ radius = 1.0
 boundary_samples = 8
 
 [medium]
-kind = "conformal"
+kind = "zermelo"
 c = "2 - r"
 wind = "const(0.05, 0)"
 
@@ -33,7 +33,7 @@ class TestParsing:
     def test_good_config(self):
         cfg = parse_config(GOOD)
         assert cfg.domain["boundary_samples"] == 8
-        assert cfg.medium["kind"] == "conformal"
+        assert cfg.medium["kind"] == "zermelo"
         assert cfg.solver["angle_samples"] == 360
         assert cfg.solver["rtol"] == 1e-9
         assert cfg.pipeline["seed"] == 3
@@ -127,6 +127,14 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
         ("[domain]\n\nradius\n", "expected 'key = value', got 'radius'", 3),
         ('[medium]\nbeta = ["0.1*x2", 3]\n', "list entries for 'beta' must be quoted", 2),
         ('[medium]\nkind = "magic"\n', "unknown medium kind 'magic'", None),
+        # the conformal formulas were a second route to the zermelo kind's norm
+        ('[medium]\nkind = "conformal"\nc = "2 - r"\nwind = "const(0.05, 0)"\n',
+         "unknown medium kind 'conformal'", None),
+        ('[medium]\nkind = 3\n', "key 'kind' expects a quoted string", 2),
+        ('[medium]\nwind = 3\n', "key 'wind' expects a preset string or expression list", 2),
+        ('[medium]\nkind = "zermelo"\nwind = []\n',
+         "wind expression list must have exactly 2 components", None),
+        ("[domain]\nboundary_samples = 1\n", "boundary_samples must be >= 2", None),
         ('[medium]\nalpha = "riemann"\n', "unknown alpha 'riemann'", None),
         ('[medium]\nkind = "zermelo"\nwind = ["0.1"]\n',
          "wind expression list must have exactly 2 components", None),
@@ -193,7 +201,7 @@ class TestBuild:
         from randers import ExprField, distance_matrix
 
         scn = build_scenario(parse_config(
-            '[domain]\nboundary_samples = 4\n\n[medium]\nkind = "conformal"\n'
+            '[domain]\nboundary_samples = 4\n\n[medium]\nkind = "zermelo"\n'
             'c = "2 - 0.3*x1 + 0.2*x1*x2"\nwind = "zero"\n'))
         assert isinstance(scn.medium.speed, ExprField)
         x = np.array([[0.5, -0.4]])

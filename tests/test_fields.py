@@ -14,7 +14,7 @@ from randers.fields import LinearCombination, LinearField
 from conftest import assert_jet_component
 from randers.expressions import compile_expression
 from randers.zermelo import (LinearizedOneForm, NavigationMetric, NavigationOneForm,
-                             _ConformalAlgebra, _ZermeloAlgebra)
+                             _ZermeloAlgebra)
 
 
 def fd_gradient(field, x, h=1e-6):
@@ -52,6 +52,25 @@ class TestExpressions:
     def test_constant_folding(self):
         e = compile_expression("2^3 + 1", allowed=())
         assert e.is_constant and e.constant_value() == 9.0
+
+    @pytest.mark.parametrize("src, message", [
+        ("1 + $", "column 5: unexpected character '$' in expression"),
+        ("(1", "column 3: expected ')' in expression '(1'"),
+        ("exp(1", "column 6: expected ')' in expression 'exp(1'"),
+        ("1 2", "column 3: unexpected '2' in expression '1 2'"),
+    ], ids=["character", "paren", "call", "juxtaposed"])
+    def test_malformed_expression_located(self, src, message):
+        with pytest.raises(ConfigError) as exc:
+            compile_expression(src, allowed=("x1",))
+        assert str(exc.value) == message
+
+    def test_trailing_blanks_ignored(self):
+        e = compile_expression("x1 + 1 \t ", allowed=("x1",))
+        assert e.node == compile_expression("x1 + 1", allowed=("x1",)).node
+
+    def test_constant_value_of_variable_rejected(self):
+        with pytest.raises(ValueError, match="^expression 'x1' is not constant$"):
+            compile_expression("x1", allowed=("x1",)).constant_value()
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ConfigError, match="unknown variable"):
@@ -223,6 +242,11 @@ class TestDomain:
 
 
 class TestScalarFields:
+    def test_radial_profile_of_planar_expression_rejected(self):
+        expr = compile_expression("x1", allowed=("x1", "r"))
+        with pytest.raises(ValueError, match="^radial profile may only use the variable r$"):
+            RadialProfile(expr)
+
     def test_expr_gradient_matches_fd(self, rng):
         f = ExprField("exp(x1) * cos(x2) + 0.5*r^2")
         for _ in range(10):
@@ -374,6 +398,9 @@ class TestMetrics:
 # every family of each base class; the tensor calls are assembled from the jet
 _SPEED = RadialProfile("2 - r^2")
 _WIND = RotationalForm(0.4)
+# the navigation algebra over a planar conformal speed under a varying wind
+_PLANAR_NAVIGATION = _ZermeloAlgebra(ConformalMetric(ExprField("1.5 + 0.1*x1 - 0.05*x1*x2")),
+                                     ComponentForm(["0.1 - 0.1*x2", "0.1*x1*x2"]))
 SCALARS = {
     "constant": ConstantField(1.5),
     "expr": ExprField("exp(x1) * cos(x2) + 0.5*r^2 + sqrt(1 + r)"),
@@ -393,7 +420,7 @@ FORMS = {
     "scaled": ScaledForm(RotationalForm(0.3), -0.5),
     "sum": SumForm(ExactForm(PotentialBump(0.3, 1.0)), _WIND),
     "navigation": NavigationOneForm(_ZermeloAlgebra(ConformalMetric(_SPEED), _WIND)),
-    "conformal_navigation": NavigationOneForm(_ConformalAlgebra(_SPEED, _WIND)),
+    "conformal_navigation": NavigationOneForm(_PLANAR_NAVIGATION),
     "linearized": LinearizedOneForm(ExprField("1.5 + 0.1*x1"), _WIND),
 }
 # forms closed by construction; every other family above is not
@@ -410,7 +437,7 @@ METRICS = {
     "euclidean": EuclideanMetric(),
     "conformal": ConformalMetric(_SPEED),
     "navigation": NavigationMetric(_ZermeloAlgebra(ConformalMetric(_SPEED), _WIND)),
-    "conformal_navigation": NavigationMetric(_ConformalAlgebra(_SPEED, _WIND)),
+    "conformal_navigation": NavigationMetric(_PLANAR_NAVIGATION),
 }
 
 

@@ -1,8 +1,8 @@
 """Field evaluation is stateless: nothing is remembered between calls.
 
-A batch changed in place must evaluate like a fresh copy, and the spray's
-field call ``spec.spray_terms`` must agree with the public field calls:
-beta's jet bit for bit, alpha's terms with those of alpha's jet.
+A batch changed in place must evaluate like a fresh copy, and beta's jet,
+which the spray reads, must agree bit for bit with beta's public tensor
+calls.
 
 A jet component that is constant over the batch is an ``np.float64``
 scalar: the families and algebras below return scalars where their formula
@@ -20,12 +20,12 @@ from randers import (ComponentForm, ConformalMetric, ConstantField,
                      ConstantForm, Domain, EuclideanMetric, ExactForm,
                      ExprField, MediumModel, PotentialBump, RadialProfile,
                      RandersSpec, RotationalForm, ScaledForm, SumForm, ZeroForm,
-                     conformal_specialize, distance_matrix, fundamental_tensor,
-                     linearize, spray, zermelo_construct)
+                     distance_matrix, fundamental_tensor, linearize, spray,
+                     zermelo_construct)
 from conftest import assert_jet_component
 from randers.fields import jet_spray_terms
-from randers.geodesics import _spray_and_norm, _time_scale
-from randers.zermelo import _ConformalAlgebra, _ZermeloAlgebra
+from randers.geodesics import _time_scale
+from randers.zermelo import _ZermeloAlgebra
 
 SPEED = RadialProfile("2 - r^2")
 WIND = RotationalForm(0.4)
@@ -33,10 +33,6 @@ WIND = RotationalForm(0.4)
 
 def _navigation_spec(dom):
     return zermelo_construct(MediumModel(dom, speed=SPEED, wind=WIND))
-
-
-def _specialized_spec(dom):
-    return conformal_specialize(SPEED, WIND, dom)
 
 
 def _plain_spec(dom):
@@ -78,8 +74,7 @@ def _sum_spec(dom):
                        SumForm(ExactForm(PotentialBump(0.3, 1.0)), ScaledForm(WIND, -0.5)))
 
 
-SPECS = {"navigation": _navigation_spec, "specialized": _specialized_spec,
-         "plain": _plain_spec, "cli_wind": _cli_wind_spec,
+SPECS = {"navigation": _navigation_spec, "plain": _plain_spec, "cli_wind": _cli_wind_spec,
          "euclid_constant": _euclid_constant_spec, "component": _component_spec,
          "euclid": _euclid_spec, "navigation_reversed": _reversed_navigation_spec,
          "exact_expr": _exact_expr_spec, "sum": _sum_spec}
@@ -94,7 +89,6 @@ def batch(rng):
     "conformal_metric.value",
     "navigation.beta.value",
     "navigation.norm",
-    "specialized.beta.value",
 ])
 def test_in_place_change_is_not_stale(dom, batch, call):
     X, Y = batch
@@ -102,7 +96,6 @@ def test_in_place_change_is_not_stale(dom, batch, call):
         "conformal_metric.value": ConformalMetric(SPEED).value,
         "navigation.beta.value": _navigation_spec(dom).beta.value,
         "navigation.norm": lambda x, spec=_navigation_spec(dom): spec.norm(x, Y),
-        "specialized.beta.value": _specialized_spec(dom).beta.value,
     }
     fn = fns[call]
     X = X.copy()
@@ -114,18 +107,10 @@ def test_in_place_change_is_not_stale(dom, batch, call):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_jet_equals_public_field_calls(dom, batch, name):
     spec = SPECS[name](dom)
-    X, Y = batch
+    X, _ = batch
     x0, x1 = np.ascontiguousarray(X.T)
-    y0, y1 = np.ascontiguousarray(Y.T)
-    aterms, bjet = spec.spray_terms(x0, x1, y0, y1)
-    A, G, inv = aterms
-    rA, rG, rinv = jet_spray_terms(spec.alpha.jet(x0, x1), y0, y1)
-    for comp, ref in zip((A, *G, *inv), (rA, *rG, *rinv)):
-        comp, ref = np.broadcast_arrays(comp, ref)
-        assert np.all(np.abs(comp - ref) <= 1e-13 * (1.0 + np.abs(ref)))
-    assert (bjet is None) == spec.beta.is_zero
-    if bjet is not None:
-        (b, J), bv, Jv = bjet, spec.beta.value(X), spec.beta.jacobian(X)
+    if not spec.beta.is_zero:
+        (b, J), bv, Jv = spec.beta.jet(x0, x1), spec.beta.value(X), spec.beta.jacobian(X)
         pairs = [(b[i], bv[:, i]) for i in (0, 1)]
         pairs += [(J[i][k], Jv[:, i, k]) for i in (0, 1) for k in (0, 1)]
         for comp, ref in pairs:
@@ -152,24 +137,9 @@ def test_evaluation_stores_nothing(dom, batch, name):
     X, Y = batch
     before = _state(spec)
     spec.norm(X, Y)
-    spec.spray_terms(X[:, 0], X[:, 1], Y[:, 0], Y[:, 1])
     spray(spec, X, Y)
     _time_scale(spec)
     assert _state(spec) == before
-
-
-def test_reversed_navigation_runs_the_algebra_once(dom, batch, monkeypatch):
-    spec = _reversed_navigation_spec(dom)
-    calls = []
-    jet = _ZermeloAlgebra.jet
-
-    def counted(self, x0, x1):
-        calls.append(1)
-        return jet(self, x0, x1)
-    monkeypatch.setattr(_ZermeloAlgebra, "jet", counted)
-    X, Y = batch
-    _spray_and_norm(spec, X[:, 0], X[:, 1], Y[:, 0], Y[:, 1])   # the body of spray()
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +199,6 @@ def _cli_medium_algebras():
     # c = "1" under a constant wind, as `randers simulate` builds it
     speed, wind = ConstantField(1.0), ConstantForm([0.3, -0.4])
     return {"zermelo": _ZermeloAlgebra(ConformalMetric(speed), wind),
-            "conformal": _ConformalAlgebra(speed, wind),
             "zermelo_reversed": _ZermeloAlgebra(ConformalMetric(speed), ScaledForm(wind, -1.0))}
 
 
@@ -308,8 +277,6 @@ class _ArrayConstantForm(ConstantForm):
 def _constant_wind_spec(kind, dom, speed, wind):
     if kind == "zermelo":
         return zermelo_construct(MediumModel(dom, speed=speed, wind=wind))
-    if kind == "conformal":
-        return conformal_specialize(speed, wind, dom)
     return linearize(speed, wind, dom)[0]
 
 
@@ -317,7 +284,7 @@ def _constant_wind_spec(kind, dom, speed, wind):
 # array power in the last place, so a scalar ** in a jet breaks the equality
 @pytest.mark.parametrize("c, wind", [(1.0, [0.5 * math.cos(2.0), 0.5 * math.sin(2.0)]),
                                      (1.45, [0.6, 0.0])], ids=["c1", "c1.45"])
-@pytest.mark.parametrize("kind", ["zermelo", "conformal", "linearized"])
+@pytest.mark.parametrize("kind", ["zermelo", "linearized"])
 def test_constant_wind_distances_equal_full_array_twin(dom, kind, c, wind):
     spec = _constant_wind_spec(kind, dom, ConstantField(c), ConstantForm(wind))
     twin = _constant_wind_spec(kind, dom, _ArrayConstantField(c), _ArrayConstantForm(wind))

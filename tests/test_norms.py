@@ -6,11 +6,11 @@ import pytest
 
 from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm,
                      DegenerateInputError, Domain, DomainError, EuclideanMetric,
-                     ExactForm, InvalidNormError, PotentialBump, RadialProfile,
-                     RandersSpec, RotationalForm, circle_directions,
-                     closedness_residual, conformal_specialize, curve_length,
+                     ExactForm, ExprField, InvalidNormError, MediumModel,
+                     PotentialBump, RandersSpec, RotationalForm,
+                     circle_directions, closedness_residual, curve_length,
                      disk_grid, dual_norm, fundamental_tensor, reverse_norm,
-                     riemannian_norm, spray, validate_norm)
+                     riemannian_norm, spray, validate_norm, zermelo_construct)
 from randers.norms import MARGIN_GRID_SIZE, _fundamental
 
 
@@ -78,7 +78,10 @@ TENSOR_SPECS = ["smooth_spec", "smooth_bump_spec", "wind_spec", "rot_zermelo_spe
 def tensor_spec(request, dom):
     name = request.param
     if name == "conformal":
-        return conformal_specialize(RadialProfile("2 - r^2"), RotationalForm(0.4), dom)
+        # a kind = "zermelo" medium on a planar sound speed under a varying wind
+        return zermelo_construct(MediumModel(
+            dom, speed=ExprField("1.5 + 0.1*x1 - 0.05*x1*x2"),
+            wind=ComponentForm(["0.1 - 0.1*x2", "0.1*x1*x2"])))
     if name.startswith("const_"):
         return RandersSpec(dom, EuclideanMetric(), ConstantForm([float(name[6:]), 0.0]))
     return request.getfixturevalue(name)
@@ -387,6 +390,10 @@ class TestCurveLength:
     def test_domain_exit_reports_parameter(self, euclid_spec):
         with pytest.raises(DomainError, match="parameter"):
             curve_length(euclid_spec, np.array([[0.0, 0.0], [3.0, 0.0]]))
+
+    def test_single_vertex_rejected(self, euclid_spec):
+        with pytest.raises(ValueError, match="^curve must have at least two vertices$"):
+            curve_length(euclid_spec, np.array([[0.1, 0.2]]))
 
 
 class TestReverseNorm:

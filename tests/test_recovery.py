@@ -136,6 +136,11 @@ class TestPotentialRecovery:
         with pytest.raises(RecoveryError):
             recover_boundary_potential(bump_pair[0], other)
 
+    def test_mismatched_radius_rejected(self):
+        small, large = analytic_constant_c_data(n=8), analytic_constant_c_data(n=8, R=2.0)
+        with pytest.raises(RecoveryError, match="^data sets must share the same domain radius$"):
+            recover_boundary_potential(small, large)
+
     @pytest.mark.parametrize("recover", [
         recover_beta_integrals, recover_symmetric_data, herglotz_invert,
         lambda data: recover_boundary_potential(data, data)],
@@ -181,6 +186,15 @@ class TestHerglotzInvert:
     def test_small_n_rejected(self):
         with pytest.raises(RecoveryError):
             herglotz_invert(analytic_constant_c_data(n=8))
+
+    def test_odd_n_rejected(self):
+        with pytest.raises(RecoveryError, match="expects an even sample count"):
+            herglotz_invert(analytic_constant_c_data(n=17))
+
+    def test_plain_array_rejected(self):
+        D = analytic_constant_c_data(n=16).matrix
+        with pytest.raises(TypeError, match="^herglotz_invert expects BoundaryDistanceData$"):
+            herglotz_invert(D)
 
 
 def _scipy_pchip_derivative(x, y):
@@ -292,6 +306,20 @@ class TestRigidityReport:
         rep = rigidity_report(smooth_spec, other, n=6, data1=d1, data2=d2)
         assert rep.verdicts["boundary_data_equal"] is False
         assert rep.sym_max_diff > 1e-3
+
+    def test_mismatched_domains_rejected(self, euclid_spec):
+        larger = RandersSpec(Domain(radius=2.0), euclid_spec.alpha)
+        with pytest.raises(RecoveryError, match="^scenario domains differ$"):
+            rigidity_report(euclid_spec, larger, n=4)
+
+    def test_profile_inversion_skipped_off_conformal_radial(self, euclid_spec):
+        # a Euclidean alpha is not a conformal-radial flavor, so the
+        # inversion is noted as skipped and no profile is computed
+        data = analytic_constant_c_data(n=16)
+        rep = rigidity_report(euclid_spec, euclid_spec, n=16, data1=data, data2=data,
+                              invert_profile=True)
+        assert rep.notes == ["profile inversion skipped: media are not conformal-radial"]
+        assert rep.profiles == []
 
     def test_nonclosed_rejected(self, dom, euclid_spec):
         rot = RandersSpec(dom, euclid_spec.alpha, RotationalForm(0.3))

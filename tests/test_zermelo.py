@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from randers import (ComponentForm, ConstantField, ConstantForm, Domain,
                      ExactForm, ExprField, InvalidMediumError, MediumModel,
                      RadialProfile, RotationalForm, SpecMismatchError,
-                     closedness_residual,
-                     conformal_specialize, disk_grid, dual_norm, herglotz_check,
+                     closedness_residual, disk_grid, dual_norm, herglotz_check,
                      integrate_geodesic, linearize, travel_time_consistency,
                      validate_norm, zermelo_construct)
 
@@ -132,34 +131,27 @@ class TestPlanarAlgebra:
 
 
 class TestConformalSpecialization:
+    """Zermelo's construction on g = c^-2 e against its explicit conformal values."""
+
     def test_unit_speed_reduces_to_general(self, dom):
-        spec = conformal_specialize(ConstantField(1.0), ConstantForm([0.5, 0.0]), dom)
+        spec = zermelo_construct(MediumModel(dom, speed=ConstantField(1.0),
+                                             wind=ConstantForm([0.5, 0.0])))
         x = np.array([0.1, 0.1])
         a = spec.alpha.value(x)
         assert a[0, 0] == pytest.approx(16.0 / 9.0, abs=1e-14)
         assert spec.beta.value(x)[0] == pytest.approx(-2.0 / 3.0, abs=1e-14)
 
     def test_worked_arithmetic_c2(self, dom):
-        spec = conformal_specialize(ConstantField(2.0), ConstantForm([0.5, 0.0]), dom)
+        spec = zermelo_construct(MediumModel(dom, speed=ConstantField(2.0),
+                                             wind=ConstantForm([0.5, 0.0])))
         x = np.array([0.0, 0.0])
         assert spec.alpha.value(x)[0, 0] == pytest.approx(64.0 / 225.0, abs=1e-15)
         assert spec.beta.value(x)[0] == pytest.approx(-2.0 / 15.0, abs=1e-15)
 
     @pytest.mark.parametrize("wind", [[1.0, 0.0], [0.0, -1.3]])
     def test_wind_at_or_above_speed_rejected(self, dom, wind):
-        with pytest.raises(InvalidMediumError, match=r"\|W\|_e >= c"):
-            conformal_specialize(ConstantField(1.0), ConstantForm(wind), dom)
-
-    def test_agrees_with_general_construction(self, dom, rng):
-        speed = RadialProfile("2 - r^2")
-        wind = ComponentForm(["0.2 - 0.1*x2", "0.1*x1*x2"])
-        general = zermelo_construct(MediumModel(dom, speed=speed, wind=wind))
-        special = conformal_specialize(speed, wind, dom)
-        X = rng.uniform(-0.6, 0.6, (100, 2))
-        assert np.abs(general.alpha.value(X) - special.alpha.value(X)).max() <= 1e-12
-        assert np.abs(general.beta.value(X) - special.beta.value(X)).max() <= 1e-12
-        assert np.abs(general.alpha.partials(X) - special.alpha.partials(X)).max() <= 1e-12
-        assert np.abs(general.beta.jacobian(X) - special.beta.jacobian(X)).max() <= 1e-12
+        with pytest.raises(InvalidMediumError, match=r"\|W\|_g = [0-9.]+ >= 1 on the probe grid"):
+            MediumModel(dom, speed=ConstantField(1.0), wind=ConstantForm(wind))
 
 
 class TestLinearization:
