@@ -21,11 +21,12 @@ angle as whole-chunk operations, against what earlier chunks left: each
 sample's first angle and the mask of pairs seen.  It then scatters the
 chunk into D, so memory is D, the mask and one chunk; the two are
 allocated once the first chunk has passed, so a fault in it is reported
-whatever n the header claims.  A row's faults depend only on earlier
-rows, so the first chunk with a fault holds the earliest one, the line a
-row-by-row parse would stop at; errors name that line.  Row numbers are
-mapped to line numbers, by reading the file again, only when there is an
-error to report.
+whatever n the header claims; a header n whose n (n - 1) rows, of at
+least 10 bytes each, the file cannot hold is then a fault of line 1.  A
+row's faults depend only on earlier rows, so the first chunk with a fault
+holds the earliest one, the line a row-by-row parse would stop at; errors
+name that line.  Row numbers are mapped to line numbers, by reading the
+file again, only when there is an error to report.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -280,13 +282,17 @@ class _Scan:
 
     The checks of a row need only earlier rows, through the state carried
     here: each sample's first angle (NaN until it is read) and the pairs
-    seen.  The mask and D are allocated at the first scatter.
+    seen.  The mask and D are allocated at the first scatter.  A file of
+    ``size`` bytes holds at most size / 10 rows, as a row takes at least 10
+    bytes; for an n whose n (n - 1) rows it cannot hold nothing is
+    allocated, and the first row in range is a fault of line 1.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, n, size):
+        self.n, self.size = n, size
         self.rows = 0                                   # body rows before the next chunk
-        self.angles = np.full(n, np.nan)
+        self.fits = 10 * n * (n - 1) <= size
+        self.angles = np.full(n, np.nan) if self.fits else None
         self.seen = self.matrix = None
 
     def grids(self):
@@ -319,6 +325,8 @@ class _Scan:
         that of j, each against earlier rows only; so the earliest row any
         whole-chunk check flags is the row a line-by-line parse stops at.
         """
+        if not len(rows):
+            return None
         n, faults = self.n, []
         i, j = rows["i"], rows["j"]
         bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
@@ -326,6 +334,11 @@ class _Scan:
             r = int(bad.argmax())
             faults.append((r, f"pair ({i[r]}, {j[r]}) out of range for n={n}"))
             rows, i, j = rows[:r], i[:r], j[:r]
+        if not self.fits:
+            if len(rows):
+                raise CsvFormatError(f"header n={n} needs {n * (n - 1)} rows, more than "
+                                     f"the file's {self.size} bytes can hold", line=1)
+            return faults[0]
         _, first = np.unique(i * n + j, return_index=True)
         dup = np.ones(len(rows), dtype=bool)
         dup[first] = False
@@ -400,20 +413,21 @@ def load(path):
     """
     with open(path) as fh:
         n, radius, spec_hash, noise = _read_header(fh)
-        scan = _Scan(n)
+        scan = _Scan(n, os.fstat(fh.fileno()).st_size)
         body = itertools.filterfalse(str.isspace, fh)
         fault = None
         while fault is None and (lines := list(itertools.islice(body, _CHUNK))):
             fault = scan.chunk(lines)
     if fault is not None:
         raise CsvFormatError(fault[1], line=_body(path)[fault[0]][0])
-    seen, D = scan.grids()
     if scan.rows < n * (n - 1):
-        np.fill_diagonal(seen, True)
-        i, j = np.argwhere(~seen)[0]
+        i, j = 0, 1   # the first pair, when no row was read
+        if scan.seen is not None:
+            np.fill_diagonal(scan.seen, True)
+            i, j = np.argwhere(~scan.seen)[0]
         raise CsvFormatError(f"missing entry for pair ({i}, {j}); file truncated?",
                              line=len(_lines(path)) + 1)
     if np.isnan(scan.angles).any():
         raise CsvFormatError("some samples never appeared in any row", line=len(_lines(path)))
-    return BoundaryDistanceData(angles=scan.angles, radius=radius, matrix=D,
+    return BoundaryDistanceData(angles=scan.angles, radius=radius, matrix=scan.grids()[1],
                                 spec_hash=spec_hash, noise=noise)

@@ -194,7 +194,7 @@ def cmd_plotdata(scenarios, out, threads):
     dom = scn.domain
     angles = np.linspace(-1.3, 1.3, 12)
     # one recorded fan from boundary angle 0
-    res = _exit_fan(spec, np.zeros(len(angles)), angles, scn.solver, record=True)[3]
+    res = _exit_fan(spec, np.zeros(len(angles)), angles, scn.solver, record=True)[-1]
     for k in range(len(angles)):
         _path_from(res, k, spec).to_csv(os.path.join(out, f"path_{k:02d}.csv"))
     speed = getattr(scn.medium, "speed", None)

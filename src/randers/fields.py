@@ -45,7 +45,7 @@ invariant parts lets ``distance_matrix`` shoot one row of D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -647,7 +647,6 @@ class MetricField:
     along coordinate k, are assembled from it here.
     """
 
-    flavor = "general"
     # the speed c of a metric g = c^-2 e (a ScalarField), None for any other
     # metric; shooting reads it to trace rays of the dual norm c|p|
     conformal_speed = None
@@ -673,7 +672,6 @@ class MetricField:
 
 @dataclass(frozen=True)
 class EuclideanMetric(MetricField):
-    flavor: str = field(default="euclidean", init=False)
     conformal_speed = ConstantField(1.0)
     rotation_invariant = True
 
@@ -694,7 +692,6 @@ class ConformalMetric(MetricField):
 
     def __init__(self, speed):
         self.speed = speed
-        self.flavor = "conformal-radial" if isinstance(speed, (RadialProfile, ConstantField)) else "conformal"
 
     @property
     def conformal_speed(self):

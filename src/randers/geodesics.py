@@ -38,8 +38,8 @@ navigation norm, whose dual is c|p| + <W, p>, plus a 1-form b that moves
 its dual ball, so H has a closed form (``_navigation_dual``).  An unrecorded
 fan of a conformal alpha under a beta with a ``potential`` phi drops b: F
 and F + d phi share geodesics, and the travel time is the exit parameter
-plus phi(exit) - phi(start).  A ray starts at p = dF/dy and ends with the
-record (x, dH/dp, T); dH/dp is F-unit for any p, so a recorded path is
+plus phi(exit) - phi(start).  A ray starts at p = dF/dy; a recorded path
+takes y = dH/dp from the right-hand side, F-unit for any p, so it is
 F-unit-speed by construction.  At one tolerance these rays are about 4
 times less accurate than the geodesic equation of ``spray``, which the
 tests hold them against, so they run at ``_COTANGENT_TOL`` times
@@ -75,15 +75,18 @@ still bracketed.
 A converged ray still misses its target by an angle delta, and where it
 stops depends on the root finder.  By the first variation of length, the
 travel time to the boundary point at angle theta changes at the rate
-p = <dF/dy(x, y), dx/dtheta> of the arriving geodesic (x, y), so each shot
-reports T - p delta + p' delta^2 / 2, the paraxial expansion of the exit
-time about the ray.  p' = dp/dtheta is the derivative at zero miss of the
-cubic through p at the four sweep nodes of the bracket's cubic start, and
-is taken as zero where those nodes have no rate (the grazing limits are
-not shot).  With p' known, the first ray of a bracket is kept when its
-|delta| is at most ``_ONE_RAY_CAP``, so a smooth bracket costs one
-full-tolerance ray; other rays, and every ray of a recorded path, iterate
-to ``miss_rtol``.  ``GeodesicPath.exit_time`` stays the raw exit time of
+p = <dF/dy(x, y), dx/dtheta> of the arriving geodesic (x, y).  Each fan
+reads it at its exits from its covector xi: dF/dy = xi / H with
+H = <xi, y> (Euler's relation for the 1-homogeneous H), plus d phi on a
+shifted fan; dividing by H keeps the rate at round-off where xi drifts
+off H = 1.  Each shot reports T - p delta + p' delta^2 / 2, the paraxial
+expansion of the exit time about the ray.  p' = dp/dtheta is the
+derivative at zero miss of the cubic through p at the four sweep nodes
+of the bracket's cubic start, and is taken as zero where those nodes have
+no rate (the grazing limits are not shot).  With p' known, the first ray
+of a bracket is kept when its |delta| is at most ``_ONE_RAY_CAP``, so a
+smooth bracket costs one full-tolerance ray; other rays, and every ray of
+a recorded path, iterate to ``miss_rtol``.  ``GeodesicPath.exit_time`` stays the raw exit time of
 the ray.
 """
 
@@ -285,42 +288,29 @@ def _cotangent_rhs(speed, wind, form=None):
     return rhs
 
 
-def _cotangent_velocity(speed, wind, u, form=None):
-    """dH/dp at states u (m, 4) of (x, p): c p / |p| + W without b, u / delta with it."""
-    x0, x1, p0, p1 = u.T
-    c = speed.jet(x0, x1)[0]
-    if form is not None:
-        W = None if wind is None else wind.jet(x0, x1)[0]
-        _, _, _, (u0, u1), d = _navigation_dual(c, W, form.jet(x0, x1)[0], p0, p1)
-        return u0 / d, u1 / d
-    k = c / np.sqrt(p0 * p0 + p1 * p1)
-    if wind is None:
-        return k * p0, k * p1
-    W0, W1 = wind.jet(x0, x1)[0]
-    return k * p0 + W0, k * p1 + W1
-
-
-def _cotangent_stop(spec, speed, wind, form=None):
+def _cotangent_stop(spec, rhs):
     """Disk stop (value, rate) on states (x, p): g = |x|^2 - R^2 and its exact
-    rate 2<x, dH/dp>, which builds the velocity and so is left to exit refinement."""
+    rate 2<x, dH/dp>, with dH/dp read from ``rhs``, so it is left to exit refinement."""
     r2 = spec.domain.radius ** 2
 
     def value(u):
         return u[:, 0] ** 2 + u[:, 1] ** 2 - r2
 
     def rate(u):
-        v0, v1 = _cotangent_velocity(speed, wind, u, form)
-        return 2.0 * (u[:, 0] * v0 + u[:, 1] * v1)
+        v = rhs(u)
+        return 2.0 * (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
     return value, rate
 
 
 def _cotangent_fan(spec, x0, d, ctl, record=False):
-    """Rays of the dual norm H of F from x0 along d, with exit records (x, dH/dp, T).
+    """Rays of the dual norm H of F from x0 along d; returns (result, rate).
 
     The rays start at p = dF/dy(x0, d) and run at ``_COTANGENT_TOL`` times
     the tolerances of ``ctl``.  An unrecorded fan under a potential phi
     drops the 1-form b, starts at dalpha/dy and adds phi(exit) - phi(start)
-    to the exit parameter.  A recorded history keeps the states (x, p).
+    to the exit parameter.  ``result`` is ``integrate_batch``'s with that
+    time and its histories as states (x, dH/dp); ``rate`` is each exit's
+    first-variation rate (see the module docstring), nan where none exited.
     """
     speed, wind, form, phi = spec._cotangent_fields()
     if record or phi is None:
@@ -329,15 +319,22 @@ def _cotangent_fan(spec, x0, d, ctl, record=False):
         form = beta = None
     _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
     ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
-    res = ivp.integrate_batch(_cotangent_rhs(speed, wind, form), np.column_stack([x0, p0, p1]),
-                              _cotangent_stop(spec, speed, wind, form), ctl, record=record)
-    u = res.u_end
-    t = res.t_end if phi is None else res.t_end + (phi.value(u[:, 0:2]) - phi.value(x0))
-    out = np.empty((5, len(u)))
-    out[0], out[1] = u[:, 0], u[:, 1]
-    out[2], out[3] = _cotangent_velocity(speed, wind, u, form)
-    out[4] = t
-    return replace(res, t_end=t, u_end=out.T)
+    rhs = _cotangent_rhs(speed, wind, form)
+    res = ivp.integrate_batch(rhs, np.column_stack([x0, p0, p1]), _cotangent_stop(spec, rhs),
+                              ctl, record=record)
+    # dF/dy = p / H at the exit, with H = <p, dH/dp>, plus dphi on a shifted fan
+    e0, e1, p0, p1 = res.u_end.T
+    v = rhs(res.u_end)
+    H = p0 * v[:, 0] + p1 * v[:, 1]
+    q0, q1, t = p0 / H, p1 / H, res.t_end
+    if phi is not None:
+        shift, (g0, g1) = phi.jet(e0, e1)
+        q0, q1, t = q0 + g0, q1 + g1, t + (shift - phi.value(x0))
+    rate = spec.domain.radius * (e0 * q1 - e1 * q0) / np.hypot(e0, e1)
+    rate[res.status != ivp.EXITED] = np.nan
+    history = [(ts, np.column_stack([us[:, 0:2], rhs(us)[:, 0:2]]))
+               for ts, us in res.history] if record else None
+    return replace(res, t_end=t, history=history), rate
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,7 @@ def integrate_geodesic(spec, x0, y0, opts=None):
     if not spec._raw_norm(x0n[None], y0[None])[0] > 0.0:
         raise DegenerateInputError("initial direction has non-positive F")
     ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=True)
-    return _path_from(_cotangent_fan(spec, x0n[None], y0[None], ctl, record=True), 0, spec)
+    return _path_from(_cotangent_fan(spec, x0n[None], y0[None], ctl, record=True)[0], 0, spec)
 
 
 def _path_from(res, i, spec, label="geodesic"):
@@ -410,8 +407,7 @@ def _path_from(res, i, spec, label="geodesic"):
     if st != ivp.EXITED:
         raise RandersError(f"{label} integration failed (nonfinite state); check the spec fields")
     ts, us = res.history[i]
-    speed, wind, form, _ = spec._cotangent_fields()
-    x, y = us[:, 0:2], np.column_stack(_cotangent_velocity(speed, wind, us, form))
+    x, y = us[:, 0:2], us[:, 2:4]
     return GeodesicPath(t=ts, x=x, y=y,
                         f_length=float(np.trapezoid(spec._raw_norm(x, y), ts)),
                         exit_time=float(res.t_end[i]),
@@ -433,13 +429,13 @@ def _fan_starts(spec, theta0, psi):
 
 
 def _exit_fan(spec, theta0, psi, opts, record=False):
-    """Integrate a fan as rays of the dual norm; returns (exit_theta, exit_time, ok, result)."""
+    """Integrate a fan as rays of the dual norm; returns (exit_theta, exit_time,
+    rate, ok, result), ``rate`` the first-variation rate of ``_cotangent_fan``."""
     theta0, psi = np.asarray(theta0, dtype=float), np.asarray(psi, dtype=float)
     ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=record)
-    res = _cotangent_fan(spec, *_fan_starts(spec, theta0, psi), ctl, record)
+    res, rate = _cotangent_fan(spec, *_fan_starts(spec, theta0, psi), ctl, record)
     exit_theta = np.arctan2(res.u_end[:, 1], res.u_end[:, 0]) % _TWO_PI
-    ok = res.status == ivp.EXITED
-    return exit_theta, res.t_end.copy(), ok, res
+    return exit_theta, res.t_end.copy(), rate, res.status == ivp.EXITED, res
 
 
 def _sweep_angles(n):
@@ -470,8 +466,8 @@ def _refine_intervals(start, psi, th, ok):
 def _sweep(spec, theta0, opts):
     """Adaptive shooting fans from the starts ``theta0`` (s,), at ``opts``.
 
-    Returns the flat node arrays psi, exit angle, exit time, exit flag and
-    exit state ((N,) and (N, 5)), start by start and sorted in psi within a
+    Returns the flat (N,) node arrays psi, exit angle, exit time, exit flag
+    and first-variation rate, start by start and sorted in psi within a
     start, and the (s + 1,) offsets of the starts in them: start i's nodes
     are ``off[i]:off[i + 1]``, the coarse fan and each level of refinement
     (see the module docstring).
@@ -479,30 +475,16 @@ def _sweep(spec, theta0, opts):
     K = opts.angle_samples
     start = np.repeat(np.arange(len(theta0)), K)
     ps = np.tile(_sweep_angles(K), len(theta0))
-    th, t, ok, res = _exit_fan(spec, theta0[start], ps, opts)
-    u = res.u_end
+    th, t, rate, ok, _ = _exit_fan(spec, theta0[start], ps, opts)
     for _ in range(_REFINE_DEPTH):
         k = _refine_intervals(start, ps, th, ok)
         if not k.size:
             break
         mid = 0.5 * (ps[k] + ps[k + 1])
-        th_m, t_m, ok_m, res_m = _exit_fan(spec, theta0[start[k]], mid, opts)
-        start, ps, th, t, ok, u = (
-            np.insert(a, k + 1, b, axis=0) for a, b in
-            ((start, start[k]), (ps, mid), (th, th_m), (t, t_m), (ok, ok_m), (u, res_m.u_end)))
-    return ps, th, t, ok, u, np.searchsorted(start, np.arange(len(theta0) + 1))
-
-
-def _first_variation(spec, u):
-    """<dF/dy(x, y), tau> at exit states u (m, 5), tau = dx/dtheta at the exit point.
-
-    This is the rate at which the travel time to the boundary point at angle
-    theta changes with theta, with tau = R (-sin theta, cos theta).
-    """
-    X = u[:, 0:2]
-    _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, X), _beta_at(spec.beta, X), u[:, 2], u[:, 3])
-    x0, x1 = u[:, 0], u[:, 1]
-    return spec.domain.radius * (x0 * p1 - x1 * p0) / np.hypot(x0, x1)
+        new = (start[k], mid, *_exit_fan(spec, theta0[start[k]], mid, opts)[:4])
+        start, ps, th, t, rate, ok = (
+            np.insert(a, k + 1, b) for a, b in zip((start, ps, th, t, rate, ok), new))
+    return ps, th, t, ok, rate, np.searchsorted(start, np.arange(len(theta0) + 1))
 
 
 def _inverse_cubic(psi, miss, valid):
@@ -565,8 +547,8 @@ def _hermite_at_zero(miss, time, rate):
 def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=None, cap=None):
     """Bracketed secant iteration on batches of independent brackets.
 
-    Returns (psi, time, miss, ok, state, rays) arrays; each row is one
-    bracket problem, ``state`` (q, 5) holds the exit state of its converged
+    Returns (psi, time, miss, ok, rate, rays) arrays; each row is one
+    bracket problem, ``rate`` is the first-variation rate of its converged
     ray and ``rays`` counts the rays shot for it.  A row starts from
     ``cubic``, the (2, q) root and slope d psi / d miss of
     ``_inverse_cubic``, or where that is nan from the secant through its
@@ -588,8 +570,7 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
     the last two leave its result nan.
     """
     q = len(lo)
-    psi_out, t_out, miss_out = np.full(q, np.nan), np.full(q, np.nan), np.full(q, np.nan)
-    u_out = np.full((q, 5), np.nan)
+    psi_out, t_out, miss_out, rate_out = np.full((4, q), np.nan)
     rays = np.zeros(q, dtype=int)
     ids = np.arange(q)
     x, s = np.full((2, q), np.nan) if cubic is None else cubic
@@ -604,14 +585,14 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
             break
         inside = (x > lo) & (x < hi) & (it % 6 != 5)
         x = np.where(inside, x, 0.5 * (lo + hi))
-        th_exit, t_exit, ok, res = _exit_fan(spec, theta0, x, opts)
+        th_exit, t_exit, rate, ok, _ = _exit_fan(spec, theta0, x, opts)
         rays[ids] += 1
         m = _wrap(th_exit - theta_tgt)
         tol = opts.miss_rtol if it or cap is None else np.maximum(cap, opts.miss_rtol)
         conv = ok & (np.abs(m) <= tol)
         rows = ids[conv]
         psi_out[rows], t_out[rows], miss_out[rows] = x[conv], t_exit[conv], m[conv]
-        u_out[rows] = res.u_end[conv]
+        rate_out[rows] = rate[conv]
 
         same_lo = np.sign(m) == np.sign(m_lo)
         lo, hi = np.where(same_lo, x, lo), np.where(same_lo, hi, x)
@@ -624,7 +605,7 @@ def _false_position(spec, theta0, theta_tgt, lo, hi, m_lo, m_hi, opts, cubic=Non
         if not live.all():
             ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev = (
                 a[live] for a in (ids, theta0, theta_tgt, lo, hi, m_lo, x, s, x_prev, m_prev))
-    return psi_out, t_out, miss_out, np.isfinite(psi_out), u_out, rays
+    return psi_out, t_out, miss_out, np.isfinite(psi_out), rate_out, rays
 
 
 @dataclass
@@ -788,7 +769,8 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     the sweep without a ray, and the rest go to one false-position batch
     (see the module docstring).  Each converged shot's time carries the
     first- and second-order correction for its miss, also reported as
-    ``correction`` (zero for an interpolated bracket); a smooth bracket
+    ``correction`` (zero for an interpolated bracket), at the rate its fan
+    read at the exit from q = p / <p, dH/dp> (+ d phi); a smooth bracket
     keeps its first ray when its miss is within ``_ONE_RAY_CAP``.
     ``brackets``, ``bracket_rays`` and ``interpolated`` count each pair's
     brackets, the rays false position shot for them and the brackets
@@ -811,9 +793,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
                          [] if record_paths else None)
     starts, start = np.unique(pairs[:, 0], return_inverse=True)
     theta0, target = angles[starts], angles[pairs[:, 1]]
-    psi, exit_th, exit_t, ok, exit_u, off = _sweep(spec, theta0, opts)
-    rate = np.full(len(ok), np.nan)
-    rate[ok] = _first_variation(spec, exit_u[ok])
+    psi, exit_th, exit_t, ok, rate, off = _sweep(spec, theta0, opts)
     # each start's nodes: its shot rays between the grazing limits
     # psi = -+pi/2, which exit where they start and have no rate
     ends = np.repeat(off, 2)[1:-1]
@@ -827,7 +807,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
 
     P = len(pairs)
     time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
-    state = np.full((P, 5), np.nan)
+    shot_rate = np.full(P, np.nan)   # of the accepted ray; nan for an interpolated time
     bend = np.zeros(P)   # d rate / d theta at the accepted ray, where known
     count = np.bincount(hit_pair, minlength=P) + np.bincount(owner, minlength=P)
     nodes = np.diff(off)[start]
@@ -837,7 +817,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     first_hit = np.diff(hit_pair, prepend=-1) != 0
     r, k = hit_pair[first_hit], hit_node[first_hit]
     time[r], miss[r], angle[r] = tv[k], _wrap(th[k] - target[r]), ps[k]
-    state[r] = exit_u[k - 2 * start[r] - 1]
+    shot_rate[r] = pv[k]
     converged[r] = True
     unhit = ~converged[owner]
     owner, kb = owner[unhit], kb[unhit]
@@ -864,8 +844,8 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     cap = None if record_paths else np.where(smooth, _ONE_RAY_CAP, 0.0)[go]
     cubic = _inverse_cubic(ps4, m4, v4)
     p, tt, mm, good = cubic[0], t0, np.zeros(len(owner)), zero.copy()
-    uu, rays = np.full((len(owner), 5), np.nan), np.zeros(len(owner), dtype=int)
-    p[go], tt[go], mm[go], good[go], uu[go], rays[go] = _false_position(
+    rr, rays = np.full(len(owner), np.nan), np.zeros(len(owner), dtype=int)
+    p[go], tt[go], mm[go], good[go], rr[go], rays[go] = _false_position(
         spec, theta0[start[owner[go]]], target[owner[go]], lo[go], hi[go],
         m_lo[go], m_hi[go], opts, cubic[:, go], cap)
     brackets = np.bincount(owner, minlength=P)
@@ -874,16 +854,16 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     # rows of one pair are contiguous and in sweep order
     won, first = np.unique(owner[good], return_index=True)
     sel = np.flatnonzero(good)[first]
-    time[won], miss[won], angle[won], state[won] = tt[sel], mm[sel], p[sel], uu[sel]
+    time[won], miss[won], angle[won], shot_rate[won] = tt[sel], mm[sel], p[sel], rr[sel]
     bend[won] = np.where(smooth[sel], dp[sel], 0.0)
     converged[won] = True
 
     # T(theta_tgt) = T - p delta + p' delta^2 / 2 for a ray that exits at
     # theta_tgt + delta (paraxial expansion of the exit time about the ray)
     correction = np.zeros(P)
-    shot = converged & np.isfinite(state[:, 0])   # an interpolated time needs none
+    shot = np.isfinite(shot_rate)   # an interpolated time needs none
     d = miss[shot]
-    correction[shot] = _first_variation(spec, state[shot]) * d - 0.5 * bend[shot] * d * d
+    correction[shot] = shot_rate[shot] * d - 0.5 * bend[shot] * d * d
     time -= correction
     miss *= spec.domain.radius
     out = PairShots(pairs, time, miss, count, converged, angle, correction, nodes, brackets,
@@ -892,7 +872,7 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))
         if rec.size:
-            _, _, _, res = _exit_fan(spec, angles[pairs[rec, 0]], angle[rec], opts, record=True)
+            res = _exit_fan(spec, angles[pairs[rec, 0]], angle[rec], opts, record=True)[-1]
             for k, q in enumerate(rec.tolist()):
                 i, j = pairs[q]
                 out.paths[q] = _path_from(res, k, spec, f"geodesic of boundary pair ({i}, {j})")

@@ -20,7 +20,7 @@ import numpy as np
 from ._tables import write_table
 from .boundary import BoundaryDistanceData, decompose, distance_matrix
 from .errors import NonAdmissibleError, RecoveryError, TriplicationError
-from .fields import disk_grid
+from .fields import ConstantField, RadialProfile, disk_grid
 from .norms import closedness_residual
 
 __all__ = ["recover_beta_integrals", "recover_symmetric_data",
@@ -379,8 +379,8 @@ def rigidity_report(spec1, spec2, *, n=16, opts=None, data1=None, data2=None,
     sym_diff = float(np.abs(sym1 - sym2)[~np.eye(data1.n, dtype=bool)].max())
     potential = recover_boundary_potential(data1, data2)
 
-    conformal_radial = (spec1.alpha.flavor == "conformal-radial"
-                        and spec2.alpha.flavor == "conformal-radial")
+    conformal_radial = all(isinstance(s.alpha.conformal_speed, (RadialProfile, ConstantField))
+                           for s in (spec1, spec2))
     profiles = []
     if invert_profile:
         if not conformal_radial:

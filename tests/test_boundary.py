@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from randers import (ConstantField, ConstantForm, CsvFormatError, MediumModel, RandersSpec,
-                     add_noise, boundary, decompose, distance_matrix, load,
-                     sample_boundary, save, shoot_pairs, zermelo_construct)
+from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm,
+                     CsvFormatError, ExprField, MediumModel, RandersSpec, add_noise, boundary,
+                     decompose, distance_matrix, load, sample_boundary, save, shoot_pairs,
+                     zermelo_construct)
 from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
                               NoiseDescriptor)
 from conftest import bump_gradient
@@ -550,6 +552,25 @@ def test_fault_in_first_chunk_named_whatever_n(tmp_path):
         load(p)
 
 
+@pytest.mark.parametrize("n", [10**6, 10**12])
+def test_header_n_the_file_cannot_hold(tmp_path, n):
+    # n (n - 1) rows of at least 10 bytes: a row in range is then a fault
+    # of line 1, not a failed allocation of D (7.3 TiB at n = 10^6) or of
+    # the n angles (7.3 TiB at n = 10^12); with no row at all, the first
+    # pair is the one missing
+    p = tmp_path / "big.csv"
+    head = f"# n={n} R=1.0 spec=ab units=time\ni,j,angle_i,angle_j,d\n"
+    p.write_text(head + "0,1,0.0,0.5,1.0\n")
+    size = len(head) + 16
+    with pytest.raises(CsvFormatError, match=rf"^line 1: header n={n} needs {n * (n - 1)} rows, "
+                                             rf"more than the file's {size} bytes can hold$"):
+        load(p)
+    p.write_text(head + "\n")
+    with pytest.raises(CsvFormatError,
+                       match=r"^line 4: missing entry for pair \(0, 1\); file truncated\?$"):
+        load(p)
+
+
 # a load holds D, the n x n mask of pairs seen, and one chunk: measured
 # 2.1-2.2 MB above D and the mask at n = 96 to 1024 (Python 3.11, numpy
 # 2.4); a load that holds the whole body took 19.4 MB above them at n = 384
@@ -822,6 +843,23 @@ class TestFullBuildLaws:
         assert np.abs(D - D.T).max() <= 5e-10
 
 
+def _turned(spec, phi):
+    """The generic medium turned by phi about the centre: c(Q x) for Q the
+    rotation by -phi, and the covector Q^T beta(Q x)."""
+    a, b = repr(math.cos(phi)), repr(math.sin(phi))
+    back = {"x1": f"({a}*x1 + {b}*x2)", "x2": f"(-{b}*x1 + {a}*x2)"}
+
+    def turn(source):
+        return re.sub(r"x[12]", lambda m: back[m.group()], source)
+
+    alpha = ConformalMetric(ExprField(turn(spec.alpha.speed.expr.source)))
+    if spec.beta.is_zero:
+        return RandersSpec(spec.domain, alpha)
+    b0, b1 = (f"({turn(f.expr.source)})" for f in spec.beta.fields)
+    return RandersSpec(spec.domain, alpha, ComponentForm([f"{a}*{b0} - {b}*{b1}",
+                                                          f"{b}*{b0} + {a}*{b1}"]))
+
+
 def _rotated_samples(n, delta):
     return BoundarySamples(angles=(2.0 * math.pi * np.arange(n) / n + delta) % (2.0 * math.pi),
                            radius=1.0)
@@ -840,6 +878,18 @@ class TestRotationEquivariance:
         # the samples must leave D unchanged
         D = distance_matrix(smooth_bump_spec, _rotated_samples(6, delta)).matrix
         assert np.abs(D - bump6).max() <= 2e-8
+
+    def test_generic_medium_rotates_with_samples(self, generic24):
+        # the full build of the generic medium turned by 5 steps of the
+        # samples is D with its indices shifted by 5, to the build's error
+        # (measured 6.0e-11 with beta = 0 and 7.1e-11 with the generic beta);
+        # neither medium is declared rotation-invariant, so both shoot every pair
+        spec, samples, D = generic24
+        turned = _turned(spec, 2.0 * math.pi * 5 / 24)
+        assert not spec.rotation_invariant and not turned.rotation_invariant
+        D_turned = distance_matrix(turned, samples).matrix
+        shift = (np.arange(24) + 5) % 24
+        assert np.abs(D_turned[np.ix_(shift, shift)] - D).max() <= 2e-10
 
     def test_wind_rotates_with_samples(self, dom, wind_spec):
         delta = 2.0

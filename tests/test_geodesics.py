@@ -15,6 +15,7 @@ from randers import (ComponentForm, ConformalMetric, ConnectivityError, Constant
 from randers import geodesics as geo
 from randers.zermelo import NavigationMetric, _NavigationSpec, _ZermeloAlgebra
 from randers.geodesics import _sweep_angles
+from randers.norms import _alpha_at, _beta_at, _dF_dy
 from conftest import bump_gradient
 from pointsets import hausdorff, resample
 
@@ -403,7 +404,7 @@ class TestFalsePosition:
         theta1 = np.array([3.0, 0.3, 1.6, 4.0, 4.3, 2.2])
         brackets = []
         for a, b in zip(theta0, theta1):
-            th, _, ok, _ = geo._exit_fan(spec, np.full(16, a), psi, SolverOptions())
+            th, _, _, ok, _ = geo._exit_fan(spec, np.full(16, a), psi, SolverOptions())
             m = geo._wrap(th - b)
             k = int(np.argmax(_bracket_roots(m, ok, 1e-8)[1]))
             brackets.append((psi[k], psi[k + 1], m[k], m[k + 1]))
@@ -442,8 +443,7 @@ class TestFalsePosition:
 
         def stepped(spec, theta0, psi, opts, record=False):
             n = len(psi)
-            return (2.0 + miss(psi), np.ones(n), np.ones(n, dtype=bool),
-                    types.SimpleNamespace(u_end=np.zeros((n, 5))))
+            return 2.0 + miss(psi), np.ones(n), np.zeros(n), np.ones(n, dtype=bool), None
 
         monkeypatch.setattr(geo, "_exit_fan", stepped)
         lo, hi = np.array([0.2 - math.pi / 180]), np.array([0.2 + math.pi / 180])
@@ -672,7 +672,7 @@ class TestInverseCubic:
     def test_nan_start_takes_the_secant_path(self, smooth_bump_spec):
         # a bracket whose four nodes fall back runs exactly today's secant
         spec, psi = smooth_bump_spec, _sweep_angles(16)
-        th, _, ok, _ = geo._exit_fan(spec, np.zeros(16), psi, SolverOptions())
+        th, _, _, ok, _ = geo._exit_fan(spec, np.zeros(16), psi, SolverOptions())
         m = geo._wrap(th - 2.5)
         k = int(np.argmax(_bracket_roots(m, ok, 1e-8)[1]))
         four = np.arange(k - 1, k + 3)
@@ -712,6 +712,13 @@ def _spray_fan(spec, theta0, psi, opts, record=False):
     ctl = opts.controls(opts.trap_time_factor * geo._time_scale(spec), record=record)
     return geo.ivp.integrate_batch(_spray_rhs(spec), np.column_stack([x0, y0, np.zeros(len(psi))]),
                                    stop, ctl, record=record)
+
+
+def _spray_rate(spec, u):
+    """The first-variation rate <dF/dy(x, y), dx/dtheta> at spray exit states (x, y, L)."""
+    X = u[:, 0:2]
+    _, _, (q0, q1) = _dF_dy(_alpha_at(spec.alpha, X), _beta_at(spec.beta, X), u[:, 2], u[:, 3])
+    return spec.domain.radius * (X[:, 0] * q1 - X[:, 1] * q0) / np.hypot(X[:, 0], X[:, 1])
 
 
 def _table_media(dom, smooth_alpha, smooth_profile, rot_zermelo_spec):
@@ -769,13 +776,12 @@ class TestCotangentRays:
     def test_agrees_with_spray(self, request, medium):
         spec, tight = self._medium(request, medium), SolverOptions(rtol=1e-12, atol=1e-15)
         theta0, psi = np.repeat([0.7, 3.9], 90), np.tile(_sweep_angles(90), 2)
-        th, t, ok, res = geo._exit_fan(spec, theta0, psi, tight)
+        th, t, rate, ok, _ = geo._exit_fan(spec, theta0, psi, tight)
         ref = _spray_fan(spec, theta0, psi, tight)
         assert ok.all() and (ref.status == geo.ivp.EXITED).all()
         th_ref = np.arctan2(ref.u_end[:, 1], ref.u_end[:, 0])
         gaps = (np.abs(geo._wrap(th - th_ref)).max(), np.abs(t - ref.t_end).max(),
-                np.abs(geo._first_variation(spec, res.u_end)
-                       - geo._first_variation(spec, ref.u_end)).max())
+                np.abs(rate - _spray_rate(spec, ref.u_end)).max())
         for gap, measured in zip(gaps, self.MEASURED[medium]):
             # the measured value, with room for round-off in other builds
             assert gap <= min(max(2.0 * measured, 1e-13), 1e-11)
@@ -830,18 +836,23 @@ class TestCotangentRays:
         # ends with the F-unit velocity, its time unshifted
         spec, opts = smooth_bump_spec, SolverOptions()
         theta0, psi = np.full(9, 1.0), np.linspace(-1.2, 1.2, 9)
-        plain = geo._exit_fan(spec, theta0, psi, opts)[3]
-        recorded = geo._exit_fan(spec, theta0, psi, opts, record=True)[3]
+        plain = geo._exit_fan(spec, theta0, psi, opts)[-1]
+        recorded = geo._exit_fan(spec, theta0, psi, opts, record=True)[-1]
         assert plain.history is None and recorded.history is not None
+        speed, wind, form, _ = spec._cotangent_fields()
         alpha = RandersSpec(spec.domain, spec.alpha)
-        for res, unit in ((plain, alpha), (recorded, spec)):
-            X, Y = res.u_end[:, 0:2], res.u_end[:, 2:4]
+        velocities = []
+        for res, unit, b in ((plain, alpha, None), (recorded, spec, form)):
+            X, Y = res.u_end[:, 0:2], geo._cotangent_rhs(speed, wind, b)(res.u_end)[:, 0:2]
             assert np.abs(unit._raw_norm(X, Y) - 1.0).max() < 1e-8
-        assert np.abs(spec._raw_norm(plain.u_end[:, 0:2], plain.u_end[:, 2:4]) - 1.0).max() > 0.1
+            velocities.append(Y)
+        assert np.abs(spec._raw_norm(plain.u_end[:, 0:2], velocities[0]) - 1.0).max() > 0.1
+        # a recorded history ends with the exit point and that velocity
+        ends = np.array([us[-1] for _, us in recorded.history])
+        assert np.array_equal(ends, np.column_stack([recorded.u_end[:, 0:2], velocities[1]]))
         # the bump vanishes on the boundary: both times agree, by a shift of
         # zero on one side and by integrating beta on the other
         assert np.abs(plain.t_end - recorded.t_end).max() < 1e-8
-        assert np.abs(recorded.u_end[:, 4] - recorded.t_end).max() == 0.0
 
     # max |recorded cotangent - recorded spray| over a 12-ray fan at rtol
     # 1e-12 / atol 1e-15, as measured: (exit point, exit time, Hausdorff
@@ -859,7 +870,7 @@ class TestCotangentRays:
     def test_recorded_fans_agree_with_spray(self, request, medium):
         spec, tight = self._medium(request, medium), SolverOptions(rtol=1e-12, atol=1e-15)
         theta0, psi = np.full(12, 0.7), np.linspace(-1.3, 1.3, 12)
-        res = geo._exit_fan(spec, theta0, psi, tight, record=True)[3]
+        res = geo._exit_fan(spec, theta0, psi, tight, record=True)[-1]
         ref = _spray_fan(spec, theta0, psi, tight, record=True)
         gaps = np.zeros(3)
         for k in range(12):
@@ -947,8 +958,7 @@ class TestFirstVariation:
         # the rate is taken on a ray iterated to miss_rtol, as recorded paths
         # are: a first ray kept by the second-order term misses by ~1e-5
         psi = shoot_pairs(spec, angles, [(0, 2)], record_paths=True).angle
-        _, _, _, res = geo._exit_fan(spec, np.array([0.3]), psi, SolverOptions())
-        rate = geo._first_variation(spec, res.u_end)[0]
+        rate = geo._exit_fan(spec, np.array([0.3]), psi, SolverOptions())[2][0]
         assert rate == pytest.approx((hi - lo) / (2 * h), abs=1e-7)
 
 
@@ -1056,9 +1066,9 @@ class TestZeroRayBrackets:
         def stepped(spec, theta0, psi, opts, record=False):
             step = np.where(psi < 0.2, 0.0, 0.5)
             th, d = theta0 + math.pi + 2.0 * psi + step, theta0 + math.pi + psi
-            u = np.column_stack([np.cos(th), np.sin(th), np.cos(d), np.sin(d), 0.0 * th])
-            return (th % (2.0 * math.pi), 2.0 * np.cos(psi) + step, np.ones(len(psi), dtype=bool),
-                    types.SimpleNamespace(u_end=u))
+            # the first-variation rate <y, tau> of the unit chord y at exit angle th
+            return (th % (2.0 * math.pi), 2.0 * np.cos(psi) + step, np.sin(d - th),
+                    np.ones(len(psi), dtype=bool), None)
 
         monkeypatch.setattr(geo, "_exit_fan", stepped)
         angles = np.array([0.0, math.pi + 0.65])   # between the step's two sides

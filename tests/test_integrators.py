@@ -24,8 +24,8 @@ def _fan(spec, theta0, psi):
     speed, wind, form, _ = spec._cotangent_fields()
     x0, d = _fan_starts(spec, theta0, psi)
     _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), _beta_at(spec.beta, x0), d[:, 0], d[:, 1])
-    return (np.column_stack([x0, p0, p1]), _cotangent_rhs(speed, wind, form),
-            _cotangent_stop(spec, speed, wind, form))
+    rhs = _cotangent_rhs(speed, wind, form)
+    return np.column_stack([x0, p0, p1]), rhs, _cotangent_stop(spec, rhs)
 
 
 def _unit_disk_value(u):

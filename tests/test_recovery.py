@@ -312,14 +312,22 @@ class TestRigidityReport:
         with pytest.raises(RecoveryError, match="^scenario domains differ$"):
             rigidity_report(euclid_spec, larger, n=4)
 
-    def test_profile_inversion_skipped_off_conformal_radial(self, euclid_spec):
-        # a Euclidean alpha is not a conformal-radial flavor, so the
-        # inversion is noted as skipped and no profile is computed
+    def test_profile_inversion_skipped_off_conformal_radial(self, euclid_spec, generic_spec):
+        # a conformal alpha whose speed is not radial: the inversion is
+        # noted as skipped and no profile is computed
         data = analytic_constant_c_data(n=16)
-        rep = rigidity_report(euclid_spec, euclid_spec, n=16, data1=data, data2=data,
+        rep = rigidity_report(euclid_spec, generic_spec, n=16, data1=data, data2=data,
                               invert_profile=True)
         assert rep.notes == ["profile inversion skipped: media are not conformal-radial"]
-        assert rep.profiles == []
+        assert rep.profiles == [] and not rep.psi_identity
+        # a Euclidean alpha is conformal-radial, with c = 1: its chord data
+        # invert to that speed (measured within 1.8e-8 for r >= 0.05)
+        rep = rigidity_report(euclid_spec, euclid_spec, n=16, data1=data, data2=data,
+                              invert_profile=True)
+        assert rep.notes == ["conformal-radial case: boundary-fixing repositioning is the identity"]
+        assert rep.psi_identity and len(rep.profiles) == 2
+        keep = rep.profiles[0].r >= 0.05
+        assert np.abs(rep.profiles[0].c[keep] - 1.0).max() <= 1e-6
 
     def test_nonclosed_rejected(self, dom, euclid_spec):
         rot = RandersSpec(dom, euclid_spec.alpha, RotationalForm(0.3))
