@@ -197,18 +197,22 @@ def cmd_plotdata(scenarios, out, threads):
     res = _exit_fan(spec, np.zeros(len(angles)), angles, scn.solver, record=True)[-1]
     for k in range(len(angles)):
         _path_from(res, k, spec).to_csv(os.path.join(out, f"path_{k:02d}.csv"))
+    # a direct spec has no medium; a Euclidean alpha's speed is c = 1
     speed = getattr(scn.medium, "speed", None)
-    if speed is None and hasattr(spec.alpha, "speed"):
-        speed = spec.alpha.speed
+    if speed is None:
+        speed = spec.alpha.conformal_speed
+    written = [f"{len(angles)} path files"]
     if isinstance(speed, (RadialProfile, ConstantField)):
         r = np.linspace(0.0, dom.radius, 256)
         write_table(os.path.join(out, "profile.csv"), "radial sound speed units=length,speed",
                     ["r", "c"], r, speed.profile(r))
+        written.append("profile.csv")
     smp = bd.sample_boundary(dom, scn.n_boundary)
     pts = smp.points
     write_table(os.path.join(out, "boundary.csv"), "boundary samples units=radians,length",
                 ["i", "angle", "x1", "x2"], np.arange(len(pts)), smp.angles, pts[:, 0], pts[:, 1])
-    print(f"wrote {len(angles)} path files, profile.csv, boundary.csv to {out}")
+    written.append("boundary.csv")
+    print(f"wrote {', '.join(written)} to {out}")
     return 0
 
 

@@ -102,8 +102,8 @@ from ._tables import write_table
 from .errors import (ConnectivityError, ConvexityError, DegenerateInputError,
                      DomainError, NonAdmissibleError, RandersError,
                      SpecMismatchError, TrappedGeodesicError)
-from .fields import (Domain, _pts_pair, _unbatch, circle_directions, disk_grid,
-                     jet_spray_terms)
+from .fields import (ConstantField, ConstantForm, Domain, ZeroForm, _pts_pair, _unbatch,
+                     circle_directions, disk_grid, jet_spray_terms)
 from .norms import (RandersSpec, _alpha_at, _beta_at, _dF_dy, _fundamental,
                     _nonzero_directions)
 
@@ -302,13 +302,46 @@ def _cotangent_stop(spec, rhs):
     return value, rate
 
 
+def _uniform(field):
+    """True for a field absent or constant by its family, whose jet has no x-derivative."""
+    return field is None or isinstance(field, (ConstantField, ConstantForm, ZeroForm))
+
+
+def _straight_rays(rhs, u0, radius, t_max, record):
+    """Rays of an H that does not depend on x, as ``integrate_batch`` reports them.
+
+    p stays fixed and x = x0 + t v with v = dH/dp, so each ray exits at the
+    root t > 0 of |x0 + t v|^2 = R^2, taken in the form that does not cancel
+    for either sign of <x0, v>; a root beyond ``t_max`` leaves the ray
+    TRAPPED at t_max.  No step is taken, and a recorded history is the
+    start and the end, the ray's exact path.
+    """
+    x, v = u0[:, 0:2], rhs(u0)[:, 0:2]
+    a = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    b = x[:, 0] * v[:, 0] + x[:, 1] * v[:, 1]
+    c = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] - radius * radius
+    root = np.sqrt(b * b - a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(b < 0.0, (root - b) / a, -c / (b + root))
+    status = np.where(t <= t_max, ivp.EXITED, ivp.TRAPPED).astype(np.int8)
+    t = np.minimum(t, t_max)
+    u_end = u0.copy()
+    u_end[:, 0:2] += t[:, None] * v
+    history = ([(np.array([0.0, tk]), np.stack([s, e])) for tk, s, e in zip(t, u0, u_end)]
+               if record else None)
+    return ivp.BatchIntegration(status, t, u_end, np.zeros(len(u0), dtype=np.int64), history)
+
+
 def _cotangent_fan(spec, x0, d, ctl, record=False):
     """Rays of the dual norm H of F from x0 along d; returns (result, rate).
 
     The rays start at p = dF/dy(x0, d) and run at ``_COTANGENT_TOL`` times
     the tolerances of ``ctl``.  An unrecorded fan under a potential phi
     drops the 1-form b, starts at dalpha/dy and adds phi(exit) - phi(start)
-    to the exit parameter.  ``result`` is ``integrate_batch``'s with that
+    to the exit parameter.  Where c, W and the b that is left are all
+    constant, H does not depend on x and the rays are straight: each exit
+    is solved in closed form (``_straight_rays``), and no integrator runs.
+    ``result`` is ``integrate_batch``'s, or its closed-form twin, with that
     time and its histories as states (x, dH/dp); ``rate`` is each exit's
     first-variation rate (see the module docstring), nan where none exited.
     """
@@ -320,8 +353,11 @@ def _cotangent_fan(spec, x0, d, ctl, record=False):
     _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
     ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
     rhs = _cotangent_rhs(speed, wind, form)
-    res = ivp.integrate_batch(rhs, np.column_stack([x0, p0, p1]), _cotangent_stop(spec, rhs),
-                              ctl, record=record)
+    u0 = np.column_stack([x0, p0, p1])
+    if all(_uniform(field) for field in (speed, wind, form)):
+        res = _straight_rays(rhs, u0, spec.domain.radius, ctl.t_max, record)
+    else:
+        res = ivp.integrate_batch(rhs, u0, _cotangent_stop(spec, rhs), ctl, record=record)
     # dF/dy = p / H at the exit, with H = <p, dH/dp>, plus dphi on a shifted fan
     e0, e1, p0, p1 = res.u_end.T
     v = rhs(res.u_end)

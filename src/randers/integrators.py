@@ -1,8 +1,14 @@
 """Batched adaptive Runge-Kutta integration with boundary-exit refinement.
 
-A single Dormand-Prince 5(4) driver advances a whole batch of rays at once
-(per-ray step sizes, accept/reject masks), which is what makes shooting fans
-of 10^4 geodesics tractable in pure numpy.  When a ray's accepted step
+A single Dormand-Prince 8(5,3) integrator (Hairer's DOP853: 12 stages plus
+the first-same-as-last one, and an error norm that combines the 5th- and
+3rd-order estimates; Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
+II.10) advances a whole batch of rays at once (per-ray step sizes,
+accept/reject masks), which is what makes shooting fans of 10^4 geodesics
+tractable in pure numpy.  A step's stages are stacked in one (12, d, m)
+array, and each stage increment is one contraction over its stage axis.
+A zero error estimate grows the step by the largest factor, as does the
+round-off estimate of a straight flow.  When a ray's accepted step
 crosses the stop surface (sign change of a scalar stop function from <= 0 to
 > 0), the crossing time is pinned afterwards by a bracketed Newton iteration
 on the step length, each iterate one fixed step from the last interior
@@ -21,7 +27,8 @@ The live batch is column-major: a (d, m) array with each of the d state
 components contiguous over the m rays.  ``rhs`` and the stop's callables
 receive its transpose, an (m, d) view, and ``rhs`` may return an (m, d)
 array of any layout (one whose columns are contiguous is used without a
-copy), so a right-hand side written for row-major input still works.
+copy, except the first, which the driver owns and updates in place), so a
+right-hand side written for row-major input still works.
 Per-ray norms sum the components one row at a time, in the order numpy's
 mean over a short row uses, and rays are compacted with ``take`` on the ray
 axis.
@@ -38,20 +45,45 @@ __all__ = ["Controls", "BatchIntegration", "integrate_batch",
 
 EXITED, TRAPPED, MAXSTEPS, FAILED = 0, 1, 2, 3
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 8(5,3) coefficients, those of Hairer's DOP853: rows 1..11 of
+# the Runge-Kutta matrix, the 8th-order weights, and the weights of the 5th-
+# and 3rd-order error estimates.  The FSAL stage, rhs at the new state, has
+# zero error weight, so the estimate needs the 12 stages alone.
+_STAGES = 12
 _A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+    np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125]),
+    np.array([0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+              -0.015319437748624402, 0.008273789163814023]),
+    np.array([0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+              27.59209969944671, 20.154067550477894, -43.48988418106996]),
+    np.array([0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+              21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627]),
+    np.array([-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+              -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+              -3.0467644718982196]),
+    np.array([2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+              -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+              12.360567175794303, 0.6433927460157636]),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
-               125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
-               11 / 84 - 187 / 2100, -1 / 40])
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+               -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+               0.04471061572777259])
+_E = np.array([[0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294],
+               [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+                -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+                0.20136540080403034, 0.02265179219836082]])
 
 _SAFETY, _MIN_FAC, _MAX_FAC = 0.9, 0.2, 5.0
+# 1 / (q + 1) for the order q = 7 of the error estimate: step-size control
+# and the initial step scale with the error as h ** 8
+_EXPONENT = 1.0 / 8.0
 
 # exit refinement stops once the Newton correction is at most this fraction
 # of the step: far below the integrator's local error, and above the rounding
@@ -82,6 +114,15 @@ def _eval(rhs, u):
     return np.ascontiguousarray(rhs(u.T).T)
 
 
+def _sumsq(a):
+    """Sum of squares over the components of a (d, m), per ray, rows added left to right."""
+    sq = a ** 2
+    s = sq[0]
+    for row in sq[1:]:
+        s = s + row
+    return s
+
+
 def _rms(a):
     """Root mean square over the components of a (d, m), per ray.
 
@@ -89,37 +130,42 @@ def _rms(a):
     over a row shorter than 8, so this is bit for bit
     ``np.sqrt(np.mean(a.T ** 2, axis=1))`` for any d < 8, such as a ray's 4.
     """
-    sq = a ** 2
-    s = sq[0]
-    for row in sq[1:]:
-        s = s + row
-    return np.sqrt(s / len(a))
+    return np.sqrt(_sumsq(a) / len(a))
+
+
+def _combine(w, flat, shape):
+    """sum_s w[s] * flat[s], shaped as ``shape``: one contraction over the stages.
+
+    einsum, unlike a BLAS matrix-vector product, rounds each entry the same
+    way wherever it sits in the batch (for more than one entry), so a ray
+    gets the same bits alone or in any batch.
+    """
+    return np.einsum("s,sn->n", w, flat).reshape(shape)
 
 
 def _rk_step(rhs, u, h, f0):
-    """Shared DP45 stage arithmetic; returns (u5, k_list)."""
-    k = [f0]
-    for a in _A:
-        du = a[0] * k[0]
-        for aj, kj in zip(a[1:], k[1:]):
-            du = du + aj * kj
-        k.append(_eval(rhs, u + h * du))
-    inc = _B5[0] * k[0]
-    for bj, kj in zip(_B5[1:], k[1:]):
-        if bj != 0.0:
-            inc = inc + bj * kj
-    return u + h * inc, k
+    """One DOP853 step of length h (per ray) from u (d, m), with f0 = rhs(u).
+
+    Returns the 8th-order state and the (12, d * m) stack of the stages.
+    """
+    K = np.empty((_STAGES,) + u.shape)
+    K[0] = f0
+    flat = K.reshape(_STAGES, -1)
+    for s, a in enumerate(_A, start=1):
+        K[s] = rhs((u + h * _combine(a, flat[:s], u.shape)).T).T
+    return u + h * _combine(_B, flat, u.shape), flat
 
 
-def _stages(rhs, u, h, f0):
-    """One error-controlled DP45 step. Returns (u5, err, f_new)."""
-    u5, k = _rk_step(rhs, u, h, f0)
-    k.append(_eval(rhs, u5))
-    ev = _E[0] * k[0]
-    for ej, kj in zip(_E[1:], k[1:]):
-        if ej != 0.0:
-            ev = ev + ej * kj
-    return u5, h * ev, k[6]
+def _error_norm(flat, h, scale):
+    """DOP853's error norm per ray, h |e5|^2 / sqrt(d (|e5|^2 + |e3|^2 / 100)).
+
+    e5 and e3 are the 5th- and 3rd-order estimates in units of ``scale``
+    (d, m); the norm is zero where e5 is.
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        s5, s3 = (_sumsq(_combine(w, flat, scale.shape) / scale) for w in _E)
+        norm = h * s5 / np.sqrt(len(scale) * (s5 + 0.01 * s3))
+    return np.where(s5 == 0.0, 0.0, norm)
 
 
 def _initial_step(rhs, u0, f0, ctl):
@@ -130,7 +176,7 @@ def _initial_step(rhs, u0, f0, ctl):
     f1 = _eval(rhs, u0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / np.maximum(h0, 1e-300)
     big = np.maximum(d1, d2)
-    h1 = np.where(big > 1e-15, (0.01 / np.maximum(big, 1e-300)) ** 0.2,
+    h1 = np.where(big > 1e-15, (0.01 / np.maximum(big, 1e-300)) ** _EXPONENT,
                   np.maximum(1e-6, h0 * 1e3))
     return np.minimum(np.minimum(100.0 * h0, h1), ctl.h_max)
 
@@ -139,7 +185,7 @@ def _refine_exits(rhs, stop, u0, f0, h, g1):
     """Pin the crossing inside steps that go from stop <= 0 at u0 to g1 > 0.
 
     ``u0`` and ``f0`` are (m, d), the returned exit states too.  Every
-    iterate is a single fixed DP45 step of length tau from u0, so the
+    iterate is a single fixed DOP853 step of length tau from u0, so the
     stop value g is a smooth function of tau; ``stop`` is the pair
     (value, rate) of ``integrate_batch``.  The first iterate is the root
     of the quadratic through g(0), g'(0) and g(h) = g1, which is exact for
@@ -200,43 +246,47 @@ def integrate_batch(rhs, u0, stop, ctl=None, record=False):
     steps = np.zeros(m, dtype=np.int64)
 
     ids, t, u, n = np.arange(m), np.zeros(m), np.array(u0.T, order="C"), np.zeros(m, dtype=np.int64)
-    f = _eval(rhs, u)
+    # owned: the FSAL update writes into f, and rhs may return a view of u
+    f = _eval(rhs, u).copy()
     h = _initial_step(rhs, u, f, ctl)
     # recorded samples as (ids, t, u) blocks, split per ray at the end
     blocks = [(ids, t, u)] if record else None
-    # exits waiting for refinement, as ray blocks: (ids, t, u, f, h, g(u5))
+    # exits waiting for refinement, as ray blocks: (ids, t, u, f, h, g(u8))
     pending = []
 
     for _ in range(ctl.max_steps * 4):
         if not ids.size:
             break
         hs = np.minimum(h, np.maximum(ctl.t_max - t, 1e-14))
-        u5, err, fnew = _stages(rhs, u, hs, f)
+        u8, stages = _rk_step(rhs, u, hs, f)
 
-        scale = ctl.atol + ctl.rtol * np.maximum(np.abs(u), np.abs(u5))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            enorm = _rms(err / scale)
-        enorm = np.where(np.isfinite(enorm) & np.isfinite(u5).all(axis=0), enorm, np.inf)
+        scale = ctl.atol + ctl.rtol * np.maximum(np.abs(u), np.abs(u8))
+        enorm = _error_norm(stages, hs, scale)
+        enorm = np.where(np.isfinite(enorm) & np.isfinite(u8).all(axis=0), enorm, np.inf)
         accept = enorm <= 1.0
 
-        with np.errstate(divide="ignore", over="ignore"):
-            fac = _SAFETY * enorm ** -0.2
-        fac = np.clip(np.where(np.isfinite(fac), fac, _MIN_FAC), _MIN_FAC, _MAX_FAC)
+        # a zero estimate grows the step by _MAX_FAC, an infinite one
+        # (non-finite state) shrinks it by _MIN_FAC
+        with np.errstate(divide="ignore"):
+            fac = np.clip(_SAFETY * enorm ** -_EXPONENT, _MIN_FAC, _MAX_FAC)
         fac = np.where(accept, fac, np.minimum(fac, 1.0))
 
         # stop is evaluated on accepted (finite) states only
         g = np.zeros_like(t)
         idx = np.flatnonzero(accept)
-        g[idx] = value(u5.take(idx, axis=1).T)
+        g[idx] = value(u8.take(idx, axis=1).T)
         crossed = g > 0.0
         stay = accept & ~crossed
         t = np.where(stay, t + hs, t)
-        u = np.where(stay, u5, u)
-        f = np.where(stay, fnew, f)
+        u = np.where(stay, u8, u)
+        # the FSAL stage, rhs(u8), is the next step's first: only rays that
+        # go on need it
+        idx = np.flatnonzero(stay)
+        if idx.size:
+            f[:, idx] = _eval(rhs, u8.take(idx, axis=1))
         n = n + accept
         h = np.minimum(hs * fac, ctl.h_max)
         if record:
-            idx = np.flatnonzero(stay)
             blocks.append(tuple(a.take(idx, axis=-1) for a in (ids, t, u)))
 
         failed = (h <= 1e-15 * np.maximum(1.0, t)) & ~accept

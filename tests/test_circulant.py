@@ -234,8 +234,11 @@ def test_circulant_defect_within_the_full_builds_error(request, medium, n):
     # a build that did not abort converged on every pair
     assert error is None and converged[~np.eye(n, dtype=bool)].all()
     assert np.array_equal(data.diagnostics.branch_counts, branches)
+    # the row build is as accurate as the full build: against a tight full
+    # build, up to that build's own circulant defect
     tight = full_build(spec, angles, TIGHT)[1]
-    assert np.abs(data.matrix - D).max() <= max(np.abs(D - tight).max(), ROUND_OFF)
+    defect = np.abs(tight - _circulant(tight[0])).max()
+    assert np.abs(data.matrix - tight).max() <= max(np.abs(D - tight).max() + defect, ROUND_OFF)
 
 
 def test_row_build_diagnostics(dom, opts):

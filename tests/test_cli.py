@@ -289,6 +289,22 @@ class TestPlotdata:
         want = [f"{a!r},{b!r}" for a, b in zip(r.tolist(), (2.0 - r * r).tolist())]
         assert lines[2:] == want
 
+    @pytest.mark.parametrize("text, profile", [
+        (EUCLID_CFG, True),
+        ('[medium]\nkind = "direct"\nalpha = "conformal"\nc = "1 + 0.2*x1"\n', False)],
+        ids=["euclidean", "not_radial"])
+    def test_message_names_the_files_written(self, cfg_file, tmp_path, capsys, text, profile):
+        # a Euclidean alpha has the radial speed c = 1; a speed that is not
+        # radial has no profile, and the message does not claim one
+        out = tmp_path / "out"
+        assert main(["plotdata", "--config", cfg_file("p.cfg", text), "--out", str(out)]) == 0
+        assert (out / "profile.csv").exists() == profile
+        written = "profile.csv, boundary.csv" if profile else "boundary.csv"
+        assert capsys.readouterr().out == f"wrote 12 path files, {written} to {out}\n"
+        if profile:
+            lines = (out / "profile.csv").read_text().splitlines()
+            assert lines[2:] == [f"{r!r},1.0" for r in np.linspace(0.0, 1.0, 256).tolist()]
+
     def test_boundary_csv_bytes(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         cfg = cfg_file("c.cfg", "[domain]\nradius = 1.5\nboundary_samples = 7\n\n"

@@ -1,9 +1,10 @@
-"""Boundary-exit refinement of the batched DP45 integrator.
+"""The batched Dormand-Prince 8(5,3) integrator and its boundary-exit refinement.
 
-On a straight-line flow the exit time is the root of a quadratic, so the
-refined exits can be checked to rounding level.  A grazing exit is
-conditioned by 1 / g'(t*): rounding |x|^2 by an ulp moves it by about
-eps / g'(t*), which the tolerance allows for.
+The coefficients are checked against scipy's copy of DOP853 and the order
+on a harmonic oscillator.  On a straight-line flow the exit time is the
+root of a quadratic, so the refined exits can be checked to rounding level.
+A grazing exit is conditioned by 1 / g'(t*): rounding |x|^2 by an ulp moves
+it by about eps / g'(t*), which the tolerance allows for.
 """
 
 import math
@@ -54,24 +55,85 @@ def _line_exit(u0):
     return t, 2.0 * root
 
 
-def test_straight_line_exits_match_closed_form(euclid_spec):
+def test_coefficients_are_dop853s():
+    # bit for bit scipy's copy of Hairer's DOP853 coefficients; the FSAL
+    # stage carries no error weight, so the estimate reads 12 stages
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    assert ivp._STAGES == dop.N_STAGES == len(ivp._A) + 1
+    for i, row in enumerate(ivp._A, start=1):
+        assert _same_bits(row, dop.A[i, :i]), i
+    assert _same_bits(ivp._B, dop.B)
+    assert _same_bits(ivp._E, np.stack([dop.E5[:12], dop.E3[:12]]))
+    assert dop.E5[12] == dop.E3[12] == 0.0
+
+
+def test_step_is_eighth_order():
+    # one step of the rotation x'' = -x from (1, 0): the local error is
+    # O(h^9), so it falls by about 2^9 per halving of h
+    def rotation(u):
+        return np.column_stack([u[:, 1], -u[:, 0]])
+
+    h = np.array([0.8, 0.4, 0.2])
+    u0 = np.tile([[1.0], [0.0]], (1, 3))
+    u, _ = ivp._rk_step(rotation, u0, h, ivp._eval(rotation, u0))
+    err = np.hypot(u[0] - np.cos(h), u[1] + np.sin(h))
+    assert np.all(np.abs(np.log2(err[:-1] / err[1:]) - 9.0) < 0.3)
+
+
+def _straight_starts(euclid_spec):
+    """Unit-speed straight rays into the unit disk as (x, y) states: fans from
+    six boundary points, with grazing rays, and 200 interior starts."""
     rng = np.random.default_rng(7)
     theta = rng.uniform(0.0, 2.0 * math.pi, 6)
     grazing = math.pi / 2 - np.array([1e-6, 1e-7, 1e-8])
     psi = np.concatenate([np.linspace(-1.5, 1.5, 31), grazing, -grazing])
-    # (x, y) states: unit-speed straight rays into the unit disk
     u_fan = np.hstack(_fan_starts(euclid_spec, np.repeat(theta, len(psi)),
                                   np.tile(psi, len(theta))))
     r = 0.99 * np.sqrt(rng.uniform(size=200))
     phi, ang = rng.uniform(0.0, 2.0 * math.pi, (2, 200))
     u_in = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.cos(ang), np.sin(ang)])
-    u0 = np.vstack([u_fan, u_in])
+    return np.vstack([u_fan, u_in])
 
+
+def test_straight_line_exits_match_closed_form(euclid_spec):
+    u0 = _straight_starts(euclid_spec)
     res = ivp.integrate_batch(_line_rhs, u0, _UNIT_DISK_STOP)
     assert (res.status == ivp.EXITED).all()
     t_star, rate = _line_exit(u0)
     assert np.all(np.abs(res.t_end - t_star) <= 1e-14 + 4.0 * EPS / rate)
     assert rate.min() < 1e-5          # the grazing rays are in the batch
+
+
+@pytest.mark.parametrize("zero_estimate", [False, True])
+def test_straight_lines_grow_the_step(monkeypatch, euclid_spec, zero_estimate):
+    # every stage of a straight flow is the same, so its error estimate is
+    # round-off, and exactly zero where the weighted sum of the stages
+    # cancels exactly (forced here); either way each accepted step grows h by
+    # _MAX_FAC: from h0 a ray covers h0 (F^k - 1) / (F - 1) in k steps, and it
+    # exits at the first k that passes its exit time
+    if zero_estimate:
+        monkeypatch.setattr(ivp, "_error_norm", lambda stages, h, scale: np.zeros_like(h))
+    u0 = _straight_starts(euclid_spec)
+    h0 = ivp._initial_step(_line_rhs, u0.T, ivp._eval(_line_rhs, u0.T), ivp.Controls())
+    F = ivp._MAX_FAC
+    bound = np.ceil(np.log1p((F - 1.0) * _line_exit(u0)[0] / h0) / math.log(F))
+    res = ivp.integrate_batch(_line_rhs, u0, _UNIT_DISK_STOP,
+                              ivp.Controls(max_steps=int(bound.max())))
+    assert (res.status == ivp.EXITED).all()
+    assert np.all(res.steps <= bound)
+
+
+def test_rhs_returning_its_input_keeps_the_recorded_starts():
+    # u' = u returns the batch itself, so the first derivative array is the
+    # live state; with p = x the stop's rate 2<x, p> is the flow's
+    x0 = np.array([[0.5, 0.0], [0.0, -0.3], [0.2, 0.4]])
+    u0 = np.hstack([x0, x0])
+    res = ivp.integrate_batch(lambda u: u, u0, _UNIT_DISK_STOP, record=True)
+    assert (res.status == ivp.EXITED).all()
+    assert np.allclose(res.t_end, -np.log(np.hypot(*x0.T)), rtol=1e-9)
+    for (ts, us), start in zip(res.history, u0):
+        assert ts[0] == 0.0 and (us[0] == start).all()
 
 
 def test_overshooting_step_refines_to_root():
