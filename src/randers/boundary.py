@@ -49,6 +49,8 @@ __all__ = ["BoundarySamples", "sample_boundary", "BoundaryDistanceData",
            "DistanceDiagnostics", "NoiseDescriptor", "distance_matrix",
            "decompose", "add_noise", "save", "load"]
 
+_EXCLUDE_SEPARATION = 1e-3   # radians; nearly-adjacent pair cutoff
+
 
 @dataclass(frozen=True)
 class BoundarySamples:
@@ -123,9 +125,10 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     """Assemble D[i][j] = travel time of the unique i -> j geodesic.
 
     ``samples`` may be a BoundarySamples or an integral sample count.  Pairs
-    whose angular separation is below ``opts.exclude_separation`` are
-    excluded (NaN entries, flagged in diagnostics).  The first pair, in
-    i-major order, with zero or multiple shooting branches aborts the build.
+    whose angular separation is below ``_EXCLUDE_SEPARATION`` = 1e-3 rad
+    (so no equispaced pair below 6,284 samples) are excluded (NaN entries,
+    flagged in diagnostics).  The first pair, in i-major order, with zero
+    or multiple shooting branches aborts the build.
 
     When ``spec.rotation_invariant`` holds and the samples are equispaced
     (``_equispaced``), the pairs (0, j) are shot in one call, whatever
@@ -145,7 +148,7 @@ def distance_matrix(spec, samples, opts=None, threads=1):
 
     sep = np.abs((angles[:, None] - angles[None, :] + math.pi) % (2.0 * math.pi) - math.pi)
     off = ~np.eye(n, dtype=bool)
-    excluded = off & (sep < opts.exclude_separation)
+    excluded = off & (sep < _EXCLUDE_SEPARATION)
     roll = None
     if spec.rotation_invariant and _equispaced(angles):
         roll = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n   # (j - i) mod n
@@ -216,6 +219,8 @@ def add_noise(data, sigma, seed):
     """Gaussian perturbation of scale sigma on off-diagonal entries."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"noise scale must be finite and >= 0, got {sigma!r}")
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"noise seed must be an integer >= 0, got {seed!r}")
     n = data.n
     rng = np.random.default_rng(seed)
     bump = sigma * rng.standard_normal((n, n))

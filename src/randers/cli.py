@@ -32,6 +32,8 @@ _LEMMA_TOL = 1e-6   # radians between two chords' directions at a shared boundar
 def _load_scenarios(paths, seed=None, threads=None):
     if threads is not None and threads < 1:
         raise RandersError("--threads must be >= 1")
+    if seed is not None and seed < 0:
+        raise RandersError(f"--seed must be >= 0, got {seed}")
     scenarios = []
     for p in paths:
         with open(p, encoding="utf-8") as fh:
@@ -44,8 +46,7 @@ def _load_scenarios(paths, seed=None, threads=None):
 
 
 def _simulate(scn, threads):
-    workers = threads if threads is not None else scn.config.solver["threads"]
-    data = bd.distance_matrix(scn.spec, scn.n_boundary, scn.solver, threads=workers)
+    data = bd.distance_matrix(scn.spec, scn.n_boundary, scn.solver, threads=threads)
     sigma = scn.config.pipeline["noise_sigma"]
     if sigma > 0.0:
         data = bd.add_noise(data, sigma, scn.seed)
@@ -151,9 +152,8 @@ def cmd_verify(scenarios, out, threads):
 
     # boundary-vanishing potential is invisible to distance data
     n = min(scn.n_boundary, 8)
-    workers = threads if threads is not None else scn.config.solver["threads"]
-    d1 = bd.distance_matrix(spec, n, scn.solver, threads=workers)
-    d2 = bd.distance_matrix(bumped, n, scn.solver, threads=workers) if bumped.margin > 0 else None
+    d1 = bd.distance_matrix(spec, n, scn.solver, threads=threads)
+    d2 = bd.distance_matrix(bumped, n, scn.solver, threads=threads) if bumped.margin > 0 else None
     if d2 is not None:
         diff = float(np.abs(d1.matrix - d2.matrix)[~np.eye(n, dtype=bool)].max())
         ok = diff <= _DATA_TOL
@@ -228,11 +228,11 @@ _COMMANDS = {
 def run(command, configs, out="out", seed=None, threads=None):
     """Programmatic entry point mirroring the CLI commands.
 
-    ``threads=None`` defers to each scenario's solver block.
+    ``threads=None`` means one worker.
     """
     os.makedirs(out, exist_ok=True)
     scenarios = _load_scenarios(configs, seed=seed, threads=threads)
-    return _COMMANDS[command](scenarios, out, threads)
+    return _COMMANDS[command](scenarios, out, 1 if threads is None else threads)
 
 
 def main(argv=None):
@@ -246,7 +246,7 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="parallel workers for matrix builds (default: scenario solver block)")
+                        help="parallel workers for matrix builds (default: 1)")
     args = parser.parse_args(argv)
 
     try:

@@ -47,10 +47,6 @@ _SCHEMA = {
         "angle_samples": ("int", "count", SolverOptions.angle_samples),
         "miss_tol": ("float", "fraction of R; rays above the one-ray cap, recorded paths",
                      SolverOptions.miss_rtol),
-        "max_steps": ("int", "count", SolverOptions.max_steps),
-        "trap_time_factor": ("float", "dimensionless", SolverOptions.trap_time_factor),
-        "exclude_separation": ("float", "radians", SolverOptions.exclude_separation),
-        "threads": ("int", "count", 1),
     },
     "pipeline": {
         "noise_sigma": ("float", "time", 0.0),
@@ -192,9 +188,7 @@ def parse_config(text):
 
 # solver key -> SolverOptions field; SolverOptions checks each value
 _SOLVER_FIELDS = {"rtol": "rtol", "atol": "atol", "angle_samples": "angle_samples",
-                  "miss_tol": "miss_rtol", "max_steps": "max_steps",
-                  "trap_time_factor": "trap_time_factor",
-                  "exclude_separation": "exclude_separation"}
+                  "miss_tol": "miss_rtol"}
 
 
 def _validate(cfg):
@@ -212,10 +206,10 @@ def _validate(cfg):
             SolverOptions(**{name: cfg.solver[key]})
         except ValueError as exc:
             raise ConfigError(f"solver {key}: {exc}") from None
-    if cfg.solver["threads"] <= 0:
-        raise ConfigError("solver threads must be positive")
     if not (math.isfinite(cfg.pipeline["noise_sigma"]) and cfg.pipeline["noise_sigma"] >= 0):
         raise ConfigError("noise_sigma must be finite and >= 0")
+    if cfg.pipeline["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.pipeline['seed']}")
 
 
 def _fmt(val):

@@ -40,10 +40,11 @@ fan of a conformal alpha under a beta with a ``potential`` phi drops b: F
 and F + d phi share geodesics, and the travel time is the exit parameter
 plus phi(exit) - phi(start).  A ray starts at p = dF/dy; a recorded path
 takes y = dH/dp from the right-hand side, F-unit for any p, so it is
-F-unit-speed by construction.  At one tolerance these rays are about 4
-times less accurate than the geodesic equation of ``spray``, which the
-tests hold them against, so they run at ``_COTANGENT_TOL`` times
-(rtol, atol); the Hermite check below keeps the options' tolerance.
+F-unit-speed by construction.  The rays run at ``_COTANGENT_TOL`` = 0.3
+times the options' (rtol, atol), the tolerance that the Hermite check below
+uses, and the tests hold them against the geodesic equation of ``spray``.
+Loosening the factor moves D, so it changes only with a check of D against
+a tight reference.
 
 Most brackets are then closed without a ray.  Each exited sweep node
 carries its exit time T and its first-variation rate p (below), which is
@@ -93,6 +94,7 @@ the ray.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,41 +123,43 @@ _ONE_RAY_CAP = 1e-4     # |miss| up to which a smooth bracket's first ray is kep
 _HERMITE_TOL = 1e-2     # interpolant agreement, in units of atol + rtol * T, to skip the ray
 _COTANGENT_TOL = 0.3    # (rtol, atol) of cotangent rays, as a fraction of the options'
 _JOIN_SLACK = 1e-9      # radians by which the pair join widens its search windows
+_MAX_STEPS = 100_000    # accepted steps per ray
+_TRAP_TIME_FACTOR = 50.0  # ray time budget, in units of _time_scale
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and resolutions for geodesic integration and shooting."""
+    """Tolerances and the sweep resolution of geodesic integration and shooting.
+
+    ``rtol`` and ``atol`` are the integrator's tolerances, ``angle_samples``
+    the coarse fan per start, and ``miss_rtol`` the target |angular miss|
+    (arc length / R) of a ray that the second-order correction does not
+    absorb: rays above ``_ONE_RAY_CAP`` and recorded paths.  The ray budget
+    (``_MAX_STEPS``, and ``_TRAP_TIME_FACTOR`` times ``_time_scale``) and
+    the pair-exclusion cutoff of ``boundary`` are constants.
+    """
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_steps: int = 100_000
-    trap_time_factor: float = 50.0
-    angle_samples: int = 90           # coarse sweep fan per start
-    # target |angular miss| (arc length / R) of a ray that the second-order
-    # correction does not absorb: rays above _ONE_RAY_CAP and recorded paths
+    angle_samples: int = 90
     miss_rtol: float = 1e-8
-    exclude_separation: float = 1e-3  # radians; nearly-adjacent pair cutoff
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "miss_rtol", "trap_time_factor"):
+        for name in ("rtol", "atol", "miss_rtol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not self.max_steps >= 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
-        if not self.angle_samples >= 2:
-            raise ValueError(f"angle_samples must be >= 2, got {self.angle_samples!r}")
-        if not (math.isfinite(self.exclude_separation) and self.exclude_separation >= 0.0):
-            raise ValueError(f"exclude_separation must be finite and >= 0, "
-                             f"got {self.exclude_separation!r}")
+        k = self.angle_samples
+        if not (isinstance(k, numbers.Integral) and k >= 2):   # a bool is below 2
+            raise ValueError(f"angle_samples must be an integer >= 2, got {k!r}")
 
-    def controls(self, t_max, record=False):
+    def controls(self, spec, record=False):
+        t_max = _TRAP_TIME_FACTOR * _time_scale(spec)
         # recorded paths cap the step so stored samples resolve the curve
         # (pointwise invariants rely on this)
-        h_max = t_max / (self.trap_time_factor * 256.0) if record else np.inf
+        h_max = t_max / (_TRAP_TIME_FACTOR * 256.0) if record else np.inf
         return ivp.Controls(rtol=self.rtol, atol=self.atol,
-                            max_steps=self.max_steps, t_max=t_max, h_max=h_max)
+                            max_steps=_MAX_STEPS, t_max=t_max, h_max=h_max)
 
 
 def _wrap(angle):
@@ -429,7 +433,7 @@ def integrate_geodesic(spec, x0, y0, opts=None):
         raise DomainError("initial direction at a boundary point must point inward")
     if not spec._raw_norm(x0n[None], y0[None])[0] > 0.0:
         raise DegenerateInputError("initial direction has non-positive F")
-    ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=True)
+    ctl = opts.controls(spec, record=True)
     return _path_from(_cotangent_fan(spec, x0n[None], y0[None], ctl, record=True)[0], 0, spec)
 
 
@@ -468,7 +472,7 @@ def _exit_fan(spec, theta0, psi, opts, record=False):
     """Integrate a fan as rays of the dual norm; returns (exit_theta, exit_time,
     rate, ok, result), ``rate`` the first-variation rate of ``_cotangent_fan``."""
     theta0, psi = np.asarray(theta0, dtype=float), np.asarray(psi, dtype=float)
-    ctl = opts.controls(opts.trap_time_factor * _time_scale(spec), record=record)
+    ctl = opts.controls(spec, record=record)
     res, rate = _cotangent_fan(spec, *_fan_starts(spec, theta0, psi), ctl, record)
     exit_theta = np.arctan2(res.u_end[:, 1], res.u_end[:, 0]) % _TWO_PI
     return exit_theta, res.t_end.copy(), rate, res.status == ivp.EXITED, res

@@ -73,11 +73,11 @@ def _dF_dy(a, b, y0, y1):
 class RandersSpec:
     """A Randers norm on a closed ball, with a grid-certified validity margin."""
 
-    def __init__(self, domain, alpha, beta=None, *, margin_grid=MARGIN_GRID_SIZE):
+    def __init__(self, domain, alpha, beta=None):
         self.domain = domain
         self.alpha = alpha
         self.beta = beta if beta is not None else ZeroForm()
-        grid = disk_grid(domain, margin_grid)
+        grid = disk_grid(domain, MARGIN_GRID_SIZE)
         b = _beta_at(self.beta, grid)
         cov = 0.0 if b is None else _inv_form(_alpha_at(alpha, grid), b, b).max()
         self.sup_beta = float(np.sqrt(max(cov, 0.0)))

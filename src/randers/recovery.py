@@ -244,29 +244,17 @@ def herglotz_invert(data):
 class GaugeReport:
     gauge_residual: float         # max |beta2 - beta1 - d(phi)| over interior
     boundary_residual: float      # max |phi| on the boundary
-    psi_identity: bool = True     # conformal-radial instantiation only
-    profile_deviation: float | None = None
 
 
-def verify_gauge(beta1, beta2, phi, domain, *, profile1=None, profile2=None):
-    """Residuals of beta2 = beta1 + d(phi) with phi vanishing on the boundary.
-
-    When radial sound-speed profiles are supplied, additionally reports
-    their pointwise deviation (the conformal-radial case has identity
-    repositioning, which the flag records).
-    """
+def verify_gauge(beta1, beta2, phi, domain):
+    """Residuals of beta2 = beta1 + d(phi) with phi vanishing on the boundary."""
     X = disk_grid(domain, _INTERIOR_PROBES)
     diff = beta2.value(X) - beta1.value(X) - phi.gradient(X)
     gauge_res = float(np.linalg.norm(diff, axis=1).max())
     theta = 2.0 * math.pi * np.arange(_BOUNDARY_PROBES) / _BOUNDARY_PROBES
     Xb = domain.boundary_point(theta)
     boundary_res = float(np.abs(phi.value(Xb)).max())
-    prof_dev = None
-    if profile1 is not None and profile2 is not None:
-        r = np.linspace(0.0, domain.radius, 512)
-        prof_dev = float(np.abs(profile2.profile(r) - profile1.profile(r)).max())
-    return GaugeReport(gauge_residual=gauge_res, boundary_residual=boundary_res,
-                       psi_identity=True, profile_deviation=prof_dev)
+    return GaugeReport(gauge_residual=gauge_res, boundary_residual=boundary_res)
 
 
 # ---------------------------------------------------------------------------

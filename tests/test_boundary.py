@@ -249,6 +249,16 @@ class TestNoise:
         with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
             add_noise(euclid4, sigma, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_seed_rejected(self, euclid4, seed):
+        # -1 and 1.5 raised numpy's own errors, True was recorded as seed=1,
+        # and the header's seed=\d+ could not read a negative seed back
+        with pytest.raises(ValueError, match=r"^noise seed must be an integer >= 0, got "):
+            add_noise(euclid4, 0.1, seed)
+
+    def test_integer_seed_types_accepted(self, euclid4):
+        assert add_noise(euclid4, 0.1, np.int64(5)).noise.seed == 5
+
 
 class TestCsv:
     def test_roundtrip_bitwise(self, euclid4, tmp_path):

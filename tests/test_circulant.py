@@ -264,12 +264,13 @@ def test_row_build_diagnostics(dom, opts):
 
 @pytest.mark.parametrize("n, offset, cutoff", [(8, 0.0, 0.8), (12, 0.37, 2.0 * math.pi / 12)],
                          ids=["0.8 rad", "one spacing"])
-def test_row_build_excludes_by_separation(smooth_bump_spec, n, offset, cutoff):
+def test_row_build_excludes_by_separation(smooth_bump_spec, monkeypatch, n, offset, cutoff):
     # separations below the cutoff are excluded on every row alike, also at
     # a cutoff of exactly one sample spacing, where the rounded separations
     # of the other rows fall on both sides of it
+    monkeypatch.setattr(bd, "_EXCLUDE_SEPARATION", cutoff)
     samples = BoundarySamples(angles=_angles(n, offset), radius=1.0)
-    data = distance_matrix(smooth_bump_spec, samples, SolverOptions(exclude_separation=cutoff))
+    data = distance_matrix(smooth_bump_spec, samples)
     excluded = data.diagnostics.excluded
     assert np.array_equal(excluded, _circulant(excluded[0]))
     assert np.array_equal(np.isnan(data.matrix), excluded)

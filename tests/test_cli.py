@@ -107,7 +107,11 @@ class TestSimulate:
 
     def test_error_block_on_bad_config(self, cfg_file, tmp_path, capsys):
         for text, needle in (('[medium]\nkind = "direct"\nbeta = "const(1.5, 0)"\n', "margin"),
-                             ("[solver]\nangle_samples = 0\n", "angle_samples")):
+                             ("[solver]\nangle_samples = 0\n", "angle_samples"),
+                             ("[solver]\nmax_steps = 10\n", "unknown key 'max_steps'"),
+                             # a negative seed used to escape as numpy's ValueError
+                             ("[pipeline]\nnoise_sigma = 0.1\nseed = -1\n",
+                              "seed must be >= 0, got -1")):
             bad = cfg_file("bad.cfg", text)
             rc = main(["simulate", "--config", bad, "--out", str(tmp_path / "o")])
             assert rc == 1
@@ -115,6 +119,14 @@ class TestSimulate:
             block = json.loads(err.strip().splitlines()[-1])
             assert block["error"]["type"] == "ConfigError"
             assert needle in block["error"]["message"]
+
+    def test_negative_seed_flag_rejected(self, cfg_file, tmp_path, capsys):
+        cfg = cfg_file("w.cfg", WIND_CFG)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-3"])
+        assert rc == 1
+        block = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert block["error"] == {"type": "RandersError", "message": "--seed must be >= 0, got -3"}
+        assert not (tmp_path / "o" / "distances.csv").exists()
 
     def test_threads_flag_checked_before_building(self, cfg_file, tmp_path, capsys):
         bad = cfg_file("bad.cfg", "[solver]\nangle_samples = 0\n")

@@ -110,15 +110,28 @@ beta = "potential(0.3*(1 - (x1^2 + x2^2)))"
             parse_config(text)
 
     @pytest.mark.parametrize("key, value", [
-        ("angle_samples", "0"), ("angle_samples", "-4"), ("max_steps", "0"),
-        ("threads", "0"), ("threads", "-3"), ("trap_time_factor", "0"),
-        ("trap_time_factor", "-1"), ("exclude_separation", "-0.001"),
-        ("angle_samples", "1"), ("rtol", "nan"), ("atol", "inf"), ("miss_tol", "nan"),
-        ("miss_tol", "0"), ("exclude_separation", "inf"),
+        ("angle_samples", "0"), ("angle_samples", "-4"), ("angle_samples", "1"),
+        ("rtol", "nan"), ("atol", "inf"), ("miss_tol", "nan"), ("miss_tol", "0"),
     ])
     def test_bad_solver_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"[solver]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_steps", "0"), ("threads", "0"), ("threads", "-3"), ("trap_time_factor", "0"),
+        ("trap_time_factor", "-1"), ("exclude_separation", "-0.001"),
+        ("exclude_separation", "inf"),
+    ])
+    def test_removed_solver_key_is_unknown(self, key, value):
+        # constants of the solver, not keys: rejected before their value is read
+        with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}' in \\[solver\\] "
+                                              r"\(allowed: angle_samples, atol, miss_tol, rtol\)$"):
+            parse_config(f"[solver]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_names_key(self, seed):
+        with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
+            parse_config(f"[pipeline]\nnoise_sigma = 0.1\nseed = {seed}\n")
 
     # (config text, message, line or None when the check is not tied to a line)
     @pytest.mark.parametrize("text, message, line", [
@@ -164,7 +177,7 @@ class TestEmit:
     def test_units_annotated(self):
         text = emit_config(DEFAULT_CONFIG)
         assert "# length" in text
-        assert "# radians" in text
+        assert "# time" in text
 
     def test_list_value_round_trip(self):
         cfg = parse_config('[medium]\nkind = "direct"\nbeta = ["0.1*x2", "0.1*x1"]\n')

@@ -23,19 +23,20 @@ from pointsets import hausdorff, resample
 class TestSolverOptions:
     @pytest.mark.parametrize("field, value", [
         ("rtol", 0.0), ("atol", 0.0), ("rtol", -1e-9), ("atol", float("nan")),
-        ("miss_rtol", float("nan")), ("miss_rtol", 0.0), ("trap_time_factor", float("inf")),
-        ("trap_time_factor", 0.0), ("max_steps", 0), ("angle_samples", 1),
-        ("angle_samples", 0), ("exclude_separation", -1e-3),
-        ("exclude_separation", float("nan")), ("exclude_separation", float("inf")),
+        ("miss_rtol", float("nan")), ("miss_rtol", 0.0), ("angle_samples", 1),
+        ("angle_samples", 0), ("angle_samples", 2.5), ("angle_samples", 90.0),
+        ("angle_samples", True),
     ])
     def test_bad_value_names_field(self, field, value):
-        # rtol = atol = 0 used to raise ZeroDivisionError in the sweep, and
-        # miss_rtol = nan or angle_samples = 1 to report "no shooting branch"
+        # rtol = atol = 0 used to raise ZeroDivisionError in the sweep,
+        # miss_rtol = nan or angle_samples = 1 to report "no shooting branch",
+        # and angle_samples = 2.5 to fail broadcasting the fan
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SolverOptions(**{field: value})
 
     def test_edge_values_accepted(self):
-        SolverOptions(max_steps=1, angle_samples=2, exclude_separation=0.0)
+        SolverOptions(angle_samples=2)
+        SolverOptions(angle_samples=np.int64(2))
 
 
 class TestSpray:
@@ -152,12 +153,12 @@ class TestInitialValue:
         with pytest.raises(DomainError):
             integrate_geodesic(euclid_spec, [1.0, 0.0], [1.0, 0.0])
 
-    def test_budget_exhaustion_reports_trapped(self, euclid_spec):
+    def test_budget_exhaustion_reports_trapped(self, euclid_spec, monkeypatch):
         from randers import TrappedGeodesicError
 
+        monkeypatch.setattr(geo, "_TRAP_TIME_FACTOR", 0.01)
         with pytest.raises(TrappedGeodesicError):
-            integrate_geodesic(euclid_spec, [-1.0, 0.0], [1.0, 0.0],
-                               SolverOptions(trap_time_factor=0.01))
+            integrate_geodesic(euclid_spec, [-1.0, 0.0], [1.0, 0.0])
 
     def test_geodesic_equation_residual(self, dom, smooth_bump_spec):
         # Hermite-Simpson consistency: the velocity divided difference per
@@ -212,12 +213,12 @@ class TestBoundaryValue:
         with pytest.raises(DomainError):
             solve_bvp(euclid_spec, [0.5, 0.0], [1.0, 0.0])
 
-    def test_no_branch_reports_connectivity(self, euclid_spec):
+    def test_no_branch_reports_connectivity(self, euclid_spec, monkeypatch):
         # with the ray budget too small every sweep ray fails, so no bracket
         # can form and the solver must report the missing connection
+        monkeypatch.setattr(geo, "_TRAP_TIME_FACTOR", 0.01)
         with pytest.raises(ConnectivityError):
-            solve_bvp(euclid_spec, [-1.0, 0.0], [1.0, 0.0],
-                      SolverOptions(trap_time_factor=0.01, angle_samples=32))
+            solve_bvp(euclid_spec, [-1.0, 0.0], [1.0, 0.0], SolverOptions(angle_samples=32))
 
     def test_minimality_against_competitors(self, dom, smooth_bump_spec, rng):
         a, b = dom.boundary_point(0.2), dom.boundary_point(2.9)
@@ -418,7 +419,8 @@ class TestFalsePosition:
             return exit_fan(*args, **kwargs)
 
         monkeypatch.setattr(geo, "_exit_fan", counted)
-        opts = SolverOptions(max_steps=11)
+        monkeypatch.setattr(geo, "_MAX_STEPS", 11)
+        opts = SolverOptions()
         batch = geo._false_position(spec, theta0, theta1, lo, hi, m_lo, m_hi, opts)
         assert fans[0] == 6 and min(fans) < 6   # finished brackets leave the batch
         iterations = []
@@ -501,14 +503,15 @@ class TestShootPairs:
         # to solver accuracy
         assert abs(path.exit_time - shots.time[0]) < 1e-9
 
-    def test_recorded_ray_that_does_not_exit_names_pair(self, smooth_bump_spec):
+    def test_recorded_ray_that_does_not_exit_names_pair(self, smooth_bump_spec, monkeypatch):
         # the sweep and false-position rays exit within 11 steps; the
         # recorded re-run, with a capped step size, needs 94
-        opts, angles = SolverOptions(max_steps=50), [0.0, 2.0]
-        shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts)
+        monkeypatch.setattr(geo, "_MAX_STEPS", 50)
+        angles = [0.0, 2.0]
+        shots = shoot_pairs(smooth_bump_spec, angles, [(0, 1)])
         assert shots.converged[0] and shots.branch_count[0] == 1
         with pytest.raises(TrappedGeodesicError, match=r"^geodesic of boundary pair \(0, 1\) "):
-            shoot_pairs(smooth_bump_spec, angles, [(0, 1)], opts, record_paths=True)
+            shoot_pairs(smooth_bump_spec, angles, [(0, 1)], record_paths=True)
 
     def test_paths_only_for_single_converged_branch(self, lens_spec):
         # pair (0, 5) of the 12-point lens sampling has three branches
@@ -709,7 +712,7 @@ def _spray_fan(spec, theta0, psi, opts, record=False):
     r2 = spec.domain.radius ** 2
     stop = (lambda u: u[:, 0] ** 2 + u[:, 1] ** 2 - r2,
             lambda u: 2.0 * (u[:, 0] * u[:, 2] + u[:, 1] * u[:, 3]))
-    ctl = opts.controls(opts.trap_time_factor * geo._time_scale(spec), record=record)
+    ctl = opts.controls(spec, record=record)
     return geo.ivp.integrate_batch(_spray_rhs(spec), np.column_stack([x0, y0, np.zeros(len(psi))]),
                                    stop, ctl, record=record)
 
@@ -885,7 +888,7 @@ class TestCotangentRays:
         theta0, psi = np.full(12, 0.7), np.linspace(-1.3, 1.3, 12)
         res = geo._exit_fan(spec, theta0, psi, tight, record=True)[-1]
         ref = _spray_fan(spec, theta0, psi, _SPRAY_REFERENCE, record=True)
-        h = tight.controls(tight.trap_time_factor * geo._time_scale(spec), record=True).h_max
+        h = tight.controls(spec, record=True).h_max
         gaps = np.zeros(3)
         for k in range(12):
             path = geo._path_from(res, k, spec)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from randers import (BoundaryDistanceData, ComponentForm, ConstantField, ConformalMetric,
+from randers import (BoundaryDistanceData, ComponentForm, ConformalMetric,
                      Domain, ExactForm, ExprField, PotentialBump, RandersSpec,
                      RecoveryError, RotationalForm, SumForm, TriplicationError,
                      distance_matrix, herglotz_invert, recover_beta_integrals,
                      recover_boundary_potential, recover_symmetric_data,
                      rigidity_report, verify_gauge)
 from randers import recovery
+from randers.boundary import BoundarySamples
 from conftest import bump_gradient
 
 
@@ -152,6 +153,64 @@ class TestPotentialRecovery:
             recover(data)
 
 
+# The paper's recovery theorem on a medium with no symmetry: the generic c
+# (conftest.generic_spec) under d phi, phi = 0.1 x1 x2 + 0.05 x1 - 0.04 x2^2,
+# written as components with no declared potential, so the rays integrate it.
+# phi does not vanish on the boundary.  Bounds, from measurements at
+# n = 12 and 16, offset 0.37:
+# - COCYCLE_TOL: the largest |A_ij + A_jk + A_ki| of A = (D - D^T) / 2 under
+#   c + d phi measured 6.3e-11 and 5.0e-11, against a build error of
+#   5.6e-11 and 5.9e-11 (max |D - D_tight| at rtol 1e-12, atol 1e-15,
+#   miss_rtol 1e-11); the bound is twice the larger cocycle, and lies below
+#   three times the build error, the most three entries can add up to.
+# - NOT_CLOSED_MIN: under the generic beta of conftest, whose d beta is
+#   -0.25 + 0.05 x2, the cocycle measured 0.198 at both n; the bound is
+#   about 1/20 of that.
+# - POTENTIAL_TOL: the recovered potential erred from phi - mean(phi) by
+#   9.3e-12 and 6.4e-12; the bound is twice the larger.
+# - RESIDUAL_TOL: the fit's coboundary residual (``constancy_deviation``)
+#   measured 2.3e-11 and 2.4e-11, below one build error; the bound is twice
+#   the larger.
+COCYCLE_TOL = 1.3e-10
+NOT_CLOSED_MIN = 1e-2
+POTENTIAL_TOL = 2e-11
+RESIDUAL_TOL = 5e-11
+D_PHI = ["0.1*x2 + 0.05", "0.1*x1 - 0.08*x2"]
+
+
+def _phi(x):
+    return 0.1 * x[:, 0] * x[:, 1] + 0.05 * x[:, 0] - 0.04 * x[:, 1] ** 2
+
+
+def _largest_cocycle(data):
+    """max |A_ij + A_jk + A_ki| over sample triples, A the antisymmetric part of D."""
+    A = recover_beta_integrals(data)
+    return float(np.abs(A[:, :, None] + A[None, :, :] + A.T[:, None, :]).max())
+
+
+class TestRecoveryWithoutSymmetry:
+    @pytest.fixture(scope="class", params=[12, 16])
+    def builds(self, request, dom, generic_spec, generic_beta_spec):
+        n = request.param
+        samples = BoundarySamples(angles=2.0 * math.pi * (np.arange(n) + 0.37) / n, radius=1.0)
+        shifted = RandersSpec(dom, generic_spec.alpha, ComponentForm(D_PHI))
+        assert shifted._cotangent_fields()[3] is None and not shifted.rotation_invariant
+        return (samples, distance_matrix(generic_spec, samples),
+                distance_matrix(shifted, samples), distance_matrix(generic_beta_spec, samples))
+
+    def test_closed_form_has_no_cocycle(self, builds):
+        _, _, shifted, generic_beta = builds
+        assert _largest_cocycle(shifted) <= COCYCLE_TOL
+        assert _largest_cocycle(generic_beta) >= NOT_CLOSED_MIN
+
+    def test_potential_recovered(self, builds):
+        samples, base, shifted, _ = builds
+        phi = _phi(samples.points)
+        pot = recover_boundary_potential(base, shifted)
+        assert np.abs(pot.values - (phi - phi.mean())).max() <= POTENTIAL_TOL
+        assert pot.constancy_deviation <= RESIDUAL_TOL
+
+
 class TestHerglotzInvert:
     def test_constant_speed_analytic(self):
         prof = herglotz_invert(analytic_constant_c_data(c0=1.5))
@@ -260,7 +319,6 @@ class TestVerifyGauge:
         rep = verify_gauge(smooth_spec.beta, smooth_bump_spec.beta, bump, dom)
         assert rep.gauge_residual <= 1e-12
         assert rep.boundary_residual <= 1e-12
-        assert rep.psi_identity
 
     def test_rotational_perturbation_detected(self, dom, smooth_spec, bump):
         eps = 1e-3
@@ -274,12 +332,6 @@ class TestVerifyGauge:
         rep = verify_gauge(smooth_spec.beta, smooth_bump_spec.beta, shifted, dom)
         assert rep.gauge_residual <= 1e-12
         assert rep.boundary_residual == pytest.approx(0.25, abs=1e-12)
-
-    def test_profile_deviation(self, dom, smooth_spec, bump, smooth_profile, kink_profile):
-        rep = verify_gauge(smooth_spec.beta, smooth_spec.beta, ConstantField(0.0), dom,
-                           profile1=smooth_profile, profile2=kink_profile)
-        # max |(2 - r) - (2 - r^2)| = max (r - r^2) ... at r = 1/2
-        assert rep.profile_deviation == pytest.approx(0.25, abs=1e-3)
 
 
 class TestRigidityReport:

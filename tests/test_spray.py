@@ -20,6 +20,7 @@ from randers import (ComponentForm, ConformalMetric, ConstantForm,
                      MediumModel, PotentialBump, RadialProfile, RandersSpec,
                      RotationalForm, ScaledForm, SumForm, ZeroForm, spray,
                      zermelo_construct)
+from randers import norms
 from randers.fields import Domain
 from randers.geodesics import _spray_and_norm
 
@@ -180,8 +181,9 @@ class TestConvexityCheck:
 
     @pytest.fixture(scope="class")
     def spec(self, dom):
-        spec = RandersSpec(dom, EuclideanMetric(), ComponentForm(["1.2*x1^8", "0"]),
-                           margin_grid=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(norms, "MARGIN_GRID_SIZE", 4)
+            spec = RandersSpec(dom, EuclideanMetric(), ComponentForm(["1.2*x1^8", "0"]))
         assert spec.margin > 0.9
         return spec
 
