@@ -88,7 +88,8 @@ class DistanceDiagnostics:
     excluded: np.ndarray        # nearly-adjacent pairs left out
     angle_samples: int          # coarse sweep fan per start
     correction: np.ndarray      # p delta - p' delta^2 / 2, subtracted from each exit time
-    sweep_nodes: np.ndarray     # (n,) sweep rays shot per start, refinement included
+    sweep_nodes: np.ndarray     # (n,) rays shot per start: its sweep, refinement included,
+                                # or on a straight medium one chord ray per pair
     brackets: np.ndarray        # (n,) brackets per start, interpolated or shot
     bracket_rays: np.ndarray    # (n,) rays false position shot for them
     interpolated: np.ndarray    # (n,) brackets closed without a ray
@@ -135,8 +136,9 @@ def distance_matrix(spec, samples, opts=None, threads=1):
     ``threads`` is, and D, ``miss``, ``correction``, ``branch_counts`` and
     ``excluded`` are rolled from row 0.  The per-start counters
     ``sweep_nodes``, ``brackets``, ``bracket_rays`` and ``interpolated``
-    report the work done, start i's sweep rays and the brackets of the
-    pairs shot from it, so there they are zero for every start but 0.
+    report the work done, start i's sweep rays (its chord rays on a straight
+    medium) and the brackets of the pairs shot from it, so there they are
+    zero for every start but 0.
     """
     opts = opts or SolverOptions()
     if isinstance(samples, numbers.Integral):
@@ -217,7 +219,8 @@ def decompose(data):
 
 def add_noise(data, sigma, seed):
     """Gaussian perturbation of scale sigma on off-diagonal entries."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
+    if not (isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+            and math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"noise scale must be finite and >= 0, got {sigma!r}")
     if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"noise seed must be an integer >= 0, got {seed!r}")

@@ -8,7 +8,9 @@ changes of the angular endpoint miss in one sorted join over all starts,
 and closes the brackets of all pairs by interpolating the sweep's exit
 times or, where that is not safe, in one guarded false-position batch.  A
 pair's branch count is its number of roots found.  ``solve_bvp`` is the
-one-pair case.
+one-pair case.  Where H does not depend on x (``_fan_fields``), the
+geodesics are the chords, and each pair shoots its chord's ray instead
+(``_chord_shots``): one fan of P rays, with no sweep, join or bracket.
 
 The join sorts the targets once, by start and then by angle from the start.
 A segment, two neighbouring exited nodes of one start whose exit angles
@@ -336,6 +338,19 @@ def _straight_rays(rhs, u0, radius, t_max, record):
     return ivp.BatchIntegration(status, t, u_end, np.zeros(len(u0), dtype=np.int64), history)
 
 
+def _fan_fields(spec, record):
+    """(c, W, b, phi, straight) of a fan of ``spec``: its ``_cotangent_fields``,
+    with b dropped where an unrecorded fan shifts by the potential phi and
+    phi None elsewhere; ``straight`` holds where c, W and that b are all
+    ``_uniform``, so H does not depend on x and the rays are straight."""
+    speed, wind, form, phi = spec._cotangent_fields()
+    if record or phi is None:
+        phi = None
+    else:
+        form = None
+    return speed, wind, form, phi, all(_uniform(field) for field in (speed, wind, form))
+
+
 def _cotangent_fan(spec, x0, d, ctl, record=False):
     """Rays of the dual norm H of F from x0 along d; returns (result, rate).
 
@@ -343,22 +358,20 @@ def _cotangent_fan(spec, x0, d, ctl, record=False):
     the tolerances of ``ctl``.  An unrecorded fan under a potential phi
     drops the 1-form b, starts at dalpha/dy and adds phi(exit) - phi(start)
     to the exit parameter.  Where c, W and the b that is left are all
-    constant, H does not depend on x and the rays are straight: each exit
-    is solved in closed form (``_straight_rays``), and no integrator runs.
+    constant (``_fan_fields``), H does not depend on x and the rays are
+    straight: each exit is solved in closed form (``_straight_rays``), and
+    no integrator runs.
     ``result`` is ``integrate_batch``'s, or its closed-form twin, with that
     time and its histories as states (x, dH/dp); ``rate`` is each exit's
     first-variation rate (see the module docstring), nan where none exited.
     """
-    speed, wind, form, phi = spec._cotangent_fields()
-    if record or phi is None:
-        phi, beta = None, _beta_at(spec.beta, x0)
-    else:
-        form = beta = None
+    speed, wind, form, phi, straight = _fan_fields(spec, record)
+    beta = None if phi is not None else _beta_at(spec.beta, x0)
     _, _, (p0, p1) = _dF_dy(_alpha_at(spec.alpha, x0), beta, d[:, 0], d[:, 1])
     ctl = replace(ctl, rtol=_COTANGENT_TOL * ctl.rtol, atol=_COTANGENT_TOL * ctl.atol)
     rhs = _cotangent_rhs(speed, wind, form)
     u0 = np.column_stack([x0, p0, p1])
-    if all(_uniform(field) for field in (speed, wind, form)):
+    if straight:
         res = _straight_rays(rhs, u0, spec.domain.radius, ctl.t_max, record)
     else:
         res = ivp.integrate_batch(rhs, u0, _cotangent_stop(spec, rhs), ctl, record=record)
@@ -702,7 +715,8 @@ class PairShots:
                               # converged to miss_rtol
     correction: np.ndarray    # p delta - p' delta^2 / 2, subtracted from the ray's exit
                               # time; 0 for an interpolated bracket
-    sweep_nodes: np.ndarray   # sweep rays shot from the pair's start
+    sweep_nodes: np.ndarray   # rays shot from the pair's start to search its targets:
+                              # its sweep, or on a straight medium its chord rays
     brackets: np.ndarray      # brackets, interpolated or handed to false position
     bracket_rays: np.ndarray  # rays false position shot for them
     interpolated: np.ndarray  # brackets closed without a ray, by Hermite interpolation
@@ -790,47 +804,62 @@ def _pair_join(start, target, theta0, off, exit_th, valid, tol):
     return (*by_pair(hp[hit], hk[hit]), *by_pair(bp[bracket], bk[bracket]))
 
 
+def _chord_shots(spec, angles, pairs, opts, record_paths):
+    """``shoot_pairs`` on a straight fan: one ray per pair, along its chord.
+
+    H does not depend on x, so the chord is the unique minimiser of the
+    strictly convex norm.  Pair (i, j) shoots at the inward angle
+    psi = ((theta_j - theta_i) mod 2 pi) / 2 - pi / 2, all P rays in one fan
+    (recorded with ``record_paths``); a ray misses only by the start's
+    nudge, which the first-order correction absorbs, and has one branch when
+    it exits.  ``sweep_nodes`` counts its start's rays; no bracket is made.
+    """
+    theta0, target = angles[pairs[:, 0]], angles[pairs[:, 1]]
+    psi = 0.5 * ((target - theta0) % _TWO_PI) - 0.5 * math.pi
+    exit_th, exit_t, rate, ok, res = _exit_fan(spec, theta0, psi, opts, record_paths)
+    miss = np.where(ok, _wrap(exit_th - target), np.nan)
+    correction = rate * miss   # nan where the ray did not exit
+    out = PairShots(pairs, exit_t - correction, miss * spec.domain.radius, ok.astype(int), ok,
+                    np.where(ok, psi, np.nan), np.nan_to_num(correction),
+                    np.bincount(pairs[:, 0])[pairs[:, 0]], *np.zeros((3, len(pairs)), dtype=int))
+    if record_paths:
+        out.paths = [None] * len(pairs)
+        for q in np.flatnonzero(ok).tolist():
+            i, j = pairs[q]
+            out.paths[q] = _path_from(res, q, spec, f"geodesic of boundary pair ({i}, {j})")
+    return out
+
+
 def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     """Solve many ordered boundary pairs sharing per-start sweeps.
 
-    ``angles`` is the boundary angle table, ``pairs`` (P, 2) ordered index
-    pairs (i, j); the :class:`PairShots` record returned is aligned with
-    them.  One adaptive sweep is integrated per distinct start and shared
-    across its targets (see ``_sweep``); ``sweep_nodes`` counts its rays.
-    The grazing limits psi = -+pi/2 join each start's nodes unshot, with
-    exit angle theta0, which is exact on a strictly convex boundary; they
-    close the brackets of the targets next to the start.  A pair counts one
-    branch per shot sweep ray within tolerance of its target and per
-    bracket, which one join over all starts finds by binary search (see
-    ``_pair_join``); a pair with such a ray takes the first one, every other
-    pair its first converged bracket in sweep order, with all brackets
-    closed in a single pass: a bracket whose Hermite exit times agree to
-    ``_HERMITE_TOL`` times the integrator's tolerance is interpolated from
-    the sweep without a ray, and the rest go to one false-position batch
-    (see the module docstring).  Each converged shot's time carries the
-    first- and second-order correction for its miss, also reported as
-    ``correction`` (zero for an interpolated bracket), at the rate its fan
-    read at the exit from q = p / <p, dH/dp> (+ d phi); a smooth bracket
-    keeps its first ray when its miss is within ``_ONE_RAY_CAP``.
-    ``brackets``, ``bracket_rays`` and ``interpolated`` count each pair's
-    brackets, the rays false position shot for them and the brackets
-    closed without a ray.  Branch counts, flags and times are independent
-    of pair order and grouping.  With ``record_paths`` every bracket is
-    shot and iterates to ``miss_rtol``, and the converged single-branch
-    rays are re-integrated once as a recorded batch: ``paths[q]`` is pair q's GeodesicPath (its
-    ``exit_time`` uncorrected), or None when q has no single converged
-    branch; a recorded ray that does not exit raises TrappedGeodesicError
-    naming its pair.
+    ``angles`` is the boundary angle table and ``pairs`` (P, 2) ordered
+    index pairs (i, j); the :class:`PairShots` record returned is aligned
+    with them.  On a straight fan (``_fan_fields``) each pair shoots its
+    chord's ray (``_chord_shots``).  Elsewhere one adaptive sweep per
+    distinct start (``_sweep``) is shared by its targets, its end nodes the
+    unshot grazing limits psi = -+pi/2, which exit at theta0 (exact on a
+    strictly convex boundary).  A pair counts one branch per sweep ray
+    within tolerance of its target and per bracket (``_pair_join``), and
+    takes its first such ray, or else its first converged bracket in sweep
+    order, each bracket interpolated or shot as the module docstring says.
+    A shot's time carries the correction for its miss, also reported as
+    ``correction``.  ``sweep_nodes`` counts the rays of the pair's start;
+    ``brackets``, ``bracket_rays`` and ``interpolated`` the pair's brackets,
+    the rays false position shot for them and those closed without a ray.
+    Results do not depend on pair order or grouping.  With ``record_paths``
+    every bracket is shot to ``miss_rtol``, and the converged single-branch
+    rays are re-integrated as one recorded batch: ``paths[q]`` is pair q's
+    GeodesicPath (``exit_time`` uncorrected), or None when q has no single
+    converged branch; a recorded ray that does not exit raises
+    TrappedGeodesicError naming its pair.
     """
     spec.require_valid()
     opts = opts or SolverOptions()
     angles = np.asarray(angles, dtype=float)
-    pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
-    if not len(pairs):
-        z = np.zeros(0)
-        return PairShots(pairs, z, z, z.astype(int), z.astype(bool), z, z, z.astype(int),
-                         z.astype(int), z.astype(int), z.astype(int),
-                         [] if record_paths else None)
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    if not len(pairs) or _fan_fields(spec, record_paths)[-1]:   # no pair makes an empty fan
+        return _chord_shots(spec, angles, pairs, opts, record_paths)
     starts, start = np.unique(pairs[:, 0], return_inverse=True)
     theta0, target = angles[starts], angles[pairs[:, 1]]
     psi, exit_th, exit_t, ok, rate, off = _sweep(spec, theta0, opts)
@@ -846,8 +875,8 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
                                                opts.miss_rtol)
 
     P = len(pairs)
-    time, miss, angle = np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan)
-    shot_rate = np.full(P, np.nan)   # of the accepted ray; nan for an interpolated time
+    # shot_rate is the accepted ray's rate; nan for an interpolated time
+    time, miss, angle, shot_rate = np.full((4, P), np.nan)
     bend = np.zeros(P)   # d rate / d theta at the accepted ray, where known
     count = np.bincount(hit_pair, minlength=P) + np.bincount(owner, minlength=P)
     nodes = np.diff(off)[start]
@@ -911,11 +940,10 @@ def shoot_pairs(spec, angles, pairs, opts=None, record_paths=False):
     if record_paths:
         out.paths = [None] * P
         rec = np.flatnonzero(converged & (count == 1))
-        if rec.size:
-            res = _exit_fan(spec, angles[pairs[rec, 0]], angle[rec], opts, record=True)[-1]
-            for k, q in enumerate(rec.tolist()):
-                i, j = pairs[q]
-                out.paths[q] = _path_from(res, k, spec, f"geodesic of boundary pair ({i}, {j})")
+        res = _exit_fan(spec, angles[pairs[rec, 0]], angle[rec], opts, record=True)[-1]
+        for k, q in enumerate(rec.tolist()):
+            i, j = pairs[q]
+            out.paths[q] = _path_from(res, k, spec, f"geodesic of boundary pair ({i}, {j})")
     return out
 
 

@@ -8,9 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randers import (ComponentForm, ConformalMetric, ConstantField, ConstantForm,
-                     CsvFormatError, ExprField, MediumModel, RandersSpec, add_noise, boundary,
-                     decompose, distance_matrix, load, sample_boundary, save, shoot_pairs,
+                     CsvFormatError, Domain, ExprField, MediumModel, RadialProfile,
+                     RandersSpec, SolverOptions, add_noise, boundary, decompose,
+                     distance_matrix, load, sample_boundary, save, shoot_pairs,
                      zermelo_construct)
+from randers import geodesics as geo
 from randers.boundary import (_HEADER_RE, BoundaryDistanceData, BoundarySamples,
                               NoiseDescriptor)
 from conftest import bump_gradient
@@ -134,9 +136,10 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("medium", ["euclid_spec", "wind_spec"])
     def test_neighbours_closer_than_the_fan_edge(self, request, medium):
-        # at n = 192 a neighbour lies nearer the start than the exit of the
-        # fan's outermost ray; the grazing limits bracket it.  Straight rays
-        # at speed 1 against the wind W: T solves |d - W T| = T
+        # at n = 192 a neighbour lies nearer the start than the exit of a
+        # sweep's outermost ray; straight media shoot each pair's chord, with
+        # no sweep, so the grazing limits are left to the curved test below.
+        # Straight rays at speed 1 against the wind W: T solves |d - W T| = T
         data = distance_matrix(request.getfixturevalue(medium), 192)
         W = np.array([0.5, 0.0]) if medium == "wind_spec" else np.zeros(2)
         p = data.points
@@ -144,6 +147,21 @@ class TestDistanceMatrix:
         dw, dd, k = d @ W, (d * d).sum(axis=2), 1.0 - W @ W
         T = (np.sqrt(dw * dw + k * dd) - dw) / k
         assert np.abs(data.matrix - T).max() < 1e-9
+
+    def test_curved_neighbours_closer_than_the_fan_edge(self):
+        # straight media shoot chords, so the grazing limits bracket the
+        # nearest targets only on a curved medium: the spherical cap
+        # c = (1 + r^2) / 2 (the unit sphere, stereographically) on R = 0.5,
+        # whose D is 2 atan(|z - w| / |1 + conj(z) w|) (measured 7.4e-11)
+        cap = RandersSpec(Domain(0.5), ConformalMetric(RadialProfile("0.5 + 0.5*r^2")))
+        n, edge = 192, geo._sweep_angles(SolverOptions().angle_samples)[[0, -1]]
+        exit_th = geo._exit_fan(cap, np.zeros(2), edge, SolverOptions())[0]
+        assert min(exit_th[0], 2.0 * math.pi - exit_th[1]) > 2.0 * math.pi / n
+        data = distance_matrix(cap, n)
+        z = data.points @ np.array([1.0, 1j])
+        D = 2.0 * np.arctan(np.abs(z[None] - z[:, None]) / np.abs(1.0 + np.conj(z)[:, None] * z))
+        assert data.diagnostics.sweep_nodes[0] == SolverOptions().angle_samples
+        assert np.abs(data.matrix - D).max() < 1e-9
 
     def test_diagnostics(self, euclid4):
         d = euclid4.diagnostics
@@ -255,6 +273,12 @@ class TestNoise:
         # and the header's seed=\d+ could not read a negative seed back
         with pytest.raises(ValueError, match=r"^noise seed must be an integer >= 0, got "):
             add_noise(euclid4, 0.1, seed)
+
+    @pytest.mark.parametrize("sigma", [True, False, "0.1"])
+    def test_bad_sigma_type_rejected(self, euclid4, sigma):
+        # True perturbed with scale 1 and was recorded as sigma=1.0
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            add_noise(euclid4, sigma, 3)
 
     def test_integer_seed_types_accepted(self, euclid4):
         assert add_noise(euclid4, 0.1, np.int64(5)).noise.seed == 5

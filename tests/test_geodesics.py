@@ -467,25 +467,27 @@ class TestShootPairs:
                             dom.boundary_point(angles[j]))
             assert time == pytest.approx(ref.path.exit_time, abs=1e-9)
 
-    def test_independent_of_pair_order(self, wind_spec, rng):
-        # straight wind rays from a 32-point sampling hit some separations
-        # exactly at a sweep node (90 k / 32 is a half-integer for k = 8 mod 16)
+    def test_independent_of_pair_order(self, generic_spec, rng):
+        # the generic medium sweeps; each start's sweep ray 30 exits at an
+        # added target, which it hits, and the other pairs close brackets
         n, starts = 32, range(4)
         angles = 2.0 * math.pi * np.arange(n) / n
-        pairs = [(i, j) for i in starts for j in range(n) if i != j]
-        nodes = geo._sweep(wind_spec, angles[list(starts)], SolverOptions())[0]
+        nodes, exit_th, _, _, _, off = geo._sweep(generic_spec, angles[list(starts)],
+                                                  SolverOptions())
+        angles = np.concatenate([angles, exit_th[off[:-1] + 30]])
+        pairs = [(i, j) for i in starts for j in range(len(angles)) if i != j]
         shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
-        per_start = [shoot_pairs(wind_spec, angles, [p for p in pairs if p[0] == i])
+        per_start = [shoot_pairs(generic_spec, angles, [p for p in pairs if p[0] == i])
                      for i in starts]
-        runs = [[shoot_pairs(wind_spec, angles, pairs)],
-                [shoot_pairs(wind_spec, angles, shuffled)], per_start]
+        runs = [[shoot_pairs(generic_spec, angles, pairs)],
+                [shoot_pairs(generic_spec, angles, shuffled)], per_start]
 
         def table(records, field):
             by_pair = {(int(i), int(j)): v for shots in records
                        for (i, j), v in zip(shots.pairs, getattr(shots, field))}
             return np.array([by_pair[p] for p in pairs])
 
-        # both result paths are compared: sweep nodes and false position
+        # both result paths are compared: hit sweep nodes and closed brackets
         at_node = np.isin(table(runs[0], "angle"), nodes)
         assert at_node.any() and not at_node.all()
         for field in ("time", "miss", "angle", "branch_count"):
@@ -525,13 +527,17 @@ class TestShootPairs:
         assert shots.single_path(1, angles) is shots.paths[1]
 
     @pytest.mark.parametrize("record_paths", [False, True])
-    def test_no_pairs_give_empty_record(self, wind_spec, record_paths):
-        shots = shoot_pairs(wind_spec, [0.0, 1.0], [], record_paths=record_paths)
-        assert shots.pairs.shape == (0, 2)
-        for field in ("time", "miss", "branch_count", "converged", "angle", "correction",
-                      "interpolated"):
-            assert getattr(shots, field).shape == (0,)
-        assert shots.paths == ([] if record_paths else None)
+    def test_no_pairs_give_empty_record(self, wind_spec, generic_spec, record_paths):
+        for spec in (wind_spec, generic_spec):   # a straight and a curved medium
+            shots = shoot_pairs(spec, [0.0, 1.0], [], record_paths=record_paths)
+            assert shots.pairs.shape == (0, 2)
+            for field, dtype in (("time", float), ("miss", float), ("branch_count", int),
+                                 ("converged", bool), ("angle", float), ("correction", float),
+                                 ("sweep_nodes", int), ("brackets", int), ("bracket_rays", int),
+                                 ("interpolated", int)):
+                value = getattr(shots, field)
+                assert value.shape == (0,) and value.dtype == dtype
+            assert shots.paths == ([] if record_paths else None)
 
 
 def _all_pairs(n):
@@ -587,7 +593,7 @@ class TestAdaptiveSweep:
                 assert np.array_equal(getattr(alone, field), getattr(together, field)[rows],
                                       equal_nan=True)
 
-    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "wind_spec"])
+    @pytest.mark.parametrize("medium", ["smooth_bump_spec", "generic_spec"])
     def test_smooth_media_shoot_the_coarse_fan(self, request, medium):
         spec = request.getfixturevalue(medium)
         data = distance_matrix(spec, 8)
@@ -962,6 +968,122 @@ class TestStraightRays:
                                                abs=3e-13)
 
 
+def _chord_media(dom):
+    """Straight media, each with the closed form of D on boundary points P:
+    the wind's chord time, |d| + <w, d> under a constant 1-form w, and
+    |d| + phi(x_j) - phi(x_i) under d phi, for d = x_j - x_i."""
+    wind, w, phi = np.array([0.5, 0.0]), np.array([0.3, -0.2]), PotentialBump(0.3, 1.0)
+
+    def chord(P):
+        n = len(P)
+        return _zermelo_time(np.repeat(P, n, axis=0), np.tile(P, (n, 1)), wind).reshape(n, n)
+
+    def length(P):
+        d = P[None] - P[:, None]
+        return np.sqrt((d * d).sum(-1))
+
+    def tilted(P):
+        return length(P) + (P[None] - P[:, None]) @ w
+
+    def shifted(P):
+        f = phi.value(P)
+        return length(P) + f[None] - f[:, None]
+    return {
+        "wind": (zermelo_construct(MediumModel(dom, speed=ConstantField(1.0),
+                                               wind=ConstantForm(wind))), chord),
+        "constant": (RandersSpec(dom, EuclideanMetric(), ConstantForm(w)), tilted),
+        "exact": (RandersSpec(dom, EuclideanMetric(), ExactForm(phi)), shifted),
+    }
+
+
+class TestChordShots:
+    """Straight media shoot one chord ray per pair: no sweep, join or bracket."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("_exit_fan", "_sweep", "_pair_join"):
+            orig = getattr(geo, name)
+
+            def spied(*args, _orig=orig, _name=name, **kwargs):
+                calls.append((_name, len(args[2]) if _name == "_exit_fan" else None))
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(geo, name, spied)
+        return calls
+
+    @pytest.mark.parametrize("medium", ["wind", "constant", "exact"])
+    def test_one_fan_of_pair_rays(self, monkeypatch, dom, medium):
+        spec = _chord_media(dom)[medium][0]
+        angles, pairs = _all_pairs(12)
+        calls = self._spy(monkeypatch)
+        shots = shoot_pairs(spec, angles, pairs)
+        assert calls == [("_exit_fan", len(pairs))]
+        assert shots.converged.all() and (shots.branch_count == 1).all()
+
+    def test_recorded_exact_form_sweeps(self, monkeypatch, dom):
+        # a recorded fan integrates d phi of a bump, which depends on x, so it
+        # sweeps; the unrecorded fan shifts the times by phi and goes straight
+        spec = _chord_media(dom)["exact"][0]
+        calls = self._spy(monkeypatch)
+        shoot_pairs(spec, [0.0, 2.0], [(0, 1)], record_paths=True)
+        assert ("_sweep", None) in calls and ("_pair_join", None) in calls
+
+    @pytest.mark.parametrize("n", [12, 48])
+    @pytest.mark.parametrize("medium", ["wind", "constant", "exact"])
+    def test_matrix_matches_closed_form(self, dom, medium, n):
+        # the starts are nudged inside by a relative 1e-13 (measured 2.0e-13)
+        spec, exact = _chord_media(dom)[medium]
+        data = distance_matrix(spec, n)
+        off = ~np.eye(n, dtype=bool)
+        assert np.abs(data.matrix - exact(data.points))[off].max() <= 1e-12
+
+    def test_wind_build_counts_one_ray_per_pair(self, dom):
+        n = 12
+        diag = distance_matrix(_chord_media(dom)["wind"][0], n).diagnostics
+        assert diag.sweep_nodes.tolist() == [n - 1] * n
+        for counter in (diag.brackets, diag.bracket_rays, diag.interpolated):
+            assert not counter.any()
+        assert (diag.branch_counts[~np.eye(n, dtype=bool)] == 1).all()
+
+    def test_independent_of_pair_order(self, wind_spec, rng):
+        angles, pairs = _all_pairs(16)
+        pairs = [tuple(p) for p in pairs if p[0] < 4]
+        shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+        ref = shoot_pairs(wind_spec, angles, pairs)
+        other = shoot_pairs(wind_spec, angles, shuffled)
+        order = [pairs.index(p) for p in shuffled]
+        for field in ("time", "miss", "angle", "correction", "branch_count", "sweep_nodes"):
+            assert np.array_equal(getattr(other, field), getattr(ref, field)[order])
+
+    def test_trapped_chord_names_its_pair(self, monkeypatch, wind_spec):
+        # a ray budget below the longer chords' times traps their rays: those
+        # pairs do not converge, and the build names the first in i-major order
+        monkeypatch.setattr(geo, "_TRAP_TIME_FACTOR", 0.3)
+        angles, pairs = _all_pairs(12)
+        pairs = np.array(pairs)
+        P = np.column_stack([np.cos(angles), np.sin(angles)])
+        exact = _zermelo_time(P[pairs[:, 0]], P[pairs[:, 1]], np.array([0.5, 0.0]))
+        trapped = exact > SolverOptions().controls(wind_spec).t_max
+        assert trapped.any() and not trapped.all()
+        shots = shoot_pairs(wind_spec, angles, pairs)
+        assert np.array_equal(shots.converged, ~trapped)
+        assert np.array_equal(shots.branch_count, (~trapped).astype(int))
+        assert np.isnan(shots.time[trapped]).all() and not shots.correction[trapped].any()
+        i, j = pairs[np.flatnonzero(trapped)[0]]
+        with pytest.raises(ConnectivityError,
+                           match=rf"^no shooting branch found for boundary pair \({i}, {j}\)$"):
+            distance_matrix(wind_spec, 12)
+
+    def test_solve_bvp_path_is_the_chord(self, dom, wind_spec):
+        a, b = dom.boundary_point(0.9), dom.boundary_point(3.8)
+        res = solve_bvp(wind_spec, a, b)
+        path = res.path
+        assert len(path.t) == 2 and res.branch_count == 1
+        assert np.abs(path.exit_point - b).max() <= 1e-12 and abs(res.miss) <= 1e-12
+        assert path.exit_time == pytest.approx(
+            _zermelo_time(a, b, np.array([0.5, 0.0]))[0], abs=1e-12)
+
+
 # the largest gap between a first-ray and an iterated build at n = 12: the
 # row-built invariant media reach the third-order remainder; the generic
 # medium's full build, measured at 1.35e-11, carries its tight integrator's
@@ -1135,11 +1257,12 @@ class TestZeroRayBrackets:
         assert (shots.bracket_rays[shot] >= 1).all() and not shots.bracket_rays[~shot].any()
         assert shots.converged.all()
 
-    def test_step_inside_a_bracket_leaves_the_pair_unconverged(self, monkeypatch, euclid_spec):
+    def test_step_inside_a_bracket_leaves_the_pair_unconverged(self, monkeypatch, generic_spec):
         # straight chords, whose exit angle and time jump by 0.5 at psi = 0.2:
         # the nodes on either side are smooth, monotone and rated, but the
         # Hermite interpolants across the step disagree, so false position
-        # runs and stops at the jump
+        # runs and stops at the jump (the medium is curved, so it sweeps:
+        # a straight one would shoot one chord ray per pair)
         def stepped(spec, theta0, psi, opts, record=False):
             step = np.where(psi < 0.2, 0.0, 0.5)
             th, d = theta0 + math.pi + 2.0 * psi + step, theta0 + math.pi + psi
@@ -1149,11 +1272,11 @@ class TestZeroRayBrackets:
 
         monkeypatch.setattr(geo, "_exit_fan", stepped)
         angles = np.array([0.0, math.pi + 0.65])   # between the step's two sides
-        shots = shoot_pairs(euclid_spec, angles, [(0, 1)])
+        shots = shoot_pairs(generic_spec, angles, [(0, 1)])
         assert shots.branch_count[0] == 1 and shots.interpolated[0] == 0
         assert not shots.converged[0] and shots.bracket_rays[0] >= 1
         monkeypatch.setattr(geo, "_HERMITE_TOL", math.inf)
-        assert shoot_pairs(euclid_spec, angles, [(0, 1)]).converged[0]
+        assert shoot_pairs(generic_spec, angles, [(0, 1)]).converged[0]
 
     def test_recorded_paths_interpolate_nothing(self, smooth_bump_spec):
         angles, pairs = _all_pairs(6)
